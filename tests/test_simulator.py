@@ -1,0 +1,153 @@
+"""Simulator invariants on tiny LSTM, GRU and Vanilla nets.
+
+Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
+and take exactly ``analytic_cycles``; EDC-on input-chain faults must leave
+the outputs untouched; the reported fault count must be the plan's.  Faulty
+runs with every site active are pinned in ``simulator_golden.json`` (output
+SHA-256, cycles, ledger counters, per-layer counts, corrections), so any
+change to the fault path shows up.  After a deliberate change of fault
+semantics, rewrite the pins with
+``PYTHONPATH=src python tests/test_simulator.py``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from rnnfast import lstm_core
+from rnnfast.error_model import ErrorConfig, FaultPlan
+from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
+from rnnfast.presets import generate_inputs, generate_network_params
+from rnnfast.simulator import analytic_cycles, simulate
+
+GOLDEN = Path(__file__).with_name("simulator_golden.json")
+
+# name -> (hardware, layer widths from the input onward, timesteps)
+LAYOUTS = {
+    # Every neuron fits one PE; one tile, one chain group.
+    "one-pe": (HardwareConfig(), (6, 8, 5), 4),
+    # Layer 0 needs 5 units per LSTM/GRU neuron (2 per Vanilla neuron) on 4
+    # tiles in 2 tile groups: split neurons read cross-group chains.
+    "split": (HardwareConfig(weights_per_pe=16, tiles_per_group=2), (24, 40, 16), 3),
+    # Two PEs per Vanilla neuron, two neurons per unit; rewinds are free.
+    "packed": (HardwareConfig(weights_per_pe=16, rewind_cost="free"), (8, 12), 8),
+}
+CELLS = ("LSTM", "GRU", "Vanilla")
+IMPLS = ("approx", "lut")
+CASES = [(cell, impl, layout) for layout in LAYOUTS for cell in CELLS for impl in IMPLS]
+FAULT_P = 3e-2
+FAULT_SEED = 5
+
+
+def case_id(cell, impl, layout):
+    return f"{cell}-{impl}-{layout}"
+
+
+def net(cell, impl, layout):
+    hw, widths, steps = LAYOUTS[layout]
+    layers = tuple(LayerSpec(cell, m, n) for n, m in zip(widths, widths[1:]))
+    spec = NetworkSpec(layers, steps, impl)
+    return map_network(spec, hw), generate_network_params(spec, 11), generate_inputs(spec, 12)
+
+
+def faulty_config(edc):
+    return ErrorConfig(p_overshift=FAULT_P, edc_inputs=edc, edc_weights=edc, seed=FAULT_SEED)
+
+
+def replay(params, inputs, impl):
+    """Per-layer outputs of the fault-free network from ``cell_step`` alone."""
+    x_seq = np.asarray(inputs, dtype=np.int64)
+    outputs = []
+    for p in params:
+        h = np.zeros(p.neurons, dtype=np.int64)
+        c = np.zeros(p.neurons, dtype=np.int64)
+        out = np.zeros((len(x_seq), p.neurons), dtype=np.int16)
+        for t, x in enumerate(x_seq):
+            h, c_t = lstm_core.cell_step(x, h, c, p, impl)
+            c = c if c_t is None else c_t
+            out[t] = h
+        outputs.append(out)
+        x_seq = out.astype(np.int64)
+    return outputs
+
+
+def same_outputs(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def fingerprint(result):
+    digest = hashlib.sha256()
+    for layer in result.outputs:
+        digest.update(np.ascontiguousarray(layer, dtype="<i2").tobytes())
+    return {
+        "outputs_sha256": digest.hexdigest(),
+        "total_cycles": result.total_cycles,
+        "counters": dict(sorted(result.counters.items())),
+        "per_layer": result.per_layer,
+        "corrections": dict(sorted(result.corrections.items())),
+    }
+
+
+def golden_key(cell, impl, layout, edc):
+    return f"{case_id(cell, impl, layout)}-edc-{'on' if edc else 'off'}"
+
+
+@pytest.mark.parametrize("cell,impl,layout", CASES, ids=[case_id(*c) for c in CASES])
+def test_fault_free_run_matches_cell_replay_and_closed_form(cell, impl, layout):
+    placement, params, inputs = net(cell, impl, layout)
+    result = simulate(placement, params, inputs)
+    assert same_outputs(result.outputs, replay(params, inputs, impl))
+    assert result.total_cycles == analytic_cycles(placement)
+    assert set(result.corrections.values()) == {0}
+    # EDC pattern upkeep adds only edc_* events when nothing goes wrong.
+    edc = simulate(placement, params, inputs, error_cfg=ErrorConfig(
+        p_overshift=0.0, edc_inputs=True, edc_weights=True))
+    assert same_outputs(edc.outputs, result.outputs)
+    assert edc.total_cycles == result.total_cycles
+    changed = {k for k in edc.counters if edc.counters[k] != result.counters[k]}
+    assert changed == {"edc_read", "edc_write"}
+
+
+@pytest.mark.parametrize("cell", CELLS)
+def test_edc_on_input_chain_faults_reproduce_the_fault_free_run(cell):
+    placement, params, inputs = net(cell, "approx", "split")
+    clean = simulate(placement, params, inputs)
+    corrected = 0
+    for seed in range(4):
+        cfg = ErrorConfig(p_overshift=FAULT_P, sites={"input_chains"}, edc_inputs=True, seed=seed)
+        result = simulate(placement, params, inputs, error_cfg=cfg)
+        assert same_outputs(result.outputs, clean.outputs), seed
+        assert result.total_cycles == clean.total_cycles
+        corrected += result.corrections["input_corrected"]
+    assert corrected > 0
+
+
+@pytest.mark.parametrize("cell,impl,layout", CASES, ids=[case_id(*c) for c in CASES])
+def test_faulty_runs_match_golden(cell, impl, layout):
+    placement, params, inputs = net(cell, impl, layout)
+    golden = json.loads(GOLDEN.read_text())
+    for edc in (False, True):
+        cfg = faulty_config(edc)
+        plan = FaultPlan(cfg, placement)
+        assert plan.input_faults and plan.weight_faults and plan.mac_faults and plan.act_faults
+        result = simulate(placement, params, inputs, error_cfg=cfg)
+        assert result.corrections["fault_events"] == plan.total_events()
+        assert result.total_cycles == analytic_cycles(placement)
+        assert fingerprint(result) == golden[golden_key(cell, impl, layout, edc)]
+
+
+def write_golden():
+    golden = {}
+    for cell, impl, layout in CASES:
+        placement, params, inputs = net(cell, impl, layout)
+        for edc in (False, True):
+            result = simulate(placement, params, inputs, error_cfg=faulty_config(edc))
+            golden[golden_key(cell, impl, layout, edc)] = fingerprint(result)
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden()
