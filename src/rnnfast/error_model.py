@@ -103,35 +103,6 @@ def _stream(seed: int, site: str, layer: int, sub: int = 0) -> np.random.Generat
     )
 
 
-def inject(cfg: ErrorConfig, site: str, track_key: tuple, event_index: int) -> bool:
-    """Per-event Bernoulli draw for one shift event of one track.
-
-    The event stream of a track is the uniform sequence of its keyed
-    generator; event `i` compares the i-th uniform against p.  Bulk paths
-    sample counts binomially instead (same law); this scalar form exists
-    for protocol-level stepping and for rate verification.
-    """
-    if site not in SITES:
-        raise ValueError(f"unknown site {site!r}")
-    if not cfg.active or site not in cfg.sites:
-        return False
-    gen = np.random.default_rng(
-        np.random.SeedSequence([int(cfg.seed), _SITE_CODE[site], *map(int, track_key)])
-    )
-    u = gen.random(event_index + 1)[-1]
-    return bool(u < cfg.p_overshift)
-
-
-def bernoulli_trace(cfg: ErrorConfig, site: str, track_key: tuple, n_events: int):
-    """Full per-event fault trace of one track (vector of bools)."""
-    if not cfg.active or site not in cfg.sites:
-        return np.zeros(n_events, dtype=bool)
-    gen = np.random.default_rng(
-        np.random.SeedSequence([int(cfg.seed), _SITE_CODE[site], *map(int, track_key)])
-    )
-    return gen.random(n_events) < cfg.p_overshift
-
-
 def _draw_positions(gen: np.random.Generator, n_events: int, p: float) -> np.ndarray:
     """Sorted distinct event indices hit by faults (binomial count)."""
     if n_events <= 0 or p <= 0.0:
@@ -140,11 +111,6 @@ def _draw_positions(gen: np.random.Generator, n_events: int, p: float) -> np.nda
     if k == 0:
         return np.empty(0, dtype=np.int64)
     return np.sort(gen.choice(n_events, size=min(k, n_events), replace=False).astype(np.int64))
-
-
-def _split_even(total: int, parts: int) -> list:
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
 
 
 def gate_paths(cell_type: str):

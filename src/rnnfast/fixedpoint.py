@@ -162,11 +162,3 @@ class WideAccumulator:
 
     def narrow(self) -> FixedQ8_8:
         return FixedQ8_8(int(narrow_raw(self.raw)))
-
-
-def mac_accumulate(acc: WideAccumulator, a: FixedQ8_8, b: FixedQ8_8) -> WideAccumulator:
-    return acc.mac(a, b)
-
-
-def narrow(acc: WideAccumulator) -> FixedQ8_8:
-    return acc.narrow()

@@ -5,7 +5,9 @@ hardware partitions them: per-gate dot products accumulate the input path,
 the recurrent path and the bias into one wide accumulator, narrow once to
 Q8.8, then run the elementwise output stage through the configured
 activation hardware.  Layers are evaluated vectorized (one call per
-timestep, numpy int arrays of raw Q8.8 values).
+timestep, numpy int arrays of raw Q8.8 values).  ``cell_output`` is that
+output stage and the only copy of the cell equations: ``cell_step`` and the
+simulator each narrow their own accumulators and call it.
 
 The structural side models the per-gate processing element's MAC pipeline
 (48 stages, 2 cycles each, one issue per 2 cycles), the cross-unit
@@ -164,55 +166,80 @@ def chunked_gate_preact_wide(gw: GateWeights, x, h, chunk_sizes):
     return total
 
 
+def cell_output(cell_type, pre, h_prev, c_prev, acts, hook=None):
+    """The output stage of one timestep: the only copy of the cell equations.
+
+    `pre` holds the narrowed Q8.8 pre-activations in kernel order: LSTM
+    (i, f, o, g); GRU (z, r, candidate x-path with bias, candidate h-path);
+    Vanilla (g,).  `acts` is the (sigmoid, tanh) pair.  `hook(values, k)`,
+    when given, sees the k-th activation wave's result (LSTM: i, f, o, g,
+    tanh(c); GRU: z, r, h~; Vanilla: h) and returns the values to use.
+    Returns (h_t, c_t) with c_t=None for GRU/Vanilla.
+    """
+    sig, tanh = acts
+
+    def act(fn, z, k):
+        vals = fn(z)
+        return vals if hook is None else hook(vals, k)
+
+    if cell_type == "LSTM":
+        i, f, o = (act(sig, pre[k], k) for k in range(3))
+        g = act(tanh, pre[3], 3)
+        c_t = fp.saturate(fp.mul_raw(f, c_prev) + fp.mul_raw(i, g))
+        return fp.mul_raw(o, act(tanh, c_t, 4)), c_t
+    if cell_type == "GRU":
+        z = act(sig, pre[0], 0)
+        r = act(sig, pre[1], 1)
+        # The reset gate scales the recurrent MAC's narrowed output before
+        # the two candidate halves combine.
+        h_tilde = act(tanh, fp.saturate(pre[2] + fp.mul_raw(r, pre[3])), 2)
+        one_minus_z = fp.saturate(fp.from_real(1.0) - z)
+        return fp.saturate(fp.mul_raw(one_minus_z, h_prev) + fp.mul_raw(z, h_tilde)), None
+    return act(tanh, pre[0], 0), None
+
+
+def cell_step(x, h_prev, c_prev, params: LayerParams, impl: str = "approx"):
+    """One timestep of a layer of any cell type, raw Q8.8 arrays in.
+
+    Returns (h_t, c_t) with c_t=None for GRU/Vanilla.
+    """
+    if params.cell_type == "LSTM":
+        _check_vec("c_prev", np.asarray(c_prev), params.neurons)
+    if params.cell_type == "GRU":
+        # The candidate's x-path MAC carries the bias; its h-path narrows alone.
+        gz, gr, gc = params.gates
+        pre = [
+            gate_preact(gz, x, h_prev),
+            gate_preact(gr, x, h_prev),
+            fp.narrow_raw(fp.dot_wide(gc.w_x, x) + fp.widen(gc.b.astype(np.int64))),
+            fp.narrow_raw(fp.dot_wide(gc.w_h, h_prev)),
+        ]
+    else:
+        pre = [gate_preact(g, x, h_prev) for g in params.gates]
+    return cell_output(params.cell_type, pre, h_prev, c_prev, activation_fns(impl))
+
+
+def _require(params: LayerParams, cell_type: str, caller: str):
+    if params.cell_type != cell_type:
+        raise DimensionMismatch(f"{caller} on {params.cell_type} params")
+
+
 def lstm_cell_step(x, h_prev, c_prev, params: LayerParams, impl: str = "approx"):
     """One LSTM timestep for a layer. Raw Q8.8 arrays in, (h_t, c_t) out."""
-    if params.cell_type != "LSTM":
-        raise DimensionMismatch(f"lstm_cell_step on {params.cell_type} params")
-    sig, tanh = activation_fns(impl)
-    _check_vec("c_prev", np.asarray(c_prev), params.neurons)
-    gi, gf, go, gc = params.gates
-    i = sig(gate_preact(gi, x, h_prev))
-    f = sig(gate_preact(gf, x, h_prev))
-    o = sig(gate_preact(go, x, h_prev))
-    g = tanh(gate_preact(gc, x, h_prev))
-    c_t = fp.saturate(fp.mul_raw(f, c_prev) + fp.mul_raw(i, g))
-    h_t = fp.mul_raw(o, tanh(c_t))
-    return h_t, c_t
+    _require(params, "LSTM", "lstm_cell_step")
+    return cell_step(x, h_prev, c_prev, params, impl)
 
 
 def gru_cell_step(x, h_prev, params: LayerParams, impl: str = "approx"):
     """One GRU timestep: h_t = (1-z) (.) h_prev + z (.) h~."""
-    if params.cell_type != "GRU":
-        raise DimensionMismatch(f"gru_cell_step on {params.cell_type} params")
-    sig, tanh = activation_fns(impl)
-    gz, gr, gc = params.gates
-    z = sig(gate_preact(gz, x, h_prev))
-    r = sig(gate_preact(gr, x, h_prev))
-    # Candidate: the x-path MAC carries the bias; the reset gate scales the
-    # recurrent MAC's narrowed output before the two halves combine.
-    cand_x = fp.narrow_raw(fp.dot_wide(gc.w_x, x) + fp.widen(gc.b.astype(np.int64)))
-    cand_h = fp.narrow_raw(fp.dot_wide(gc.w_h, h_prev))
-    h_tilde = tanh(fp.saturate(cand_x + fp.mul_raw(r, cand_h)))
-    one_minus_z = fp.saturate(fp.from_real(1.0) - z)
-    return fp.saturate(fp.mul_raw(one_minus_z, h_prev) + fp.mul_raw(z, h_tilde))
+    _require(params, "GRU", "gru_cell_step")
+    return cell_step(x, h_prev, None, params, impl)[0]
 
 
 def vanilla_cell_step(x, h_prev, params: LayerParams, impl: str = "approx"):
     """One Vanilla-RNN timestep: h_t = tanh(Wx.x + Wh.h + b)."""
-    if params.cell_type != "Vanilla":
-        raise DimensionMismatch(f"vanilla_cell_step on {params.cell_type} params")
-    _sig, tanh = activation_fns(impl)
-    (gg,) = params.gates
-    return tanh(gate_preact(gg, x, h_prev))
-
-
-def cell_step(x, h_prev, c_prev, params: LayerParams, impl: str = "approx"):
-    """Dispatch on cell type; returns (h_t, c_t) with c_t=None for GRU/Vanilla."""
-    if params.cell_type == "LSTM":
-        return lstm_cell_step(x, h_prev, c_prev, params, impl)
-    if params.cell_type == "GRU":
-        return gru_cell_step(x, h_prev, params, impl), None
-    return vanilla_cell_step(x, h_prev, params, impl), None
+    _require(params, "Vanilla", "vanilla_cell_step")
+    return cell_step(x, h_prev, None, params, impl)[0]
 
 
 def aggregate_wide(partials):
@@ -285,10 +312,6 @@ class MacPipeline:
 
     def narrow(self) -> int:
         return int(fp.narrow_raw(self.acc))
-
-
-def mac_issue(pipe: MacPipeline, cycle: int, a_raw: int = 0, b_raw: int = 0) -> int:
-    return pipe.issue(cycle, a_raw, b_raw)
 
 
 _BOOTH_DIGIT = np.array([0, 1, 1, 2, -2, -1, -1, 0], dtype=np.int64)

@@ -28,7 +28,9 @@ Three layers of model live here:
   alternates 0/1 by weight index, so a misaligned plane's observed check bit
   disagrees with the expected parity; on mismatch the returned weight is
   exactly zero and the misaligned plane's next shift is suppressed, which
-  realigns the stream from the following weight onward.
+  realigns the stream from the following weight onward.  ``weight_pass`` is
+  its vectorized form over one whole pass, and the only implementation of
+  this protocol that the simulator uses.
 
 Fault decisions are injected by the caller (a callable per shift event), so
 the device model itself holds no randomness.  Counters are reported through
@@ -362,3 +364,42 @@ class WeightTrackGroup:
         self.slot = 0
         self._mis = [0] * self.planes
         self._suppress = [False] * self.planes
+
+
+def weight_pass(weights, fault_slots, edc_enabled):
+    """One whole pass of a ``WeightTrackGroup``, vectorized.
+
+    `weights` are the track's raw weights in arrival order; `fault_slots`
+    maps a plane to the slots whose advance overshoots it.  Returns
+    (weights as read, zero substitutions, suppressed shifts).  With EDC on, a
+    detected fault zeroes its slot and holds that plane's next shift, so a
+    fault planned on the held slot is a no-op.  With EDC off, every fault
+    displaces its plane by one more word for the rest of the pass, and a
+    plane displaced past the end reads blank (0) bits.
+
+    Known defect: unlike ``read_next``, a fault at slot 0 takes effect
+    although no shift precedes the first read.
+    """
+    w = np.asarray(weights, dtype=np.int64)
+    k = len(w)
+    if edc_enabled:
+        zeros = set()
+        suppressed = 0
+        for slots in fault_slots.values():
+            held = None
+            for s in sorted(slots):
+                if s == held:
+                    continue
+                zeros.add(s)
+                held = s + 1
+                suppressed += held < k
+        out = w.copy()
+        out[list(zeros)] = 0
+        return out, len(zeros), suppressed
+    unsigned = w & 0xFFFF
+    idx = np.arange(k)
+    for plane, slots in fault_slots.items():
+        src = idx + np.searchsorted(np.sort(slots), idx, side="right")
+        bits = np.where(src < k, (unsigned[np.minimum(src, k - 1)] >> plane) & 1, 0)
+        unsigned = (unsigned & ~(1 << plane)) | (bits << plane)
+    return np.where(unsigned >= 1 << 15, unsigned - (1 << 16), unsigned), 0, 0

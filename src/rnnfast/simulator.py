@@ -6,10 +6,14 @@ Values and timing are deliberately decoupled:
 * The value path evaluates each layer exactly as the compute units do
   (wide per-gate accumulation, one narrow, hardware activations), applying
   fault effects from the run's FaultPlan: chain passes with faults are
-  replayed through the word-level track model, weight faults become
-  zero-substitutions (EDC on) or per-plane misaligned reads (EDC off), and
-  logic faults perturb one result bit by one significance position.  With
-  no faults the outputs are bit-identical to the functional cell models.
+  replayed through the word-level track model (``InputTrackChain``), each
+  faulted weight track is read through ``racetrack.weight_pass``, the one
+  implementation of the weight-track protocol (zero substitutions with EDC
+  on, per-plane misaligned reads with EDC off), and logic faults perturb
+  one result bit by one significance position.  The narrowed accumulators
+  go through ``lstm_core.cell_output``, the one copy of the cell equations,
+  with activation faults applied by its hook.  With no faults the outputs
+  are bit-identical to ``lstm_core.cell_step``.
 
 * The timing path drives representative MAC pipelines (one unit per layer
   is simulated; units are identical and run in lockstep, so event counts
@@ -40,10 +44,10 @@ import numpy as np
 
 from . import fixedpoint as fp
 from .error_model import ErrorConfig, FaultPlan, gate_paths
-from .lstm_core import ACT_STAGES, NONLINEAR_EVALS, LayerParams, MacPipeline
-from .mapping import Placement
+from .lstm_core import ACT_STAGES, NONLINEAR_EVALS, MacPipeline, cell_output
+from .mapping import Placement, _split_even
 from .nonlinear import activation_fns
-from .racetrack import InputTrackChain
+from .racetrack import InputTrackChain, weight_pass
 
 # Per-operation energy, picojoules.  Track rates are the device parameters;
 # the rest are desk defaults derived from each unit's racetrack composition
@@ -153,178 +157,109 @@ class RunResult:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _split_even(total, parts):
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
-
-
 def _chain_bases(capacities):
-    bases = []
-    acc = 0
-    for c in capacities:
-        bases.append(acc)
-        acc += c
-    return bases
+    """First word index held by each group of a chain."""
+    return np.cumsum((0,) + tuple(capacities[:-1]))
 
 
 class _LayerGeometry:
-    """Derived per-layer lookup tables shared by value and count paths."""
+    """Per-layer tables, built once per run.
 
-    def __init__(self, lp, hw):
-        self.lp = lp
-        self.units_per_tile = hw.lstm_units_per_tile
-        self.x_bases = _chain_bases(lp.chain.group_capacities)
-        self.h_bases = _chain_bases(lp.recurrent_chain.group_capacities)
+    Slot lookup: each weight path ("x" over the input words, "h" over the
+    recurrent words) is cut into contiguous chunks, one per PE track.  For
+    every slot of a path the tables give its chunk, the chain group that
+    feeds each neuron's chunk, and the word each group delivers at that slot
+    (the chunk's words in the order they pass that group).
+
+    Step events: the ledger events of one fault-free (layer, timestep), split
+    into the two input chains and the rest, and the per-layer counts.
+    """
+
+    def __init__(self, lp, hw, cfg):
+        m, n = lp.neurons, lp.inputs
         u = lp.units_per_neuron
-        if lp.cell_type == "Vanilla" and lp.neurons_per_unit > 1:
-            self.unit_of = lambda neuron, chunk: neuron // lp.neurons_per_unit
-            n_chunks = lp.pes_per_neuron
+        packed = lp.cell_type == "Vanilla" and lp.neurons_per_unit > 1
+        n_chunks = lp.pes_per_neuron if packed else u
+        neurons = np.arange(m)
+        if packed:
+            units = np.broadcast_to(neurons // lp.neurons_per_unit, (n_chunks, m))
         else:
-            self.unit_of = lambda neuron, chunk: neuron * u + chunk
-            n_chunks = u
-        self.n_chunks = n_chunks
-        self.x_chunks = self._ranges(_split_even(lp.inputs, n_chunks))
-        self.h_chunks = self._ranges(_split_even(lp.neurons, n_chunks))
+            units = neurons * u + np.arange(n_chunks)[:, None]
+        tiles = units // hw.lstm_units_per_tile
+        edc_in = bool(cfg and cfg.edc_inputs)
+        edc_w = bool(cfg and cfg.edc_weights)
+        self.chunks, self.chunk_of, self.group_of, self.word_at = {}, {}, {}, {}
+        self.chain_events = {}
+        for path, layout in (("x", lp.chain), ("h", lp.recurrent_chain)):
+            sizes = np.asarray(_split_even(layout.word_capacity, n_chunks))
+            starts = np.cumsum(sizes) - sizes
+            self.chunks[path] = [(int(a), int(a + k)) for a, k in zip(starts, sizes)]
+            chunk_of = np.repeat(np.arange(n_chunks), sizes)
+            bases = _chain_bases(layout.group_capacities)
+            self.chunk_of[path] = chunk_of
+            self.group_of[path] = np.minimum(tiles, len(bases) - 1)
+            # Group g receives word (base_g + s) mod n at step s, so each
+            # chunk reaches it rotated to start at its first word >= base_g.
+            lo, size = starts[chunk_of], sizes[chunk_of]
+            turn = np.clip(bases[:, None] - lo, 0, size)
+            self.word_at[path] = lo + (np.arange(layout.word_capacity) - lo + turn) % size
+            plane_steps = 16 * len(bases) * layout.word_capacity
+            self.chain_events[path] = {
+                "track_read": plane_steps,
+                "track_write": plane_steps,
+                "track_shift": plane_steps,
+                "edc_read": plane_steps if edc_in else 0,
+                "edc_write": 3 * plane_steps if edc_in else 0,
+            }
+        paths = gate_paths(lp.cell_type)
+        words = sum(n if p == "x" else m for _g, p in paths)
+        advances = sum(max(hi - lo - 1, 0) for _g, p in paths for lo, hi in self.chunks[p])
+        rewinds = words if hw.rewind_cost == "full_pass" else 0
+        self.step_events = {
+            "track_read": 16 * m * words,
+            "track_shift": 16 * m * (advances + rewinds),
+            "mac_issue": m * words,
+            "edc_read": 16 * m * advances if edc_w else 0,
+            "nonlinear_eval": m * NONLINEAR_EVALS[lp.cell_type],
+            "aggregation_hop": m * (u - 1),
+            # next-layer write + recurrent restage, and layer 0's staging
+            "track_write": 16 * m * 2 + (16 * n if lp.index == 0 else 0),
+            "interconnect_word": lp.chain.boundaries * n + lp.recurrent_chain.boundaries * m,
+        }
+        self.step_counts = {
+            "chain_reads": 16 * (
+                len(lp.chain.group_capacities) * n + len(lp.recurrent_chain.group_capacities) * m
+            ),
+            "weight_reads": 16 * m * words,
+            "mac_issues": m * words,
+            "rotation_steps": n,
+        }
 
-    @staticmethod
-    def _ranges(sizes):
-        out = []
-        lo = 0
-        for s in sizes:
-            out.append((lo, lo + s))
-            lo += s
-        return out
-
-    def chain_group(self, neuron, chunk, chain_tag):
-        tile = self.unit_of(neuron, chunk) // self.units_per_tile
-        n_groups = len(self.x_bases if chain_tag == "x" else self.h_bases)
-        return min(tile, n_groups - 1)
-
-    def chunks(self, chain_tag):
-        return self.x_chunks if chain_tag == "x" else self.h_chunks
-
-    def base(self, group, chain_tag):
-        return (self.x_bases if chain_tag == "x" else self.h_bases)[group]
-
-
-class _ChainDelivery:
-    """Per-pass delivered-word deltas for one chain (None when clean)."""
-
-    def __init__(self, deltas_by_group):
-        self.deltas = deltas_by_group  # group -> int64 array in word space
-
-    def delta(self, group):
-        return self.deltas.get(group)
+    def locate(self, neuron, path, slot):
+        """(chain group, word index) of a neuron's weight slot(s) on a path."""
+        group = self.group_of[path][self.chunk_of[path][slot], neuron]
+        return group, self.word_at[path][group, slot]
 
 
 def _run_faulted_chain(layout, words_raw, faults_by_step, edc_enabled, ledger):
     """Replay one pass through the word-level track model.
 
-    Returns (_ChainDelivery, corrected_events).  Device-level counters for
-    the pass are recorded on `ledger` by the model itself.
+    Returns (seen, corrected plane reads), where seen[group, word] is the
+    value the group delivered for that word.  Device-level counters for the
+    pass are recorded on `ledger` by the model itself.
     """
-    caps = list(layout.group_capacities)
-    chain = InputTrackChain(caps, edc_enabled=edc_enabled)
+    chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc_enabled)
     chain.stage([int(w) for w in words_raw])
     n_words = layout.word_capacity
-    bases = _chain_bases(caps)
-    truth = np.asarray(words_raw, dtype=np.int64)
-    deltas = {g: np.zeros(n_words, dtype=np.int64) for g in range(len(caps))}
+    bases = _chain_bases(layout.group_capacities)
+    groups = np.arange(len(bases))
+    seen = np.empty((len(bases), n_words), dtype=np.int64)
     corrected = 0
     for s in range(n_words):
         delivered, outcomes = chain.rotate_step(faults_by_step.get(s), ledger)
-        for g, word in enumerate(delivered):
-            signed = word - (1 << 16) if word >= (1 << 15) else word
-            w_idx = (bases[g] + s) % n_words
-            deltas[g][w_idx] = signed - truth[w_idx]
+        seen[groups, (bases + s) % n_words] = delivered
         corrected += sum(len(o.corrected_planes) for o in outcomes)
-    deltas = {g: d for g, d in deltas.items() if np.any(d)}
-    return _ChainDelivery(deltas), corrected
-
-
-def _count_clean_chain(ledger, layout, steps, edc_enabled):
-    g = len(layout.group_capacities)
-    planes = 16
-    ledger.add("track_read", planes * g * steps)
-    ledger.add("track_write", planes * g * steps)
-    ledger.add("track_shift", planes * g * steps)
-    if edc_enabled:
-        ledger.add("edc_read", planes * g * steps)
-        ledger.add("edc_write", 3 * planes * g * steps)
-
-
-def _word_order(base, lo, hi, n_words):
-    """Arrival order of word indices [lo, hi) past a group with base offset."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    steps = (idx - base) % n_words
-    return idx[np.argsort(steps, kind="stable")]
-
-
-class _WeightFaultEffects:
-    """Resolved weight-fault consequences for one (layer, timestep)."""
-
-    def __init__(self):
-        self.zero_slots = {}        # (neuron, gate, path) -> set of path slots
-        self.mixed_tracks = {}      # (neuron, gate, path) -> {plane: [slots]}
-        self.suppressed_shifts = 0
-        self.zero_events = 0
-
-
-def _resolve_weight_faults(events, geo, edc_weights):
-    """Apply the weight-track protocol to this pass's planned events.
-
-    Each chunk is a physically separate track, so the protocol runs per
-    (chunk, plane).  With EDC on, a detected fault zeroes the weight at its
-    slot and holds that plane's next shift, so a planned fault scheduled on
-    the held slot is a no-op.  With EDC off every planned event lands and
-    displacements accumulate for the rest of the chunk.
-    """
-    fx = _WeightFaultEffects()
-    per_track = {}
-    for neuron, gate, path, plane, slot in events:
-        per_track.setdefault((neuron, gate, path), {}).setdefault(plane, []).append(slot)
-    for track, by_plane in per_track.items():
-        path = track[2]
-        chunks = geo.chunks(path)
-        if edc_weights:
-            zeros = set()
-            for plane, slots in by_plane.items():
-                for lo, hi in chunks:
-                    prev = None
-                    for slot in sorted(s for s in slots if lo <= s < hi):
-                        if prev is not None and slot == prev + 1:
-                            continue  # shift held after the previous detection
-                        zeros.add(slot)
-                        prev = slot
-                        if slot < hi - 1:
-                            fx.suppressed_shifts += 1
-            fx.zero_slots[track] = zeros
-            fx.zero_events += len(zeros)
-        else:
-            fx.mixed_tracks[track] = {
-                plane: sorted(slots) for plane, slots in by_plane.items()
-            }
-    return fx
-
-
-def _mixed_weight_values(w_track, fault_slots_by_plane):
-    """EDC-off weight stream of one track: per-plane displaced reads.
-
-    w_track is the chunk's weights in arrival order (int64).  A plane
-    displaced past the chunk end reads blank (0) bits.
-    """
-    k = len(w_track)
-    out = np.asarray(w_track, dtype=np.int64).copy()
-    unsigned = out & 0xFFFF
-    for plane, slots in fault_slots_by_plane.items():
-        disp = np.zeros(k, dtype=np.int64)
-        for s in slots:
-            disp[s:] += 1
-        idx = np.arange(k, dtype=np.int64) + disp
-        bits = np.where(idx < k, (unsigned[np.minimum(idx, k - 1)] >> plane) & 1, 0)
-        unsigned = (unsigned & ~(1 << plane)) | (bits << plane)
-    signed = np.where(unsigned >= 1 << 15, unsigned - (1 << 16), unsigned)
-    return signed
+    return np.where(seen >= 1 << 15, seen - (1 << 16), seen), corrected
 
 
 def _perturb_result_bit(value, plane):
@@ -333,153 +268,85 @@ def _perturb_result_bit(value, plane):
     return int(value) + (bit << plane)
 
 
-def _layer_step_values(lp, geo, params, x_raw, h_prev, c_prev, impl, plan, t,
-                       ledger, corrections, cfg, rewind_full=True):
-    """Evaluate one (layer, timestep) with fault effects; returns (h, c)."""
-    n, m = lp.inputs, lp.neurons
-    sig, tanh_ = activation_fns(impl)
-    x64 = np.asarray(x_raw, dtype=np.int64)
-    h64 = np.asarray(h_prev, dtype=np.int64)
-    edc_in = cfg.edc_inputs if cfg else False
-    edc_w = cfg.edc_weights if cfg else False
+def _weights(params, gate, path):
+    gw = params.gates[gate]
+    return gw.w_x if path == "x" else gw.w_h
 
-    deliveries = {}
-    for chain_tag, layout, words in (("x", lp.chain, x64), ("h", lp.recurrent_chain, h64)):
-        steps = layout.word_capacity
-        faults = plan.input_faults.get((lp.index, chain_tag, t)) if plan else None
+
+def _layer_step_values(lp, geo, params, x_raw, h_prev, c_prev, acts, plan, t,
+                       ledger, corrections):
+    """Evaluate one (layer, timestep) with fault effects; returns (h, c)."""
+    key = (lp.index, t)
+    vecs = {"x": np.asarray(x_raw, dtype=np.int64), "h": np.asarray(h_prev, dtype=np.int64)}
+    # seen[path][group, word]: what each chain group delivered this pass.
+    seen, deltas = {}, {}
+    for path, layout in (("x", lp.chain), ("h", lp.recurrent_chain)):
+        faults = plan.input_faults.get((lp.index, path, t)) if plan else None
         if faults:
-            delivery, corrected = _run_faulted_chain(layout, words, faults, edc_in, ledger)
-            deliveries[chain_tag] = delivery
+            seen[path], corrected = _run_faulted_chain(
+                layout, vecs[path], faults, plan.cfg.edc_inputs, ledger
+            )
+            deltas[path] = seen[path] - vecs[path]
             corrections["input_corrected"] += corrected
         else:
-            _count_clean_chain(ledger, layout, steps, edc_in)
-        ledger.add("interconnect_word", layout.boundaries * steps)
-
-    def consumed(chain_tag, group, word_idx, truth):
-        d = deliveries.get(chain_tag)
-        if d is None:
-            return int(truth[word_idx])
-        delta = d.delta(group)
-        if delta is None:
-            return int(truth[word_idx])
-        return int(truth[word_idx] + delta[word_idx])
+            groups = len(layout.group_capacities)
+            seen[path] = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
+            for op, count in geo.chain_events[path].items():
+                ledger.add(op, count)
 
     paths = gate_paths(lp.cell_type)
     accs = {}
     for gate, path in paths:
-        gw = params.gates[gate]
-        w = (gw.w_x if path == "x" else gw.w_h).astype(np.int64)
-        vec = x64 if path == "x" else h64
-        acc = w @ vec
-        delivery = deliveries.get(path if path == "x" else "h")
-        if delivery is not None:
-            n_words = len(vec)
-            for chunk in range(geo.n_chunks):
-                lo, hi = geo.chunks(path)[chunk]
-                if lo == hi:
-                    continue
-                groups = {}
-                for neuron in range(m):
-                    groups.setdefault(geo.chain_group(neuron, chunk, path), []).append(neuron)
-                for group, neurons in groups.items():
-                    delta = delivery.delta(group)
-                    if delta is None:
-                        continue
-                    rows = np.asarray(neurons, dtype=np.int64)
-                    acc[rows] += w[np.ix_(rows, np.arange(lo, hi))] @ delta[lo:hi]
+        w = _weights(params, gate, path).astype(np.int64)
+        acc = w @ vecs[path]
+        if path in deltas:
+            for chunk, (lo, hi) in enumerate(geo.chunks[path]):
+                d = deltas[path][geo.group_of[path][chunk], lo:hi]
+                acc += np.einsum("nk,nk->n", w[:, lo:hi], d)
         accs[(gate, path)] = acc
 
-    # Weight faults: zero substitutions (EDC on) or misaligned reads (EDC off).
-    effective_weight = {}
-    if plan and plan.weight_faults.get((lp.index, t)):
-        fx = _resolve_weight_faults(plan.weight_faults[(lp.index, t)], geo, edc_w)
-        corrections["weight_zeroed"] += fx.zero_events
-        corrections["suppressed_shifts"] += fx.suppressed_shifts
-        ledger_shift_credit = fx.suppressed_shifts
-        truth = {"x": x64, "h": h64}
-        for (neuron, gate, path), zero_slots in fx.zero_slots.items():
-            gw = params.gates[gate]
-            w_row = (gw.w_x if path == "x" else gw.w_h)[neuron].astype(np.int64)
-            n_words = len(truth[path])
-            for slot in zero_slots:
-                chunk = next(
-                    ci for ci, (lo, hi) in enumerate(geo.chunks(path)) if lo <= slot < hi
-                )
-                lo, hi = geo.chunks(path)[chunk]
-                group = geo.chain_group(neuron, chunk, path)
-                order = _word_order(geo.base(group, path), lo, hi, n_words)
-                word = int(order[slot - lo])
-                xv = consumed(path, group, word, truth[path])
-                accs[(gate, path)][neuron] -= int(w_row[word]) * xv
-                effective_weight[(neuron, gate, path, slot)] = 0
-        for (neuron, gate, path), by_plane in fx.mixed_tracks.items():
-            gw = params.gates[gate]
-            w_row = (gw.w_x if path == "x" else gw.w_h)[neuron].astype(np.int64)
-            n_words = len(truth[path])
-            for chunk, (lo, hi) in enumerate(geo.chunks(path)):
-                local = {
-                    plane: [s - lo for s in slots if lo <= s < hi]
-                    for plane, slots in by_plane.items()
-                }
-                local = {p: s for p, s in local.items() if s}
-                if not local:
-                    continue
-                group = geo.chain_group(neuron, chunk, path)
-                order = _word_order(geo.base(group, path), lo, hi, n_words)
-                w_track = w_row[order]
-                mixed = _mixed_weight_values(w_track, local)
-                changed = np.nonzero(mixed != w_track)[0]
-                for j in changed:
-                    word = int(order[j])
-                    xv = consumed(path, group, word, truth[path])
-                    accs[(gate, path)][neuron] += int(mixed[j] - w_track[j]) * xv
-                    effective_weight[(neuron, gate, path, int(j + lo))] = int(mixed[j])
-    else:
-        ledger_shift_credit = 0
+    # Weight faults, one protocol pass per faulted PE track (neuron, gate,
+    # path, chunk): zero substitutions (EDC on) or misaligned reads (EDC off).
+    effective = {}
+    credit = 0
+    if plan and plan.weight_faults.get(key):
+        tracks = {}
+        for neuron, gate, path, plane, slot in plan.weight_faults[key]:
+            chunk = int(geo.chunk_of[path][slot])
+            lo = geo.chunks[path][chunk][0]
+            track = tracks.setdefault((neuron, gate, path, chunk), {})
+            track.setdefault(plane, []).append(slot - lo)
+        for (neuron, gate, path, chunk), fault_slots in tracks.items():
+            lo, hi = geo.chunks[path][chunk]
+            group, words = geo.locate(neuron, path, np.arange(lo, hi))
+            stored = _weights(params, gate, path)[neuron, words].astype(np.int64)
+            read, zeroed, held = weight_pass(stored, fault_slots, plan.cfg.edc_weights)
+            corrections["weight_zeroed"] += zeroed
+            corrections["suppressed_shifts"] += held
+            credit += held
+            accs[(gate, path)][neuron] += (read - stored) @ seen[path][group, words]
+            for j in np.flatnonzero(read != stored):
+                effective[(neuron, gate, path, lo + int(j))] = int(read[j])
 
     # Logic faults on MAC products.
-    if plan and plan.mac_faults.get((lp.index, t)):
-        truth = {"x": x64, "h": h64}
-        for neuron, gate, path, slot, plane in plan.mac_faults[(lp.index, t)]:
-            gw = params.gates[gate]
-            w_row = (gw.w_x if path == "x" else gw.w_h)[neuron]
-            n_words = len(truth[path])
-            chunk = next(
-                ci for ci, (lo, hi) in enumerate(geo.chunks(path)) if lo <= slot < hi
+    if plan and plan.mac_faults.get(key):
+        for neuron, gate, path, slot, plane in plan.mac_faults[key]:
+            group, word = geo.locate(neuron, path, slot)
+            wv = effective.get(
+                (neuron, gate, path, slot), int(_weights(params, gate, path)[neuron, word])
             )
-            lo, hi = geo.chunks(path)[chunk]
-            group = geo.chain_group(neuron, chunk, path)
-            order = _word_order(geo.base(group, path), lo, hi, n_words)
-            word = int(order[slot - lo])
-            wv = effective_weight.get((neuron, gate, path, slot), int(w_row[word]))
-            xv = consumed(path, group, word, truth[path])
-            product = wv * xv
+            product = wv * int(seen[path][group, word])
             delta = _perturb_result_bit(product, plane + fp.FRAC_BITS) - product
             accs[(gate, path)][neuron] += delta
             corrections["logic_faults"] += 1
 
-    # Ledger: weight streams, MACs, activations, aggregation, output staging.
-    path_len = {"x": n, "h": m}
-    total_words = sum(path_len[p] for _g, p in paths)
-    advances = sum(
-        max(hi - lo - 1, 0)
-        for _g, p in paths
-        for lo, hi in geo.chunks(p)
-    )
-    ledger.add("track_read", 16 * m * total_words)
-    rewind_shifts = 16 * m * total_words if rewind_full else 0
-    ledger.add("track_shift", 16 * m * advances + rewind_shifts - ledger_shift_credit)
-    ledger.add("mac_issue", m * total_words)
-    if edc_w:
-        ledger.add("edc_read", 16 * m * advances)
-    ledger.add("nonlinear_eval", m * NONLINEAR_EVALS[lp.cell_type])
-    ledger.add("aggregation_hop", m * (lp.units_per_neuron - 1))
-    ledger.add("track_write", 16 * m * 2)  # next-layer write + recurrent restage
+    for op, count in geo.step_events.items():
+        ledger.add(op, count - credit if op == "track_shift" else count)
 
     # Activation faults are applied to individual evaluations.
     act_events = {}
-    if plan and plan.act_faults.get((lp.index, t)):
-        for neuron, act_idx, plane in plan.act_faults[(lp.index, t)]:
+    if plan:
+        for neuron, act_idx, plane in plan.act_faults.get(key, ()):
             act_events.setdefault(act_idx, []).append((neuron, plane))
             corrections["logic_faults"] += 1
 
@@ -488,40 +355,14 @@ def _layer_step_values(lp, geo, params, x_raw, h_prev, c_prev, impl, plan, t,
             vals[neuron] = fp.saturate(_perturb_result_bit(int(vals[neuron]), plane))
         return vals
 
-    if lp.cell_type == "LSTM":
-        b = [g.b.astype(np.int64) for g in params.gates]
-        pre = [
-            fp.narrow_raw(accs[(g, "x")] + accs[(g, "h")] + fp.widen(b[g]))
-            for g in range(4)
-        ]
-        i = apply_act_faults(sig(pre[0]), 0)
-        f = apply_act_faults(sig(pre[1]), 1)
-        o = apply_act_faults(sig(pre[2]), 2)
-        g_ = apply_act_faults(tanh_(pre[3]), 3)
-        c_t = fp.saturate(fp.mul_raw(f, c_prev) + fp.mul_raw(i, g_))
-        tc = apply_act_faults(tanh_(c_t), 4)
-        h_t = fp.mul_raw(o, tc)
-        return h_t, c_t
+    # The accumulators narrow once per gate; the GRU candidate's h-path
+    # narrows alone (the reset gate scales it inside the kernel).
+    b = [fp.widen(g.b.astype(np.int64)) for g in params.gates]
+    joint = range(2) if lp.cell_type == "GRU" else range(len(b))
+    pre = [fp.narrow_raw(accs[(g, "x")] + accs[(g, "h")] + b[g]) for g in joint]
     if lp.cell_type == "GRU":
-        bz, br, bc = [g.b.astype(np.int64) for g in params.gates]
-        z = apply_act_faults(
-            sig(fp.narrow_raw(accs[(0, "x")] + accs[(0, "h")] + fp.widen(bz))), 0
-        )
-        r = apply_act_faults(
-            sig(fp.narrow_raw(accs[(1, "x")] + accs[(1, "h")] + fp.widen(br))), 1
-        )
-        cand_x = fp.narrow_raw(accs[(2, "x")] + fp.widen(bc))
-        cand_h = fp.narrow_raw(accs[(2, "h")])
-        h_tilde = apply_act_faults(
-            tanh_(fp.saturate(cand_x + fp.mul_raw(r, cand_h))), 2
-        )
-        one_minus_z = fp.saturate(fp.from_real(1.0) - z)
-        h_t = fp.saturate(fp.mul_raw(one_minus_z, h64) + fp.mul_raw(z, h_tilde))
-        return h_t, None
-    (gw,) = params.gates
-    pre = fp.narrow_raw(accs[(0, "x")] + accs[(0, "h")] + fp.widen(gw.b.astype(np.int64)))
-    h_t = apply_act_faults(tanh_(pre), 0)
-    return h_t, None
+        pre += [fp.narrow_raw(accs[(2, "x")] + b[2]), fp.narrow_raw(accs[(2, "h")])]
+    return cell_output(lp.cell_type, pre, vecs["h"], c_prev, acts, apply_act_faults)
 
 
 def _layer_step_timing(lp, start, pipes, hw, impl):
@@ -555,7 +396,12 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
     for lp, layer, p in zip(placement.layers, spec.layers, params):
         if p.cell_type != layer.cell_type or p.neurons != layer.neurons or p.inputs != layer.inputs:
             raise ValueError(f"params for layer {lp.index} disagree with the spec")
-    inputs = np.asarray(inputs, dtype=np.int64)
+    inputs = np.asarray(inputs)
+    if inputs.size and inputs.dtype.kind not in "iu":
+        raise ValueError(f"inputs must be raw Q8.8 integers, not {inputs.dtype}")
+    if inputs.size and (inputs.min() < fp.RAW_MIN or inputs.max() > fp.RAW_MAX):
+        raise ValueError(f"raw inputs must lie in [{fp.RAW_MIN}, {fp.RAW_MAX}]")
+    inputs = inputs.astype(np.int64)
     if T == 0:
         inputs = inputs.reshape(0, spec.layers[0].inputs)
     if inputs.shape != (T, spec.layers[0].inputs):
@@ -565,7 +411,8 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
 
     ledger = EnergyLedger(energy_pj=energy_pj, activation_impl=impl)
     plan = FaultPlan(error_cfg, placement) if error_cfg and error_cfg.active else None
-    geos = [_LayerGeometry(lp, hw) for lp in placement.layers]
+    acts = activation_fns(impl)
+    geos = [_LayerGeometry(lp, hw, error_cfg) for lp in placement.layers]
     pipes = [(MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval),
               MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval))
              for _ in placement.layers]
@@ -583,21 +430,14 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
     }
     finish = {}
     stalls = [0] * L
-    per_layer_counts = [
-        {"chain_reads": 0, "weight_reads": 0, "mac_issues": 0, "rotation_steps": 0}
-        for _ in range(L)
-    ]
 
     for t in range(T):
         for l, lp in enumerate(placement.layers):
             start = max(finish.get((l - 1, t), 0), finish.get((l, t - 1), 0))
-            x = inputs[t] if l == 0 else outputs[l - 1][t].astype(np.int64)
-            if l == 0:
-                ledger.add("track_write", 16 * lp.inputs)  # staging from memory
+            x = inputs[t] if l == 0 else outputs[l - 1][t]
             h_t, c_t = _layer_step_values(
-                lp, geos[l], params[l], x, h_state[l], c_state[l], impl,
-                plan, t, ledger, corrections, error_cfg,
-                rewind_full=(hw.rewind_cost == "full_pass"),
+                lp, geos[l], params[l], x, h_state[l], c_state[l], acts,
+                plan, t, ledger, corrections,
             )
             outputs[l][t] = h_t.astype(np.int16)
             h_state[l] = np.asarray(h_t, dtype=np.int64)
@@ -606,16 +446,6 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
             done, stall = _layer_step_timing(lp, start, pipes[l], hw, impl)
             finish[(l, t)] = done
             stalls[l] = stall
-            pl = per_layer_counts[l]
-            g_x = len(lp.chain.group_capacities)
-            pl["chain_reads"] += 16 * (
-                g_x * lp.inputs + len(lp.recurrent_chain.group_capacities) * lp.neurons
-            )
-            paths = gate_paths(lp.cell_type)
-            words = sum(lp.inputs if p == "x" else lp.neurons for _g, p in paths)
-            pl["weight_reads"] += 16 * lp.neurons * words
-            pl["mac_issues"] += lp.neurons * words
-            pl["rotation_steps"] += lp.inputs
 
     total_cycles = finish.get((L - 1, T - 1), 0)
     mac_sample = pipes[0][0].log[:8] if pipes and pipes[0][0].log else []
@@ -628,7 +458,7 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
             {
                 "layer": lp.index,
                 "stall_per_step": stalls[i],
-                **per_layer_counts[i],
+                **{k: v * T for k, v in geos[i].step_counts.items()},
             }
             for i, lp in enumerate(placement.layers)
         ],
