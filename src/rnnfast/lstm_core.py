@@ -283,9 +283,16 @@ def aggregate(partials):
     return fp.narrow_raw(total), hops
 
 
+# Issues a MacPipeline logs: the first few, all that a run's mac_sample reports.
+MAC_LOG_LIMIT = 8
+
+
 @dataclass
 class MacPipeline:
-    """Deeply pipelined MAC: 48 stages x 2 cycles, one issue per 2 cycles."""
+    """Deeply pipelined MAC: 48 stages x 2 cycles, one issue per 2 cycles.
+
+    `log` holds (issue, completion) cycles of the first MAC_LOG_LIMIT issues.
+    """
 
     stages: int = 48
     cycles_per_stage: int = 2
@@ -307,7 +314,8 @@ class MacPipeline:
         self._last_issue = cycle
         self.acc += int(a_raw) * int(b_raw)
         completion = cycle + self.latency
-        self.log.append((cycle, completion))
+        if len(self.log) < MAC_LOG_LIMIT:
+            self.log.append((cycle, completion))
         return completion
 
     def narrow(self) -> int:

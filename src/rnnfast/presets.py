@@ -26,15 +26,27 @@ from .lstm_core import GATE_ORDERS, GateWeights, LayerParams
 from .mapping import HardwareConfig, LayerSpec, NetworkSpec
 
 
+def _quantize(real: np.ndarray) -> np.ndarray:
+    """Real float64 array -> raw Q8.8 int16, reusing `real` as the scratch.
+
+    Bit-identical to ``fp.from_real(real).astype(np.int16)`` on finite
+    values (round half to even, then saturate), but makes no full-size
+    temporary besides the int16 result.  `real` is overwritten.
+    """
+    np.multiply(real, fp.SCALE, out=real)
+    np.rint(real, out=real)
+    np.clip(real, fp.RAW_MIN, fp.RAW_MAX, out=real)
+    return real.astype(np.int16)
+
+
 def generate_layer_params(rng, cell_type: str, neurons: int, inputs: int,
                           weight_scale: float = 0.5) -> LayerParams:
     """Uniform random layer parameters in [-scale, scale], Q8.8-quantized."""
+    def draw(shape):
+        return _quantize(rng.uniform(-weight_scale, weight_scale, shape))
+
     gates = tuple(
-        GateWeights(
-            w_x=fp.from_real(rng.uniform(-weight_scale, weight_scale, (neurons, inputs))).astype(np.int16),
-            w_h=fp.from_real(rng.uniform(-weight_scale, weight_scale, (neurons, neurons))).astype(np.int16),
-            b=fp.from_real(rng.uniform(-weight_scale, weight_scale, neurons)).astype(np.int16),
-        )
+        GateWeights(w_x=draw((neurons, inputs)), w_h=draw((neurons, neurons)), b=draw(neurons))
         for _ in GATE_ORDERS[cell_type]
     )
     return LayerParams(cell_type, gates)
@@ -52,7 +64,7 @@ def generate_inputs(spec: NetworkSpec, seed: int, scale: float = 1.0) -> np.ndar
     """Timestep-major raw Q8.8 input stream for the first layer."""
     rng = np.random.default_rng(seed)
     n0 = spec.layers[0].inputs
-    return fp.from_real(rng.uniform(-scale, scale, (spec.timesteps, n0))).astype(np.int16)
+    return _quantize(rng.uniform(-scale, scale, (spec.timesteps, n0)))
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,38 @@
 """Cycle-level execution engine with per-operation energy accounting.
 
-One run walks the placed network timestep by timestep and layer by layer.
-Values and timing are deliberately decoupled:
+Values and timing are deliberately decoupled and run as two loops:
 
-* The value path evaluates each layer exactly as the compute units do
-  (wide per-gate accumulation, one narrow, hardware activations), applying
-  fault effects from the run's FaultPlan: chain passes with faults are
-  replayed through the word-level track model (``InputTrackChain``), each
-  faulted weight track is read through ``racetrack.weight_pass``, the one
-  implementation of the weight-track protocol (zero substitutions with EDC
-  on, per-plane misaligned reads with EDC off), and logic faults perturb
-  one result bit by one significance position.  The narrowed accumulators
-  go through ``lstm_core.cell_output``, the one copy of the cell equations,
-  with activation faults applied by its hook.  With no faults the outputs
-  are bit-identical to ``lstm_core.cell_step``.
+* The value path runs layer-major: a layer consumes the whole output
+  stream of the layer below.  Its input-path accumulators for every gate
+  come from one matrix product per block of TIME_BLOCK timesteps, its
+  recurrent-path accumulators from one product per timestep over the
+  stacked gates.  Both go through ``_exact_matmul``, which casts int16
+  weight rows a block at a time into one small float64 buffer and lets
+  BLAS multiply.  This is exact: a product of two raw Q8.8 values obeys
+  |w*x| <= 2^30, so every partial sum of n < 2^23 products is an integer
+  below 2^53, which float64 holds exactly in any summation order (the
+  error-free argument of Ozaki et al., Numer. Algorithms, 2012).
+  ``simulate`` therefore rejects weights, biases and inputs outside the
+  16-bit range.  The step's fault effects from the run's FaultPlan then
+  correct the accumulators in int64, on the touched chunks only: chain
+  passes with faults are replayed through the word-level track model
+  (``InputTrackChain``), each faulted weight track is read through
+  ``racetrack.weight_pass``, the one implementation of the weight-track
+  protocol (zero substitutions with EDC on, per-plane misaligned reads
+  with EDC off), and logic faults perturb one result bit by one
+  significance position.  The narrowed accumulators go through
+  ``lstm_core.cell_output``, the one copy of the cell equations, with
+  activation faults applied by its hook.  With no faults the outputs are
+  bit-identical to ``lstm_core.cell_step``.
 
-* The timing path drives representative MAC pipelines (one unit per layer
-  is simulated; units are identical and run in lockstep, so event counts
-  multiply out exactly).  A layer's timestep streams max(inputs, neurons)
-  words at one delivery per issue interval (plus any cross-group stall),
-  drains the 96-cycle pipeline, then pays the aggregation hops and the
-  activation stages.  Layer l timestep t starts when layer l-1 has produced
-  x_t and the layer's own t-1 evaluation has finished.
+* The timing path runs timestep-major and drives representative MAC
+  pipelines (one unit per layer is simulated; units are identical and run
+  in lockstep, so event counts multiply out exactly).  A layer's timestep
+  streams max(inputs, neurons) words at one delivery per issue interval
+  (plus any cross-group stall), drains the 96-cycle pipeline, then pays
+  the aggregation hops and the activation stages.  Layer l timestep t
+  starts when layer l-1 has produced x_t and the layer's own t-1
+  evaluation has finished.  Faults never change timing.
 
 ``analytic_cycles`` computes the same quantity from the closed form alone
 and must agree exactly with the engine on error-free runs; it is the
@@ -83,6 +94,12 @@ COMPUTE_COUNTERS = (
 )
 
 _ATTO_PER_PJ = 10**6
+
+# Timesteps whose input paths share one kernel call.
+TIME_BLOCK = 64
+# Float64 elements of the kernel's weight-row buffer (512 KB): small enough
+# that BLAS reads the rows from cache right after the cast writes them.
+_BLOCK_ELEMS = 1 << 16
 
 
 class EnergyLedger:
@@ -241,6 +258,20 @@ class _LayerGeometry:
         return group, self.word_at[path][group, slot]
 
 
+def _check_raw(what, a):
+    """Reject anything but raw Q8.8 integers; the value path's exactness
+    (see ``_exact_matmul``) rests on the 16-bit range."""
+    if not a.size:
+        return
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be raw Q8.8 integers, not {a.dtype}")
+    info = np.iinfo(a.dtype)
+    if info.min >= fp.RAW_MIN and info.max <= fp.RAW_MAX:
+        return
+    if a.min() < fp.RAW_MIN or a.max() > fp.RAW_MAX:
+        raise ValueError(f"{what} must lie in [{fp.RAW_MIN}, {fp.RAW_MAX}]")
+
+
 def _run_faulted_chain(layout, words_raw, faults_by_step, edc_enabled, ledger):
     """Replay one pass through the word-level track model.
 
@@ -273,37 +304,98 @@ def _weights(params, gate, path):
     return gw.w_x if path == "x" else gw.w_h
 
 
-def _layer_step_values(lp, geo, params, x_raw, h_prev, c_prev, acts, plan, t,
+def _exact_matmul(weight_blocks, v):
+    """Exact product of row-stacked int16 weight matrices with `v`, as int64.
+
+    `weight_blocks` are matrices of raw Q8.8 values with n columns; `v` holds
+    raw Q8.8 values, shape (n,) or (n, k).  Rows are cast a block at a time
+    into one float64 buffer of about _BLOCK_ELEMS elements and multiplied
+    by BLAS into a preallocated output; no float64 copy of a whole matrix
+    is made or kept.
+    """
+    n = v.shape[0]
+    # Error-free float64 products (Ozaki et al., Numer. Algorithms, 2012):
+    # every product obeys |w*x| <= 2^15 * 2^15 = 2^30, so every partial sum
+    # of n products, in any order, is an integer of magnitude at most
+    # n * 2^30, which float64 holds exactly while n < 2^23.
+    assert n < 1 << 23, f"float64 sums of {n} int16 products may round"
+    vf = np.asarray(v, dtype=np.float64)
+    rows = sum(len(w) for w in weight_blocks)
+    out = np.empty((rows,) + vf.shape[1:])
+    step = max(1, min(_BLOCK_ELEMS // max(n, 1), rows))
+    buf = np.empty((step, n))
+    r = 0
+    for w in weight_blocks:
+        for lo in range(0, len(w), step):
+            k = min(step, len(w) - lo)
+            np.copyto(buf[:k], w[lo:lo + k])
+            np.matmul(buf[:k], vf, out=out[r:r + k])
+            r += k
+    return out.astype(np.int64)
+
+
+def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
+    """Evaluate one layer over the whole input stream; returns its outputs.
+
+    The input path of all gates is one kernel call per block of TIME_BLOCK
+    timesteps, the recurrent path one call per step over the stacked gates.
+    """
+    m = lp.neurons
+    gates = params.gates
+    w_x = [g.w_x for g in gates]
+    w_h = [g.w_h for g in gates]
+    bias = np.stack([fp.widen(g.b.astype(np.int64)) for g in gates])
+    out = np.empty((len(xs), m), dtype=np.int16)
+    h = np.zeros(m, dtype=np.int64)
+    c = np.zeros(m, dtype=np.int64)
+    for t0 in range(0, len(xs), TIME_BLOCK):
+        x_block = xs[t0:t0 + TIME_BLOCK]
+        x_accs = _exact_matmul(w_x, x_block.T)
+        for j, x in enumerate(x_block):
+            accs = {
+                "x": x_accs[:, j].reshape(len(gates), m),
+                "h": _exact_matmul(w_h, h).reshape(len(gates), m),
+            }
+            h, c_t = _layer_step_values(
+                lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, ledger, corrections,
+            )
+            h = np.asarray(h, dtype=np.int64)
+            out[t0 + j] = h
+            if c_t is not None:
+                c = np.asarray(c_t, dtype=np.int64)
+    return out
+
+
+def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, plan, t,
                        ledger, corrections):
-    """Evaluate one (layer, timestep) with fault effects; returns (h, c)."""
+    """Finish one (layer, timestep) with fault effects; returns (h, c).
+
+    `accs[path]` holds the fault-free (gate, neuron) accumulators of a path;
+    the step's faults correct them in place, in int64 on the touched chunks.
+    """
     key = (lp.index, t)
-    vecs = {"x": np.asarray(x_raw, dtype=np.int64), "h": np.asarray(h_prev, dtype=np.int64)}
+    vecs = {"x": np.asarray(x, dtype=np.int64), "h": h_prev}
     # seen[path][group, word]: what each chain group delivered this pass.
-    seen, deltas = {}, {}
+    seen = {}
     for path, layout in (("x", lp.chain), ("h", lp.recurrent_chain)):
         faults = plan.input_faults.get((lp.index, path, t)) if plan else None
         if faults:
             seen[path], corrected = _run_faulted_chain(
                 layout, vecs[path], faults, plan.cfg.edc_inputs, ledger
             )
-            deltas[path] = seen[path] - vecs[path]
             corrections["input_corrected"] += corrected
+            delta = seen[path] - vecs[path]
+            for chunk, (lo, hi) in enumerate(geo.chunks[path]):
+                d = delta[geo.group_of[path][chunk], lo:hi]
+                if d.any():
+                    for gate in range(len(params.gates)):
+                        w = _weights(params, gate, path)[:, lo:hi].astype(np.int64)
+                        accs[path][gate] += np.einsum("nk,nk->n", w, d)
         else:
             groups = len(layout.group_capacities)
             seen[path] = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
             for op, count in geo.chain_events[path].items():
                 ledger.add(op, count)
-
-    paths = gate_paths(lp.cell_type)
-    accs = {}
-    for gate, path in paths:
-        w = _weights(params, gate, path).astype(np.int64)
-        acc = w @ vecs[path]
-        if path in deltas:
-            for chunk, (lo, hi) in enumerate(geo.chunks[path]):
-                d = deltas[path][geo.group_of[path][chunk], lo:hi]
-                acc += np.einsum("nk,nk->n", w[:, lo:hi], d)
-        accs[(gate, path)] = acc
 
     # Weight faults, one protocol pass per faulted PE track (neuron, gate,
     # path, chunk): zero substitutions (EDC on) or misaligned reads (EDC off).
@@ -324,7 +416,7 @@ def _layer_step_values(lp, geo, params, x_raw, h_prev, c_prev, acts, plan, t,
             corrections["weight_zeroed"] += zeroed
             corrections["suppressed_shifts"] += held
             credit += held
-            accs[(gate, path)][neuron] += (read - stored) @ seen[path][group, words]
+            accs[path][gate, neuron] += (read - stored) @ seen[path][group, words]
             for j in np.flatnonzero(read != stored):
                 effective[(neuron, gate, path, lo + int(j))] = int(read[j])
 
@@ -337,7 +429,7 @@ def _layer_step_values(lp, geo, params, x_raw, h_prev, c_prev, acts, plan, t,
             )
             product = wv * int(seen[path][group, word])
             delta = _perturb_result_bit(product, plane + fp.FRAC_BITS) - product
-            accs[(gate, path)][neuron] += delta
+            accs[path][gate, neuron] += delta
             corrections["logic_faults"] += 1
 
     for op, count in geo.step_events.items():
@@ -357,12 +449,12 @@ def _layer_step_values(lp, geo, params, x_raw, h_prev, c_prev, acts, plan, t,
 
     # The accumulators narrow once per gate; the GRU candidate's h-path
     # narrows alone (the reset gate scales it inside the kernel).
-    b = [fp.widen(g.b.astype(np.int64)) for g in params.gates]
-    joint = range(2) if lp.cell_type == "GRU" else range(len(b))
-    pre = [fp.narrow_raw(accs[(g, "x")] + accs[(g, "h")] + b[g]) for g in joint]
+    wide = accs["x"] + accs["h"] + bias
     if lp.cell_type == "GRU":
-        pre += [fp.narrow_raw(accs[(2, "x")] + b[2]), fp.narrow_raw(accs[(2, "h")])]
-    return cell_output(lp.cell_type, pre, vecs["h"], c_prev, acts, apply_act_faults)
+        wide = np.concatenate([wide[:2], accs["x"][2:] + bias[2:], accs["h"][2:]])
+    pre = list(fp.narrow_raw(wide))
+    return cell_output(lp.cell_type, pre, vecs["h"], c_prev, acts,
+                       apply_act_faults if act_events else None)
 
 
 def _layer_step_timing(lp, start, pipes, hw, impl):
@@ -396,12 +488,13 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
     for lp, layer, p in zip(placement.layers, spec.layers, params):
         if p.cell_type != layer.cell_type or p.neurons != layer.neurons or p.inputs != layer.inputs:
             raise ValueError(f"params for layer {lp.index} disagree with the spec")
+        for k, g in enumerate(p.gates):
+            for name in ("w_x", "w_h", "b"):
+                _check_raw(f"layer {lp.index} gate {k} {name}", getattr(g, name))
     inputs = np.asarray(inputs)
-    if inputs.size and inputs.dtype.kind not in "iu":
-        raise ValueError(f"inputs must be raw Q8.8 integers, not {inputs.dtype}")
-    if inputs.size and (inputs.min() < fp.RAW_MIN or inputs.max() > fp.RAW_MAX):
-        raise ValueError(f"raw inputs must lie in [{fp.RAW_MIN}, {fp.RAW_MAX}]")
-    inputs = inputs.astype(np.int64)
+    _check_raw("inputs", inputs)
+    # Lossless once in range; keeps the stream at its hardware width.
+    inputs = inputs.astype(np.int16)
     if T == 0:
         inputs = inputs.reshape(0, spec.layers[0].inputs)
     if inputs.shape != (T, spec.layers[0].inputs):
@@ -413,14 +506,6 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
     plan = FaultPlan(error_cfg, placement) if error_cfg and error_cfg.active else None
     acts = activation_fns(impl)
     geos = [_LayerGeometry(lp, hw, error_cfg) for lp in placement.layers]
-    pipes = [(MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval),
-              MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval))
-             for _ in placement.layers]
-
-    L = len(placement.layers)
-    outputs = [np.zeros((T, lp.neurons), dtype=np.int16) for lp in placement.layers]
-    h_state = [np.zeros(lp.neurons, dtype=np.int64) for lp in placement.layers]
-    c_state = [np.zeros(lp.neurons, dtype=np.int64) for lp in placement.layers]
     corrections = {
         "input_corrected": 0,
         "weight_zeroed": 0,
@@ -428,27 +513,27 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
         "logic_faults": 0,
         "fault_events": plan.total_events() if plan else 0,
     }
-    finish = {}
+
+    # Values, layer-major: each layer consumes the previous one's stream.
+    outputs = []
+    for lp, geo, p in zip(placement.layers, geos, params):
+        xs = outputs[-1] if outputs else inputs
+        outputs.append(_layer_values(lp, geo, p, xs, acts, plan, ledger, corrections))
+
+    # Timing, timestep-major: (l, t) starts once layer l-1 has produced x_t
+    # and the layer's own t-1 evaluation has finished.
+    L = len(placement.layers)
+    pipes = [(MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval),
+              MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval))
+             for _ in placement.layers]
+    finish = [0] * L
     stalls = [0] * L
-
-    for t in range(T):
+    for _t in range(T):
         for l, lp in enumerate(placement.layers):
-            start = max(finish.get((l - 1, t), 0), finish.get((l, t - 1), 0))
-            x = inputs[t] if l == 0 else outputs[l - 1][t]
-            h_t, c_t = _layer_step_values(
-                lp, geos[l], params[l], x, h_state[l], c_state[l], acts,
-                plan, t, ledger, corrections,
-            )
-            outputs[l][t] = h_t.astype(np.int16)
-            h_state[l] = np.asarray(h_t, dtype=np.int64)
-            if c_t is not None:
-                c_state[l] = np.asarray(c_t, dtype=np.int64)
-            done, stall = _layer_step_timing(lp, start, pipes[l], hw, impl)
-            finish[(l, t)] = done
-            stalls[l] = stall
+            start = max(finish[l - 1] if l else 0, finish[l])
+            finish[l], stalls[l] = _layer_step_timing(lp, start, pipes[l], hw, impl)
 
-    total_cycles = finish.get((L - 1, T - 1), 0)
-    mac_sample = pipes[0][0].log[:8] if pipes and pipes[0][0].log else []
+    total_cycles = finish[-1] if L else 0
     return RunResult(
         outputs=outputs,
         total_cycles=int(total_cycles),
@@ -463,7 +548,7 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
             for i, lp in enumerate(placement.layers)
         ],
         corrections=corrections,
-        mac_sample=[list(entry) for entry in mac_sample],
+        mac_sample=[list(entry) for entry in pipes[0][0].log] if pipes else [],
         error_config=None if error_cfg is None else {
             "p_overshift": error_cfg.p_overshift,
             "sites": sorted(error_cfg.sites),

@@ -240,6 +240,13 @@ class TestMacPipeline:
             cycle += 2
         assert pipe.narrow() == fp.narrow_raw(int(fp.dot_wide(a, b)))
 
+    def test_log_keeps_only_the_first_issues(self):
+        pipe = MacPipeline()
+        for k in range(1000):
+            pipe.issue(2 * k)
+        assert pipe.log == [(2 * k, 2 * k + 96) for k in range(core.MAC_LOG_LIMIT)]
+        assert core.MAC_LOG_LIMIT == 8
+
 
 class TestBoothMultiplier:
     def test_zero_and_identity(self):

@@ -1,8 +1,12 @@
-"""``simulate`` rejects input streams that are not raw Q8.8 integers."""
+"""``simulate`` rejects input streams, weights and biases that are not raw
+Q8.8 integers."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rnnfast.lstm_core import LayerParams
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
 from rnnfast.simulator import simulate
@@ -37,3 +41,41 @@ def test_empty_stream_for_zero_timesteps():
     spec = NetworkSpec(SPEC.layers, 0)
     result = simulate(map_network(spec, HardwareConfig()), PARAMS, [])
     assert result.outputs[0].shape == (0, 3) and result.total_cycles == 0
+
+
+def with_gate_array(name, value):
+    """PARAMS with one array of gate 1 replaced by `value`."""
+    layer = PARAMS[0]
+    gates = list(layer.gates)
+    gates[1] = replace(gates[1], **{name: np.asarray(value)})
+    return [LayerParams(layer.cell_type, tuple(gates))]
+
+
+GOOD = PARAMS[0].gates[1]
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("w_x", GOOD.w_x.astype(np.float64)),
+        ("w_h", GOOD.w_h.astype(np.float32)),
+        ("b", GOOD.b.astype(np.float64) + 0.5),
+        ("w_x", np.where(np.eye(3, 2) > 0, 32768, GOOD.w_x.astype(np.int64))),
+        ("w_h", np.full((3, 3), -32769, dtype=np.int32)),
+        ("b", np.array([0, 40000, 0], dtype=np.uint16)),
+        ("b", np.array([True, False, True])),
+    ],
+    ids=["float-w_x", "float32-w_h", "fractional-b", "above-int16-w_x",
+         "below-int16-w_h", "uint16-b", "bool-b"],
+)
+def test_bad_weights_and_biases_are_rejected(name, value):
+    with pytest.raises(ValueError, match=f"gate 1 {name} "):
+        simulate(PLACEMENT, with_gate_array(name, value), [[1, 2]])
+
+
+def test_in_range_wide_integer_weights_are_accepted():
+    wide = with_gate_array("w_h", GOOD.w_h.astype(np.int64))
+    edge = with_gate_array("b", np.array([32767, -32768, 7], dtype=np.int32))
+    assert np.array_equal(simulate(PLACEMENT, wide, [[1, 2]]).outputs[0],
+                          simulate(PLACEMENT, PARAMS, [[1, 2]]).outputs[0])
+    assert simulate(PLACEMENT, edge, [[1, 2]]).outputs[0].shape == (1, 3)

@@ -1,7 +1,8 @@
 """Simulator invariants on tiny LSTM, GRU and Vanilla nets.
 
 Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
-and take exactly ``analytic_cycles``; EDC-on input-chain faults must leave
+(also across the simulator's blocks of input-path timesteps) and take
+exactly ``analytic_cycles``; EDC-on input-chain faults must leave
 the outputs untouched; the reported fault count must be the plan's.  Faulty
 runs with every site active are pinned in ``simulator_golden.json`` (output
 SHA-256, cycles, ledger counters, per-layer counts, corrections), so any
@@ -21,7 +22,7 @@ from rnnfast import lstm_core
 from rnnfast.error_model import ErrorConfig, FaultPlan
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_inputs, generate_network_params
-from rnnfast.simulator import analytic_cycles, simulate
+from rnnfast.simulator import TIME_BLOCK, analytic_cycles, simulate
 
 GOLDEN = Path(__file__).with_name("simulator_golden.json")
 
@@ -34,6 +35,12 @@ LAYOUTS = {
     "split": (HardwareConfig(weights_per_pe=16, tiles_per_group=2), (24, 40, 16), 3),
     # Two PEs per Vanilla neuron, two neurons per unit; rewinds are free.
     "packed": (HardwareConfig(weights_per_pe=16, rewind_cost="free"), (8, 12), 8),
+    # Two layers over 67 steps, which crosses the simulator's 64-step block
+    # of input-path timesteps.  Split LSTM/GRU neurons on 4-unit tiles read
+    # cross-group chains; Vanilla packs two neurons per unit.
+    "long": (
+        HardwareConfig(lstm_units_per_tile=4, weights_per_pe=8, tiles_per_group=2), (6, 8, 5), 67,
+    ),
 }
 CELLS = ("LSTM", "GRU", "Vanilla")
 IMPLS = ("approx", "lut")
@@ -109,6 +116,10 @@ def test_fault_free_run_matches_cell_replay_and_closed_form(cell, impl, layout):
     assert edc.total_cycles == result.total_cycles
     changed = {k for k in edc.counters if edc.counters[k] != result.counters[k]}
     assert changed == {"edc_read", "edc_write"}
+
+
+def test_long_layout_ends_three_steps_into_a_second_time_block():
+    assert LAYOUTS["long"][2] == TIME_BLOCK + 3
 
 
 @pytest.mark.parametrize("cell", CELLS)
