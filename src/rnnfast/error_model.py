@@ -33,6 +33,7 @@ stream (the stand-in for task-level accuracy at this scale).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +41,6 @@ import numpy as np
 from . import fixedpoint as fp
 from .lstm_core import NONLINEAR_EVALS
 from .mapping import Placement
-from .presets import get_preset
 
 SITES = ("input_chains", "weight_arrays", "logic")
 REGIONS = ("all", "integer_only", "fraction_only", "sign_only")
@@ -132,11 +132,14 @@ class FaultPlan:
     not how often faults occur (the integer/fraction study injects with the
     same probability into different word portions).
 
-    Event spaces are flattened per (site, layer) stream:
-      input chains:  (tile, timestep, step)               + plane draw
-      weight arrays: (neuron, timestep, gate-path-slot)   + plane draw
-      logic MACs:    (neuron, timestep, gate-path-slot)   + plane draw
-      logic acts:    (neuron, timestep, act)              + plane draw
+    Each (site, layer) stream draws flat positions in an event space of this
+    shape (row-major), then one plane per event:
+      input chains:  (tile, timestep, step)
+      weight arrays: (neuron, timestep, gate-path-slot)
+      logic MACs:    (neuron, timestep, gate-path-slot)
+      logic acts:    (neuron, timestep, act)
+    A gate-path slot runs over the paths of ``gate_paths`` in order, each
+    path over its words.
     """
 
     def __init__(self, cfg: ErrorConfig, placement: Placement):
@@ -151,74 +154,47 @@ class FaultPlan:
             self._build()
 
     def _build(self):
-        spec = self.placement.spec
-        T = spec.timesteps
-        npl = len(self.planes)
+        T = self.placement.spec.timesteps
+        sites = self.cfg.sites
         for l, lp in enumerate(self.placement.layers):
             n, m = lp.inputs, lp.neurons
-            if "input_chains" in self.cfg.sites:
-                for ci, (chain_tag, layout, steps) in enumerate(
+            if "input_chains" in sites:
+                for ci, (path, layout, steps) in enumerate(
                     (("x", lp.chain, n), ("h", lp.recurrent_chain, m))
                 ):
-                    tiles = len(layout.group_capacities)
-                    total = tiles * T * steps
-                    gen = _stream(self.cfg.seed, "input_chains", l, ci)
-                    pos = _draw_positions(gen, total, self.cfg.p_overshift)
-                    plane_pick = gen.integers(0, npl, size=len(pos))
-                    for p, pk in zip(pos, plane_pick):
-                        tile, rest = divmod(int(p), T * steps)
-                        t, step = divmod(rest, steps)
-                        key = (l, chain_tag, t)
-                        self.input_faults.setdefault(key, {}).setdefault(
+                    shape = (len(layout.group_capacities), T, steps)
+                    for tile, t, step, plane in self._draw("input_chains", l, ci, shape):
+                        self.input_faults.setdefault((l, path, t), {}).setdefault(
                             step, {}
-                        ).setdefault(tile, []).append(self.planes[int(pk)])
-            paths = gate_paths(lp.cell_type)
-            path_len = {"x": n, "h": m}
-            slots_total = sum(path_len[p] for _g, p in paths)
-            if "weight_arrays" in self.cfg.sites:
-                total = m * T * slots_total
-                gen = _stream(self.cfg.seed, "weight_arrays", l)
-                pos = _draw_positions(gen, total, self.cfg.p_overshift)
-                plane_pick = gen.integers(0, npl, size=len(pos))
-                for p, pk in zip(pos, plane_pick):
-                    neuron, rest = divmod(int(p), T * slots_total)
-                    t, flat = divmod(rest, slots_total)
-                    gate, path, slot = self._unflatten_slot(paths, path_len, flat)
+                        ).setdefault(tile, []).append(plane)
+            # Flat gate-path-slot index -> (gate, path, slot).
+            slot_of = [
+                (g, p, s) for g, p in gate_paths(lp.cell_type) for s in range(n if p == "x" else m)
+            ]
+            slots = (m, T, len(slot_of))
+            if "weight_arrays" in sites:
+                for neuron, t, flat, plane in self._draw("weight_arrays", l, 0, slots):
+                    gate, path, slot = slot_of[flat]
                     self.weight_faults.setdefault((l, t), []).append(
-                        (neuron, gate, path, self.planes[int(pk)], slot)
+                        (neuron, gate, path, plane, slot)
                     )
-            if "logic" in self.cfg.sites:
-                total = m * T * slots_total
-                gen = _stream(self.cfg.seed, "logic", l, 0)
-                pos = _draw_positions(gen, total, self.cfg.p_overshift)
-                plane_pick = gen.integers(0, npl, size=len(pos))
-                for p, pk in zip(pos, plane_pick):
-                    neuron, rest = divmod(int(p), T * slots_total)
-                    t, flat = divmod(rest, slots_total)
-                    gate, path, slot = self._unflatten_slot(paths, path_len, flat)
+            if "logic" in sites:
+                for neuron, t, flat, plane in self._draw("logic", l, 0, slots):
+                    gate, path, slot = slot_of[flat]
                     self.mac_faults.setdefault((l, t), []).append(
-                        (neuron, gate, path, slot, self.planes[int(pk)])
+                        (neuron, gate, path, slot, plane)
                     )
-                n_acts = NONLINEAR_EVALS[lp.cell_type]
-                total = m * T * n_acts
-                gen = _stream(self.cfg.seed, "logic", l, 1)
-                pos = _draw_positions(gen, total, self.cfg.p_overshift)
-                plane_pick = gen.integers(0, npl, size=len(pos))
-                for p, pk in zip(pos, plane_pick):
-                    neuron, rest = divmod(int(p), T * n_acts)
-                    t, act = divmod(rest, n_acts)
-                    self.act_faults.setdefault((l, t), []).append(
-                        (neuron, act, self.planes[int(pk)])
-                    )
+                acts = (m, T, NONLINEAR_EVALS[lp.cell_type])
+                for neuron, t, act, plane in self._draw("logic", l, 1, acts):
+                    self.act_faults.setdefault((l, t), []).append((neuron, act, plane))
 
-    @staticmethod
-    def _unflatten_slot(paths, path_len, flat):
-        for gate, path in paths:
-            k = path_len[path]
-            if flat < k:
-                return gate, path, flat
-            flat -= k
-        raise AssertionError("slot index out of range")
+    def _draw(self, site, layer, sub, shape):
+        """One stream's events in event order, as tuples of Python ints: the
+        event's index along each axis of `shape`, then its displaced plane."""
+        gen = _stream(self.cfg.seed, site, layer, sub)
+        pos = _draw_positions(gen, math.prod(shape), self.cfg.p_overshift)
+        planes = np.asarray(self.planes)[gen.integers(0, len(self.planes), size=len(pos))]
+        return zip(*(a.tolist() for a in (*np.unravel_index(pos, shape), planes)))
 
     def total_events(self) -> int:
         return (
@@ -252,16 +228,6 @@ def fidelity_metrics(reference, observed) -> FidelityMetrics:
     denom = float(np.sqrt(np.mean(fp.to_real(ref) ** 2)))
     rmse = float(np.sqrt(np.mean((fp.to_real(obs) - fp.to_real(ref)) ** 2)))
     return FidelityMetrics(agree, rmse / denom if denom > 0 else rmse)
-
-
-def make_reference_fixture():
-    """The documented desk fixture: 1x128 LSTM, 32 steps, seeded params.
-
-    Weights are uniform in [-0.5, 0.5] (weight seed 2024), inputs uniform in
-    [-1, 1] (input seed 7); see the desk-ref preset.
-    """
-    preset = get_preset("desk-ref")
-    return preset.spec, preset.hardware(), preset.params(), preset.inputs()
 
 
 def run_fidelity_experiment(spec, hw, cfg_grid, params=None, inputs=None, seeds=(0,)):

@@ -83,10 +83,6 @@ def add_raw(a, b):
     return saturate(a + b)
 
 
-def sub_raw(a, b):
-    return saturate(a - b)
-
-
 def neg_raw(a):
     return saturate(-a)
 
@@ -156,9 +152,6 @@ class WideAccumulator:
 
     def mac(self, a: FixedQ8_8, b: FixedQ8_8) -> "WideAccumulator":
         return WideAccumulator(self.raw + a.raw * b.raw)
-
-    def add_q(self, a: FixedQ8_8) -> "WideAccumulator":
-        return WideAccumulator(self.raw + (a.raw << FRAC_BITS))
 
     def narrow(self) -> FixedQ8_8:
         return FixedQ8_8(int(narrow_raw(self.raw)))

@@ -219,29 +219,6 @@ def cell_step(x, h_prev, c_prev, params: LayerParams, impl: str = "approx"):
     return cell_output(params.cell_type, pre, h_prev, c_prev, activation_fns(impl))
 
 
-def _require(params: LayerParams, cell_type: str, caller: str):
-    if params.cell_type != cell_type:
-        raise DimensionMismatch(f"{caller} on {params.cell_type} params")
-
-
-def lstm_cell_step(x, h_prev, c_prev, params: LayerParams, impl: str = "approx"):
-    """One LSTM timestep for a layer. Raw Q8.8 arrays in, (h_t, c_t) out."""
-    _require(params, "LSTM", "lstm_cell_step")
-    return cell_step(x, h_prev, c_prev, params, impl)
-
-
-def gru_cell_step(x, h_prev, params: LayerParams, impl: str = "approx"):
-    """One GRU timestep: h_t = (1-z) (.) h_prev + z (.) h~."""
-    _require(params, "GRU", "gru_cell_step")
-    return cell_step(x, h_prev, None, params, impl)[0]
-
-
-def vanilla_cell_step(x, h_prev, params: LayerParams, impl: str = "approx"):
-    """One Vanilla-RNN timestep: h_t = tanh(Wx.x + Wh.h + b)."""
-    _require(params, "Vanilla", "vanilla_cell_step")
-    return cell_step(x, h_prev, None, params, impl)[0]
-
-
 def aggregate_wide(partials):
     """Combine per-unit wide partials over the aggregation chain.
 

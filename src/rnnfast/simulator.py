@@ -83,16 +83,6 @@ LUT_NONLINEAR_PJ = 2.31
 # shift-based write 0.5 ns).
 DEFAULT_LATENCY_CYCLES = {"track_read": 2, "track_shift": 1, "track_write": 1}
 
-COMPUTE_COUNTERS = (
-    "track_read",
-    "track_shift",
-    "track_write",
-    "mac_issue",
-    "nonlinear_eval",
-    "aggregation_hop",
-    "interconnect_word",
-)
-
 _ATTO_PER_PJ = 10**6
 
 # Timesteps whose input paths share one kernel call.
@@ -123,9 +113,6 @@ class EnergyLedger:
     def energy_pj(self) -> float:
         total_aj = sum(self.counters[k] * self.rates_aj.get(k, 0) for k in self.counters)
         return total_aj / _ATTO_PER_PJ
-
-    def compute_counters(self) -> dict:
-        return {k: self.counters.get(k, 0) for k in COMPUTE_COUNTERS}
 
     def as_dict(self) -> dict:
         return dict(sorted(self.counters.items()))
@@ -183,10 +170,11 @@ class _LayerGeometry:
     """Per-layer tables, built once per run.
 
     Slot lookup: each weight path ("x" over the input words, "h" over the
-    recurrent words) is cut into contiguous chunks, one per PE track.  For
-    every slot of a path the tables give its chunk, the chain group that
-    feeds each neuron's chunk, and the word each group delivers at that slot
-    (the chunk's words in the order they pass that group).
+    recurrent words) is cut into contiguous chunks, one per PE track.  Per
+    path the tables give each slot's chunk, the chain group that feeds each
+    neuron's chunk, and ``turn[group, chunk]``: how far the chunk is rotated
+    when it reaches that group.  ``locate`` turns these into the chunk's
+    words in arrival order; no per-word table is kept.
 
     Step events: the ledger events of one fault-free (layer, timestep), split
     into the two input chains and the rest, and the per-layer counts.
@@ -205,21 +193,18 @@ class _LayerGeometry:
         tiles = units // hw.lstm_units_per_tile
         edc_in = bool(cfg and cfg.edc_inputs)
         edc_w = bool(cfg and cfg.edc_weights)
-        self.chunks, self.chunk_of, self.group_of, self.word_at = {}, {}, {}, {}
+        self.chunks, self.chunk_of, self.group_of, self.turn = {}, {}, {}, {}
         self.chain_events = {}
         for path, layout in (("x", lp.chain), ("h", lp.recurrent_chain)):
             sizes = np.asarray(_split_even(layout.word_capacity, n_chunks))
             starts = np.cumsum(sizes) - sizes
             self.chunks[path] = [(int(a), int(a + k)) for a, k in zip(starts, sizes)]
-            chunk_of = np.repeat(np.arange(n_chunks), sizes)
+            self.chunk_of[path] = np.repeat(np.arange(n_chunks), sizes)
             bases = _chain_bases(layout.group_capacities)
-            self.chunk_of[path] = chunk_of
             self.group_of[path] = np.minimum(tiles, len(bases) - 1)
             # Group g receives word (base_g + s) mod n at step s, so each
             # chunk reaches it rotated to start at its first word >= base_g.
-            lo, size = starts[chunk_of], sizes[chunk_of]
-            turn = np.clip(bases[:, None] - lo, 0, size)
-            self.word_at[path] = lo + (np.arange(layout.word_capacity) - lo + turn) % size
+            self.turn[path] = np.clip(bases[:, None] - starts, 0, sizes)
             plane_steps = 16 * len(bases) * layout.word_capacity
             self.chain_events[path] = {
                 "track_read": plane_steps,
@@ -252,10 +237,14 @@ class _LayerGeometry:
             "rotation_steps": n,
         }
 
-    def locate(self, neuron, path, slot):
-        """(chain group, word index) of a neuron's weight slot(s) on a path."""
-        group = self.group_of[path][self.chunk_of[path][slot], neuron]
-        return group, self.word_at[path][group, slot]
+    def locate(self, neuron, path, chunk):
+        """(chain group, word indices) of a neuron's chunk on a path: the group
+        that feeds the chunk, and the chunk's words in the order they reach
+        it, which is the order the PE track holds them in."""
+        group = self.group_of[path].item(chunk, neuron)
+        lo, hi = self.chunks[path][chunk]
+        mid = lo + self.turn[path].item(group, chunk)
+        return group, np.concatenate((np.arange(mid, hi), np.arange(lo, mid)))
 
 
 def _check_raw(what, a):
@@ -409,8 +398,8 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
             track = tracks.setdefault((neuron, gate, path, chunk), {})
             track.setdefault(plane, []).append(slot - lo)
         for (neuron, gate, path, chunk), fault_slots in tracks.items():
-            lo, hi = geo.chunks[path][chunk]
-            group, words = geo.locate(neuron, path, np.arange(lo, hi))
+            lo = geo.chunks[path][chunk][0]
+            group, words = geo.locate(neuron, path, chunk)
             stored = _weights(params, gate, path)[neuron, words].astype(np.int64)
             read, zeroed, held = weight_pass(stored, fault_slots, plan.cfg.edc_weights)
             corrections["weight_zeroed"] += zeroed
@@ -423,7 +412,9 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
     # Logic faults on MAC products.
     if plan and plan.mac_faults.get(key):
         for neuron, gate, path, slot, plane in plan.mac_faults[key]:
-            group, word = geo.locate(neuron, path, slot)
+            chunk = int(geo.chunk_of[path][slot])
+            group, words = geo.locate(neuron, path, chunk)
+            word = words[slot - geo.chunks[path][chunk][0]]
             wv = effective.get(
                 (neuron, gate, path, slot), int(_weights(params, gate, path)[neuron, word])
             )

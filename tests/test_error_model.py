@@ -1,13 +1,24 @@
 """Fault protocol: ``racetrack.weight_pass`` (the weight-track protocol the
-simulator applies) against the ``WeightTrackGroup`` device model, and fault
-plans that do not depend on the EDC flags."""
+simulator applies) against the ``WeightTrackGroup`` device model; fault
+plans decoded as a per-event reference decode does them, and independent
+of the EDC flags."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnnfast.error_model import ErrorConfig, FaultPlan
+from rnnfast.error_model import (
+    REGIONS,
+    SITES,
+    ErrorConfig,
+    FaultPlan,
+    _draw_positions,
+    _stream,
+    eligible_planes,
+    gate_paths,
+)
+from rnnfast.lstm_core import NONLINEAR_EVALS
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.racetrack import WORD_PLANES, WeightTrackGroup, weight_pass
 
@@ -89,3 +100,106 @@ def test_weight_pass_displaced_plane_reads_blank_past_the_end():
     # Plane 15 (the sign) of the last slot comes from beyond the track: 0.
     read, zeroed, suppressed = weight_pass(np.array([-1, -1]), {15: [1]}, False)
     assert read.tolist() == [-1, 0x7FFF] and (zeroed, suppressed) == (0, 0)
+
+
+def reference_plan(cfg, placement):
+    """(input, weight, MAC, activation) fault dicts by a per-event decode:
+    divmod over each flat position, then a walk over the gate paths for the
+    slot, with the draws of ``FaultPlan``'s streams."""
+    planes = eligible_planes(cfg.bit_region)
+    T = placement.spec.timesteps
+    inputs, weights, macs, acts = {}, {}, {}, {}
+
+    def draw(site, layer, sub, total):
+        gen = _stream(cfg.seed, site, layer, sub)
+        pos = _draw_positions(gen, total, cfg.p_overshift)
+        return zip(pos, gen.integers(0, len(planes), size=len(pos)))
+
+    def unflatten_slot(paths, path_len, flat):
+        for gate, path in paths:
+            if flat < path_len[path]:
+                return gate, path, flat
+            flat -= path_len[path]
+        raise AssertionError("slot index out of range")
+
+    for l, lp in enumerate(placement.layers):
+        n, m = lp.inputs, lp.neurons
+        if "input_chains" in cfg.sites:
+            for ci, (tag, layout, steps) in enumerate(
+                (("x", lp.chain, n), ("h", lp.recurrent_chain, m))
+            ):
+                tiles = len(layout.group_capacities)
+                for p, pk in draw("input_chains", l, ci, tiles * T * steps):
+                    tile, rest = divmod(int(p), T * steps)
+                    t, step = divmod(rest, steps)
+                    inputs.setdefault((l, tag, t), {}).setdefault(step, {}).setdefault(
+                        tile, []
+                    ).append(planes[int(pk)])
+        paths = gate_paths(lp.cell_type)
+        path_len = {"x": n, "h": m}
+        slots = sum(path_len[p] for _g, p in paths)
+
+        def slot_events(site):
+            for p, pk in draw(site, l, 0, m * T * slots):
+                neuron, rest = divmod(int(p), T * slots)
+                t, flat = divmod(rest, slots)
+                yield (l, t), neuron, *unflatten_slot(paths, path_len, flat), planes[int(pk)]
+
+        if "weight_arrays" in cfg.sites:
+            for key, neuron, gate, path, slot, plane in slot_events("weight_arrays"):
+                weights.setdefault(key, []).append((neuron, gate, path, plane, slot))
+        if "logic" in cfg.sites:
+            for key, neuron, gate, path, slot, plane in slot_events("logic"):
+                macs.setdefault(key, []).append((neuron, gate, path, slot, plane))
+            n_acts = NONLINEAR_EVALS[lp.cell_type]
+            for p, pk in draw("logic", l, 1, m * T * n_acts):
+                neuron, rest = divmod(int(p), T * n_acts)
+                t, act = divmod(rest, n_acts)
+                acts.setdefault((l, t), []).append((neuron, act, planes[int(pk)]))
+    return inputs, weights, macs, acts
+
+
+def ordered(obj):
+    """`obj` with every dict as its list of items, so == also compares
+    insertion order, and every leaf tagged with its type."""
+    if isinstance(obj, dict):
+        return [(ordered(k), ordered(v)) for k, v in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return [ordered(v) for v in obj]
+    return type(obj), obj
+
+
+# name -> (hardware, layers as (cell, neurons, inputs)).  Mixed cell types,
+# split neurons on cross-group chains, and packed Vanilla neurons.
+PLAN_LAYOUTS = {
+    "one-pe": (HardwareConfig(), (("LSTM", 8, 6), ("GRU", 5, 8))),
+    "split": (
+        HardwareConfig(weights_per_pe=16, tiles_per_group=2),
+        (("LSTM", 40, 24), ("Vanilla", 16, 40)),
+    ),
+    "packed": (
+        HardwareConfig(weights_per_pe=16, rewind_cost="free"),
+        (("Vanilla", 12, 8), ("GRU", 4, 12)),
+    ),
+}
+SITE_SUBSETS = [{s} for s in SITES] + [{"input_chains", "logic"}, set(SITES)]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5])
+@pytest.mark.parametrize("layout", PLAN_LAYOUTS)
+def test_fault_plan_matches_the_reference_decode(layout, steps):
+    hw, layers = PLAN_LAYOUTS[layout]
+    spec = NetworkSpec(tuple(LayerSpec(*layer) for layer in layers), steps)
+    placement = map_network(spec, hw)
+    hit = [False] * 4
+    for seed, (sites, region) in enumerate(
+        (sites, region) for sites in SITE_SUBSETS for region in REGIONS
+    ):
+        cfg = ErrorConfig(p_overshift=5e-2, sites=sites, bit_region=region, seed=seed)
+        plan = FaultPlan(cfg, placement)
+        got = (plan.input_faults, plan.weight_faults, plan.mac_faults, plan.act_faults)
+        want = reference_plan(cfg, placement)
+        assert ordered(got) == ordered(want), (sites, region)
+        hit = [h or bool(d) for h, d in zip(hit, want)]
+    # Every kind of event occurs at this rate once there is a timestep.
+    assert hit == [steps > 0] * 4

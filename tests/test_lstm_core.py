@@ -49,7 +49,7 @@ class TestLstmCell:
         rng = np.random.default_rng(2)
         x = fp.from_real(rng.uniform(-1, 1, n))
         c_prev = fp.from_real(rng.uniform(-1, 1, m))
-        h, c = core.lstm_cell_step(x, np.zeros(m, dtype=np.int64), c_prev, params)
+        h, c = core.cell_step(x, np.zeros(m, dtype=np.int64), c_prev, params)
         half = fp.from_real(0.5)
         want_c = fp.mul_raw(np.full(m, half), c_prev)
         assert np.array_equal(c, want_c)
@@ -68,7 +68,7 @@ class TestLstmCell:
             for _ in core.LSTM_GATES
         )
         params = LayerParams("LSTM", gates)
-        h, c = core.lstm_cell_step(
+        h, c = core.cell_step(
             np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64),
             np.zeros(m, dtype=np.int64), params,
         )
@@ -92,7 +92,7 @@ class TestLstmCell:
             x = fp.from_real(rng.uniform(-1, 1, n))
             h0 = fp.from_real(rng.uniform(-1, 1, m))
             c0 = fp.from_real(rng.uniform(-1, 1, m))
-            hq, _ = core.lstm_cell_step(x, h0, c0, params)
+            hq, _ = core.cell_step(x, h0, c0, params)
             hf, _ = float_cell_step(
                 fp.to_real(x), fp.to_real(h0), fp.to_real(c0),
                 FloatCellParams.from_quantized(params),
@@ -103,7 +103,7 @@ class TestLstmCell:
     def test_dimension_mismatch(self):
         params = zero_params("LSTM", 4, 3)
         with pytest.raises(DimensionMismatch):
-            core.lstm_cell_step(
+            core.cell_step(
                 np.zeros(5, dtype=np.int64), np.zeros(4, dtype=np.int64),
                 np.zeros(4, dtype=np.int64), params,
             )
@@ -116,7 +116,7 @@ class TestGruCell:
         params = zero_params("GRU", m, n)
         rng = np.random.default_rng(4)
         h_prev = fp.from_real(rng.uniform(-1, 1, m))
-        h = core.gru_cell_step(np.zeros(n, dtype=np.int64), h_prev, params)
+        h = core.cell_step(np.zeros(n, dtype=np.int64), h_prev, None, params)[0]
         assert np.array_equal(h, fp.mul_raw(np.full(m, fp.from_real(0.5)), h_prev))
 
     def test_matches_float_oracle_within_frozen_band(self):
@@ -127,7 +127,7 @@ class TestGruCell:
             params = random_params(rng, "GRU", m, n)
             x = fp.from_real(rng.uniform(-1, 1, n))
             h0 = fp.from_real(rng.uniform(-1, 1, m))
-            hq = core.gru_cell_step(x, h0, params)
+            hq = core.cell_step(x, h0, None, params)[0]
             hf, _ = float_cell_step(
                 fp.to_real(x), fp.to_real(h0), None,
                 FloatCellParams.from_quantized(params),
@@ -139,9 +139,9 @@ class TestGruCell:
 class TestVanillaCell:
     def test_zero_weights(self):
         params = zero_params("Vanilla", 4, 4)
-        h = core.vanilla_cell_step(
-            np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), params
-        )
+        h = core.cell_step(
+            np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64), None, params
+        )[0]
         assert np.all(h == 0)
 
     def test_matches_float_oracle_within_activation_band(self):
@@ -153,7 +153,7 @@ class TestVanillaCell:
             params = random_params(rng, "Vanilla", m, n)
             x = fp.from_real(rng.uniform(-1, 1, n))
             h0 = fp.from_real(rng.uniform(-1, 1, m))
-            hq = core.vanilla_cell_step(x, h0, params)
+            hq = core.cell_step(x, h0, None, params)[0]
             hf, _ = float_cell_step(
                 fp.to_real(x), fp.to_real(h0), None,
                 FloatCellParams.from_quantized(params),

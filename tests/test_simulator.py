@@ -22,7 +22,7 @@ from rnnfast import lstm_core
 from rnnfast.error_model import ErrorConfig, FaultPlan
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_inputs, generate_network_params
-from rnnfast.simulator import TIME_BLOCK, analytic_cycles, simulate
+from rnnfast.simulator import TIME_BLOCK, _LayerGeometry, analytic_cycles, simulate
 
 GOLDEN = Path(__file__).with_name("simulator_golden.json")
 
@@ -116,6 +116,25 @@ def test_fault_free_run_matches_cell_replay_and_closed_form(cell, impl, layout):
     assert edc.total_cycles == result.total_cycles
     changed = {k for k in edc.counters if edc.counters[k] != result.counters[k]}
     assert changed == {"edc_read", "edc_write"}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("cell", CELLS)
+def test_locate_gives_each_chunk_in_its_groups_arrival_order(cell, layout):
+    placement, _params, _inputs = net(cell, "approx", layout)
+    for lp in placement.layers:
+        geo = _LayerGeometry(lp, placement.hw, None)
+        for path, chain in (("x", lp.chain), ("h", lp.recurrent_chain)):
+            n = chain.word_capacity
+            assert [w for lo, hi in geo.chunks[path] for w in range(lo, hi)] == list(range(n))
+            bases = np.cumsum((0,) + chain.group_capacities[:-1])
+            for neuron in range(lp.neurons):
+                for chunk, (lo, hi) in enumerate(geo.chunks[path]):
+                    group, words = geo.locate(neuron, path, chunk)
+                    assert 0 <= group < len(bases)
+                    # Group g receives word (base_g + s) mod n at step s.
+                    arrival = [(bases[group] + s) % n for s in range(n)]
+                    assert words.tolist() == [w for w in arrival if lo <= w < hi]
 
 
 def test_long_layout_ends_three_steps_into_a_second_time_block():
