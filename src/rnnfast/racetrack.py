@@ -12,15 +12,17 @@ Three layers of model live here:
   word-striped track groups (16 bit-plane tracks per group, one group per
   tile).  Each rotate step every group reads the word at its head,
   broadcasts it, and writes it to its left neighbour's tail; after
-  ``capacity`` steps the content returns to its starting order.  Overshift
-  faults are tracked per bit-plane: an uncorrected overshift displaces that
-  plane by one word for the remainder of the pass, so subsequent words mix
-  one plane's bits from their neighbour.  With EDC enabled a 3-bit pattern
+  ``capacity`` steps the content returns to its starting order.  The 16
+  planes of a group always hold the same words, so a group is one queue of
+  words plus, per plane, its uncorrected overshift and whether its next
+  shift is held.  An uncorrected overshift displaces its plane by one word
+  for the remainder of the pass, so the delivered word takes that plane's
+  bit from a later word of the queue.  With EDC enabled a 3-bit pattern
   rewritten during the existing write slot makes every single-position
   overshift visible in the post-shift check bit; the secondary head (one
   position behind) supplies the correct word, the tail write is placed
-  accordingly, and the controller suppresses that plane's next shift -- so
-  the decoded stream is exactly the fault-free stream, at zero added cycles.
+  accordingly, and the controller holds that plane's next shift -- so the
+  decoded stream is exactly the fault-free stream, at zero added cycles.
 
 * ``WeightTrackGroup`` -- the weight-stationary storage of one PE. Advancing
   exposes the next weight after one single-position shift per plane; a full
@@ -144,99 +146,64 @@ class StepOutcome:
 class InputTrackGroup:
     """One tile's input buffer: word-striped storage of `capacity` words."""
 
-    def __init__(self, capacity=64, edc_enabled=False, planes=WORD_PLANES, group_id=0):
+    def __init__(self, capacity=64, edc_enabled=False, group_id=0):
         self.capacity = capacity
         self.edc_enabled = edc_enabled
-        self.planes = planes
         self.group_id = group_id
-        # Per-plane bit queues; index 0 is the bit aligned after the next shift.
-        self._queues = [deque() for _ in range(planes)]
-        self._mis = [0] * planes          # uncorrected overshift displacement
-        self._suppress = [False] * planes  # skip this plane's next shift
+        self.words = deque()  # unsigned; the head is aligned after the next shift
+        self._mis = {}        # displaced plane -> uncorrected overshift
+        self._held = set()    # planes whose next shift the controller holds
 
     def stage(self, words):
         if len(words) != self.capacity:
             raise ValueError(f"group {self.group_id} stages {self.capacity} words")
-        for k in range(self.planes):
-            self._queues[k] = deque(word_bit(w, k) for w in words)
-        self._mis = [0] * self.planes
-        self._suppress = [False] * self.planes
+        if any(not -(1 << 15) <= w < 1 << 16 for w in words):
+            raise ValueError(f"group {self.group_id} stages words in [-2^15, 2^16)")
+        self.words = deque(int(w) & 0xFFFF for w in words)
+        self._mis = {}
+        self._held = set()
 
-    def _post_shift(self, fault_planes):
-        """Displacements after this step's shift, without committing state."""
-        mis = list(self._mis)
-        held = []
-        for k in range(self.planes):
-            if self._suppress[k]:
-                held.append(k)  # controller holds this plane: already aligned
-            elif k in fault_planes:
-                mis[k] += 1
-        return mis, held
+    def rotate(self, fault_planes=(), ledger=None):
+        """Shift, check and read one step, and pop the head word.
 
-    def _deliver(self, mis):
-        """Word visible at the read head given per-plane displacements."""
-        delivered = 0
-        corrected = []
-        for k in range(self.planes):
-            e = mis[k]
-            if self.edc_enabled and e:
-                # Post-shift check bit reads 0; the secondary head, one
-                # position behind, still exposes the correct bit.
-                corrected.append(k)
-                bit = self._queues[k][0]
-            else:
-                bit = self._queues[k][min(e, self.capacity - 1)]
-            delivered |= bit << k
-        return delivered, corrected
-
-    def peek_rotate(self, fault_planes=()):
-        """Delivery this step would produce, with no state change."""
-        mis, _held = self._post_shift(fault_planes)
-        return self._deliver(mis)[0]
-
-    def rotate(self, incoming_word: int, fault_planes=(), ledger=None):
-        """Shift, check, read, chain-write one step.
-
-        `fault_planes` lists planes whose shift overshoots this step.
-        Returns (delivered_word, StepOutcome).  The caller supplies
-        `incoming_word`, normally the word its right neighbour delivered in
-        the same step.
+        `fault_planes` lists planes whose shift overshoots this step; a held
+        plane does not shift, so its fault is a no-op.  Returns
+        (delivered_word, StepOutcome).  The caller then appends the chain
+        write at the tail: the word the right neighbour delivered this step.
         """
-        mis, held = self._post_shift(fault_planes)
-        delivered, corrected = self._deliver(mis)
+        held = self._held
+        for k in set(fault_planes) - held:
+            self._mis[k] = self._mis.get(k, 0) + 1
+        corrected = ()
+        self._held = set()
+        if self.edc_enabled and self._mis:
+            # Post-shift check bit reads 0; the secondary head, one position
+            # behind, still exposes the correct bit.
+            corrected = tuple(sorted(self._mis))
+            self._held = set(corrected)
+            self._mis = {}
+        word = self.words[0]
+        for k, e in self._mis.items():
+            word ^= (word ^ self.words[min(e, self.capacity - 1)]) & (1 << k)
+        self.words.popleft()
 
-        _ledger_add(ledger, "track_shift", self.planes - len(held))
-        _ledger_add(ledger, "track_read", self.planes)
-        for k in held:
-            self._suppress[k] = False
-        for k in range(self.planes):
-            self._mis[k] = mis[k]
-        for k in corrected:
-            self._mis[k] = 0
-            self._suppress[k] = True
-
-        # Chain write of the incoming word at the tail.  A plane corrected
-        # this step writes one position left, so content stays coherent; an
-        # uncorrected plane's displaced write cancels against its displaced
-        # read, so the plain append models it exactly.
-        for k in range(self.planes):
-            self._queues[k].popleft()
-            self._queues[k].append(word_bit(incoming_word, k))
-        _ledger_add(ledger, "track_write", self.planes)
+        _ledger_add(ledger, "track_shift", WORD_PLANES - len(held))
+        _ledger_add(ledger, "track_read", WORD_PLANES)
+        _ledger_add(ledger, "track_write", WORD_PLANES)
         if self.edc_enabled:
-            _ledger_add(ledger, "edc_read", self.planes)
-            _ledger_add(ledger, "edc_write", self.planes * len(INPUT_EDC_PATTERN))
-        return delivered, StepOutcome(ok=not corrected, corrected_planes=tuple(corrected))
+            _ledger_add(ledger, "edc_read", WORD_PLANES)
+            _ledger_add(ledger, "edc_write", WORD_PLANES * len(INPUT_EDC_PATTERN))
+        return word, StepOutcome(ok=not corrected, corrected_planes=corrected)
 
 
 class InputTrackChain:
     """Circular word buffer over one or more track groups (MUX-chained)."""
 
-    def __init__(self, group_capacities, edc_enabled=False, planes=WORD_PLANES):
+    def __init__(self, group_capacities, edc_enabled=False):
         if not group_capacities:
             raise ValueError("a chain needs at least one track group")
         self.groups = [
-            InputTrackGroup(c, edc_enabled=edc_enabled, planes=planes, group_id=g)
+            InputTrackGroup(c, edc_enabled=edc_enabled, group_id=g)
             for g, c in enumerate(group_capacities)
         ]
         self.capacity = int(sum(group_capacities))
@@ -254,36 +221,28 @@ class InputTrackChain:
         """One synchronized step of the whole chain.
 
         `fault_planes` maps group index -> iterable of overshifting planes.
-        Returns (delivered_words_per_group, outcomes_per_group).  All reads
-        happen against the pre-step state; each group's tail then receives
-        the word its right neighbour delivered in the same step.
+        Returns (delivered_words_per_group, outcomes_per_group).  Every group
+        reads its head, then receives at its tail the word its right
+        neighbour delivered in the same step.  A plane corrected this step
+        writes one position left, so content stays coherent; an uncorrected
+        plane's displaced write cancels against its displaced read, so the
+        plain append models it exactly.
         """
         fault_planes = fault_planes or {}
-        n = len(self.groups)
-        deliveries = [
-            grp.peek_rotate(tuple(fault_planes.get(g, ())))
-            for g, grp in enumerate(self.groups)
-        ]
-        outcomes = []
+        for g, planes in fault_planes.items():
+            if g not in range(len(self.groups)):
+                raise ValueError(f"fault on group {g!r}, not a group of this chain")
+            if any(k not in range(WORD_PLANES) for k in planes):
+                raise ValueError(f"fault planes {planes!r} outside [0, {WORD_PLANES})")
+        steps = [grp.rotate(fault_planes.get(g, ()), ledger) for g, grp in enumerate(self.groups)]
+        deliveries = [word for word, _outcome in steps]
         for g, grp in enumerate(self.groups):
-            _d, outcome = grp.rotate(
-                deliveries[(g + 1) % n], tuple(fault_planes.get(g, ())), ledger
-            )
-            outcomes.append(outcome)
-        return deliveries, outcomes
+            grp.words.append(deliveries[(g + 1) % len(steps)])
+        return deliveries, [outcome for _word, outcome in steps]
 
     def read_words_in_order(self):
         """Current content in delivery order (debug/verification)."""
-        out = []
-        for grp in self.groups:
-            words = []
-            for j in range(grp.capacity):
-                w = 0
-                for k in range(grp.planes):
-                    w |= grp._queues[k][j] << k
-                words.append(w)
-            out.extend(words)
-        return out
+        return [w for grp in self.groups for w in grp.words]
 
 
 @dataclass

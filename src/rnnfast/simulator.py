@@ -16,7 +16,8 @@ Values and timing are deliberately decoupled and run as two loops:
   16-bit range.  The step's fault effects from the run's FaultPlan then
   correct the accumulators in int64, on the touched chunks only: chain
   passes with faults are replayed through the word-level track model
-  (``InputTrackChain``), each faulted weight track is read through
+  (``InputTrackChain``), booked in closed form less the shifts that EDC
+  corrections held back; each faulted weight track is read through
   ``racetrack.weight_pass``, the one implementation of the weight-track
   protocol (zero substitutions with EDC on, per-plane misaligned reads
   with EDC off), and logic faults perturb one result bit by one
@@ -176,8 +177,9 @@ class _LayerGeometry:
     when it reaches that group.  ``locate`` turns these into the chunk's
     words in arrival order; no per-word table is kept.
 
-    Step events: the ledger events of one fault-free (layer, timestep), split
-    into the two input chains and the rest, and the per-layer counts.
+    Step events: the ledger events of one fault-free (layer, timestep), one
+    pass of both input chains included, and the per-layer counts.  Faults
+    change only ``track_shift``: each EDC correction holds one later shift.
     """
 
     def __init__(self, lp, hw, cfg):
@@ -194,7 +196,6 @@ class _LayerGeometry:
         edc_in = bool(cfg and cfg.edc_inputs)
         edc_w = bool(cfg and cfg.edc_weights)
         self.chunks, self.chunk_of, self.group_of, self.turn = {}, {}, {}, {}
-        self.chain_events = {}
         for path, layout in (("x", lp.chain), ("h", lp.recurrent_chain)):
             sizes = np.asarray(_split_even(layout.word_capacity, n_chunks))
             starts = np.cumsum(sizes) - sizes
@@ -205,33 +206,29 @@ class _LayerGeometry:
             # Group g receives word (base_g + s) mod n at step s, so each
             # chunk reaches it rotated to start at its first word >= base_g.
             self.turn[path] = np.clip(bases[:, None] - starts, 0, sizes)
-            plane_steps = 16 * len(bases) * layout.word_capacity
-            self.chain_events[path] = {
-                "track_read": plane_steps,
-                "track_write": plane_steps,
-                "track_shift": plane_steps,
-                "edc_read": plane_steps if edc_in else 0,
-                "edc_write": 3 * plane_steps if edc_in else 0,
-            }
+        # One pass of each chain: every group reads, shifts and writes all 16
+        # planes once per word.
+        chain_steps = 16 * (
+            len(lp.chain.group_capacities) * n + len(lp.recurrent_chain.group_capacities) * m
+        )
         paths = gate_paths(lp.cell_type)
         words = sum(n if p == "x" else m for _g, p in paths)
         advances = sum(max(hi - lo - 1, 0) for _g, p in paths for lo, hi in self.chunks[p])
         rewinds = words if hw.rewind_cost == "full_pass" else 0
         self.step_events = {
-            "track_read": 16 * m * words,
-            "track_shift": 16 * m * (advances + rewinds),
+            "track_read": 16 * m * words + chain_steps,
+            "track_shift": 16 * m * (advances + rewinds) + chain_steps,
             "mac_issue": m * words,
-            "edc_read": 16 * m * advances if edc_w else 0,
+            "edc_read": (16 * m * advances if edc_w else 0) + (chain_steps if edc_in else 0),
+            "edc_write": 3 * chain_steps if edc_in else 0,
             "nonlinear_eval": m * NONLINEAR_EVALS[lp.cell_type],
             "aggregation_hop": m * (u - 1),
-            # next-layer write + recurrent restage, and layer 0's staging
-            "track_write": 16 * m * 2 + (16 * n if lp.index == 0 else 0),
+            # chain writes, next-layer write + recurrent restage, layer 0's staging
+            "track_write": chain_steps + 16 * m * 2 + (16 * n if lp.index == 0 else 0),
             "interconnect_word": lp.chain.boundaries * n + lp.recurrent_chain.boundaries * m,
         }
         self.step_counts = {
-            "chain_reads": 16 * (
-                len(lp.chain.group_capacities) * n + len(lp.recurrent_chain.group_capacities) * m
-            ),
+            "chain_reads": chain_steps,
             "weight_reads": 16 * m * words,
             "mac_issues": m * words,
             "rotation_steps": n,
@@ -261,12 +258,14 @@ def _check_raw(what, a):
         raise ValueError(f"{what} must lie in [{fp.RAW_MIN}, {fp.RAW_MAX}]")
 
 
-def _run_faulted_chain(layout, words_raw, faults_by_step, edc_enabled, ledger):
+def _run_faulted_chain(layout, words_raw, faults_by_step, edc_enabled):
     """Replay one pass through the word-level track model.
 
-    Returns (seen, corrected plane reads), where seen[group, word] is the
-    value the group delivered for that word.  Device-level counters for the
-    pass are recorded on `ledger` by the model itself.
+    Returns (seen, corrected, held): seen[group, word] is the value the group
+    delivered for that word, `corrected` counts the plane reads EDC
+    corrected, and `held` the shifts those corrections held back.  A
+    correction holds its plane's next shift, so one at the pass's last step
+    holds none.
     """
     chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc_enabled)
     chain.stage([int(w) for w in words_raw])
@@ -274,12 +273,13 @@ def _run_faulted_chain(layout, words_raw, faults_by_step, edc_enabled, ledger):
     bases = _chain_bases(layout.group_capacities)
     groups = np.arange(len(bases))
     seen = np.empty((len(bases), n_words), dtype=np.int64)
-    corrected = 0
+    corrected = last = 0
     for s in range(n_words):
-        delivered, outcomes = chain.rotate_step(faults_by_step.get(s), ledger)
+        delivered, outcomes = chain.rotate_step(faults_by_step.get(s))
         seen[groups, (bases + s) % n_words] = delivered
-        corrected += sum(len(o.corrected_planes) for o in outcomes)
-    return np.where(seen >= 1 << 15, seen - (1 << 16), seen), corrected
+        last = sum(len(o.corrected_planes) for o in outcomes)
+        corrected += last
+    return np.where(seen >= 1 << 15, seen - (1 << 16), seen), corrected, corrected - last
 
 
 def _perturb_result_bit(value, plane):
@@ -366,13 +366,16 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
     vecs = {"x": np.asarray(x, dtype=np.int64), "h": h_prev}
     # seen[path][group, word]: what each chain group delivered this pass.
     seen = {}
+    # Shifts held back by EDC corrections, off the step's closed-form count.
+    credit = 0
     for path, layout in (("x", lp.chain), ("h", lp.recurrent_chain)):
         faults = plan.input_faults.get((lp.index, path, t)) if plan else None
         if faults:
-            seen[path], corrected = _run_faulted_chain(
-                layout, vecs[path], faults, plan.cfg.edc_inputs, ledger
+            seen[path], corrected, held = _run_faulted_chain(
+                layout, vecs[path], faults, plan.cfg.edc_inputs
             )
             corrections["input_corrected"] += corrected
+            credit += held
             delta = seen[path] - vecs[path]
             for chunk, (lo, hi) in enumerate(geo.chunks[path]):
                 d = delta[geo.group_of[path][chunk], lo:hi]
@@ -383,13 +386,10 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
         else:
             groups = len(layout.group_capacities)
             seen[path] = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
-            for op, count in geo.chain_events[path].items():
-                ledger.add(op, count)
 
     # Weight faults, one protocol pass per faulted PE track (neuron, gate,
     # path, chunk): zero substitutions (EDC on) or misaligned reads (EDC off).
     effective = {}
-    credit = 0
     if plan and plan.weight_faults.get(key):
         tracks = {}
         for neuron, gate, path, plane, slot in plan.weight_faults[key]:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnnfast.racetrack import (
+    WORD_PLANES,
     InputTrackChain,
     PadOverrun,
     Port,
@@ -228,6 +231,112 @@ class TestInputTrackChain:
         # neighbour's bit: step1 sees word2(0), step2 sees word3(0), step3
         # sees the chained copy of word0 (=1) arriving early.
         assert got == [1, 0, 0, 1]
+
+
+    def test_stage_rejects_words_outside_16_bits(self):
+        for bad in (1 << 16, -(1 << 15) - 1):
+            chain = InputTrackChain([2, 1])
+            with pytest.raises(ValueError):
+                chain.stage([0, bad, 0])
+        chain.stage([-(1 << 15), (1 << 16) - 1, -1])
+        assert chain.read_words_in_order() == [0x8000, 0xFFFF, 0xFFFF]
+
+    @pytest.mark.parametrize("faults", [
+        {0: (WORD_PLANES,)}, {0: (-1,)}, {1: (0, 16)}, {2: (0,)}, {-1: (0,)}, {"0": (0,)},
+    ])
+    def test_rotate_step_rejects_faults_outside_the_chain(self, faults):
+        chain = InputTrackChain([2, 1])
+        chain.stage([1, 2, 3])
+        with pytest.raises(ValueError):
+            chain.rotate_step(faults)
+
+
+def chain_recurrence(caps, words, faults, steps, edc):
+    """Deliveries, corrected planes and shift count of a chain pass, from
+    the closed-form recurrence rather than a track model.
+
+    Group g's queue is its staged words, then what group g+1 (mod G)
+    delivered at each step.  With EDC off, step s delivers bit k of queue
+    word s + min(e, cap_g - 1), e being the distinct faults on (g, k) up to
+    step s.  With EDC on, every delivery is the fault-free word, and the
+    corrected planes are the step's fault planes minus the previous step's
+    corrections, each of which holds one shift.
+    """
+    n_groups = len(caps)
+    bases = np.cumsum([0] + caps[:-1])
+    queues = [[w & 0xFFFF for w in words[b:b + c]] for b, c in zip(bases, caps)]
+    displaced = [[0] * WORD_PLANES for _ in caps]
+    previous = [set() for _ in caps]
+    deliveries, corrected, shifts = [], [], 0
+    for s in range(steps):
+        row, fixed = [], []
+        for g, cap in enumerate(caps):
+            planes = set(faults.get(s, {}).get(g, ()))
+            if edc:
+                fixed.append(tuple(sorted(planes - previous[g])))
+                shifts += WORD_PLANES - len(previous[g])
+                previous[g] = set(fixed[-1])
+                row.append(queues[g][s])
+                continue
+            for k in planes:
+                displaced[g][k] += 1
+            row.append(sum(
+                (queues[g][s + min(displaced[g][k], cap - 1)] >> k & 1) << k
+                for k in range(WORD_PLANES)
+            ))
+            fixed.append(())
+            shifts += WORD_PLANES
+        for g in range(n_groups):
+            queues[g].append(row[(g + 1) % n_groups])
+        deliveries.append(row)
+        corrected.append(fixed)
+    return deliveries, corrected, shifts
+
+
+@st.composite
+def chain_passes(draw):
+    caps = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    n = sum(caps)
+    words = draw(st.lists(st.integers(-(1 << 15), (1 << 16) - 1), min_size=n, max_size=n))
+    steps = draw(st.integers(0, 2 * n))
+    events = st.tuples(
+        st.integers(0, max(steps - 1, 0)),
+        st.integers(0, len(caps) - 1),
+        st.integers(0, WORD_PLANES - 1),
+    )
+    faults = {}
+    for s, g, k in draw(st.lists(events, max_size=12 if steps else 0)):
+        # Repeats of a plane on one group-step are one fault.
+        faults.setdefault(s, {}).setdefault(g, []).append(k)
+    return caps, words, faults, steps, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(chain_passes())
+def test_input_chain_matches_the_recurrence(case):
+    caps, words, faults, steps, edc = case
+    chain = InputTrackChain(caps, edc_enabled=edc)
+    chain.stage(words)
+    led = Counter()
+    deliveries, corrected, ok = [], [], []
+    for s in range(steps):
+        delivered, outcomes = chain.rotate_step(faults.get(s), led)
+        deliveries.append(delivered)
+        corrected.append([o.corrected_planes for o in outcomes])
+        ok.append([o.ok for o in outcomes])
+    want, want_corrected, shifts = chain_recurrence(caps, words, faults, steps, edc)
+    assert deliveries == want
+    assert corrected == want_corrected
+    assert ok == [[not c for c in row] for row in want_corrected]
+    plane_steps = WORD_PLANES * len(caps) * steps
+    expected = {
+        "track_read": plane_steps,
+        "track_write": plane_steps,
+        "track_shift": shifts,
+        "edc_read": plane_steps if edc else 0,
+        "edc_write": 3 * plane_steps if edc else 0,
+    }
+    assert led.counts == {op: n for op, n in expected.items() if n}
 
 
 class TestWeightTrackGroup:

@@ -3,7 +3,9 @@
 Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
 (also across the simulator's blocks of input-path timesteps) and take
 exactly ``analytic_cycles``; EDC-on input-chain faults must leave
-the outputs untouched; the reported fault count must be the plan's.  Faulty
+the outputs untouched; the reported fault count must be the plan's; the
+ledger's closed-form chain passes, less the shifts EDC corrections held,
+must equal what the track model counts itself.  Faulty
 runs with every site active are pinned in ``simulator_golden.json`` (output
 SHA-256, cycles, ledger counters, per-layer counts, corrections), so any
 change to the fault path shows up.  After a deliberate change of fault
@@ -17,12 +19,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rnnfast import lstm_core
 from rnnfast.error_model import ErrorConfig, FaultPlan
-from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
+from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, chain_plan, map_network
 from rnnfast.presets import generate_inputs, generate_network_params
-from rnnfast.simulator import TIME_BLOCK, _LayerGeometry, analytic_cycles, simulate
+from rnnfast.racetrack import WORD_PLANES, InputTrackChain
+from rnnfast.simulator import (
+    TIME_BLOCK,
+    _LayerGeometry,
+    _run_faulted_chain,
+    analytic_cycles,
+    simulate,
+)
 
 GOLDEN = Path(__file__).with_name("simulator_golden.json")
 
@@ -153,6 +164,77 @@ def test_edc_on_input_chain_faults_reproduce_the_fault_free_run(cell):
         assert result.total_cycles == clean.total_cycles
         corrected += result.corrections["input_corrected"]
     assert corrected > 0
+
+
+class Counter(dict):
+    def add(self, op, n=1):
+        self[op] = self.get(op, 0) + n
+
+
+@st.composite
+def faulted_passes(draw):
+    n_words = draw(st.integers(1, 20))
+    layout = chain_plan(n_words, draw(st.integers(1, 4)), 1, HardwareConfig())
+    events = st.tuples(
+        st.integers(0, n_words - 1),
+        st.integers(0, len(layout.group_capacities) - 1),
+        st.integers(0, WORD_PLANES - 1),
+    )
+    faults = {}
+    for step, group, plane in draw(st.lists(events, min_size=1, max_size=10)):
+        faults.setdefault(step, {}).setdefault(group, []).append(plane)
+    words = draw(st.lists(st.integers(-32768, 32767), min_size=n_words, max_size=n_words))
+    return layout, words, faults, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulted_passes())
+def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
+    layout, words, faults, edc = case
+    _seen, corrected, held = _run_faulted_chain(layout, np.asarray(words), faults, edc)
+    chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc)
+    chain.stage(words)
+    ledger = Counter()
+    device_corrected = 0
+    for step in range(layout.word_capacity):
+        _delivered, outcomes = chain.rotate_step(faults.get(step), ledger)
+        device_corrected += sum(len(o.corrected_planes) for o in outcomes)
+    plane_steps = WORD_PLANES * len(layout.group_capacities) * layout.word_capacity
+    closed_form = {
+        "track_read": plane_steps,
+        "track_write": plane_steps,
+        "track_shift": plane_steps - held,
+        "edc_read": plane_steps if edc else 0,
+        "edc_write": 3 * plane_steps if edc else 0,
+    }
+    assert ledger == {op: n for op, n in closed_form.items() if n}
+    assert corrected == device_corrected
+    assert 0 <= held <= corrected
+
+
+@pytest.mark.parametrize("site", ["input_chains", "weight_arrays"])
+@pytest.mark.parametrize("cell", CELLS)
+def test_edc_on_faults_cost_exactly_the_held_shifts(cell, site):
+    placement, params, inputs = net(cell, "approx", "split")
+    clean = simulate(placement, params, inputs, error_cfg=ErrorConfig(
+        p_overshift=0.0, edc_inputs=True, edc_weights=True))
+    cfg = ErrorConfig(p_overshift=FAULT_P, sites={site}, edc_inputs=True, edc_weights=True,
+                      seed=FAULT_SEED)
+    result = simulate(placement, params, inputs, error_cfg=cfg)
+    if site == "weight_arrays":
+        held = result.corrections["suppressed_shifts"]
+    else:
+        # Held shifts do not depend on the words, so replay zeros.
+        chains = {(lp.index, "x"): lp.chain for lp in placement.layers}
+        chains.update({(lp.index, "h"): lp.recurrent_chain for lp in placement.layers})
+        held = 0
+        for (layer, path, _t), faults in FaultPlan(cfg, placement).input_faults.items():
+            layout = chains[layer, path]
+            words = np.zeros(layout.word_capacity, dtype=np.int64)
+            held += _run_faulted_chain(layout, words, faults, True)[2]
+    assert held > 0
+    want = dict(clean.counters, track_shift=clean.counters["track_shift"] - held)
+    assert result.counters == want
 
 
 @pytest.mark.parametrize("cell,impl,layout", CASES, ids=[case_id(*c) for c in CASES])
