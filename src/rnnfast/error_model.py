@@ -46,6 +46,8 @@ SITES = ("input_chains", "weight_arrays", "logic")
 REGIONS = ("all", "integer_only", "fraction_only", "sign_only")
 DEFAULT_P_OVERSHIFT = 4.55e-5
 WORD_BITS = 16
+# Weight paths in the order of their code in the fault arrays.
+PATHS = ("x", "h")
 
 _SITE_CODE = {name: i for i, name in enumerate(SITES)}
 
@@ -113,6 +115,17 @@ def _draw_positions(gen: np.random.Generator, n_events: int, p: float) -> np.nda
     return np.sort(gen.choice(n_events, size=min(k, n_events), replace=False).astype(np.int64))
 
 
+def _by_step(faults, layer, t, columns):
+    """Store event rows under (layer, t), keeping event order within a step
+    and inserting steps in the order of their first event."""
+    rows = np.stack(columns, axis=1)
+    order = np.argsort(t, kind="stable")
+    steps, first, counts = np.unique(t, return_index=True, return_counts=True)
+    groups = np.split(rows[order], np.cumsum(counts)[:-1])
+    for k in np.argsort(first):
+        faults[(layer, int(steps[k]))] = groups[k]
+
+
 def gate_paths(cell_type: str):
     """(gate_index, path) MAC streams active for a cell type."""
     if cell_type == "LSTM":
@@ -140,6 +153,13 @@ class FaultPlan:
       logic acts:    (neuron, timestep, act)
     A gate-path slot runs over the paths of ``gate_paths`` in order, each
     path over its words.
+
+    Weight and MAC events, the bulk of a plan, are stored per (layer,
+    timestep) as int32 arrays with one row per event, in event order; the
+    path column is its index in ``PATHS`` (0 = x, 1 = h):
+      weight_faults[(l, t)]: rows (neuron, gate, path, plane, slot)
+      mac_faults[(l, t)]:    rows (neuron, gate, path, slot, plane)
+    Input-chain and activation events stay Python containers.
     """
 
     def __init__(self, cfg: ErrorConfig, placement: Placement):
@@ -147,8 +167,8 @@ class FaultPlan:
         self.placement = placement
         self.planes = eligible_planes(cfg.bit_region)
         self.input_faults = {}   # (layer, chain, t) -> {step: {tile: [planes]}}
-        self.weight_faults = {}  # (layer, t) -> [(neuron, gate, path, plane, slot)]
-        self.mac_faults = {}     # (layer, t) -> [(neuron, gate, path, slot, plane)]
+        self.weight_faults = {}  # (layer, t) -> int32 rows (neuron, gate, path, plane, slot)
+        self.mac_faults = {}     # (layer, t) -> int32 rows (neuron, gate, path, slot, plane)
         self.act_faults = {}     # (layer, t) -> [(neuron, act_idx, plane)]
         if cfg.active:
             self._build()
@@ -163,38 +183,35 @@ class FaultPlan:
                     (("x", lp.chain, n), ("h", lp.recurrent_chain, m))
                 ):
                     shape = (len(layout.group_capacities), T, steps)
-                    for tile, t, step, plane in self._draw("input_chains", l, ci, shape):
+                    for tile, t, step, plane in self._draw("input_chains", l, ci, shape).tolist():
                         self.input_faults.setdefault((l, path, t), {}).setdefault(
                             step, {}
                         ).setdefault(tile, []).append(plane)
-            # Flat gate-path-slot index -> (gate, path, slot).
-            slot_of = [
-                (g, p, s) for g, p in gate_paths(lp.cell_type) for s in range(n if p == "x" else m)
-            ]
+            # Flat gate-path-slot index -> (gate, path code, slot) columns.
+            slot_of = np.array([
+                (g, PATHS.index(p), s)
+                for g, p in gate_paths(lp.cell_type) for s in range(n if p == "x" else m)
+            ], dtype=np.int32).reshape(-1, 3)
             slots = (m, T, len(slot_of))
             if "weight_arrays" in sites:
-                for neuron, t, flat, plane in self._draw("weight_arrays", l, 0, slots):
-                    gate, path, slot = slot_of[flat]
-                    self.weight_faults.setdefault((l, t), []).append(
-                        (neuron, gate, path, plane, slot)
-                    )
+                neuron, t, flat, plane = self._draw("weight_arrays", l, 0, slots).T
+                gate, path, slot = slot_of[flat].T
+                _by_step(self.weight_faults, l, t, (neuron, gate, path, plane, slot))
             if "logic" in sites:
-                for neuron, t, flat, plane in self._draw("logic", l, 0, slots):
-                    gate, path, slot = slot_of[flat]
-                    self.mac_faults.setdefault((l, t), []).append(
-                        (neuron, gate, path, slot, plane)
-                    )
+                neuron, t, flat, plane = self._draw("logic", l, 0, slots).T
+                gate, path, slot = slot_of[flat].T
+                _by_step(self.mac_faults, l, t, (neuron, gate, path, slot, plane))
                 acts = (m, T, NONLINEAR_EVALS[lp.cell_type])
-                for neuron, t, act, plane in self._draw("logic", l, 1, acts):
+                for neuron, t, act, plane in self._draw("logic", l, 1, acts).tolist():
                     self.act_faults.setdefault((l, t), []).append((neuron, act, plane))
 
     def _draw(self, site, layer, sub, shape):
-        """One stream's events in event order, as tuples of Python ints: the
-        event's index along each axis of `shape`, then its displaced plane."""
+        """One stream's events in event order, as int32 rows: the event's
+        index along each axis of `shape`, then its displaced plane."""
         gen = _stream(self.cfg.seed, site, layer, sub)
         pos = _draw_positions(gen, math.prod(shape), self.cfg.p_overshift)
         planes = np.asarray(self.planes)[gen.integers(0, len(self.planes), size=len(pos))]
-        return zip(*(a.tolist() for a in (*np.unravel_index(pos, shape), planes)))
+        return np.stack((*np.unravel_index(pos, shape), planes), axis=1).astype(np.int32)
 
     def total_events(self) -> int:
         return (

@@ -31,8 +31,10 @@ Three layers of model live here:
   disagrees with the expected parity; on mismatch the returned weight is
   exactly zero and the misaligned plane's next shift is suppressed, which
   realigns the stream from the following weight onward.  ``weight_pass`` is
-  its vectorized form over one whole pass, and the only implementation of
-  this protocol that the simulator uses.
+  its vectorized form over whole passes of a batch of tracks, as array
+  operations on a padded weight matrix, and the only implementation of
+  this protocol that the simulator uses: one call per (layer, timestep)
+  reads every faulted PE track.
 
 Fault decisions are injected by the caller (a callable per shift event), so
 the device model itself holds no randomness.  Counters are reported through
@@ -325,14 +327,17 @@ class WeightTrackGroup:
         self._suppress = [False] * self.planes
 
 
-def weight_pass(weights, fault_slots, edc_enabled):
-    """One whole pass of a ``WeightTrackGroup``, vectorized.
+def weight_pass(weights, lengths, faults, edc_enabled):
+    """Whole passes of a batch of ``WeightTrackGroup`` tracks, vectorized.
 
-    `weights` are the track's raw weights in arrival order; `fault_slots`
-    maps a plane to the slots whose advance overshoots it.  Returns
-    (weights as read, zero substitutions, suppressed shifts).  With EDC on, a
-    detected fault zeroes its slot and holds that plane's next shift, so a
-    fault planned on the held slot is a no-op.  With EDC off, every fault
+    `weights` is a (tracks, K) matrix of raw weights in arrival order, row
+    i holding its track's `lengths[i]` weights first; `faults` holds rows
+    (track, plane, slot), one per overshooting advance.  Returns (weights as
+    read, the entries past each track's length as given; zero
+    substitutions; suppressed shifts), the counts summed over the batch.
+    With EDC on, a detected fault zeroes its slot and holds that plane's
+    next shift, so in every run of consecutive fault slots on one (track,
+    plane) each second fault is a no-op.  With EDC off, every fault
     displaces its plane by one more word for the rest of the pass, and a
     plane displaced past the end reads blank (0) bits.
 
@@ -340,25 +345,38 @@ def weight_pass(weights, fault_slots, edc_enabled):
     although no shift precedes the first read.
     """
     w = np.asarray(weights, dtype=np.int64)
-    k = len(w)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    track, plane, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 3).T
     if edc_enabled:
-        zeros = set()
-        suppressed = 0
-        for slots in fault_slots.values():
-            held = None
-            for s in sorted(slots):
-                if s == held:
-                    continue
-                zeros.add(s)
-                held = s + 1
-                suppressed += held < k
+        order = np.lexsort((slot, plane, track))
+        track, plane, slot = track[order], plane[order], slot[order]
+        run_start = np.ones(len(slot), dtype=bool)
+        run_start[1:] = (track[1:] != track[:-1]) | (plane[1:] != plane[:-1]) | (
+            slot[1:] != slot[:-1] + 1
+        )
+        starts = np.flatnonzero(run_start)
+        index_in_run = np.arange(len(slot)) - starts[np.cumsum(run_start) - 1]
+        live = index_in_run % 2 == 0
+        track, slot = track[live], slot[live]
         out = w.copy()
-        out[list(zeros)] = 0
-        return out, len(zeros), suppressed
-    unsigned = w & 0xFFFF
-    idx = np.arange(k)
-    for plane, slots in fault_slots.items():
-        src = idx + np.searchsorted(np.sort(slots), idx, side="right")
-        bits = np.where(src < k, (unsigned[np.minimum(src, k - 1)] >> plane) & 1, 0)
-        unsigned = (unsigned & ~(1 << plane)) | (bits << plane)
-    return np.where(unsigned >= 1 << 15, unsigned - (1 << 16), unsigned), 0, 0
+        out[track, slot] = 0
+        zeroed = len(np.unique(track * w.shape[1] + slot))
+        return out, zeroed, int(np.count_nonzero(slot + 1 < lengths[track]))
+    # Displacement of each faulted (track, plane) at each slot: its faults
+    # at or before that slot.  Pairs come out sorted by track.
+    k = w.shape[1]
+    pairs, pair = np.unique(track * WORD_PLANES + plane, return_inverse=True)
+    rows, planes = np.divmod(pairs, WORD_PLANES)
+    shift = np.zeros((len(pairs), k), dtype=np.int64)
+    np.add.at(shift, (pair, slot), 1)
+    src = np.arange(k) + np.cumsum(shift, axis=1)
+    unsigned = w.astype(np.uint16)
+    moved = unsigned.ravel()[np.minimum(src, k - 1) + k * rows[:, None]]
+    moved[src >= lengths[rows, None]] = 0
+    flips = (unsigned[rows] ^ moved) & (1 << planes.astype(np.uint16))[:, None]
+    # A track's pairs flip different planes.  Apply them rank by rank within
+    # their track, so that no update indexes one row twice.
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    for r in range(rank.max(initial=-1) + 1):
+        unsigned[rows[rank == r]] ^= flips[rank == r]
+    return np.where(np.arange(k) < lengths[:, None], unsigned.astype(np.int16), w), 0, 0

@@ -14,14 +14,19 @@ Values and timing are deliberately decoupled and run as two loops:
   error-free argument of Ozaki et al., Numer. Algorithms, 2012).
   ``simulate`` therefore rejects weights, biases and inputs outside the
   16-bit range.  The step's fault effects from the run's FaultPlan then
-  correct the accumulators in int64, on the touched chunks only: chain
+  correct the accumulators in int64, on the touched chunks only.  Chain
   passes with faults are replayed through the word-level track model
   (``InputTrackChain``), booked in closed form less the shifts that EDC
-  corrections held back; each faulted weight track is read through
-  ``racetrack.weight_pass``, the one implementation of the weight-track
-  protocol (zero substitutions with EDC on, per-plane misaligned reads
-  with EDC off), and logic faults perturb one result bit by one
-  significance position.  The narrowed accumulators go through
+  corrections held back.  Weight and logic faults cost array operations
+  per (layer, timestep), not Python work per track or word: one batched
+  ``racetrack.weight_pass`` call, the one implementation of the
+  weight-track protocol (zero substitutions with EDC on, per-plane
+  misaligned reads with EDC off), reads every faulted PE track of the
+  step, and its corrections are one gather of the delivered words, one
+  row-wise dot and one scatter-add.  Logic faults are one vectorized pass:
+  each perturbs one bit of its MAC product (the weight as its track read
+  it, times the word its chain group delivered) by one significance
+  position.  The narrowed accumulators go through
   ``lstm_core.cell_output``, the one copy of the cell equations, with
   activation faults applied by its hook.  With no faults the outputs are
   bit-identical to ``lstm_core.cell_step``.
@@ -55,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixedpoint as fp
-from .error_model import ErrorConfig, FaultPlan, gate_paths
+from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths
 from .lstm_core import ACT_STAGES, NONLINEAR_EVALS, MacPipeline, cell_output
 from .mapping import Placement, _split_even
 from .nonlinear import activation_fns
@@ -94,25 +99,34 @@ _BLOCK_ELEMS = 1 << 16
 
 
 class EnergyLedger:
-    """Monotone event counters with exact energy conversion."""
+    """Monotone event counters with exact energy conversion.
+
+    The ops are the keys of DEFAULT_ENERGY_PJ; an unknown op, in `add` or
+    among the `energy_pj` overrides, raises ValueError.
+    """
 
     def __init__(self, energy_pj=None, latency_cycles=None, activation_impl="approx"):
         rates = dict(DEFAULT_ENERGY_PJ)
         if activation_impl == "lut":
             rates["nonlinear_eval"] = LUT_NONLINEAR_PJ
         if energy_pj:
+            unknown = sorted(set(energy_pj) - set(rates))
+            if unknown:
+                raise ValueError(f"unknown ledger ops in energy_pj: {unknown}")
             rates.update(energy_pj)
         self.rates_aj = {k: round(v * _ATTO_PER_PJ) for k, v in rates.items()}
         self.latency_cycles = dict(latency_cycles or DEFAULT_LATENCY_CYCLES)
         self.counters = {k: 0 for k in self.rates_aj}
 
     def add(self, op, n=1):
+        if op not in self.counters:
+            raise ValueError(f"unknown ledger op {op!r}")
         if n < 0:
             raise ValueError("ledger counters are monotone")
-        self.counters[op] = self.counters.get(op, 0) + int(n)
+        self.counters[op] += int(n)
 
     def energy_pj(self) -> float:
-        total_aj = sum(self.counters[k] * self.rates_aj.get(k, 0) for k in self.counters)
+        total_aj = sum(self.counters[k] * self.rates_aj[k] for k in self.counters)
         return total_aj / _ATTO_PER_PJ
 
     def as_dict(self) -> dict:
@@ -122,7 +136,7 @@ class EnergyLedger:
 def energy_report(ledger: EnergyLedger) -> dict:
     """Exact multiply-and-sum energy breakdown."""
     per_op = {
-        op: ledger.counters[op] * ledger.rates_aj.get(op, 0) / _ATTO_PER_PJ
+        op: ledger.counters[op] * ledger.rates_aj[op] / _ATTO_PER_PJ
         for op in sorted(ledger.counters)
     }
     return {
@@ -170,12 +184,13 @@ def _chain_bases(capacities):
 class _LayerGeometry:
     """Per-layer tables, built once per run.
 
-    Slot lookup: each weight path ("x" over the input words, "h" over the
-    recurrent words) is cut into contiguous chunks, one per PE track.  Per
-    path the tables give each slot's chunk, the chain group that feeds each
-    neuron's chunk, and ``turn[group, chunk]``: how far the chunk is rotated
-    when it reaches that group.  ``locate`` turns these into the chunk's
-    words in arrival order; no per-word table is kept.
+    Slot lookup: each weight path (code 0, "x", over the input words; code
+    1, "h", over the recurrent words) is cut into contiguous chunks, one per
+    PE track.  Indexed by path code, the tables give each chunk's first
+    word and size, each slot's chunk, the chain group that feeds each
+    neuron's chunk, and ``turn[path, group, chunk]``: how far the chunk is
+    rotated when it reaches that group.  ``locate`` turns these into the
+    words of a batch of tracks in arrival order; no per-word table is kept.
 
     Step events: the ledger events of one fault-free (layer, timestep), one
     pass of both input chains included, and the per-layer counts.  Faults
@@ -195,25 +210,27 @@ class _LayerGeometry:
         tiles = units // hw.lstm_units_per_tile
         edc_in = bool(cfg and cfg.edc_inputs)
         edc_w = bool(cfg and cfg.edc_weights)
-        self.chunks, self.chunk_of, self.group_of, self.turn = {}, {}, {}, {}
-        for path, layout in (("x", lp.chain), ("h", lp.recurrent_chain)):
-            sizes = np.asarray(_split_even(layout.word_capacity, n_chunks))
-            starts = np.cumsum(sizes) - sizes
-            self.chunks[path] = [(int(a), int(a + k)) for a, k in zip(starts, sizes)]
-            self.chunk_of[path] = np.repeat(np.arange(n_chunks), sizes)
-            bases = _chain_bases(layout.group_capacities)
-            self.group_of[path] = np.minimum(tiles, len(bases) - 1)
+        chains = (lp.chain, lp.recurrent_chain)
+        bases = [_chain_bases(layout.group_capacities) for layout in chains]
+        self.size = np.array([_split_even(layout.word_capacity, n_chunks) for layout in chains])
+        self.lo = np.cumsum(self.size, axis=1) - self.size
+        self.chunk_of = np.zeros((2, max(n, m)), dtype=np.int64)
+        self.group_of = np.empty((2, n_chunks, m), dtype=np.int64)
+        self.turn = np.zeros((2, max(map(len, bases)), n_chunks), dtype=np.int64)
+        for p, (layout, b) in enumerate(zip(chains, bases)):
+            self.chunk_of[p, :layout.word_capacity] = np.repeat(np.arange(n_chunks), self.size[p])
+            self.group_of[p] = np.minimum(tiles, len(b) - 1)
             # Group g receives word (base_g + s) mod n at step s, so each
             # chunk reaches it rotated to start at its first word >= base_g.
-            self.turn[path] = np.clip(bases[:, None] - starts, 0, sizes)
+            self.turn[p, :len(b)] = np.clip(b[:, None] - self.lo[p], 0, self.size[p])
         # One pass of each chain: every group reads, shifts and writes all 16
         # planes once per word.
         chain_steps = 16 * (
             len(lp.chain.group_capacities) * n + len(lp.recurrent_chain.group_capacities) * m
         )
-        paths = gate_paths(lp.cell_type)
-        words = sum(n if p == "x" else m for _g, p in paths)
-        advances = sum(max(hi - lo - 1, 0) for _g, p in paths for lo, hi in self.chunks[p])
+        paths = [PATHS.index(p) for _g, p in gate_paths(lp.cell_type)]
+        words = sum(n if p == 0 else m for p in paths)
+        advances = sum(int(np.maximum(self.size[p] - 1, 0).sum()) for p in paths)
         rewinds = words if hw.rewind_cost == "full_pass" else 0
         self.step_events = {
             "track_read": 16 * m * words + chain_steps,
@@ -234,14 +251,16 @@ class _LayerGeometry:
             "rotation_steps": n,
         }
 
-    def locate(self, neuron, path, chunk):
-        """(chain group, word indices) of a neuron's chunk on a path: the group
-        that feeds the chunk, and the chunk's words in the order they reach
-        it, which is the order the PE track holds them in."""
-        group = self.group_of[path].item(chunk, neuron)
-        lo, hi = self.chunks[path][chunk]
-        mid = lo + self.turn[path].item(group, chunk)
-        return group, np.concatenate((np.arange(mid, hi), np.arange(lo, mid)))
+    def locate(self, neurons, paths, chunks, positions):
+        """(chain groups, words) of a batch of PE tracks, given as arrays of
+        neurons, path codes and chunks: the group that feeds each track, and
+        the words each track holds at `positions` (broadcast against one row
+        per track).  A track holds its chunk's words in the order they reach
+        its group."""
+        group = self.group_of[paths, chunks, neurons]
+        lo, size = self.lo[paths, chunks], self.size[paths, chunks]
+        turn = self.turn[paths, group, chunks]
+        return group, lo[:, None] + (turn[:, None] + positions) % size[:, None]
 
 
 def _check_raw(what, a):
@@ -290,7 +309,26 @@ def _perturb_result_bit(value, plane):
 
 def _weights(params, gate, path):
     gw = params.gates[gate]
-    return gw.w_x if path == "x" else gw.w_h
+    return gw.w_x if path == 0 else gw.w_h
+
+
+def _stored(params, gates, paths, neurons, words):
+    """Stored weights W[path][gate][neuron, word] of rows of `words`."""
+    out = np.empty(words.shape, dtype=np.int64)
+    for gate in range(len(params.gates)):
+        for path in (0, 1):
+            rows = (gates == gate) & (paths == path)
+            out[rows] = _weights(params, gate, path)[neurons[rows, None], words[rows]]
+    return out
+
+
+def _delivered(seen, paths, groups, words):
+    """Words as delivered, seen[path][group, word], of rows of `words`."""
+    out = np.empty(words.shape, dtype=np.int64)
+    for path, by_group in enumerate(seen):
+        rows = paths == path
+        out[rows] = by_group[groups[rows, None], words[rows]]
+    return out
 
 
 def _exact_matmul(weight_blocks, v):
@@ -341,10 +379,10 @@ def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
         x_block = xs[t0:t0 + TIME_BLOCK]
         x_accs = _exact_matmul(w_x, x_block.T)
         for j, x in enumerate(x_block):
-            accs = {
-                "x": x_accs[:, j].reshape(len(gates), m),
-                "h": _exact_matmul(w_h, h).reshape(len(gates), m),
-            }
+            accs = np.stack((
+                x_accs[:, j].reshape(len(gates), m),
+                _exact_matmul(w_h, h).reshape(len(gates), m),
+            ))
             h, c_t = _layer_step_values(
                 lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, ledger, corrections,
             )
@@ -359,69 +397,40 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
                        ledger, corrections):
     """Finish one (layer, timestep) with fault effects; returns (h, c).
 
-    `accs[path]` holds the fault-free (gate, neuron) accumulators of a path;
-    the step's faults correct them in place, in int64 on the touched chunks.
+    `accs[path, gate, neuron]` holds the fault-free accumulators; the step's
+    faults correct them in place, in int64 on the touched chunks.
     """
     key = (lp.index, t)
-    vecs = {"x": np.asarray(x, dtype=np.int64), "h": h_prev}
+    vecs = (np.asarray(x, dtype=np.int64), h_prev)
     # seen[path][group, word]: what each chain group delivered this pass.
-    seen = {}
+    seen = []
     # Shifts held back by EDC corrections, off the step's closed-form count.
     credit = 0
-    for path, layout in (("x", lp.chain), ("h", lp.recurrent_chain)):
-        faults = plan.input_faults.get((lp.index, path, t)) if plan else None
+    for path, (name, layout) in enumerate(zip(PATHS, (lp.chain, lp.recurrent_chain))):
+        faults = plan.input_faults.get((lp.index, name, t)) if plan else None
         if faults:
-            seen[path], corrected, held = _run_faulted_chain(
+            delivered, corrected, held = _run_faulted_chain(
                 layout, vecs[path], faults, plan.cfg.edc_inputs
             )
             corrections["input_corrected"] += corrected
             credit += held
-            delta = seen[path] - vecs[path]
-            for chunk, (lo, hi) in enumerate(geo.chunks[path]):
-                d = delta[geo.group_of[path][chunk], lo:hi]
+            delta = delivered - vecs[path]
+            for chunk, (lo, size) in enumerate(zip(geo.lo[path], geo.size[path])):
+                d = delta[geo.group_of[path, chunk], lo:lo + size]
                 if d.any():
                     for gate in range(len(params.gates)):
-                        w = _weights(params, gate, path)[:, lo:hi].astype(np.int64)
-                        accs[path][gate] += np.einsum("nk,nk->n", w, d)
+                        w = _weights(params, gate, path)[:, lo:lo + size].astype(np.int64)
+                        accs[path, gate] += np.einsum("nk,nk->n", w, d)
         else:
             groups = len(layout.group_capacities)
-            seen[path] = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
+            delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
+        seen.append(delivered)
 
-    # Weight faults, one protocol pass per faulted PE track (neuron, gate,
-    # path, chunk): zero substitutions (EDC on) or misaligned reads (EDC off).
-    effective = {}
-    if plan and plan.weight_faults.get(key):
-        tracks = {}
-        for neuron, gate, path, plane, slot in plan.weight_faults[key]:
-            chunk = int(geo.chunk_of[path][slot])
-            lo = geo.chunks[path][chunk][0]
-            track = tracks.setdefault((neuron, gate, path, chunk), {})
-            track.setdefault(plane, []).append(slot - lo)
-        for (neuron, gate, path, chunk), fault_slots in tracks.items():
-            lo = geo.chunks[path][chunk][0]
-            group, words = geo.locate(neuron, path, chunk)
-            stored = _weights(params, gate, path)[neuron, words].astype(np.int64)
-            read, zeroed, held = weight_pass(stored, fault_slots, plan.cfg.edc_weights)
-            corrections["weight_zeroed"] += zeroed
-            corrections["suppressed_shifts"] += held
-            credit += held
-            accs[path][gate, neuron] += (read - stored) @ seen[path][group, words]
-            for j in np.flatnonzero(read != stored):
-                effective[(neuron, gate, path, lo + int(j))] = int(read[j])
-
-    # Logic faults on MAC products.
-    if plan and plan.mac_faults.get(key):
-        for neuron, gate, path, slot, plane in plan.mac_faults[key]:
-            chunk = int(geo.chunk_of[path][slot])
-            group, words = geo.locate(neuron, path, chunk)
-            word = words[slot - geo.chunks[path][chunk][0]]
-            wv = effective.get(
-                (neuron, gate, path, slot), int(_weights(params, gate, path)[neuron, word])
-            )
-            product = wv * int(seen[path][group, word])
-            delta = _perturb_result_bit(product, plane + fp.FRAC_BITS) - product
-            accs[path][gate, neuron] += delta
-            corrections["logic_faults"] += 1
+    if plan:
+        credit += _weight_and_logic_faults(
+            geo, params, plan.weight_faults.get(key), plan.mac_faults.get(key),
+            plan.cfg.edc_weights, accs, seen, corrections,
+        )
 
     for op, count in geo.step_events.items():
         ledger.add(op, count - credit if op == "track_shift" else count)
@@ -440,12 +449,61 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
 
     # The accumulators narrow once per gate; the GRU candidate's h-path
     # narrows alone (the reset gate scales it inside the kernel).
-    wide = accs["x"] + accs["h"] + bias
+    wide = accs[0] + accs[1] + bias
     if lp.cell_type == "GRU":
-        wide = np.concatenate([wide[:2], accs["x"][2:] + bias[2:], accs["h"][2:]])
+        wide = np.concatenate([wide[:2], accs[0][2:] + bias[2:], accs[1][2:]])
     pre = list(fp.narrow_raw(wide))
-    return cell_output(lp.cell_type, pre, vecs["h"], c_prev, acts,
+    return cell_output(lp.cell_type, pre, vecs[1], c_prev, acts,
                        apply_act_faults if act_events else None)
+
+
+def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, seen,
+                             corrections):
+    """Apply one step's weight and logic faults to `accs[path, gate, neuron]`
+    and return the shifts EDC held back.
+
+    The fault rows are ``FaultPlan``'s arrays (or None).  Every faulted PE
+    track (neuron, gate, path, chunk) is read in one batched ``weight_pass``:
+    zero substitutions (EDC on) or misaligned reads (EDC off).  A logic
+    fault mis-shifts one bit, plane + FRAC_BITS, of its MAC product: the
+    weight its track read (as read if the track is faulted this step) times
+    the word its chain group delivered.
+    """
+    # One integer key per PE track (neuron, gate, path, chunk).
+    dims = (accs.shape[2], accs.shape[1], 2, geo.size.shape[1])
+    held = 0
+    if weight_faults is not None:
+        neuron, gate, path, plane, slot = weight_faults.T.astype(np.int64)
+        chunk = geo.chunk_of[path, slot]
+        faults = (plane, slot - geo.lo[path, chunk])
+        tracks, first, track = np.unique(
+            np.ravel_multi_index((neuron, gate, path, chunk), dims),
+            return_index=True, return_inverse=True,
+        )
+        neuron, gate, path, chunk = neuron[first], gate[first], path[first], chunk[first]
+        size = geo.size[path, chunk]
+        group, words = geo.locate(neuron, path, chunk, np.arange(size.max()))
+        stored = _stored(params, gate, path, neuron, words)
+        read, zeroed, held = weight_pass(stored, size, np.stack((track, *faults), axis=1), edc)
+        corrections["weight_zeroed"] += zeroed
+        corrections["suppressed_shifts"] += held
+        change = np.einsum("tk,tk->t", read - stored, _delivered(seen, path, group, words))
+        np.add.at(accs, (path, gate, neuron), change)
+    if mac_faults is not None:
+        neuron, gate, path, slot, plane = mac_faults.T.astype(np.int64)
+        chunk = geo.chunk_of[path, slot]
+        position = slot - geo.lo[path, chunk]
+        group, word = geo.locate(neuron, path, chunk, position[:, None])
+        weight = _stored(params, gate, path, neuron, word)[:, 0]
+        if weight_faults is not None:
+            key = np.ravel_multi_index((neuron, gate, path, chunk), dims)
+            hit = np.isin(key, tracks)
+            weight[hit] = read[np.searchsorted(tracks, key[hit]), position[hit]]
+        product = weight * _delivered(seen, path, group, word)[:, 0]
+        shift = plane + fp.FRAC_BITS
+        np.add.at(accs, (path, gate, neuron), ((product >> shift) & 1) << shift)
+        corrections["logic_faults"] += len(mac_faults)
+    return held
 
 
 def _layer_step_timing(lp, start, pipes, hw, impl):

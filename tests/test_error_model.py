@@ -1,7 +1,8 @@
 """Fault protocol: ``racetrack.weight_pass`` (the weight-track protocol the
-simulator applies) against the ``WeightTrackGroup`` device model; fault
-plans decoded as a per-event reference decode does them, and independent
-of the EDC flags."""
+simulator applies), single tracks and padded batches, against the
+``WeightTrackGroup`` device model; fault plans decoded as a per-event
+reference decode does them (weight and MAC events as int32 rows, path coded
+by its index in ``PATHS``), and independent of the EDC flags."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnnfast.error_model import (
+    PATHS,
     REGIONS,
     SITES,
     ErrorConfig,
@@ -43,11 +45,10 @@ def device_pass(weights, faults, edc):
 
 
 def protocol_pass(weights, faults, edc):
-    fault_slots = {}
-    for slot, plane in sorted(faults):
-        fault_slots.setdefault(plane, []).append(slot)
-    read, zeroed, suppressed = weight_pass(weights, fault_slots, edc)
-    return [int(v) for v in read], zeroed, suppressed
+    """``device_pass`` through the batched protocol, as a batch of one."""
+    rows = [(0, plane, slot) for slot, plane in sorted(faults)]
+    read, zeroed, suppressed = weight_pass([weights], [len(weights)], rows, edc)
+    return read[0].tolist(), zeroed, suppressed
 
 
 @st.composite
@@ -64,6 +65,45 @@ def passes(draw):
 def test_weight_pass_matches_the_device_for_faults_after_slot_0(case, edc):
     weights, faults = case
     assert protocol_pass(weights, faults, edc) == device_pass(weights, faults, edc)
+
+
+@st.composite
+def batches(draw):
+    """1-6 tracks of different lengths padded into one matrix, each with
+    faults after slot 0 on several planes, in runs of consecutive slots;
+    the fault rows come in any order."""
+    tracks = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, 12))
+        weights = draw(st.lists(st.integers(-32768, 32767), min_size=k, max_size=k))
+        faults = set()
+        if k > 1:
+            for plane in draw(st.lists(st.integers(0, WORD_PLANES - 1), max_size=3)):
+                start = draw(st.integers(1, k - 1))
+                run = draw(st.integers(1, k - start))
+                faults |= {(slot, plane) for slot in range(start, start + run)}
+        tracks.append((weights, faults))
+    rows = [(i, plane, slot) for i, (_w, faults) in enumerate(tracks) for slot, plane in faults]
+    width = max(len(w) for w, _f in tracks) + draw(st.integers(0, 3))
+    return tracks, width, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batches(), st.booleans())
+def test_batched_weight_pass_matches_the_device_track_by_track(case, edc):
+    tracks, width, rows = case
+    matrix = np.full((len(tracks), width), 0x5A5A, dtype=np.int64)
+    for i, (weights, _faults) in enumerate(tracks):
+        matrix[i, :len(weights)] = weights
+    read, zeroed, suppressed = weight_pass(
+        matrix, [len(w) for w, _f in tracks], np.array(rows, dtype=np.int64).reshape(-1, 3), edc
+    )
+    want = [device_pass(weights, faults, edc) for weights, faults in tracks]
+    for i, (weights, _faults) in enumerate(tracks):
+        assert read[i, :len(weights)].tolist() == want[i][0]
+        assert read[i, len(weights):].tolist() == [0x5A5A] * (width - len(weights))
+    assert zeroed == sum(z for _r, z, _s in want)
+    assert suppressed == sum(s for _r, _z, s in want)
 
 
 @pytest.mark.xfail(
@@ -88,7 +128,7 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
     ]
 
     def events(plan):
-        return plan.input_faults, plan.weight_faults, plan.mac_faults, plan.act_faults
+        return plan.input_faults, rows(plan.weight_faults), rows(plan.mac_faults), plan.act_faults
 
     assert all(events(plans[0]))
     for plan in plans[1:]:
@@ -98,8 +138,8 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
 
 def test_weight_pass_displaced_plane_reads_blank_past_the_end():
     # Plane 15 (the sign) of the last slot comes from beyond the track: 0.
-    read, zeroed, suppressed = weight_pass(np.array([-1, -1]), {15: [1]}, False)
-    assert read.tolist() == [-1, 0x7FFF] and (zeroed, suppressed) == (0, 0)
+    read, zeroed, suppressed = weight_pass(np.array([[-1, -1]]), [2], [(0, 15, 1)], False)
+    assert read.tolist() == [[-1, 0x7FFF]] and (zeroed, suppressed) == (0, 0)
 
 
 def reference_plan(cfg, placement):
@@ -147,16 +187,21 @@ def reference_plan(cfg, placement):
 
         if "weight_arrays" in cfg.sites:
             for key, neuron, gate, path, slot, plane in slot_events("weight_arrays"):
-                weights.setdefault(key, []).append((neuron, gate, path, plane, slot))
+                weights.setdefault(key, []).append((neuron, gate, PATHS.index(path), plane, slot))
         if "logic" in cfg.sites:
             for key, neuron, gate, path, slot, plane in slot_events("logic"):
-                macs.setdefault(key, []).append((neuron, gate, path, slot, plane))
+                macs.setdefault(key, []).append((neuron, gate, PATHS.index(path), slot, plane))
             n_acts = NONLINEAR_EVALS[lp.cell_type]
             for p, pk in draw("logic", l, 1, m * T * n_acts):
                 neuron, rest = divmod(int(p), T * n_acts)
                 t, act = divmod(rest, n_acts)
                 acts.setdefault((l, t), []).append((neuron, act, planes[int(pk)]))
     return inputs, weights, macs, acts
+
+
+def rows(faults):
+    """Fault arrays by (layer, t) as lists of row tuples."""
+    return {key: [tuple(row) for row in a.tolist()] for key, a in faults.items()}
 
 
 def ordered(obj):
@@ -197,7 +242,10 @@ def test_fault_plan_matches_the_reference_decode(layout, steps):
     ):
         cfg = ErrorConfig(p_overshift=5e-2, sites=sites, bit_region=region, seed=seed)
         plan = FaultPlan(cfg, placement)
-        got = (plan.input_faults, plan.weight_faults, plan.mac_faults, plan.act_faults)
+        assert all(a.dtype == np.int32 and a.shape[1] == 5
+                   for a in (*plan.weight_faults.values(), *plan.mac_faults.values()))
+        got = (plan.input_faults, rows(plan.weight_faults), rows(plan.mac_faults),
+               plan.act_faults)
         want = reference_plan(cfg, placement)
         assert ordered(got) == ordered(want), (sites, region)
         hit = [h or bool(d) for h, d in zip(hit, want)]

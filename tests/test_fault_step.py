@@ -1,0 +1,189 @@
+"""The simulator's batched weight- and logic-fault step against a per-event
+oracle.
+
+``_weight_and_logic_faults`` reads every faulted PE track of a (layer,
+timestep) in one batched ``weight_pass`` and applies all logic faults as
+array operations.  The oracle below is the per-track loop it replaced: one
+single-track protocol pass per faulted track (kept here in its single-track
+form), a brute-force arrival order, and one lookup per MAC fault that takes
+the weight as read when a weight fault of the same step hit its track.
+Both must give the same accumulators, corrections and held shifts.
+"""
+
+import numpy as np
+import pytest
+from test_simulator import CELLS, LAYOUTS
+
+from rnnfast import fixedpoint as fp
+from rnnfast.error_model import ErrorConfig, FaultPlan
+from rnnfast.mapping import LayerSpec, NetworkSpec, map_network
+from rnnfast.presets import generate_network_params
+from rnnfast.simulator import _LayerGeometry, _weight_and_logic_faults
+
+SEEDS = range(20)
+# The step does not depend on the timestep: one step per layer and seed.
+MAX_STEPS = 1
+
+
+def single_track_pass(weights, fault_slots, edc):
+    """One whole pass of one weight track; `fault_slots` maps a plane to its
+    fault slots.  Returns (weights as read, zero substitutions, suppressed
+    shifts), slot-0 faults taking effect as in ``weight_pass``."""
+    w = np.asarray(weights, dtype=np.int64)
+    k = len(w)
+    if edc:
+        zeros, suppressed = set(), 0
+        for slots in fault_slots.values():
+            held = None
+            for s in sorted(slots):
+                if s == held:
+                    continue
+                zeros.add(s)
+                held = s + 1
+                suppressed += held < k
+        out = w.copy()
+        out[list(zeros)] = 0
+        return out, len(zeros), suppressed
+    unsigned = w & 0xFFFF
+    idx = np.arange(k)
+    for plane, slots in fault_slots.items():
+        src = idx + np.searchsorted(np.sort(slots), idx, side="right")
+        bits = np.where(src < k, (unsigned[np.minimum(src, k - 1)] >> plane) & 1, 0)
+        unsigned = (unsigned & ~(1 << plane)) | (bits << plane)
+    return np.where(unsigned >= 1 << 15, unsigned - (1 << 16), unsigned), 0, 0
+
+
+def arrival_words(geo, lp, neuron, path, chunk):
+    """The chunk's words in the order its feeding group receives them: group
+    g receives word (base_g + s) mod n at step s."""
+    chain = (lp.chain, lp.recurrent_chain)[path]
+    n = chain.word_capacity
+    group = int(geo.group_of[path, chunk, neuron])
+    base = sum(chain.group_capacities[:group])
+    lo = int(geo.lo[path, chunk])
+    hi = lo + int(geo.size[path, chunk])
+    return group, [w for w in ((base + s) % n for s in range(n)) if lo <= w < hi]
+
+
+def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, corrections,
+           honour_weight_faults=True):
+    def weights(gate, path):
+        return (params.gates[gate].w_x, params.gates[gate].w_h)[path]
+
+    effective = {}
+    credit = 0
+    tracks = {}
+    for neuron, gate, path, plane, slot in [] if weight_faults is None else weight_faults.tolist():
+        chunk = int(geo.chunk_of[path, slot])
+        fault_slots = tracks.setdefault((neuron, gate, path, chunk), {})
+        fault_slots.setdefault(plane, []).append(slot - int(geo.lo[path, chunk]))
+    for (neuron, gate, path, chunk), fault_slots in tracks.items():
+        group, words = arrival_words(geo, lp, neuron, path, chunk)
+        stored = weights(gate, path)[neuron, words].astype(np.int64)
+        read, zeroed, held = single_track_pass(stored, fault_slots, edc)
+        corrections["weight_zeroed"] += zeroed
+        corrections["suppressed_shifts"] += held
+        credit += held
+        accs[path, gate, neuron] += int((read - stored) @ seen[path][group, words])
+        lo = int(geo.lo[path, chunk])
+        for j, value in enumerate(read.tolist()):
+            effective[(neuron, gate, path, lo + j)] = value
+    for neuron, gate, path, slot, plane in [] if mac_faults is None else mac_faults.tolist():
+        chunk = int(geo.chunk_of[path, slot])
+        group, words = arrival_words(geo, lp, neuron, path, chunk)
+        word = words[slot - int(geo.lo[path, chunk])]
+        wv = int(weights(gate, path)[neuron, word])
+        if honour_weight_faults:
+            wv = effective.get((neuron, gate, path, slot), wv)
+        product = wv * int(seen[path][group, word])
+        shift = plane + fp.FRAC_BITS
+        accs[path, gate, neuron] += ((product >> shift) & 1) << shift
+        corrections["logic_faults"] += 1
+    return credit
+
+
+def random_state(rng, lp, params):
+    """Random accumulators and per-group deliveries, different in every
+    group, so a wrong group or word lookup shows."""
+    accs = rng.integers(-(1 << 40), 1 << 40, (2, len(params.gates), lp.neurons))
+    seen = [
+        rng.integers(-32768, 32768, (len(chain.group_capacities), chain.word_capacity))
+        for chain in (lp.chain, lp.recurrent_chain)
+    ]
+    return accs, seen
+
+
+def both(lp, geo, params, weight_faults, mac_faults, edc, accs, seen):
+    """(accumulators, corrections, held shifts) of the step and the oracle."""
+    results = []
+    for step in (
+        lambda a, c: _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc,
+                                              a, seen, c),
+        lambda a, c: oracle(lp, geo, params, weight_faults, mac_faults, edc, a, seen, c),
+    ):
+        a = accs.copy()
+        corrections = {"weight_zeroed": 0, "suppressed_shifts": 0, "logic_faults": 0}
+        held = step(a, corrections)
+        results.append((a.tolist(), corrections, held))
+    return results
+
+
+def layout_net(cell, layout):
+    hw, widths, steps = LAYOUTS[layout]
+    layers = tuple(LayerSpec(cell, m, n) for n, m in zip(widths, widths[1:]))
+    return map_network(NetworkSpec(layers, min(steps, MAX_STEPS)), hw)
+
+
+@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
+    placement = layout_net(cell, layout)
+    geos = [_LayerGeometry(lp, placement.hw, None) for lp in placement.layers]
+    faults = weight_zeroed = logic = 0
+    for seed in SEEDS:
+        params = generate_network_params(placement.spec, 100 + seed)
+        cfg = ErrorConfig(p_overshift=5e-2, sites={"weight_arrays", "logic"},
+                          edc_weights=edc, seed=seed)
+        plan = FaultPlan(cfg, placement)
+        rng = np.random.default_rng(seed)
+        for key in sorted(set(plan.weight_faults) | set(plan.mac_faults)):
+            lp, geo, p = placement.layers[key[0]], geos[key[0]], params[key[0]]
+            accs, seen = random_state(rng, lp, p)
+            wf, mf = plan.weight_faults.get(key), plan.mac_faults.get(key)
+            got, want = both(lp, geo, p, wf, mf, edc, accs, seen)
+            assert got == want, (seed, key)
+            faults += 0 if wf is None else len(wf)
+            weight_zeroed += want[1]["weight_zeroed"]
+            logic += want[1]["logic_faults"]
+    assert faults > 0 and logic > 0
+    assert (weight_zeroed > 0) == edc
+
+
+@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
+def test_a_logic_fault_reads_the_weight_its_track_read_this_step(edc):
+    """A MAC fault and a weight fault on one (neuron, gate, path, slot): the
+    product uses the weight as read, which differs from the stored one for
+    some planes."""
+    placement = layout_net("LSTM", "split")
+    lp = placement.layers[0]
+    geo = _LayerGeometry(lp, placement.hw, None)
+    params = generate_network_params(placement.spec, 7)[0]
+    rng = np.random.default_rng(7)
+    accs, seen = random_state(rng, lp, params)
+    neuron, gate, path = 3, 2, 0
+    slot = int(geo.lo[path, 1]) + 2    # third slot of chunk 1
+    honoured = 0
+    for plane_w in range(16):
+        for plane_m in (0, 7, 15):
+            wf = np.array([[neuron, gate, path, plane_w, slot]], dtype=np.int32)
+            mf = np.array([[neuron, gate, path, slot, plane_m],
+                           [neuron + 1, gate, path, slot, plane_m]], dtype=np.int32)
+            got, want = both(lp, geo, params, wf, mf, edc, accs, seen)
+            assert got == want, (plane_w, plane_m)
+            naive = accs.copy()
+            corrections = {"weight_zeroed": 0, "suppressed_shifts": 0, "logic_faults": 0}
+            oracle(lp, geo, params, wf, mf, edc, naive, seen, corrections,
+                   honour_weight_faults=False)
+            honoured += naive.tolist() != want[0]
+    assert honoured > 0

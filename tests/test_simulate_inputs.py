@@ -1,5 +1,5 @@
 """``simulate`` rejects input streams, weights and biases that are not raw
-Q8.8 integers."""
+Q8.8 integers, and energy overrides for ops the ledger does not count."""
 
 from dataclasses import replace
 
@@ -9,7 +9,7 @@ import pytest
 from rnnfast.lstm_core import LayerParams
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
-from rnnfast.simulator import simulate
+from rnnfast.simulator import DEFAULT_ENERGY_PJ, EnergyLedger, simulate
 
 SPEC = NetworkSpec((LayerSpec("LSTM", 3, 2),), 1)
 PLACEMENT = map_network(SPEC, HardwareConfig())
@@ -79,3 +79,21 @@ def test_in_range_wide_integer_weights_are_accepted():
     assert np.array_equal(simulate(PLACEMENT, wide, [[1, 2]]).outputs[0],
                           simulate(PLACEMENT, PARAMS, [[1, 2]]).outputs[0])
     assert simulate(PLACEMENT, edge, [[1, 2]]).outputs[0].shape == (1, 3)
+
+
+def test_unknown_ledger_ops_are_rejected():
+    with pytest.raises(ValueError, match="mac_isue"):
+        simulate(PLACEMENT, PARAMS, [[1, 2]], energy_pj={"mac_isue": 1.0})
+    ledger = EnergyLedger()
+    with pytest.raises(ValueError, match="mac_isue"):
+        ledger.add("mac_isue")
+    assert set(ledger.counters) == set(DEFAULT_ENERGY_PJ)
+    assert set(ledger.counters.values()) == {0}
+
+
+def test_known_energy_overrides_change_only_their_op():
+    base = simulate(PLACEMENT, PARAMS, [[1, 2]])
+    cheap = simulate(PLACEMENT, PARAMS, [[1, 2]], energy_pj={"mac_issue": 0.0})
+    assert cheap.counters == base.counters
+    mac_pj = base.counters["mac_issue"] * DEFAULT_ENERGY_PJ["mac_issue"]
+    assert cheap.total_energy_pj == pytest.approx(base.total_energy_pj - mac_pj)

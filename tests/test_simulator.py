@@ -135,17 +135,25 @@ def test_locate_gives_each_chunk_in_its_groups_arrival_order(cell, layout):
     placement, _params, _inputs = net(cell, "approx", layout)
     for lp in placement.layers:
         geo = _LayerGeometry(lp, placement.hw, None)
-        for path, chain in (("x", lp.chain), ("h", lp.recurrent_chain)):
+        neurons = np.arange(lp.neurons)
+        for path, chain in enumerate((lp.chain, lp.recurrent_chain)):
             n = chain.word_capacity
-            assert [w for lo, hi in geo.chunks[path] for w in range(lo, hi)] == list(range(n))
+            chunks = list(zip(geo.lo[path], geo.lo[path] + geo.size[path]))
+            assert [w for lo, hi in chunks for w in range(lo, hi)] == list(range(n))
+            assert geo.chunk_of[path, :n].tolist() == [
+                c for c, (lo, hi) in enumerate(chunks) for _w in range(lo, hi)
+            ]
             bases = np.cumsum((0,) + chain.group_capacities[:-1])
-            for neuron in range(lp.neurons):
-                for chunk, (lo, hi) in enumerate(geo.chunks[path]):
-                    group, words = geo.locate(neuron, path, chunk)
+            for chunk, (lo, hi) in enumerate(chunks):
+                groups, words = geo.locate(
+                    neurons, np.full_like(neurons, path), np.full_like(neurons, chunk),
+                    np.arange(hi - lo),
+                )
+                for group, row in zip(groups, words.tolist()):
                     assert 0 <= group < len(bases)
                     # Group g receives word (base_g + s) mod n at step s.
                     arrival = [(bases[group] + s) % n for s in range(n)]
-                    assert words.tolist() == [w for w in arrival if lo <= w < hi]
+                    assert row == [w for w in arrival if lo <= w < hi]
 
 
 def test_long_layout_ends_three_steps_into_a_second_time_block():

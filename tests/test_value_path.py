@@ -1,10 +1,12 @@
-"""The simulator's exact float64 kernel and its memory bound.
+"""The simulator's exact float64 kernel and its memory bounds.
 
 ``_exact_matmul`` must equal int64 matmul bit for bit on every raw Q8.8
 operand, whatever the width, the row blocking or the number of columns; and
 ``simulate`` must hold no float64 copy of a weight matrix and no per-word
 table of chain groups, which the ``tracemalloc`` peak of a run on the
-widest preset shows (below 1/32 of its int16 weights).
+widest preset shows (below 1/32 of its int16 weights).  A ``FaultPlan`` on
+that preset must hold its weight and MAC events as int32 rows, not Python
+tuples (a quarter of their retained size).
 """
 
 import tracemalloc
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnnfast.error_model import DEFAULT_P_OVERSHIFT, ErrorConfig, FaultPlan
 from rnnfast.mapping import map_network
 from rnnfast.presets import generate_inputs, generate_network_params, get_preset
 from rnnfast.simulator import _exact_matmul, simulate
@@ -92,6 +95,24 @@ def test_simulate_peak_memory_is_a_fraction_of_the_weights():
         tracemalloc.stop()
     assert result.outputs[0].shape == (4, 2816)
     assert peak < weight_bytes / 32, (peak, weight_bytes)
+
+
+def test_fault_plan_memory_is_a_quarter_of_python_tuples():
+    # A 20-step d-speech slice at the paper's rate has 116,190 events; held
+    # as Python tuples, its plan retained 13.8 MiB (125 bytes per event).
+    preset = get_preset("d-speech")
+    cfg = ErrorConfig(p_overshift=DEFAULT_P_OVERSHIFT, seed=0)
+    # A one-step plan first, so that numpy's lazy imports are not counted.
+    FaultPlan(cfg, map_network(replace(preset.spec, timesteps=1), preset.hardware()))
+    placement = map_network(replace(preset.spec, timesteps=20), preset.hardware())
+    tracemalloc.start()
+    try:
+        plan = FaultPlan(cfg, placement)
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.total_events() == 116_190
+    assert retained <= 13.8 * 2**20 / 4, retained
 
 
 def test_mac_sample_is_the_first_issues_of_layer_0():
