@@ -30,11 +30,14 @@ Three layers of model live here:
   alternates 0/1 by weight index, so a misaligned plane's observed check bit
   disagrees with the expected parity; on mismatch the returned weight is
   exactly zero and the misaligned plane's next shift is suppressed, which
-  realigns the stream from the following weight onward.  ``weight_pass`` is
-  its vectorized form over whole passes of a batch of tracks, as array
-  operations on a padded weight matrix, and the only implementation of
-  this protocol that the simulator uses: one call per (layer, timestep)
-  reads every faulted PE track.
+  realigns the stream from the following weight onward.  Its vectorized
+  form over whole passes of a batch of tracks, the only implementation of
+  this protocol that the simulator uses, is split by the EDC setting:
+  ``weight_zeros`` (EDC on) finds the zeroed (track, slot) pairs and the
+  held shifts from the fault rows and track lengths alone, since every
+  other slot reads its stored weight; ``weight_pass`` (EDC off) reads a
+  padded weight matrix with its misaligned planes.  In the simulator, one
+  call per (layer, timestep) covers every faulted PE track of the step.
 
 Fault decisions are injected by the caller (a callable per shift event), so
 the device model itself holds no randomness.  Counters are reported through
@@ -327,19 +330,49 @@ class WeightTrackGroup:
         self._suppress = [False] * self.planes
 
 
-def weight_pass(weights, lengths, faults, edc_enabled):
-    """Whole passes of a batch of ``WeightTrackGroup`` tracks, vectorized.
+def weight_zeros(lengths, faults):
+    """Zero substitutions of whole EDC-on passes of a batch of
+    ``WeightTrackGroup`` tracks, from the fault rows alone.
+
+    `lengths[i]` is track i's number of weights; `faults` holds rows
+    (track, plane, slot), one per overshooting advance, in any order.  A
+    detected fault zeroes its slot and holds that plane's next shift, so in
+    every run of consecutive fault slots on one (track, plane) each second
+    fault is a no-op.  Returns (the zeroed slots as distinct rows (track,
+    slot), sorted; the shifts held back, summed over the batch).  Every
+    other slot reads its stored weight.
+
+    Known defect: unlike ``read_next``, a fault at slot 0 takes effect
+    although no shift precedes the first read.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    track, plane, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 3).T
+    order = np.lexsort((slot, plane, track))
+    track, plane, slot = track[order], plane[order], slot[order]
+    run_start = np.ones(len(slot), dtype=bool)
+    run_start[1:] = (track[1:] != track[:-1]) | (plane[1:] != plane[:-1]) | (
+        slot[1:] != slot[:-1] + 1
+    )
+    starts = np.flatnonzero(run_start)
+    index_in_run = np.arange(len(slot)) - starts[np.cumsum(run_start) - 1]
+    live = index_in_run % 2 == 0
+    track, slot = track[live], slot[live]
+    held = int(np.count_nonzero(slot + 1 < lengths[track]))
+    k = int(lengths.max(initial=1))
+    zeroed = np.unique(track * k + slot)
+    return np.stack(np.divmod(zeroed, k), axis=1), held
+
+
+def weight_pass(weights, lengths, faults):
+    """Whole EDC-off passes of a batch of ``WeightTrackGroup`` tracks,
+    vectorized.
 
     `weights` is a (tracks, K) matrix of raw weights in arrival order, row
     i holding its track's `lengths[i]` weights first; `faults` holds rows
-    (track, plane, slot), one per overshooting advance.  Returns (weights as
-    read, the entries past each track's length as given; zero
-    substitutions; suppressed shifts), the counts summed over the batch.
-    With EDC on, a detected fault zeroes its slot and holds that plane's
-    next shift, so in every run of consecutive fault slots on one (track,
-    plane) each second fault is a no-op.  With EDC off, every fault
+    (track, plane, slot), one per overshooting advance.  Every fault
     displaces its plane by one more word for the rest of the pass, and a
-    plane displaced past the end reads blank (0) bits.
+    plane displaced past the end reads blank (0) bits.  Returns the weights
+    as read, the entries past each track's length as given.
 
     Known defect: unlike ``read_next``, a fault at slot 0 takes effect
     although no shift precedes the first read.
@@ -347,21 +380,6 @@ def weight_pass(weights, lengths, faults, edc_enabled):
     w = np.asarray(weights, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     track, plane, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 3).T
-    if edc_enabled:
-        order = np.lexsort((slot, plane, track))
-        track, plane, slot = track[order], plane[order], slot[order]
-        run_start = np.ones(len(slot), dtype=bool)
-        run_start[1:] = (track[1:] != track[:-1]) | (plane[1:] != plane[:-1]) | (
-            slot[1:] != slot[:-1] + 1
-        )
-        starts = np.flatnonzero(run_start)
-        index_in_run = np.arange(len(slot)) - starts[np.cumsum(run_start) - 1]
-        live = index_in_run % 2 == 0
-        track, slot = track[live], slot[live]
-        out = w.copy()
-        out[track, slot] = 0
-        zeroed = len(np.unique(track * w.shape[1] + slot))
-        return out, zeroed, int(np.count_nonzero(slot + 1 < lengths[track]))
     # Displacement of each faulted (track, plane) at each slot: its faults
     # at or before that slot.  Pairs come out sorted by track.
     k = w.shape[1]
@@ -379,4 +397,4 @@ def weight_pass(weights, lengths, faults, edc_enabled):
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
     for r in range(rank.max(initial=-1) + 1):
         unsigned[rows[rank == r]] ^= flips[rank == r]
-    return np.where(np.arange(k) < lengths[:, None], unsigned.astype(np.int16), w), 0, 0
+    return np.where(np.arange(k) < lengths[:, None], unsigned.astype(np.int16), w)

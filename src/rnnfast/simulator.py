@@ -14,19 +14,24 @@ Values and timing are deliberately decoupled and run as two loops:
   error-free argument of Ozaki et al., Numer. Algorithms, 2012).
   ``simulate`` therefore rejects weights, biases and inputs outside the
   16-bit range.  The step's fault effects from the run's FaultPlan then
-  correct the accumulators in int64, on the touched chunks only.  Chain
-  passes with faults are replayed through the word-level track model
-  (``InputTrackChain``), booked in closed form less the shifts that EDC
+  correct the accumulators in int64, on the touched chunks only.  A chain
+  pass with faults is replayed through the word-level track model
+  (``InputTrackChain``) over the window its faults can reach: from the
+  first faulted step to the end of the pass with EDC off, and to the step
+  after the last fault with EDC on; every other delivery is the fault-free
+  word.  Passes are booked in closed form less the shifts that EDC
   corrections held back.  Weight and logic faults cost array operations
-  per (layer, timestep), not Python work per track or word: one batched
-  ``racetrack.weight_pass`` call, the one implementation of the
-  weight-track protocol (zero substitutions with EDC on, per-plane
-  misaligned reads with EDC off), reads every faulted PE track of the
-  step, and its corrections are one gather of the delivered words, one
-  row-wise dot and one scatter-add.  Logic faults are one vectorized pass:
-  each perturbs one bit of its MAC product (the weight as its track read
-  it, times the word its chain group delivered) by one significance
-  position.  The narrowed accumulators go through
+  per (layer, timestep), not Python work per track or word, through the
+  one implementation of the weight-track protocol in ``racetrack``.  With
+  EDC on, ``weight_zeros`` finds the zeroed slots of every faulted PE
+  track of the step from the fault rows alone, and each zeroed slot takes
+  its stored weight times its delivered word off the accumulator.  With
+  EDC off, one ``weight_pass`` call reads the faulted tracks with their
+  misaligned planes, and its corrections are one gather of the delivered
+  words, one row-wise dot and one scatter-add.  Logic faults are one
+  vectorized pass: each perturbs one bit of its MAC product (the weight
+  as its track read it, times the word its chain group delivered) by one
+  significance position.  The narrowed accumulators go through
   ``lstm_core.cell_output``, the one copy of the cell equations, with
   activation faults applied by its hook.  With no faults the outputs are
   bit-identical to ``lstm_core.cell_step``.
@@ -62,9 +67,9 @@ import numpy as np
 from . import fixedpoint as fp
 from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths
 from .lstm_core import ACT_STAGES, NONLINEAR_EVALS, MacPipeline, cell_output
-from .mapping import Placement, _split_even
+from .mapping import HardwareConfig, Placement, _split_even
 from .nonlinear import activation_fns
-from .racetrack import InputTrackChain, weight_pass
+from .racetrack import InputTrackChain, weight_pass, weight_zeros
 
 # Per-operation energy, picojoules.  Track rates are the device parameters;
 # the rest are desk defaults derived from each unit's racetrack composition
@@ -85,10 +90,6 @@ DEFAULT_ENERGY_PJ = {
 }
 LUT_NONLINEAR_PJ = 2.31
 
-# Per-operation latency in cycles at the 0.5 ns clock (read 1 ns, shift and
-# shift-based write 0.5 ns).
-DEFAULT_LATENCY_CYCLES = {"track_read": 2, "track_shift": 1, "track_write": 1}
-
 _ATTO_PER_PJ = 10**6
 
 # Timesteps whose input paths share one kernel call.
@@ -105,7 +106,7 @@ class EnergyLedger:
     among the `energy_pj` overrides, raises ValueError.
     """
 
-    def __init__(self, energy_pj=None, latency_cycles=None, activation_impl="approx"):
+    def __init__(self, energy_pj=None, activation_impl="approx"):
         rates = dict(DEFAULT_ENERGY_PJ)
         if activation_impl == "lut":
             rates["nonlinear_eval"] = LUT_NONLINEAR_PJ
@@ -115,7 +116,6 @@ class EnergyLedger:
                 raise ValueError(f"unknown ledger ops in energy_pj: {unknown}")
             rates.update(energy_pj)
         self.rates_aj = {k: round(v * _ATTO_PER_PJ) for k, v in rates.items()}
-        self.latency_cycles = dict(latency_cycles or DEFAULT_LATENCY_CYCLES)
         self.counters = {k: 0 for k in self.rates_aj}
 
     def add(self, op, n=1):
@@ -133,8 +133,9 @@ class EnergyLedger:
         return dict(sorted(self.counters.items()))
 
 
-def energy_report(ledger: EnergyLedger) -> dict:
-    """Exact multiply-and-sum energy breakdown."""
+def energy_report(ledger: EnergyLedger, hw: HardwareConfig) -> dict:
+    """Exact multiply-and-sum energy breakdown, with the track op latencies
+    of `hw`."""
     per_op = {
         op: ledger.counters[op] * ledger.rates_aj[op] / _ATTO_PER_PJ
         for op in sorted(ledger.counters)
@@ -143,7 +144,11 @@ def energy_report(ledger: EnergyLedger) -> dict:
         "counters": ledger.as_dict(),
         "energy_pj_per_op": per_op,
         "total_energy_pj": ledger.energy_pj(),
-        "latency_cycles_per_op": dict(ledger.latency_cycles),
+        "latency_cycles_per_op": {
+            "track_read": hw.read_latency_cycles,
+            "track_shift": hw.shift_latency_cycles,
+            "track_write": hw.write_latency_cycles,
+        },
     }
 
 
@@ -278,22 +283,34 @@ def _check_raw(what, a):
 
 
 def _run_faulted_chain(layout, words_raw, faults_by_step, edc_enabled):
-    """Replay one pass through the word-level track model.
+    """Replay the window of one pass that its faults can reach through the
+    word-level track model.
 
     Returns (seen, corrected, held): seen[group, word] is the value the group
     delivered for that word, `corrected` counts the plane reads EDC
     corrected, and `held` the shifts those corrections held back.  A
     correction holds its plane's next shift, so one at the pass's last step
     holds none.
+
+    Every step before the first fault s0 delivers its fault-free word, so
+    the replay starts there, from the chain as s0 fault-free steps leave it:
+    group g holds words (base_g + s0 + i) mod n.  With EDC off a displaced
+    plane stays displaced, so the replay runs to the end of the pass.  With
+    EDC on it stops after the step that follows the last fault, which
+    releases the held planes; from there on the chain carries no state and
+    delivers fault-free words again.
     """
-    chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc_enabled)
-    chain.stage([int(w) for w in words_raw])
     n_words = layout.word_capacity
+    steps = sorted(faults_by_step)
+    stop = n_words if not edc_enabled else min(steps[-1] + 2, n_words)
+    words = np.asarray(words_raw, dtype=np.int64)
+    chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc_enabled)
+    chain.stage(np.roll(words, -steps[0]).tolist())
     bases = _chain_bases(layout.group_capacities)
     groups = np.arange(len(bases))
-    seen = np.empty((len(bases), n_words), dtype=np.int64)
+    seen = np.tile(words & 0xFFFF, (len(bases), 1))
     corrected = last = 0
-    for s in range(n_words):
+    for s in range(steps[0], stop):
         delivered, outcomes = chain.rotate_step(faults_by_step.get(s))
         seen[groups, (bases + s) % n_words] = delivered
         last = sum(len(o.corrected_planes) for o in outcomes)
@@ -463,14 +480,19 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
     and return the shifts EDC held back.
 
     The fault rows are ``FaultPlan``'s arrays (or None).  Every faulted PE
-    track (neuron, gate, path, chunk) is read in one batched ``weight_pass``:
-    zero substitutions (EDC on) or misaligned reads (EDC off).  A logic
-    fault mis-shifts one bit, plane + FRAC_BITS, of its MAC product: the
-    weight its track read (as read if the track is faulted this step) times
-    the word its chain group delivered.
+    track (neuron, gate, path, chunk) is read in one batched call.  With EDC
+    on, ``weight_zeros`` gives the zeroed slots, and only those are looked
+    up: each takes its stored weight times its delivered word off the
+    accumulator.  With EDC off, ``weight_pass`` reads the tracks whole with
+    their misaligned planes.  A logic fault mis-shifts one bit, plane +
+    FRAC_BITS, of its MAC product: the weight its track read (as read if
+    the track is faulted this step, so 0 on a zeroed slot) times the word
+    its chain group delivered.
     """
-    # One integer key per PE track (neuron, gate, path, chunk).
+    # One integer key per PE track (neuron, gate, path, chunk), and one per
+    # (track, slot) of a chunk.
     dims = (accs.shape[2], accs.shape[1], 2, geo.size.shape[1])
+    width = int(geo.size.max())
     held = 0
     if weight_faults is not None:
         neuron, gate, path, plane, slot = weight_faults.T.astype(np.int64)
@@ -482,12 +504,22 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
         )
         neuron, gate, path, chunk = neuron[first], gate[first], path[first], chunk[first]
         size = geo.size[path, chunk]
-        group, words = geo.locate(neuron, path, chunk, np.arange(size.max()))
-        stored = _stored(params, gate, path, neuron, words)
-        read, zeroed, held = weight_pass(stored, size, np.stack((track, *faults), axis=1), edc)
-        corrections["weight_zeroed"] += zeroed
-        corrections["suppressed_shifts"] += held
-        change = np.einsum("tk,tk->t", read - stored, _delivered(seen, path, group, words))
+        rows = np.stack((track, *faults), axis=1)
+        if edc:
+            zero_slots, held = weight_zeros(size, rows)
+            track, position = zero_slots.T
+            zeroed = tracks[track] * width + position
+            neuron, gate, path = neuron[track], gate[track], path[track]
+            group, words = geo.locate(neuron, path, chunk[track], position[:, None])
+            change = -(_stored(params, gate, path, neuron, words)
+                       * _delivered(seen, path, group, words))[:, 0]
+            corrections["weight_zeroed"] += len(zero_slots)
+            corrections["suppressed_shifts"] += held
+        else:
+            group, words = geo.locate(neuron, path, chunk, np.arange(size.max()))
+            stored = _stored(params, gate, path, neuron, words)
+            read = weight_pass(stored, size, rows)
+            change = np.einsum("tk,tk->t", read - stored, _delivered(seen, path, group, words))
         np.add.at(accs, (path, gate, neuron), change)
     if mac_faults is not None:
         neuron, gate, path, slot, plane = mac_faults.T.astype(np.int64)
@@ -497,8 +529,11 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
         weight = _stored(params, gate, path, neuron, word)[:, 0]
         if weight_faults is not None:
             key = np.ravel_multi_index((neuron, gate, path, chunk), dims)
-            hit = np.isin(key, tracks)
-            weight[hit] = read[np.searchsorted(tracks, key[hit]), position[hit]]
+            if edc:
+                weight[np.isin(key * width + position, zeroed)] = 0
+            else:
+                hit = np.isin(key, tracks)
+                weight[hit] = read[np.searchsorted(tracks, key[hit]), position[hit]]
         product = weight * _delivered(seen, path, group, word)[:, 0]
         shift = plane + fp.FRAC_BITS
         np.add.at(accs, (path, gate, neuron), ((product >> shift) & 1) << shift)

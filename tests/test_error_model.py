@@ -1,5 +1,6 @@
-"""Fault protocol: ``racetrack.weight_pass`` (the weight-track protocol the
-simulator applies), single tracks and padded batches, against the
+"""Fault protocol: ``racetrack.weight_zeros`` (EDC on) and
+``racetrack.weight_pass`` (EDC off), the weight-track protocol the
+simulator applies, on single tracks and padded batches, against the
 ``WeightTrackGroup`` device model; fault plans decoded as a per-event
 reference decode does them (weight and MAC events as int32 rows, path coded
 by its index in ``PATHS``), and independent of the EDC flags."""
@@ -22,7 +23,7 @@ from rnnfast.error_model import (
 )
 from rnnfast.lstm_core import NONLINEAR_EVALS
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
-from rnnfast.racetrack import WORD_PLANES, WeightTrackGroup, weight_pass
+from rnnfast.racetrack import WORD_PLANES, WeightTrackGroup, weight_pass, weight_zeros
 
 
 class Counter(dict):
@@ -44,10 +45,21 @@ def device_pass(weights, faults, edc):
     return [o.weight_raw for o in outcomes], zeroed, suppressed
 
 
+def batched_pass(matrix, lengths, rows, edc):
+    """(weights as read, zero substitutions, suppressed shifts) of a padded
+    batch through the protocol function of the EDC setting."""
+    if not edc:
+        return weight_pass(matrix, lengths, rows), 0, 0
+    zeroed, suppressed = weight_zeros(lengths, rows)
+    read = np.array(matrix, dtype=np.int64)
+    read[zeroed[:, 0], zeroed[:, 1]] = 0
+    return read, len(zeroed), suppressed
+
+
 def protocol_pass(weights, faults, edc):
     """``device_pass`` through the batched protocol, as a batch of one."""
     rows = [(0, plane, slot) for slot, plane in sorted(faults)]
-    read, zeroed, suppressed = weight_pass([weights], [len(weights)], rows, edc)
+    read, zeroed, suppressed = batched_pass([weights], [len(weights)], rows, edc)
     return read[0].tolist(), zeroed, suppressed
 
 
@@ -95,7 +107,7 @@ def test_batched_weight_pass_matches_the_device_track_by_track(case, edc):
     matrix = np.full((len(tracks), width), 0x5A5A, dtype=np.int64)
     for i, (weights, _faults) in enumerate(tracks):
         matrix[i, :len(weights)] = weights
-    read, zeroed, suppressed = weight_pass(
+    read, zeroed, suppressed = batched_pass(
         matrix, [len(w) for w, _f in tracks], np.array(rows, dtype=np.int64).reshape(-1, 3), edc
     )
     want = [device_pass(weights, faults, edc) for weights, faults in tracks]
@@ -106,9 +118,32 @@ def test_batched_weight_pass_matches_the_device_track_by_track(case, edc):
     assert suppressed == sum(s for _r, _z, s in want)
 
 
+@settings(max_examples=300, deadline=None)
+@given(batches())
+def test_weight_zeros_are_the_slots_the_device_zeroes(case):
+    """EDC on, from the fault rows and lengths alone: the zeroed rows are
+    exactly the (track, slot) pairs that ``read_next`` substitutes with
+    zero, each once and sorted, and the held shifts are the device's."""
+    tracks, _width, rows = case
+    zeroed, suppressed = weight_zeros(
+        [len(w) for w, _f in tracks], np.array(rows, dtype=np.int64).reshape(-1, 3)
+    )
+    ledger = Counter()
+    want = []
+    for i, (weights, faults) in enumerate(tracks):
+        track = WeightTrackGroup(weights, edc_enabled=True)
+        for slot in range(len(weights)):
+            outcome = track.read_next({p for s, p in faults if s == slot}, ledger)
+            if outcome.kind == "substituted_zero":
+                want.append([i, slot])
+    shifts = sum(WORD_PLANES * (len(w) - 1) for w, _f in tracks)
+    assert zeroed.tolist() == want
+    assert suppressed == shifts - ledger.get("track_shift", 0)
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect: FaultPlan and weight_pass let a fault land on slot 0, "
+    reason="known defect: FaultPlan, weight_zeros and weight_pass let a fault land on slot 0, "
     "which no shift precedes; the device reads slot 0 cleanly",
 )
 @pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
@@ -138,8 +173,8 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
 
 def test_weight_pass_displaced_plane_reads_blank_past_the_end():
     # Plane 15 (the sign) of the last slot comes from beyond the track: 0.
-    read, zeroed, suppressed = weight_pass(np.array([[-1, -1]]), [2], [(0, 15, 1)], False)
-    assert read.tolist() == [[-1, 0x7FFF]] and (zeroed, suppressed) == (0, 0)
+    read = weight_pass(np.array([[-1, -1]]), [2], [(0, 15, 1)])
+    assert read.tolist() == [[-1, 0x7FFF]]
 
 
 def reference_plan(cfg, placement):

@@ -2,11 +2,12 @@
 oracle.
 
 ``_weight_and_logic_faults`` reads every faulted PE track of a (layer,
-timestep) in one batched ``weight_pass`` and applies all logic faults as
-array operations.  The oracle below is the per-track loop it replaced: one
-single-track protocol pass per faulted track (kept here in its single-track
-form), a brute-force arrival order, and one lookup per MAC fault that takes
-the weight as read when a weight fault of the same step hit its track.
+timestep) in one batched call (``weight_zeros`` with EDC on, ``weight_pass``
+with EDC off) and applies all logic faults as array operations.  The oracle
+below is the per-track loop it replaced: one single-track protocol pass per
+faulted track (kept here in its single-track form), a brute-force arrival
+order, and one lookup per MAC fault that takes the weight as read when a
+weight fault of the same step hit its track.
 Both must give the same accumulators, corrections and held shifts.
 """
 
@@ -28,7 +29,8 @@ MAX_STEPS = 1
 def single_track_pass(weights, fault_slots, edc):
     """One whole pass of one weight track; `fault_slots` maps a plane to its
     fault slots.  Returns (weights as read, zero substitutions, suppressed
-    shifts), slot-0 faults taking effect as in ``weight_pass``."""
+    shifts), slot-0 faults taking effect as in ``weight_zeros`` and
+    ``weight_pass``."""
     w = np.asarray(weights, dtype=np.int64)
     k = len(w)
     if edc:

@@ -1,5 +1,6 @@
 """``simulate`` rejects input streams, weights and biases that are not raw
-Q8.8 integers, and energy overrides for ops the ledger does not count."""
+Q8.8 integers, and energy overrides for ops the ledger does not count;
+``energy_report`` takes its op latencies from the hardware config."""
 
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from rnnfast.lstm_core import LayerParams
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
-from rnnfast.simulator import DEFAULT_ENERGY_PJ, EnergyLedger, simulate
+from rnnfast.simulator import DEFAULT_ENERGY_PJ, EnergyLedger, energy_report, simulate
 
 SPEC = NetworkSpec((LayerSpec("LSTM", 3, 2),), 1)
 PLACEMENT = map_network(SPEC, HardwareConfig())
@@ -97,3 +98,14 @@ def test_known_energy_overrides_change_only_their_op():
     assert cheap.counters == base.counters
     mac_pj = base.counters["mac_issue"] * DEFAULT_ENERGY_PJ["mac_issue"]
     assert cheap.total_energy_pj == pytest.approx(base.total_energy_pj - mac_pj)
+
+
+def test_energy_report_gives_the_hardware_latencies():
+    hw = HardwareConfig(read_latency_cycles=5, shift_latency_cycles=3)
+    report = energy_report(EnergyLedger(), hw)
+    assert report["latency_cycles_per_op"] == {
+        "track_read": 5, "track_shift": 3, "track_write": hw.write_latency_cycles,
+    }
+    assert energy_report(EnergyLedger(), HardwareConfig())["latency_cycles_per_op"] == {
+        "track_read": 2, "track_shift": 1, "track_write": 1,
+    }

@@ -5,7 +5,8 @@ Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
 exactly ``analytic_cycles``; EDC-on input-chain faults must leave
 the outputs untouched; the reported fault count must be the plan's; the
 ledger's closed-form chain passes, less the shifts EDC corrections held,
-must equal what the track model counts itself.  Faulty
+must equal what the track model counts itself, and the replayed window of
+a faulted pass must deliver what a full pass from step 0 delivers.  Faulty
 runs with every site active are pinned in ``simulator_golden.json`` (output
 SHA-256, cycles, ledger counters, per-layer counts, corrections), so any
 change to the fault path shows up.  After a deliberate change of fault
@@ -181,15 +182,27 @@ class Counter(dict):
 
 @st.composite
 def faulted_passes(draw):
+    """A chain pass with faults: random events, optionally one at step 0, one
+    at the last step and a run of faults on one (group, plane) in
+    consecutive steps, so the replay window starts and ends at the edges of
+    the pass and holds repeated faults on one plane."""
     n_words = draw(st.integers(1, 20))
     layout = chain_plan(n_words, draw(st.integers(1, 4)), 1, HardwareConfig())
-    events = st.tuples(
-        st.integers(0, n_words - 1),
-        st.integers(0, len(layout.group_capacities) - 1),
-        st.integers(0, WORD_PLANES - 1),
-    )
+    groups = st.integers(0, len(layout.group_capacities) - 1)
+    planes = st.integers(0, WORD_PLANES - 1)
+    events = draw(st.lists(st.tuples(st.integers(0, n_words - 1), groups, planes), max_size=10))
+    for step in (0, n_words - 1):
+        if draw(st.booleans()):
+            events.append((step, draw(groups), draw(planes)))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n_words - 1))
+        stop = draw(st.integers(start + 1, n_words))
+        group, plane = draw(groups), draw(planes)
+        events += [(step, group, plane) for step in range(start, stop)]
+    if not events:
+        events.append((draw(st.integers(0, n_words - 1)), draw(groups), draw(planes)))
     faults = {}
-    for step, group, plane in draw(st.lists(events, min_size=1, max_size=10)):
+    for step, group, plane in events:
         faults.setdefault(step, {}).setdefault(group, []).append(plane)
     words = draw(st.lists(st.integers(-32768, 32767), min_size=n_words, max_size=n_words))
     return layout, words, faults, draw(st.booleans())
@@ -198,16 +211,23 @@ def faulted_passes(draw):
 @settings(max_examples=300, deadline=None)
 @given(faulted_passes())
 def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
+    """The replayed window gives what a full device pass from step 0 gives:
+    the same deliveries, corrections and held shifts, and the device's own
+    ledger is the closed-form pass less those held shifts."""
     layout, words, faults, edc = case
-    _seen, corrected, held = _run_faulted_chain(layout, np.asarray(words), faults, edc)
+    seen, corrected, held = _run_faulted_chain(layout, np.asarray(words), faults, edc)
     chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc)
     chain.stage(words)
     ledger = Counter()
+    n_words = layout.word_capacity
+    bases = np.cumsum((0,) + layout.group_capacities[:-1])
+    device_seen = np.empty((len(bases), n_words), dtype=np.int64)
     device_corrected = 0
-    for step in range(layout.word_capacity):
-        _delivered, outcomes = chain.rotate_step(faults.get(step), ledger)
+    for step in range(n_words):
+        delivered, outcomes = chain.rotate_step(faults.get(step), ledger)
+        device_seen[np.arange(len(bases)), (bases + step) % n_words] = delivered
         device_corrected += sum(len(o.corrected_planes) for o in outcomes)
-    plane_steps = WORD_PLANES * len(layout.group_capacities) * layout.word_capacity
+    plane_steps = WORD_PLANES * len(layout.group_capacities) * n_words
     closed_form = {
         "track_read": plane_steps,
         "track_write": plane_steps,
@@ -216,6 +236,8 @@ def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
         "edc_write": 3 * plane_steps if edc else 0,
     }
     assert ledger == {op: n for op, n in closed_form.items() if n}
+    assert seen.tolist() == np.where(device_seen >= 1 << 15, device_seen - (1 << 16),
+                                     device_seen).tolist()
     assert corrected == device_corrected
     assert 0 <= held <= corrected
 
