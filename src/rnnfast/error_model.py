@@ -115,15 +115,15 @@ def _draw_positions(gen: np.random.Generator, n_events: int, p: float) -> np.nda
     return np.sort(gen.choice(n_events, size=min(k, n_events), replace=False).astype(np.int64))
 
 
-def _by_step(faults, layer, t, columns):
-    """Store event rows under (layer, t), keeping event order within a step
-    and inserting steps in the order of their first event."""
+def _by_step(faults, prefix, t, columns):
+    """Store event rows under (*prefix, t), keeping event order within a
+    step and inserting steps in the order of their first event."""
     rows = np.stack(columns, axis=1)
     order = np.argsort(t, kind="stable")
     steps, first, counts = np.unique(t, return_index=True, return_counts=True)
     groups = np.split(rows[order], np.cumsum(counts)[:-1])
     for k in np.argsort(first):
-        faults[(layer, int(steps[k]))] = groups[k]
+        faults[(*prefix, int(steps[k]))] = groups[k]
 
 
 def gate_paths(cell_type: str):
@@ -154,19 +154,20 @@ class FaultPlan:
     A gate-path slot runs over the paths of ``gate_paths`` in order, each
     path over its words.
 
-    Weight and MAC events, the bulk of a plan, are stored per (layer,
-    timestep) as int32 arrays with one row per event, in event order; the
-    path column is its index in ``PATHS`` (0 = x, 1 = h):
-      weight_faults[(l, t)]: rows (neuron, gate, path, plane, slot)
-      mac_faults[(l, t)]:    rows (neuron, gate, path, slot, plane)
-    Input-chain and activation events stay Python containers.
+    Input-chain, weight and MAC events are stored per (layer, timestep) as
+    int32 arrays with one row per event, in event order; the path column
+    is its index in ``PATHS`` (0 = x, 1 = h):
+      input_faults[(l, chain, t)]: rows (step, group, plane), chain "x" or "h"
+      weight_faults[(l, t)]:       rows (neuron, gate, path, plane, slot)
+      mac_faults[(l, t)]:          rows (neuron, gate, path, slot, plane)
+    Activation events stay Python tuples.
     """
 
     def __init__(self, cfg: ErrorConfig, placement: Placement):
         self.cfg = cfg
         self.placement = placement
         self.planes = eligible_planes(cfg.bit_region)
-        self.input_faults = {}   # (layer, chain, t) -> {step: {tile: [planes]}}
+        self.input_faults = {}   # (layer, chain, t) -> int32 rows (step, group, plane)
         self.weight_faults = {}  # (layer, t) -> int32 rows (neuron, gate, path, plane, slot)
         self.mac_faults = {}     # (layer, t) -> int32 rows (neuron, gate, path, slot, plane)
         self.act_faults = {}     # (layer, t) -> [(neuron, act_idx, plane)]
@@ -183,10 +184,8 @@ class FaultPlan:
                     (("x", lp.chain, n), ("h", lp.recurrent_chain, m))
                 ):
                     shape = (len(layout.group_capacities), T, steps)
-                    for tile, t, step, plane in self._draw("input_chains", l, ci, shape).tolist():
-                        self.input_faults.setdefault((l, path, t), {}).setdefault(
-                            step, {}
-                        ).setdefault(tile, []).append(plane)
+                    tile, t, step, plane = self._draw("input_chains", l, ci, shape).T
+                    _by_step(self.input_faults, (l, path), t, (step, tile, plane))
             # Flat gate-path-slot index -> (gate, path code, slot) columns.
             slot_of = np.array([
                 (g, PATHS.index(p), s)
@@ -196,11 +195,11 @@ class FaultPlan:
             if "weight_arrays" in sites:
                 neuron, t, flat, plane = self._draw("weight_arrays", l, 0, slots).T
                 gate, path, slot = slot_of[flat].T
-                _by_step(self.weight_faults, l, t, (neuron, gate, path, plane, slot))
+                _by_step(self.weight_faults, (l,), t, (neuron, gate, path, plane, slot))
             if "logic" in sites:
                 neuron, t, flat, plane = self._draw("logic", l, 0, slots).T
                 gate, path, slot = slot_of[flat].T
-                _by_step(self.mac_faults, l, t, (neuron, gate, path, slot, plane))
+                _by_step(self.mac_faults, (l,), t, (neuron, gate, path, slot, plane))
                 acts = (m, T, NONLINEAR_EVALS[lp.cell_type])
                 for neuron, t, act, plane in self._draw("logic", l, 1, acts).tolist():
                     self.act_faults.setdefault((l, t), []).append((neuron, act, plane))
@@ -214,12 +213,10 @@ class FaultPlan:
         return np.stack((*np.unravel_index(pos, shape), planes), axis=1).astype(np.int32)
 
     def total_events(self) -> int:
-        return (
-            sum(len(pl) for by_step in self.input_faults.values()
-                for by_tile in by_step.values() for pl in by_tile.values())
-            + sum(len(v) for v in self.weight_faults.values())
-            + sum(len(v) for v in self.mac_faults.values())
-            + sum(len(v) for v in self.act_faults.values())
+        return sum(
+            len(v)
+            for faults in (self.input_faults, self.weight_faults, self.mac_faults, self.act_faults)
+            for v in faults.values()
         )
 
 

@@ -23,6 +23,9 @@ Three layers of model live here:
   position behind) supplies the correct word, the tail write is placed
   accordingly, and the controller holds that plane's next shift -- so the
   decoded stream is exactly the fault-free stream, at zero added cycles.
+  The simulator replays this model over the window of a faulted pass with
+  EDC on only; with EDC off it follows each displaced plane's deliveries
+  back through the queues in closed form, checked against this model.
 
 * ``WeightTrackGroup`` -- the weight-stationary storage of one PE. Advancing
   exposes the next weight after one single-position shift per plane; a full
@@ -35,9 +38,11 @@ Three layers of model live here:
   this protocol that the simulator uses, is split by the EDC setting:
   ``weight_zeros`` (EDC on) finds the zeroed (track, slot) pairs and the
   held shifts from the fault rows and track lengths alone, since every
-  other slot reads its stored weight; ``weight_pass`` (EDC off) reads a
-  padded weight matrix with its misaligned planes.  In the simulator, one
-  call per (layer, timestep) covers every faulted PE track of the step.
+  other slot reads its stored weight; ``weight_misreads`` (EDC off) gives,
+  for each displaced (track, plane) pair, the slot that each slot's bit of
+  that plane is read from, again from the fault rows alone, since a fault
+  moves only its own plane.  In the simulator, one call per (layer,
+  timestep) covers every faulted PE track of the step.
 
 Fault decisions are injected by the caller (a callable per shift event), so
 the device model itself holds no randomness.  Counters are reported through
@@ -363,38 +368,34 @@ def weight_zeros(lengths, faults):
     return np.stack(np.divmod(zeroed, k), axis=1), held
 
 
-def weight_pass(weights, lengths, faults):
-    """Whole EDC-off passes of a batch of ``WeightTrackGroup`` tracks,
-    vectorized.
+def weight_misreads(lengths, faults):
+    """Misread plane bits of whole EDC-off passes of a batch of
+    ``WeightTrackGroup`` tracks, from the fault rows alone.
 
-    `weights` is a (tracks, K) matrix of raw weights in arrival order, row
-    i holding its track's `lengths[i]` weights first; `faults` holds rows
-    (track, plane, slot), one per overshooting advance.  Every fault
-    displaces its plane by one more word for the rest of the pass, and a
-    plane displaced past the end reads blank (0) bits.  Returns the weights
-    as read, the entries past each track's length as given.
+    `lengths[i]` is track i's number of weights; `faults` holds rows
+    (track, plane, slot), one per overshooting advance, in any order.  Every
+    fault displaces its plane by one more word for the rest of the pass, so
+    a displaced (track, plane) pair reads that plane's bit at `slot` from
+    slot + (its faults at or before `slot`), and a source at or past the
+    track's length reads a blank (0) bit.  Returns the columns (track,
+    plane, slot, source) of one row per slot of each displaced pair, from
+    its first fault to the end of its track, sorted by track, plane and
+    slot.  Every other bit of every slot reads its stored bit.
 
     Known defect: unlike ``read_next``, a fault at slot 0 takes effect
     although no shift precedes the first read.
     """
-    w = np.asarray(weights, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
     track, plane, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 3).T
-    # Displacement of each faulted (track, plane) at each slot: its faults
-    # at or before that slot.  Pairs come out sorted by track.
-    k = w.shape[1]
-    pairs, pair = np.unique(track * WORD_PLANES + plane, return_inverse=True)
-    rows, planes = np.divmod(pairs, WORD_PLANES)
-    shift = np.zeros((len(pairs), k), dtype=np.int64)
-    np.add.at(shift, (pair, slot), 1)
-    src = np.arange(k) + np.cumsum(shift, axis=1)
-    unsigned = w.astype(np.uint16)
-    moved = unsigned.ravel()[np.minimum(src, k - 1) + k * rows[:, None]]
-    moved[src >= lengths[rows, None]] = 0
-    flips = (unsigned[rows] ^ moved) & (1 << planes.astype(np.uint16))[:, None]
-    # A track's pairs flip different planes.  Apply them rank by rank within
-    # their track, so that no update indexes one row twice.
-    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    for r in range(rank.max(initial=-1) + 1):
-        unsigned[rows[rank == r]] ^= flips[rank == r]
-    return np.where(np.arange(k) < lengths[:, None], unsigned.astype(np.int16), w)
+    # Distinct fault rows, sorted: a repeated row is one overshoot.
+    width = int(lengths.max(initial=1))
+    pair, slot = np.divmod(np.unique((track * WORD_PLANES + plane) * width + slot), width)
+    first = np.diff(pair, prepend=-1) != 0
+    last = np.diff(pair, append=-1) != 0
+    # Each fault starts a run of rows, up to its pair's next fault or the
+    # end of its track, displaced by its rank in the pair plus one.
+    rank = np.arange(len(pair)) - np.maximum.accumulate(np.where(first, np.arange(len(pair)), 0))
+    run = np.where(last, lengths[pair // WORD_PLANES], np.roll(slot, -1)) - slot
+    at = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run - slot, run)
+    return (np.repeat(pair // WORD_PLANES, run), np.repeat(pair % WORD_PLANES, run), at,
+            at + np.repeat(rank + 1, run))

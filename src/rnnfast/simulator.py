@@ -14,27 +14,29 @@ Values and timing are deliberately decoupled and run as two loops:
   error-free argument of Ozaki et al., Numer. Algorithms, 2012).
   ``simulate`` therefore rejects weights, biases and inputs outside the
   16-bit range.  The step's fault effects from the run's FaultPlan then
-  correct the accumulators in int64, on the touched chunks only.  A chain
-  pass with faults is replayed through the word-level track model
-  (``InputTrackChain``) over the window its faults can reach: from the
-  first faulted step to the end of the pass with EDC off, and to the step
-  after the last fault with EDC on; every other delivery is the fault-free
-  word.  Passes are booked in closed form less the shifts that EDC
-  corrections held back.  Weight and logic faults cost array operations
-  per (layer, timestep), not Python work per track or word, through the
-  one implementation of the weight-track protocol in ``racetrack``.  With
-  EDC on, ``weight_zeros`` finds the zeroed slots of every faulted PE
-  track of the step from the fault rows alone, and each zeroed slot takes
-  its stored weight times its delivered word off the accumulator.  With
-  EDC off, one ``weight_pass`` call reads the faulted tracks with their
-  misaligned planes, and its corrections are one gather of the delivered
-  words, one row-wise dot and one scatter-add.  Logic faults are one
-  vectorized pass: each perturbs one bit of its MAC product (the weight
-  as its track read it, times the word its chain group delivered) by one
-  significance position.  The narrowed accumulators go through
-  ``lstm_core.cell_output``, the one copy of the cell equations, with
-  activation faults applied by its hook.  With no faults the outputs are
-  bit-identical to ``lstm_core.cell_step``.
+  correct the accumulators in int64, and each costs array work in
+  proportion to the planes and words it changes, not to whole tracks or
+  passes.  With EDC off, a chain pass with faults is computed in closed
+  form: only its displaced planes differ from the fault-free pass, and
+  each of their deliveries is followed back through the group queues.
+  With EDC on it is replayed through the word-level track model
+  (``InputTrackChain``) from the first faulted step to the step after the
+  last fault, and every delivery is the fault-free word.  Each word a
+  group delivered differently corrects, in every gate, only the neurons
+  whose chunk of that word the group feeds.  Passes are booked in closed
+  form less the shifts that EDC corrections held back.  Weight faults go
+  through the one implementation of the weight-track protocol in
+  ``racetrack``, one call per (layer, timestep) from the fault rows alone:
+  with EDC on, ``weight_zeros`` gives the zeroed slots, and each takes its
+  stored weight times its delivered word off the accumulator; with EDC
+  off, ``weight_misreads`` gives the slots whose displaced plane reads
+  another slot's bit, and only that plane's bits are looked up.  Logic
+  faults are one vectorized pass: each perturbs one bit of its MAC product
+  (the weight as its track read it, times the word its chain group
+  delivered) by one significance position.  The narrowed accumulators go
+  through ``lstm_core.cell_output``, the one copy of the cell equations,
+  with activation faults applied by its hook.  With no faults the outputs
+  are bit-identical to ``lstm_core.cell_step``.
 
 * The timing path runs timestep-major and drives representative MAC
   pipelines (one unit per layer is simulated; units are identical and run
@@ -69,7 +71,7 @@ from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths
 from .lstm_core import ACT_STAGES, NONLINEAR_EVALS, MacPipeline, cell_output
 from .mapping import HardwareConfig, Placement, _split_even
 from .nonlinear import activation_fns
-from .racetrack import InputTrackChain, weight_pass, weight_zeros
+from .racetrack import WORD_PLANES, InputTrackChain, weight_misreads, weight_zeros
 
 # Per-operation energy, picojoules.  Track rates are the device parameters;
 # the rest are desk defaults derived from each unit's racetrack composition
@@ -91,6 +93,9 @@ DEFAULT_ENERGY_PJ = {
 LUT_NONLINEAR_PJ = 2.31
 
 _ATTO_PER_PJ = 10**6
+
+# The value of a set bit in each plane of a raw Q8.8 weight.
+_PLANE_VALUES = np.array([1 << k for k in range(WORD_PLANES - 1)] + [-(1 << (WORD_PLANES - 1))])
 
 # Timesteps whose input paths share one kernel call.
 TIME_BLOCK = 64
@@ -193,7 +198,8 @@ class _LayerGeometry:
     1, "h", over the recurrent words) is cut into contiguous chunks, one per
     PE track.  Indexed by path code, the tables give each chunk's first
     word and size, each slot's chunk, the chain group that feeds each
-    neuron's chunk, and ``turn[path, group, chunk]``: how far the chunk is
+    neuron's chunk (and, the other way round, the neurons whose chunk each
+    group feeds), and ``turn[path, group, chunk]``: how far the chunk is
     rotated when it reaches that group.  ``locate`` turns these into the
     words of a batch of tracks in arrival order; no per-word table is kept.
 
@@ -228,6 +234,16 @@ class _LayerGeometry:
             # Group g receives word (base_g + s) mod n at step s, so each
             # chunk reaches it rotated to start at its first word >= base_g.
             self.turn[p, :len(b)] = np.clip(b[:, None] - self.lo[p], 0, self.size[p])
+        # The neurons whose chunk c group g feeds, for every (c, g) in turn,
+        # with G = turn.shape[1]:
+        # fed[path, fed_ptr[path, c * G + g]:fed_ptr[path, c * G + g + 1]].
+        feeds = (np.arange(n_chunks)[:, None] * self.turn.shape[1] + self.group_of).reshape(2, -1)
+        order = np.argsort(feeds, axis=1, kind="stable")
+        self.fed = order % m
+        self.fed_ptr = np.stack([
+            np.searchsorted(f[o], np.arange(n_chunks * self.turn.shape[1] + 1))
+            for f, o in zip(feeds, order)
+        ])
         # One pass of each chain: every group reads, shifts and writes all 16
         # planes once per word.
         chain_steps = 16 * (
@@ -256,16 +272,19 @@ class _LayerGeometry:
             "rotation_steps": n,
         }
 
-    def locate(self, neurons, paths, chunks, positions):
+    def locate(self, neurons, paths, chunks, positions, rows=None):
         """(chain groups, words) of a batch of PE tracks, given as arrays of
         neurons, path codes and chunks: the group that feeds each track, and
-        the words each track holds at `positions` (broadcast against one row
-        per track).  A track holds its chunk's words in the order they reach
-        its group."""
+        the words at `positions`, slots in [0, size) of the tracks.  A track
+        holds its chunk's words in the order they reach its group.  Row i of
+        `positions` belongs to track i, or with `rows`, to track rows[i]."""
         group = self.group_of[paths, chunks, neurons]
         lo, size = self.lo[paths, chunks], self.size[paths, chunks]
         turn = self.turn[paths, group, chunks]
-        return group, lo[:, None] + (turn[:, None] + positions) % size[:, None]
+        if rows is not None:
+            lo, size, turn = lo[rows], size[rows], turn[rows]
+        at = turn[:, None] + positions
+        return group, lo[:, None] + np.where(at < size[:, None], at, at - size[:, None])
 
 
 def _check_raw(what, a):
@@ -282,40 +301,81 @@ def _check_raw(what, a):
         raise ValueError(f"{what} must lie in [{fp.RAW_MIN}, {fp.RAW_MAX}]")
 
 
-def _run_faulted_chain(layout, words_raw, faults_by_step, edc_enabled):
-    """Replay the window of one pass that its faults can reach through the
-    word-level track model.
+def _run_faulted_chain(layout, words_raw, faults, edc_enabled):
+    """Deliveries of one pass whose chain has faults.
 
-    Returns (seen, corrected, held): seen[group, word] is the value the group
+    `faults` holds ``FaultPlan``'s rows (step, group, plane).  Returns
+    (seen, corrected, held): seen[group, word] is the value the group
     delivered for that word, `corrected` counts the plane reads EDC
     corrected, and `held` the shifts those corrections held back.  A
     correction holds its plane's next shift, so one at the pass's last step
     holds none.
 
-    Every step before the first fault s0 delivers its fault-free word, so
-    the replay starts there, from the chain as s0 fault-free steps leave it:
-    group g holds words (base_g + s0 + i) mod n.  With EDC off a displaced
-    plane stays displaced, so the replay runs to the end of the pass.  With
-    EDC on it stops after the step that follows the last fault, which
-    releases the held planes; from there on the chain carries no state and
-    delivers fault-free words again.
+    With EDC off nothing is corrected, and only the planes that carry a
+    fault differ from the fault-free pass; planes never mix.  Group g
+    delivers at step s the word at queue position min(e, cap_g - 1) of
+    plane k, e the faults on (g, k) at steps <= s.  Queue position j at
+    step s holds staged word base_g + s + j while s + j < cap_g, and after
+    that what group g + 1 delivered at step s + j - cap_g.  Each delivery
+    of a displaced plane is followed back through the queues to a staged
+    word, all of them at once.
+
+    With EDC on the pass is replayed through ``InputTrackChain`` over the
+    window its faults can reach.  Every step before the first fault s0
+    delivers its fault-free word, so the replay starts there, from the
+    chain as s0 fault-free steps leave it: group g holds words
+    (base_g + s0 + i) mod n.  It stops after the step that follows the last
+    fault, which releases the held planes; from there on the chain carries
+    no state and delivers fault-free words again.
     """
     n_words = layout.word_capacity
-    steps = sorted(faults_by_step)
-    stop = n_words if not edc_enabled else min(steps[-1] + 2, n_words)
-    words = np.asarray(words_raw, dtype=np.int64)
-    chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc_enabled)
-    chain.stage(np.roll(words, -steps[0]).tolist())
-    bases = _chain_bases(layout.group_capacities)
-    groups = np.arange(len(bases))
-    seen = np.tile(words & 0xFFFF, (len(bases), 1))
-    corrected = last = 0
-    for s in range(steps[0], stop):
-        delivered, outcomes = chain.rotate_step(faults_by_step.get(s))
-        seen[groups, (bases + s) % n_words] = delivered
-        last = sum(len(o.corrected_planes) for o in outcomes)
-        corrected += last
-    return np.where(seen >= 1 << 15, seen - (1 << 16), seen), corrected, corrected - last
+    caps = np.asarray(layout.group_capacities)
+    bases = _chain_bases(caps)
+    groups = np.arange(len(caps))
+    words = np.asarray(words_raw, dtype=np.int64) & 0xFFFF
+    # order[g, s]: the word group g delivers at step s without faults.
+    order = (bases[:, None] + np.arange(n_words)) % n_words
+    seen = np.tile(words, (len(caps), 1))
+    step, group, plane = np.asarray(faults, dtype=np.int64).T
+    corrected = held = 0
+    if not edc_enabled:
+        planes, pair = np.unique(plane, return_inverse=True)
+        faulted = np.zeros((len(planes), len(caps), n_words), dtype=np.int64)
+        faulted[pair, group, step] = 1
+        # Each delivery (plane, group, step) reads queue position `at`,
+        # counted from the pass's start: a staged word, or else the
+        # delivery (plane, group + 1, at - cap) that it copies, whose index
+        # in the flattened array is `link`.
+        at = np.arange(n_words) + np.minimum(np.cumsum(faulted, axis=2), caps[:, None] - 1)
+        src = np.where(at < caps[:, None], bases[:, None] + at, -1).ravel()
+        right = np.arange(len(planes))[:, None, None] * len(caps) + (groups[:, None] + 1) % len(caps)
+        link = (right * n_words + at - caps[:, None]).ravel()
+        # Follow the links by pointer jumping: each round doubles the hops
+        # followed, and each hop lowers the step, so the rounds end.
+        todo = np.flatnonzero(src < 0)
+        while todo.size:
+            ahead = link[todo]
+            src[todo], link[todo] = src[ahead], link[ahead]
+            todo = todo[src[todo] < 0]
+        mask = np.bitwise_or.reduce(1 << planes)
+        bits = (words[src].reshape(faulted.shape) >> planes[:, None, None]) & 1
+        delivered = words[order] & ~mask | (bits << planes[:, None, None]).sum(axis=0)
+        seen[groups[:, None], order] = delivered
+    else:
+        by_step = {}
+        for s, g, k in zip(step.tolist(), group.tolist(), plane.tolist()):
+            by_step.setdefault(s, {}).setdefault(g, []).append(k)
+        first, stop = min(by_step), min(max(by_step) + 2, n_words)
+        chain = InputTrackChain(list(layout.group_capacities), edc_enabled=True)
+        chain.stage(np.roll(words, -first).tolist())
+        last = 0
+        for s in range(first, stop):
+            delivered, outcomes = chain.rotate_step(by_step.get(s))
+            seen[groups, order[:, s]] = delivered
+            last = sum(len(o.corrected_planes) for o in outcomes)
+            corrected += last
+        held = corrected - last
+    return np.where(seen >= 1 << 15, seen - (1 << 16), seen), corrected, held
 
 
 def _perturb_result_bit(value, plane):
@@ -329,23 +389,34 @@ def _weights(params, gate, path):
     return gw.w_x if path == 0 else gw.w_h
 
 
-def _stored(params, gates, paths, neurons, words):
-    """Stored weights W[path][gate][neuron, word] of rows of `words`."""
-    out = np.empty(words.shape, dtype=np.int64)
-    for gate in range(len(params.gates)):
-        for path in (0, 1):
-            rows = (gates == gate) & (paths == path)
-            out[rows] = _weights(params, gate, path)[neurons[rows, None], words[rows]]
-    return out
+def _take_sorted(mats, codes, bases, words, rows=None):
+    """mats[codes[t]].flat[bases[t] + w] for each entry w of `words`, as
+    int64, for a batch of tracks t sorted by code: one 1-D take per matrix.
+    Row i of `words` belongs to track i, or with `rows` (sorted), to track
+    rows[i]."""
+    bounds = np.searchsorted(codes, np.arange(len(mats) + 1))
+    if rows is not None:
+        bounds, bases = np.searchsorted(rows, bounds), bases[rows]
+    flat = bases[:, None] + words
+    return np.concatenate([
+        np.take(mat, flat[lo:hi]) for mat, lo, hi in zip(mats, bounds, bounds[1:])
+    ]).astype(np.int64)
 
 
-def _delivered(seen, paths, groups, words):
-    """Words as delivered, seen[path][group, word], of rows of `words`."""
-    out = np.empty(words.shape, dtype=np.int64)
-    for path, by_group in enumerate(seen):
-        rows = paths == path
-        out[rows] = by_group[groups[rows, None], words[rows]]
-    return out
+def _stored(params, gates, paths, neurons, words, rows=None):
+    """Stored weights W[path][gate][neuron, word] of PE tracks sorted by
+    (path, gate), as ``_take_sorted`` reads them."""
+    g = len(params.gates)
+    mats = [_weights(params, gate, path) for path in (0, 1) for gate in range(g)]
+    cols = np.array([mats[0].shape[1], mats[g].shape[1]])
+    return _take_sorted(mats, paths * g + gates, neurons * cols[paths], words, rows)
+
+
+def _delivered(seen, paths, groups, words, rows=None):
+    """Words as delivered, seen[path][group, word], to PE tracks sorted by
+    path, as ``_take_sorted`` reads them."""
+    cols = np.array([by_group.shape[1] for by_group in seen])
+    return _take_sorted(seen, paths, groups * cols[paths], words, rows)
 
 
 def _exact_matmul(weight_blocks, v):
@@ -425,19 +496,13 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
     credit = 0
     for path, (name, layout) in enumerate(zip(PATHS, (lp.chain, lp.recurrent_chain))):
         faults = plan.input_faults.get((lp.index, name, t)) if plan else None
-        if faults:
+        if faults is not None:
             delivered, corrected, held = _run_faulted_chain(
                 layout, vecs[path], faults, plan.cfg.edc_inputs
             )
             corrections["input_corrected"] += corrected
             credit += held
-            delta = delivered - vecs[path]
-            for chunk, (lo, size) in enumerate(zip(geo.lo[path], geo.size[path])):
-                d = delta[geo.group_of[path, chunk], lo:lo + size]
-                if d.any():
-                    for gate in range(len(params.gates)):
-                        w = _weights(params, gate, path)[:, lo:lo + size].astype(np.int64)
-                        accs[path, gate] += np.einsum("nk,nk->n", w, d)
+            _correct_deliveries(geo, params, path, delivered - vecs[path], accs)
         else:
             groups = len(layout.group_capacities)
             delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
@@ -474,24 +539,45 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
                        apply_act_faults if act_events else None)
 
 
+def _correct_deliveries(geo, params, path, delta, accs):
+    """Correct `accs[path, gate, neuron]` for the words a faulted chain pass
+    delivered: delta[group, word] is the word as the group delivered it
+    less the fault-free word.  Each changed (group, word) adds weight times
+    delta, in every gate, to the neurons whose chunk of that word the group
+    feeds."""
+    group, word = np.nonzero(delta)
+    feeds = geo.chunk_of[path, word] * geo.turn.shape[1] + group
+    lo, count = geo.fed_ptr[path, feeds], np.diff(geo.fed_ptr[path])[feeds]
+    change = np.repeat(np.arange(len(word)), count)
+    neuron = geo.fed[path, np.arange(len(change)) - np.repeat(np.cumsum(count) - count - lo, count)]
+    word, d = word[change], delta[group, word][change]
+    for gate in range(len(params.gates)):
+        w = _weights(params, gate, path)
+        np.add.at(accs[path, gate], neuron, np.take(w, neuron * w.shape[1] + word) * d)
+
+
 def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, seen,
                              corrections):
     """Apply one step's weight and logic faults to `accs[path, gate, neuron]`
     and return the shifts EDC held back.
 
     The fault rows are ``FaultPlan``'s arrays (or None).  Every faulted PE
-    track (neuron, gate, path, chunk) is read in one batched call.  With EDC
-    on, ``weight_zeros`` gives the zeroed slots, and only those are looked
-    up: each takes its stored weight times its delivered word off the
-    accumulator.  With EDC off, ``weight_pass`` reads the tracks whole with
-    their misaligned planes.  A logic fault mis-shifts one bit, plane +
-    FRAC_BITS, of its MAC product: the weight its track read (as read if
-    the track is faulted this step, so 0 on a zeroed slot) times the word
-    its chain group delivered.
+    track (path, gate, neuron, chunk) is read in one batched call, from the
+    fault rows alone.  With EDC on, ``weight_zeros`` gives the zeroed slots,
+    and each takes its stored weight times its delivered word off the
+    accumulator.  With EDC off, ``weight_misreads`` gives, for each
+    displaced (track, plane) pair, the slot each slot's bit is read from;
+    only that plane's bits are looked up, at each slot and at its source,
+    and each slot adds (source bit - stored bit) * 2^plane (negated for the
+    sign plane) times its delivered word.  A logic fault mis-shifts one
+    bit, plane + FRAC_BITS, of its MAC product: the weight its track read
+    (as read if the track is faulted this step, so 0 on a zeroed slot)
+    times the word its chain group delivered.
     """
-    # One integer key per PE track (neuron, gate, path, chunk), and one per
-    # (track, slot) of a chunk.
-    dims = (accs.shape[2], accs.shape[1], 2, geo.size.shape[1])
+    # One integer key per PE track (path, gate, neuron, chunk), and one per
+    # (track, slot) of a chunk.  Tracks sorted by key are sorted by (path,
+    # gate), as ``_stored`` and ``_delivered`` take them.
+    dims = (2, accs.shape[1], accs.shape[2], geo.size.shape[1])
     width = int(geo.size.max())
     held = 0
     if weight_faults is not None:
@@ -499,7 +585,7 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
         chunk = geo.chunk_of[path, slot]
         faults = (plane, slot - geo.lo[path, chunk])
         tracks, first, track = np.unique(
-            np.ravel_multi_index((neuron, gate, path, chunk), dims),
+            np.ravel_multi_index((path, gate, neuron, chunk), dims),
             return_index=True, return_inverse=True,
         )
         neuron, gate, path, chunk = neuron[first], gate[first], path[first], chunk[first]
@@ -509,35 +595,54 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
             zero_slots, held = weight_zeros(size, rows)
             track, position = zero_slots.T
             zeroed = tracks[track] * width + position
-            neuron, gate, path = neuron[track], gate[track], path[track]
-            group, words = geo.locate(neuron, path, chunk[track], position[:, None])
-            change = -(_stored(params, gate, path, neuron, words)
-                       * _delivered(seen, path, group, words))[:, 0]
+            group, words = geo.locate(neuron, path, chunk, position[:, None], track)
+            change = -(_stored(params, gate, path, neuron, words, track)
+                       * _delivered(seen, path, group, words, track))[:, 0]
             corrections["weight_zeroed"] += len(zero_slots)
-            corrections["suppressed_shifts"] += held
         else:
-            group, words = geo.locate(neuron, path, chunk, np.arange(size.max()))
-            stored = _stored(params, gate, path, neuron, words)
-            read = weight_pass(stored, size, rows)
-            change = np.einsum("tk,tk->t", read - stored, _delivered(seen, path, group, words))
+            track, plane, position, source = weight_misreads(size, rows)
+            group, words = geo.locate(neuron, path, chunk, position[:, None], track)
+            # Each displaced plane's bit at each slot, then at its source
+            # slot, which is `source - position` rows further on; a source
+            # past the track's end reads blank.
+            stored = _stored(params, gate, path, neuron, words, track)[:, 0]
+            bits = np.append((stored >> plane) & 1, 0)
+            src = np.arange(len(track)) + source - position
+            src[source >= size[track]] = -1
+            flips = (bits[src] - bits[:-1]) * _PLANE_VALUES[plane]
+            misread = track, plane, position, flips
+            change = flips * _delivered(seen, path, group, words, track)[:, 0]
+        # Rows are sorted by track, and every faulted track has some (its
+        # first fault zeroes a slot or displaces a plane): one change per
+        # track.
+        change = np.add.reduceat(change, np.searchsorted(track, np.arange(len(tracks))))
         np.add.at(accs, (path, gate, neuron), change)
     if mac_faults is not None:
-        neuron, gate, path, slot, plane = mac_faults.T.astype(np.int64)
+        # Sorted by (path, gate), as ``_stored`` and ``_delivered`` take them.
+        rows = mac_faults[np.lexsort((mac_faults[:, 1], mac_faults[:, 2]))]
+        neuron, gate, path, slot, plane = rows.T.astype(np.int64)
         chunk = geo.chunk_of[path, slot]
         position = slot - geo.lo[path, chunk]
         group, word = geo.locate(neuron, path, chunk, position[:, None])
         weight = _stored(params, gate, path, neuron, word)[:, 0]
         if weight_faults is not None:
-            key = np.ravel_multi_index((neuron, gate, path, chunk), dims)
+            key = np.ravel_multi_index((path, gate, neuron, chunk), dims)
             if edc:
                 weight[np.isin(key * width + position, zeroed)] = 0
-            else:
-                hit = np.isin(key, tracks)
-                weight[hit] = read[np.searchsorted(tracks, key[hit]), position[hit]]
+            elif (hit := np.isin(key, tracks)).any():
+                # Misread rows are sorted by (track, plane, slot): look every
+                # plane up at each hit's (track, slot) and add its flips.
+                m_track, m_plane, m_position, flips = misread
+                at = (m_track * WORD_PLANES + m_plane) * width + m_position
+                query = (np.searchsorted(tracks, key[hit])[:, None] * WORD_PLANES
+                         + np.arange(WORD_PLANES)) * width + position[hit, None]
+                i = np.minimum(np.searchsorted(at, query), len(at) - 1)
+                weight[hit] += np.where(at[i] == query, flips[i], 0).sum(axis=1)
         product = weight * _delivered(seen, path, group, word)[:, 0]
         shift = plane + fp.FRAC_BITS
         np.add.at(accs, (path, gate, neuron), ((product >> shift) & 1) << shift)
         corrections["logic_faults"] += len(mac_faults)
+    corrections["suppressed_shifts"] += held
     return held
 
 

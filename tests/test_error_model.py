@@ -1,9 +1,10 @@
 """Fault protocol: ``racetrack.weight_zeros`` (EDC on) and
-``racetrack.weight_pass`` (EDC off), the weight-track protocol the
+``racetrack.weight_misreads`` (EDC off), the weight-track protocol the
 simulator applies, on single tracks and padded batches, against the
-``WeightTrackGroup`` device model; fault plans decoded as a per-event
-reference decode does them (weight and MAC events as int32 rows, path coded
-by its index in ``PATHS``), and independent of the EDC flags."""
+``WeightTrackGroup`` device model (the EDC-off read matrix is rebuilt from
+the misread rows); fault plans decoded as a per-event reference decode does
+them (input-chain, weight and MAC events as int32 rows, path coded by its
+index in ``PATHS``), and independent of the EDC flags."""
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from rnnfast.error_model import (
 )
 from rnnfast.lstm_core import NONLINEAR_EVALS
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
-from rnnfast.racetrack import WORD_PLANES, WeightTrackGroup, weight_pass, weight_zeros
+from rnnfast.racetrack import WORD_PLANES, WeightTrackGroup, weight_misreads, weight_zeros
 
 
 class Counter(dict):
@@ -45,11 +46,23 @@ def device_pass(weights, faults, edc):
     return [o.weight_raw for o in outcomes], zeroed, suppressed
 
 
+def misread_matrix(matrix, lengths, rows):
+    """A padded batch as read with EDC off: each ``weight_misreads`` row
+    takes its plane's bit at its slot from its source slot's stored bit, or
+    a blank bit past the track's end."""
+    stored = np.asarray(matrix, dtype=np.int64) & 0xFFFF
+    read = stored.copy()
+    for track, plane, slot, source in zip(*(a.tolist() for a in weight_misreads(lengths, rows))):
+        bit = (stored[track, source] >> plane) & 1 if source < lengths[track] else 0
+        read[track, slot] = read[track, slot] & ~(1 << plane) | bit << plane
+    return np.where(read >= 1 << 15, read - (1 << 16), read)
+
+
 def batched_pass(matrix, lengths, rows, edc):
     """(weights as read, zero substitutions, suppressed shifts) of a padded
     batch through the protocol function of the EDC setting."""
     if not edc:
-        return weight_pass(matrix, lengths, rows), 0, 0
+        return misread_matrix(matrix, lengths, rows), 0, 0
     zeroed, suppressed = weight_zeros(lengths, rows)
     read = np.array(matrix, dtype=np.int64)
     read[zeroed[:, 0], zeroed[:, 1]] = 0
@@ -141,10 +154,30 @@ def test_weight_zeros_are_the_slots_the_device_zeroes(case):
     assert suppressed == shifts - ledger.get("track_shift", 0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(batches())
+def test_weight_misreads_run_from_each_pairs_first_fault_to_its_end(case):
+    """EDC off: one row per slot of each displaced (track, plane) pair, from
+    its first fault to the end of its track, sorted by track, plane and
+    slot; the source is the slot plus the pair's faults up to it.  A
+    repeated fault row counts once, as one advance overshoots once."""
+    tracks, _width, rows = case
+    lengths = [len(w) for w, _f in tracks]
+    faults = np.array(rows + rows[::2]).reshape(-1, 3)
+    got = list(zip(*(a.tolist() for a in weight_misreads(lengths, faults))))
+    want = []
+    for i, (_weights, faults) in enumerate(tracks):
+        for plane in sorted({p for _s, p in faults}):
+            slots = sorted(s for s, p in faults if p == plane)
+            want += [(i, plane, slot, slot + sum(s <= slot for s in slots))
+                     for slot in range(slots[0], lengths[i])]
+    assert got == want
+
+
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect: FaultPlan, weight_zeros and weight_pass let a fault land on slot 0, "
-    "which no shift precedes; the device reads slot 0 cleanly",
+    reason="known defect: FaultPlan, weight_zeros and weight_misreads let a fault land on "
+    "slot 0, which no shift precedes; the device reads slot 0 cleanly",
 )
 @pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
 def test_weight_pass_matches_the_device_for_a_slot_0_fault(edc):
@@ -163,7 +196,8 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
     ]
 
     def events(plan):
-        return plan.input_faults, rows(plan.weight_faults), rows(plan.mac_faults), plan.act_faults
+        return (rows(plan.input_faults), rows(plan.weight_faults), rows(plan.mac_faults),
+                plan.act_faults)
 
     assert all(events(plans[0]))
     for plan in plans[1:]:
@@ -173,14 +207,16 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
 
 def test_weight_pass_displaced_plane_reads_blank_past_the_end():
     # Plane 15 (the sign) of the last slot comes from beyond the track: 0.
-    read = weight_pass(np.array([[-1, -1]]), [2], [(0, 15, 1)])
-    assert read.tolist() == [[-1, 0x7FFF]]
+    rows = [(0, 15, 1)]
+    assert [a.tolist() for a in weight_misreads([2], rows)] == [[0], [15], [1], [2]]
+    assert misread_matrix([[-1, -1]], [2], rows).tolist() == [[-1, 0x7FFF]]
 
 
 def reference_plan(cfg, placement):
     """(input, weight, MAC, activation) fault dicts by a per-event decode:
     divmod over each flat position, then a walk over the gate paths for the
-    slot, with the draws of ``FaultPlan``'s streams."""
+    slot, with the draws of ``FaultPlan``'s streams.  Input events are rows
+    (step, tile, plane) in event order."""
     planes = eligible_planes(cfg.bit_region)
     T = placement.spec.timesteps
     inputs, weights, macs, acts = {}, {}, {}, {}
@@ -207,9 +243,7 @@ def reference_plan(cfg, placement):
                 for p, pk in draw("input_chains", l, ci, tiles * T * steps):
                     tile, rest = divmod(int(p), T * steps)
                     t, step = divmod(rest, steps)
-                    inputs.setdefault((l, tag, t), {}).setdefault(step, {}).setdefault(
-                        tile, []
-                    ).append(planes[int(pk)])
+                    inputs.setdefault((l, tag, t), []).append((step, tile, planes[int(pk)]))
         paths = gate_paths(lp.cell_type)
         path_len = {"x": n, "h": m}
         slots = sum(path_len[p] for _g, p in paths)
@@ -279,7 +313,8 @@ def test_fault_plan_matches_the_reference_decode(layout, steps):
         plan = FaultPlan(cfg, placement)
         assert all(a.dtype == np.int32 and a.shape[1] == 5
                    for a in (*plan.weight_faults.values(), *plan.mac_faults.values()))
-        got = (plan.input_faults, rows(plan.weight_faults), rows(plan.mac_faults),
+        assert all(a.dtype == np.int32 and a.shape[1] == 3 for a in plan.input_faults.values())
+        got = (rows(plan.input_faults), rows(plan.weight_faults), rows(plan.mac_faults),
                plan.act_faults)
         want = reference_plan(cfg, placement)
         assert ordered(got) == ordered(want), (sites, region)

@@ -1,14 +1,18 @@
-"""The simulator's batched weight- and logic-fault step against a per-event
-oracle.
+"""The simulator's batched fault corrections against dense or per-event
+oracles.
 
 ``_weight_and_logic_faults`` reads every faulted PE track of a (layer,
-timestep) in one batched call (``weight_zeros`` with EDC on, ``weight_pass``
-with EDC off) and applies all logic faults as array operations.  The oracle
-below is the per-track loop it replaced: one single-track protocol pass per
-faulted track (kept here in its single-track form), a brute-force arrival
-order, and one lookup per MAC fault that takes the weight as read when a
-weight fault of the same step hit its track.
+timestep) in one batched call (``weight_zeros`` with EDC on,
+``weight_misreads`` with EDC off) and applies all logic faults as array
+operations.  The oracle below is the per-track loop it replaced: one
+single-track protocol pass per faulted track (kept here in its single-track
+form), a brute-force arrival order, and one lookup per MAC fault that takes
+the weight as read when a weight fault of the same step hit its track.
 Both must give the same accumulators, corrections and held shifts.
+
+``_correct_deliveries`` corrects the accumulators for a faulted chain pass
+one changed (group, word) at a time; the dense per-chunk product it
+replaced is kept here as its oracle.
 """
 
 import numpy as np
@@ -19,7 +23,7 @@ from rnnfast import fixedpoint as fp
 from rnnfast.error_model import ErrorConfig, FaultPlan
 from rnnfast.mapping import LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
-from rnnfast.simulator import _LayerGeometry, _weight_and_logic_faults
+from rnnfast.simulator import _correct_deliveries, _LayerGeometry, _weight_and_logic_faults
 
 SEEDS = range(20)
 # The step does not depend on the timestep: one step per layer and seed.
@@ -30,7 +34,7 @@ def single_track_pass(weights, fault_slots, edc):
     """One whole pass of one weight track; `fault_slots` maps a plane to its
     fault slots.  Returns (weights as read, zero substitutions, suppressed
     shifts), slot-0 faults taking effect as in ``weight_zeros`` and
-    ``weight_pass``."""
+    ``weight_misreads``."""
     w = np.asarray(weights, dtype=np.int64)
     k = len(w)
     if edc:
@@ -189,3 +193,43 @@ def test_a_logic_fault_reads_the_weight_its_track_read_this_step(edc):
                    honour_weight_faults=False)
             honoured += naive.tolist() != want[0]
     assert honoured > 0
+
+
+def dense_deliveries(geo, params, path, delta, accs):
+    """The per-chunk oracle: every neuron's chunk against the deliveries of
+    the group that feeds it, for every gate, in int64."""
+    for chunk, (lo, size) in enumerate(zip(geo.lo[path], geo.size[path])):
+        d = delta[geo.group_of[path, chunk], lo:lo + size]
+        if d.any():
+            for k, gate in enumerate(params.gates):
+                w = (gate.w_x, gate.w_h)[path][:, lo:lo + size].astype(np.int64)
+                accs[path, k] += np.einsum("nk,nk->n", w, d)
+
+
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_delivery_corrections_match_the_dense_oracle(layout, cell):
+    """Sparse and dense changes on every chain of the layout.  The split
+    and multi-tile (long) layouts have several chunks per neuron fed by
+    several chain groups (one group for packed Vanilla in long), and the
+    packed layout several chunks per neuron on one group."""
+    placement = layout_net(cell, layout)
+    params = generate_network_params(placement.spec, 3)
+    rng = np.random.default_rng(3)
+    shapes = set()
+    for lp, p in zip(placement.layers, params):
+        geo = _LayerGeometry(lp, placement.hw, None)
+        for path, chain in enumerate((lp.chain, lp.recurrent_chain)):
+            shape = (len(chain.group_capacities), chain.word_capacity)
+            shapes.add((geo.size.shape[1] > 1, shape[0] > 1))
+            for density in (0.01, 0.2, 1.0):
+                delta = rng.integers(-65535, 65536, shape) * (rng.random(shape) < density)
+                accs = rng.integers(-(1 << 40), 1 << 40, (2, len(p.gates), lp.neurons))
+                got, want = accs.copy(), accs.copy()
+                _correct_deliveries(geo, p, path, delta, got)
+                dense_deliveries(geo, p, path, delta, want)
+                assert got.tolist() == want.tolist(), (lp.index, path, density)
+    if layout == "split" or (layout == "long" and cell != "Vanilla"):
+        assert (True, True) in shapes
+    if layout == "packed":
+        assert (True, False) in shapes

@@ -5,8 +5,9 @@ Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
 exactly ``analytic_cycles``; EDC-on input-chain faults must leave
 the outputs untouched; the reported fault count must be the plan's; the
 ledger's closed-form chain passes, less the shifts EDC corrections held,
-must equal what the track model counts itself, and the replayed window of
-a faulted pass must deliver what a full pass from step 0 delivers.  Faulty
+must equal what the track model counts itself, and a faulted pass (in
+closed form with EDC off, a replayed window with EDC on) must deliver what
+a full track-model pass from step 0 delivers.  Faulty
 runs with every site active are pinned in ``simulator_golden.json`` (output
 SHA-256, cycles, ledger counters, per-layer counts, corrections), so any
 change to the fault path shows up.  After a deliberate change of fault
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 
 from rnnfast import lstm_core
 from rnnfast.error_model import ErrorConfig, FaultPlan
-from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, chain_plan, map_network
+from rnnfast.mapping import ChainLayout, HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_inputs, generate_network_params
 from rnnfast.racetrack import WORD_PLANES, InputTrackChain
 from rnnfast.simulator import (
@@ -182,28 +183,32 @@ class Counter(dict):
 
 @st.composite
 def faulted_passes(draw):
-    """A chain pass with faults: random events, optionally one at step 0, one
-    at the last step and a run of faults on one (group, plane) in
-    consecutive steps, so the replay window starts and ends at the edges of
-    the pass and holds repeated faults on one plane."""
-    n_words = draw(st.integers(1, 20))
-    layout = chain_plan(n_words, draw(st.integers(1, 4)), 1, HardwareConfig())
-    groups = st.integers(0, len(layout.group_capacities) - 1)
+    """A chain pass with faults, as ``FaultPlan`` rows (step, group, plane).
+
+    Groups hold 1-12 words each, unequal in general.  Besides random events
+    there are optional faults at step 0 and at the last step, so the EDC-on
+    window starts and ends at the edges of the pass, and up to three runs of
+    faults on one (group, plane) in consecutive steps, so several planes
+    are displaced in one pass and a run can displace its plane to the end
+    of its group's queue (cap - 1) and beyond."""
+    caps = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    n_words = sum(caps)
+    layout = ChainLayout(n_words, caps, 1, 0, 0)
+    groups = st.integers(0, len(caps) - 1)
     planes = st.integers(0, WORD_PLANES - 1)
-    events = draw(st.lists(st.tuples(st.integers(0, n_words - 1), groups, planes), max_size=10))
+    events = draw(st.lists(st.tuples(st.integers(0, n_words - 1), groups, planes), max_size=12))
     for step in (0, n_words - 1):
         if draw(st.booleans()):
             events.append((step, draw(groups), draw(planes)))
-    if draw(st.booleans()):
-        start = draw(st.integers(0, n_words - 1))
-        stop = draw(st.integers(start + 1, n_words))
+    for _ in range(draw(st.integers(0, 3))):
         group, plane = draw(groups), draw(planes)
-        events += [(step, group, plane) for step in range(start, stop)]
+        # Often long enough to reach cap - 1 on its group.
+        length = draw(st.integers(1, n_words) | st.just(min(caps[group] + 1, n_words)))
+        start = draw(st.integers(0, n_words - length))
+        events += [(step, group, plane) for step in range(start, start + length)]
     if not events:
         events.append((draw(st.integers(0, n_words - 1)), draw(groups), draw(planes)))
-    faults = {}
-    for step, group, plane in events:
-        faults.setdefault(step, {}).setdefault(group, []).append(plane)
+    faults = np.array(draw(st.permutations(events)), dtype=np.int32)
     words = draw(st.lists(st.integers(-32768, 32767), min_size=n_words, max_size=n_words))
     return layout, words, faults, draw(st.booleans())
 
@@ -211,11 +216,14 @@ def faulted_passes(draw):
 @settings(max_examples=300, deadline=None)
 @given(faulted_passes())
 def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
-    """The replayed window gives what a full device pass from step 0 gives:
-    the same deliveries, corrections and held shifts, and the device's own
-    ledger is the closed-form pass less those held shifts."""
+    """``_run_faulted_chain`` gives what a full device pass from step 0
+    gives: the same deliveries, corrections and held shifts, and the
+    device's own ledger is the closed-form pass less those held shifts."""
     layout, words, faults, edc = case
     seen, corrected, held = _run_faulted_chain(layout, np.asarray(words), faults, edc)
+    by_step = {}
+    for step, group, plane in faults.tolist():
+        by_step.setdefault(step, {}).setdefault(group, []).append(plane)
     chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc)
     chain.stage(words)
     ledger = Counter()
@@ -224,7 +232,7 @@ def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
     device_seen = np.empty((len(bases), n_words), dtype=np.int64)
     device_corrected = 0
     for step in range(n_words):
-        delivered, outcomes = chain.rotate_step(faults.get(step), ledger)
+        delivered, outcomes = chain.rotate_step(by_step.get(step), ledger)
         device_seen[np.arange(len(bases)), (bases + step) % n_words] = delivered
         device_corrected += sum(len(o.corrected_planes) for o in outcomes)
     plane_steps = WORD_PLANES * len(layout.group_capacities) * n_words

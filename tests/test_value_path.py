@@ -5,8 +5,8 @@ operand, whatever the width, the row blocking or the number of columns; and
 ``simulate`` must hold no float64 copy of a weight matrix and no per-word
 table of chain groups, which the ``tracemalloc`` peak of a run on the
 widest preset shows (below 1/32 of its int16 weights).  A ``FaultPlan`` on
-that preset must hold its weight and MAC events as int32 rows, not Python
-tuples (a quarter of their retained size).
+that preset must hold its events as int32 rows, not Python tuples (a
+quarter of their retained size).
 """
 
 import tracemalloc
