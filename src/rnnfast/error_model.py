@@ -43,32 +43,24 @@ from .lstm_core import NONLINEAR_EVALS
 from .mapping import Placement
 
 SITES = ("input_chains", "weight_arrays", "logic")
-REGIONS = ("all", "integer_only", "fraction_only", "sign_only")
 DEFAULT_P_OVERSHIFT = 4.55e-5
 WORD_BITS = 16
+# The bit planes each bit_region targets.
+REGION_PLANES = {
+    "all": tuple(range(WORD_BITS)),
+    "integer_only": tuple(range(8, WORD_BITS)),
+    "fraction_only": tuple(range(8)),
+    "sign_only": (WORD_BITS - 1,),
+}
+REGIONS = tuple(REGION_PLANES)
 # Weight paths in the order of their code in the fault arrays.
 PATHS = ("x", "h")
 
 _SITE_CODE = {name: i for i, name in enumerate(SITES)}
 
 
-def region_mask(word_bit_index: int, region: str) -> bool:
-    """Whether a word bit position is targeted under a region setting."""
-    if not 0 <= word_bit_index < WORD_BITS:
-        raise ValueError("bit index must be in [0, 16)")
-    if region == "all":
-        return True
-    if region == "integer_only":
-        return word_bit_index >= 8
-    if region == "fraction_only":
-        return word_bit_index < 8
-    if region == "sign_only":
-        return word_bit_index == 15
-    raise ValueError(f"unknown region {region!r}")
-
-
 def eligible_planes(region: str) -> tuple:
-    return tuple(k for k in range(WORD_BITS) if region_mask(k, region))
+    return REGION_PLANES[region]
 
 
 @dataclass(frozen=True)
@@ -154,13 +146,13 @@ class FaultPlan:
     A gate-path slot runs over the paths of ``gate_paths`` in order, each
     path over its words.
 
-    Input-chain, weight and MAC events are stored per (layer, timestep) as
-    int32 arrays with one row per event, in event order; the path column
-    is its index in ``PATHS`` (0 = x, 1 = h):
+    Events are stored per (layer, timestep) as int32 arrays with one row
+    per event, in event order; the path column is its index in ``PATHS``
+    (0 = x, 1 = h):
       input_faults[(l, chain, t)]: rows (step, group, plane), chain "x" or "h"
       weight_faults[(l, t)]:       rows (neuron, gate, path, plane, slot)
       mac_faults[(l, t)]:          rows (neuron, gate, path, slot, plane)
-    Activation events stay Python tuples.
+      act_faults[(l, t)]:          rows (neuron, act, plane)
     """
 
     def __init__(self, cfg: ErrorConfig, placement: Placement):
@@ -170,7 +162,7 @@ class FaultPlan:
         self.input_faults = {}   # (layer, chain, t) -> int32 rows (step, group, plane)
         self.weight_faults = {}  # (layer, t) -> int32 rows (neuron, gate, path, plane, slot)
         self.mac_faults = {}     # (layer, t) -> int32 rows (neuron, gate, path, slot, plane)
-        self.act_faults = {}     # (layer, t) -> [(neuron, act_idx, plane)]
+        self.act_faults = {}     # (layer, t) -> int32 rows (neuron, act, plane)
         if cfg.active:
             self._build()
 
@@ -201,8 +193,8 @@ class FaultPlan:
                 gate, path, slot = slot_of[flat].T
                 _by_step(self.mac_faults, (l,), t, (neuron, gate, path, slot, plane))
                 acts = (m, T, NONLINEAR_EVALS[lp.cell_type])
-                for neuron, t, act, plane in self._draw("logic", l, 1, acts).tolist():
-                    self.act_faults.setdefault((l, t), []).append((neuron, act, plane))
+                neuron, t, act, plane = self._draw("logic", l, 1, acts).T
+                _by_step(self.act_faults, (l,), t, (neuron, act, plane))
 
     def _draw(self, site, layer, sub, shape):
         """One stream's events in event order, as int32 rows: the event's

@@ -5,8 +5,7 @@ signed fixed point with 8 integer and 8 fraction bits.  Raw integers are the
 single source of truth; real values exist only at the I/O boundary
 (value = raw / 256).
 
-Conventions, applied uniformly so scalar and vectorized paths agree bit for
-bit:
+Conventions:
 
 * conversions and product narrowing round to nearest, ties to even;
 * every 16-bit result saturates to [-32768, 32767] (never wraps -- wraparound
@@ -15,14 +14,12 @@ bit:
 * dot products accumulate exactly in a wide Q24.16 accumulator and are
   rounded/saturated once at the end, so accumulation order never matters.
 
-The raw-level helpers accept plain ints or numpy integer arrays (int64 math
-internally).  ``FixedQ8_8`` / ``WideAccumulator`` are thin scalar wrappers for
-code that wants value semantics.
+Each helper has one implementation, over numpy arrays: it takes an int or
+float, or an array of them, computes in int64 (float64 for real values) and
+returns an array of the same shape, or a numpy scalar for a scalar input.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,74 +30,52 @@ RAW_MAX = (1 << 15) - 1         # 127.99609375
 REAL_MIN = RAW_MIN / SCALE
 REAL_MAX = RAW_MAX / SCALE
 
-# Wide accumulator: Q24.16.  Products of two Q8.8 values are exact Q16.16;
-# sized for >= 2^16 accumulated products of in-range operands.
-WIDE_FRAC_BITS = 2 * FRAC_BITS
-
 
 def saturate(raw):
-    """Clamp a raw Q8.8 integer (or array) to the 16-bit signed range."""
-    if isinstance(raw, np.ndarray):
-        return np.clip(raw, RAW_MIN, RAW_MAX)
-    return max(RAW_MIN, min(RAW_MAX, raw))
+    """Clamp raw Q8.8 integers to the 16-bit signed range."""
+    return np.clip(np.asarray(raw, dtype=np.int64), RAW_MIN, RAW_MAX)
 
 
 def round_shift_even(value, bits: int):
     """Arithmetic right shift by `bits` with round-to-nearest, ties to even.
 
-    Works on ints and numpy integer arrays; the shift is arithmetic, so the
-    floor/remainder decomposition is exact for negative values too.
+    The shift is arithmetic, so the floor/remainder decomposition is exact
+    for negative values too.
     """
+    value = np.asarray(value, dtype=np.int64)
     floor = value >> bits
     rem = value & ((1 << bits) - 1)
     half = 1 << (bits - 1)
-    if isinstance(value, np.ndarray):
-        up = (rem > half) | ((rem == half) & ((floor & 1) == 1))
-        return floor + up
-    up = rem > half or (rem == half and (floor & 1) == 1)
-    return floor + (1 if up else 0)
+    return floor + ((rem > half) | ((rem == half) & ((floor & 1) == 1)))
 
 
 def from_real(x):
-    """Real -> raw Q8.8 with round-to-nearest-even at 2^-8, then saturation."""
-    if isinstance(x, np.ndarray):
-        return saturate(np.rint(np.asarray(x, dtype=np.float64) * SCALE).astype(np.int64))
-    scaled = float(x) * SCALE
-    if not np.isfinite(scaled):
-        raise ValueError("from_real requires a finite input")
-    # Python round() is round-half-even on floats.
-    return int(saturate(round(scaled)))
+    """Real -> raw Q8.8 with round-to-nearest-even at 2^-8, then saturation.
+
+    Raises ValueError if any input is NaN or infinite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("from_real requires finite inputs")
+    # Clamping first is exact (the bounds scale to integers) and keeps the
+    # integer cast in range.
+    return np.rint(np.clip(x, REAL_MIN, REAL_MAX) * SCALE).astype(np.int64)
 
 
 def to_real(raw):
     """Raw Q8.8 -> real."""
-    if isinstance(raw, np.ndarray):
-        return raw.astype(np.float64) / SCALE
-    return raw / SCALE
-
-
-def add_raw(a, b):
-    return saturate(a + b)
-
-
-def neg_raw(a):
-    return saturate(-a)
+    return np.asarray(raw, dtype=np.float64) / SCALE
 
 
 def mul_raw(a, b):
     """Q8.8 product: exact 32-bit multiply, one rounding at 2^-8, saturate."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        wide = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
-    else:
-        wide = int(a) * int(b)
+    wide = np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)
     return saturate(round_shift_even(wide, FRAC_BITS))
 
 
 def widen(raw):
-    """Embed a raw Q8.8 value exactly into the wide Q24.16 scale."""
-    if isinstance(raw, np.ndarray):
-        return raw.astype(np.int64) << FRAC_BITS
-    return int(raw) << FRAC_BITS
+    """Embed raw Q8.8 values exactly into the wide Q24.16 scale."""
+    return np.asarray(raw, dtype=np.int64) << FRAC_BITS
 
 
 def narrow_raw(acc):
@@ -115,43 +90,3 @@ def dot_wide(w, x):
     Row-major matrices against a vector are supported via numpy matmul.
     """
     return np.asarray(w, dtype=np.int64) @ np.asarray(x, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class FixedQ8_8:
-    """A single Q8.8 value. `raw` is the 16-bit two's-complement integer."""
-
-    raw: int
-
-    def __post_init__(self):
-        if not (RAW_MIN <= self.raw <= RAW_MAX):
-            raise ValueError(f"raw {self.raw} outside 16-bit signed range")
-
-    @classmethod
-    def from_real(cls, x: float) -> "FixedQ8_8":
-        return cls(from_real(x))
-
-    def to_real(self) -> float:
-        return self.raw / SCALE
-
-    def __add__(self, other: "FixedQ8_8") -> "FixedQ8_8":
-        return FixedQ8_8(add_raw(self.raw, other.raw))
-
-    def __mul__(self, other: "FixedQ8_8") -> "FixedQ8_8":
-        return FixedQ8_8(mul_raw(self.raw, other.raw))
-
-    def __neg__(self) -> "FixedQ8_8":
-        return FixedQ8_8(neg_raw(self.raw))
-
-
-@dataclass
-class WideAccumulator:
-    """Q24.16 accumulator for dot products; exact until the final narrow."""
-
-    raw: int = 0
-
-    def mac(self, a: FixedQ8_8, b: FixedQ8_8) -> "WideAccumulator":
-        return WideAccumulator(self.raw + a.raw * b.raw)
-
-    def narrow(self) -> FixedQ8_8:
-        return FixedQ8_8(int(narrow_raw(self.raw)))

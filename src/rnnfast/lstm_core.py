@@ -9,11 +9,15 @@ timestep, numpy int arrays of raw Q8.8 values).  ``cell_output`` is that
 output stage and the only copy of the cell equations: ``cell_step`` and the
 simulator each narrow their own accumulators and call it.
 
-The structural side models the per-gate processing element's MAC pipeline
-(48 stages, 2 cycles each, one issue per 2 cycles), the cross-unit
-aggregation chain (even-indexed units consume, odd-indexed forward, the
-leftmost unit finishes), and a radix-4 Booth multiplier used as a numeric
-equivalence check against the plain Q8.8 multiply.
+The structural side has three models.  ``MacPipeline`` is the per-gate
+processing element's MAC pipeline (48 stages, 2 cycles each, one issue per
+2 cycles); the simulator's timing path drives it for issue and completion
+cycles only, as values come from the value path.  ``aggregate_wide`` is
+the cross-unit aggregation chain (even-indexed units consume, odd-indexed
+forward, the leftmost unit finishes); ``chunked_gate_preact_wide`` sums
+split neurons' partials through it, and its hop count is the mapper's
+``agg_hops``.  ``booth_multiply``, a radix-4 Booth multiplier, is an oracle
+that tests hold bit for bit against ``fixedpoint.mul_raw``.
 
 GRU equations follow the standard update/reset/candidate cell with the
 reset gate applied to the already-accumulated recurrent product,
@@ -129,7 +133,7 @@ def gate_preact_wide(gw: GateWeights, x, h):
     """Wide (Q24.16) gate pre-activation: Wx.x + Wh.h + b, exact."""
     _check_vec("x", x, gw.inputs)
     _check_vec("h", h, gw.hidden)
-    return fp.dot_wide(gw.w_x, x) + fp.dot_wide(gw.w_h, h) + fp.widen(gw.b.astype(np.int64))
+    return fp.dot_wide(gw.w_x, x) + fp.dot_wide(gw.w_h, h) + fp.widen(gw.b)
 
 
 def gate_preact(gw: GateWeights, x, h):
@@ -193,7 +197,7 @@ def cell_output(cell_type, pre, h_prev, c_prev, acts, hook=None):
         # The reset gate scales the recurrent MAC's narrowed output before
         # the two candidate halves combine.
         h_tilde = act(tanh, fp.saturate(pre[2] + fp.mul_raw(r, pre[3])), 2)
-        one_minus_z = fp.saturate(fp.from_real(1.0) - z)
+        one_minus_z = fp.saturate(fp.SCALE - z)
         return fp.saturate(fp.mul_raw(one_minus_z, h_prev) + fp.mul_raw(z, h_tilde)), None
     return act(tanh, pre[0], 0), None
 
@@ -211,7 +215,7 @@ def cell_step(x, h_prev, c_prev, params: LayerParams, impl: str = "approx"):
         pre = [
             gate_preact(gz, x, h_prev),
             gate_preact(gr, x, h_prev),
-            fp.narrow_raw(fp.dot_wide(gc.w_x, x) + fp.widen(gc.b.astype(np.int64))),
+            fp.narrow_raw(fp.dot_wide(gc.w_x, x) + fp.widen(gc.b)),
             fp.narrow_raw(fp.dot_wide(gc.w_h, h_prev)),
         ]
     else:
@@ -228,36 +232,15 @@ def aggregate_wide(partials):
     Addition is exact (wide), so any chain shape yields the same total.
     Returns (total, hops).
     """
-    vals = [int(v) if not isinstance(v, np.ndarray) else v for v in partials]
+    vals = list(partials)
     if not vals:
         raise DimensionMismatch("aggregate needs at least one partial")
     hops = 0
     while len(vals) > 1:
-        merged = []
-        for idx in range(0, len(vals), 2):
-            if idx + 1 < len(vals):
-                merged.append(vals[idx] + vals[idx + 1])  # even consumes odd
-            else:
-                merged.append(vals[idx])
-        vals = merged
+        # Even consumes odd; a last unpaired survivor waits a round.
+        vals = [sum(vals[i:i + 2]) for i in range(0, len(vals), 2)]
         hops += 1
     return vals[0], hops
-
-
-def aggregate(partials):
-    """Sum Q8.8 partials with wide accumulation; returns (raw Q8.8, hops).
-
-    Accepts raw Q8.8 ints (embedded into the wide scale exactly) or
-    already-wide values tagged by passing `("wide", value)` tuples.
-    """
-    wide = []
-    for p in partials:
-        if isinstance(p, tuple) and p[0] == "wide":
-            wide.append(p[1])
-        else:
-            wide.append(fp.widen(int(p)))
-    total, hops = aggregate_wide(wide)
-    return fp.narrow_raw(total), hops
 
 
 # Issues a MacPipeline logs: the first few, all that a run's mac_sample reports.
@@ -275,28 +258,23 @@ class MacPipeline:
     cycles_per_stage: int = 2
     issue_interval: int = 2
     _last_issue: int | None = None
-    acc: int = 0
     log: list = field(default_factory=list)
 
     @property
     def latency(self) -> int:
         return self.stages * self.cycles_per_stage  # 96 cycles
 
-    def issue(self, cycle: int, a_raw: int = 0, b_raw: int = 0) -> int:
+    def issue(self, cycle: int) -> int:
         if self._last_issue is not None and cycle < self._last_issue + self.issue_interval:
             raise IssueTooSoon(
                 f"issue at cycle {cycle} violates the {self.issue_interval}-cycle interval "
                 f"(previous issue at {self._last_issue})"
             )
         self._last_issue = cycle
-        self.acc += int(a_raw) * int(b_raw)
         completion = cycle + self.latency
         if len(self.log) < MAC_LOG_LIMIT:
             self.log.append((cycle, completion))
         return completion
-
-    def narrow(self) -> int:
-        return int(fp.narrow_raw(self.acc))
 
 
 _BOOTH_DIGIT = np.array([0, 1, 1, 2, -2, -1, -1, 0], dtype=np.int64)
@@ -311,7 +289,6 @@ def booth_multiply(a_raw, b_raw):
     saturated identically to the plain multiply, so results are
     bit-identical to ``fixedpoint.mul_raw``.
     """
-    scalar = not (isinstance(a_raw, np.ndarray) or isinstance(b_raw, np.ndarray))
     a = np.asarray(a_raw, dtype=np.int64)
     b = np.asarray(b_raw, dtype=np.int64)
     ub = b & 0xFFFF                      # two's-complement bit pattern
@@ -323,7 +300,4 @@ def booth_multiply(a_raw, b_raw):
         product = product + digit * (a << (2 * i))
     # The top digit's triplet treats bit 15 as the sign (the -2..2 digit of
     # the final group already encodes it), so `product` equals a*b exactly.
-    out = fp.saturate(fp.round_shift_even(product, fp.FRAC_BITS))
-    if scalar:
-        return int(out)
-    return out
+    return fp.saturate(fp.round_shift_even(product, fp.FRAC_BITS))

@@ -1,12 +1,11 @@
-"""Domain-wall (racetrack) tape model: shifts, ports, chaining, EDC.
+"""Domain-wall (racetrack) storage models: chained input buffers, weight
+tracks, and both EDC protocols.
 
-Three layers of model live here:
-
-* ``Racetrack`` -- the raw device: a run of binary domains with blank
-  padding at both ends, fixed access ports, and a signed alignment offset
-  that every single-position shift moves by one.  Shifting the data past the
-  padding is a contract violation (a scheduler bug), not a modeled device
-  fault.
+A track is a run of binary domains that moves one position per shift past
+fixed access ports; 16 bit-plane tracks side by side hold a 16-bit word at
+each position.  A fault is a single-position overshift of one plane.  Two
+models live here, plus the vectorized form of the second, which the
+simulator uses:
 
 * ``InputTrackChain`` -- a circular buffer of 16-bit words built from
   word-striped track groups (16 bit-plane tracks per group, one group per
@@ -27,7 +26,8 @@ Three layers of model live here:
   EDC on only; with EDC off it follows each displaced plane's deliveries
   back through the queues in closed form, checked against this model.
 
-* ``WeightTrackGroup`` -- the weight-stationary storage of one PE. Advancing
+* ``WeightTrackGroup`` -- the weight-stationary storage of one PE, kept as
+  the reference that the vectorized form is tested against.  Advancing
   exposes the next weight after one single-position shift per plane; a full
   pass over K weights costs K-1 shifts plus a rewind.  The fixed EDC pattern
   alternates 0/1 by weight index, so a misaligned plane's observed check bit
@@ -44,9 +44,9 @@ Three layers of model live here:
   moves only its own plane.  In the simulator, one call per (layer,
   timestep) covers every faulted PE track of the step.
 
-Fault decisions are injected by the caller (a callable per shift event), so
-the device model itself holds no randomness.  Counters are reported through
-a duck-typed ledger with ``add(op, n)``.
+Fault decisions are injected by the caller (the planes that overshoot, per
+step or read), so the models themselves hold no randomness.  Counters are
+reported through a duck-typed ledger with ``add(op, n)``.
 """
 
 from __future__ import annotations
@@ -58,91 +58,16 @@ import numpy as np
 
 WORD_PLANES = 16
 INPUT_EDC_PATTERN = (1, 0, 1)       # rewritten each cycle on every input track
-WEIGHT_EDC_PATTERN = (0, 1, 0, 1, 0)  # fixed on the tape; check bit alternates
 
 
 class PadOverrun(Exception):
-    """A shift would move data past the blank padding (mapper/scheduler bug)."""
-
-
-class PortAccessError(Exception):
-    """An access used a port whose kind does not permit it."""
+    """A weight pass read past its last weight without a rewind (a
+    scheduler bug, not a modeled device fault)."""
 
 
 def _ledger_add(ledger, op, n=1):
     if ledger is not None and n:
         ledger.add(op, n)
-
-
-@dataclass(frozen=True)
-class Port:
-    kind: str        # "read" | "write" | "read-write"
-    position: int    # domain index exposed at offset 0
-
-    def can_read(self):
-        return self.kind in ("read", "read-write")
-
-    def can_write(self):
-        return self.kind in ("write", "read-write")
-
-
-class Racetrack:
-    """A single nanowire: data domains, blank padding, ports, offset."""
-
-    def __init__(self, data_len=64, blank_pad=4, ports=(), bits=None, track_id=""):
-        self.data_len = data_len
-        self.blank_pad = blank_pad
-        self.ports = tuple(ports)
-        self.offset = 0
-        self.track_id = track_id
-        for p in self.ports:
-            if not (0 <= p.position < data_len):
-                raise ValueError(f"port position {p.position} outside [0, {data_len})")
-        self._cells = np.zeros(data_len + 2 * blank_pad, dtype=np.uint8)
-        if bits is not None:
-            bits = np.asarray(bits, dtype=np.uint8)
-            if bits.shape != (data_len,):
-                raise ValueError("initial bits must match data_len")
-            self._cells[blank_pad : blank_pad + data_len] = bits
-
-    def _cell_index(self, position):
-        return self.blank_pad + position + self.offset
-
-    def shift(self, direction=1, ledger=None):
-        """Move the tape one position; direction +1 advances toward the ports."""
-        if direction not in (1, -1):
-            raise ValueError("shift moves exactly one position")
-        new_offset = self.offset + direction
-        if abs(new_offset) > self.blank_pad:
-            raise PadOverrun(
-                f"track {self.track_id or '?'}: offset {new_offset} exceeds blank_pad "
-                f"{self.blank_pad}"
-            )
-        self.offset = new_offset
-        _ledger_add(ledger, "track_shift")
-
-    def read(self, port: Port, ledger=None) -> int:
-        if not port.can_read():
-            raise PortAccessError(f"port at {port.position} is not readable")
-        _ledger_add(ledger, "track_read")
-        return int(self._cells[self._cell_index(port.position)])
-
-    def shift_write(self, port: Port, bit: int, ledger=None):
-        if not port.can_write():
-            raise PortAccessError(f"port at {port.position} is not writable")
-        self._cells[self._cell_index(port.position)] = 1 if bit else 0
-        _ledger_add(ledger, "track_write")
-
-    def rewind(self, ledger=None):
-        """Return to offset 0, one counted shift per position."""
-        while self.offset > 0:
-            self.shift(-1, ledger)
-        while self.offset < 0:
-            self.shift(1, ledger)
-
-
-def word_bit(word: int, plane: int) -> int:
-    return (int(word) >> plane) & 1
 
 
 @dataclass
@@ -259,23 +184,20 @@ class InputTrackChain:
 class WeightOutcome:
     kind: str          # "ok" | "substituted_zero"
     weight_raw: int
-    mismatched_planes: tuple = ()
 
 
 class WeightTrackGroup:
     """Weight-stationary storage of one PE path (x or h weights)."""
 
-    def __init__(self, weights, edc_enabled=False, planes=WORD_PLANES,
-                 rewind_cost="full_pass"):
+    def __init__(self, weights, edc_enabled=False, rewind_cost="full_pass"):
         self.weights = [int(w) for w in weights]
         self.edc_enabled = edc_enabled
-        self.planes = planes
         if rewind_cost not in ("full_pass", "free"):
             raise ValueError("rewind_cost must be 'full_pass' or 'free'")
         self.rewind_cost = rewind_cost
         self.slot = 0
-        self._mis = [0] * planes
-        self._suppress = [False] * planes
+        self._mis = [0] * WORD_PLANES
+        self._suppress = [False] * WORD_PLANES
 
     @property
     def capacity(self):
@@ -285,7 +207,7 @@ class WeightTrackGroup:
         # Reads displaced past the last weight land in the EDC/blank region.
         if slot >= self.capacity:
             return 0
-        return word_bit(self.weights[slot], plane)
+        return (self.weights[slot] >> plane) & 1
 
     def read_next(self, fault_planes=(), ledger=None) -> WeightOutcome:
         """Advance (except for the first slot) and read one weight."""
@@ -293,7 +215,7 @@ class WeightTrackGroup:
             raise PadOverrun("weight pass overran the stored weights; rewind first")
         if self.slot > 0:
             shifts = 0
-            for k in range(self.planes):
+            for k in range(WORD_PLANES):
                 if self._suppress[k]:
                     self._suppress[k] = False
                 else:
@@ -302,8 +224,8 @@ class WeightTrackGroup:
                         self._mis[k] += 1
             _ledger_add(ledger, "track_shift", shifts)
             if self.edc_enabled:
-                _ledger_add(ledger, "edc_read", self.planes)
-        _ledger_add(ledger, "track_read", self.planes)
+                _ledger_add(ledger, "edc_read", WORD_PLANES)
+        _ledger_add(ledger, "track_read", WORD_PLANES)
 
         slot = self.slot
         self.slot += 1
@@ -311,15 +233,15 @@ class WeightTrackGroup:
             # Stored pattern alternates 0/1 by weight index; a plane displaced
             # by e observes parity (slot+e) & 1 against expected slot & 1, so
             # any odd displacement trips the check.
-            bad = tuple(k for k in range(self.planes) if self._mis[k] % 2 == 1)
+            bad = tuple(k for k in range(WORD_PLANES) if self._mis[k] % 2 == 1)
             if bad:
                 for k in bad:
                     self._mis[k] = 0
                     self._suppress[k] = True
-                return WeightOutcome("substituted_zero", 0, bad)
+                return WeightOutcome("substituted_zero", 0)
             return WeightOutcome("ok", self.weights[slot])
         word = 0
-        for k in range(self.planes):
+        for k in range(WORD_PLANES):
             word |= self._plane_bit(slot + self._mis[k], k) << k
         # Reassemble as signed 16-bit.
         if word >= 1 << 15:
@@ -329,10 +251,10 @@ class WeightTrackGroup:
     def rewind(self, ledger=None):
         """Return to the first weight; realigns the tape and the EDC phase."""
         if self.rewind_cost == "full_pass":
-            _ledger_add(ledger, "track_shift", self.planes * self.capacity)
+            _ledger_add(ledger, "track_shift", WORD_PLANES * self.capacity)
         self.slot = 0
-        self._mis = [0] * self.planes
-        self._suppress = [False] * self.planes
+        self._mis = [0] * WORD_PLANES
+        self._suppress = [False] * WORD_PLANES
 
 
 def weight_zeros(lengths, faults):

@@ -78,7 +78,8 @@ from .racetrack import WORD_PLANES, InputTrackChain, weight_misreads, weight_zer
 # (MAC: 272 single-bit adders at shift-class cost; approx activation: 16-cell
 # track walk; LUT activation: up to 8 shifts + 1 read; aggregation hop: a
 # 40-bit wide partial, 3 words of shift-based writes; interconnect: wired
-# inter-group hop).  All overridable per ledger.
+# inter-group hop).  With LUT activations, LUT_NONLINEAR_PJ replaces the
+# nonlinear_eval rate.
 DEFAULT_ENERGY_PJ = {
     "track_read": 0.39,
     "track_shift": 0.24,
@@ -107,19 +108,14 @@ _BLOCK_ELEMS = 1 << 16
 class EnergyLedger:
     """Monotone event counters with exact energy conversion.
 
-    The ops are the keys of DEFAULT_ENERGY_PJ; an unknown op, in `add` or
-    among the `energy_pj` overrides, raises ValueError.
+    The ops are the keys of DEFAULT_ENERGY_PJ, at those rates; an unknown op
+    in `add` raises ValueError.
     """
 
-    def __init__(self, energy_pj=None, activation_impl="approx"):
+    def __init__(self, activation_impl="approx"):
         rates = dict(DEFAULT_ENERGY_PJ)
         if activation_impl == "lut":
             rates["nonlinear_eval"] = LUT_NONLINEAR_PJ
-        if energy_pj:
-            unknown = sorted(set(energy_pj) - set(rates))
-            if unknown:
-                raise ValueError(f"unknown ledger ops in energy_pj: {unknown}")
-            rates.update(energy_pj)
         self.rates_aj = {k: round(v * _ATTO_PER_PJ) for k, v in rates.items()}
         self.counters = {k: 0 for k in self.rates_aj}
 
@@ -378,10 +374,21 @@ def _run_faulted_chain(layout, words_raw, faults, edc_enabled):
     return np.where(seen >= 1 << 15, seen - (1 << 16), seen), corrected, held
 
 
-def _perturb_result_bit(value, plane):
-    """Mis-shift one set bit toward higher significance (off-by-one weight)."""
-    bit = (int(value) >> plane) & 1
-    return int(value) + (bit << plane)
+def _act_fault_hook(rows):
+    """The ``cell_output`` hook for one step's activation fault rows
+    (neuron, wave, plane): each mis-shifts one bit of its result toward
+    higher significance, then saturates.  A (neuron, wave) occurs at most
+    once, so each wave is one array update."""
+    neuron, wave, plane = rows.T.astype(np.int64)
+
+    def hook(vals, k):
+        at = wave == k
+        n, p = neuron[at], plane[at]
+        v = vals[n]
+        vals[n] = fp.saturate(v + (((v >> p) & 1) << p))
+        return vals
+
+    return hook
 
 
 def _weights(params, gate, path):
@@ -459,10 +466,11 @@ def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
     gates = params.gates
     w_x = [g.w_x for g in gates]
     w_h = [g.w_h for g in gates]
-    bias = np.stack([fp.widen(g.b.astype(np.int64)) for g in gates])
+    bias = np.stack([fp.widen(g.b) for g in gates])
     out = np.empty((len(xs), m), dtype=np.int16)
-    h = np.zeros(m, dtype=np.int64)
-    c = np.zeros(m, dtype=np.int64)
+    # cell_output returns int64 arrays, and c None for GRU/Vanilla, which
+    # ignore it.
+    h = c = np.zeros(m, dtype=np.int64)
     for t0 in range(0, len(xs), TIME_BLOCK):
         x_block = xs[t0:t0 + TIME_BLOCK]
         x_accs = _exact_matmul(w_x, x_block.T)
@@ -471,13 +479,10 @@ def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
                 x_accs[:, j].reshape(len(gates), m),
                 _exact_matmul(w_h, h).reshape(len(gates), m),
             ))
-            h, c_t = _layer_step_values(
+            h, c = _layer_step_values(
                 lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, ledger, corrections,
             )
-            h = np.asarray(h, dtype=np.int64)
             out[t0 + j] = h
-            if c_t is not None:
-                c = np.asarray(c_t, dtype=np.int64)
     return out
 
 
@@ -517,17 +522,9 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
     for op, count in geo.step_events.items():
         ledger.add(op, count - credit if op == "track_shift" else count)
 
-    # Activation faults are applied to individual evaluations.
-    act_events = {}
-    if plan:
-        for neuron, act_idx, plane in plan.act_faults.get(key, ()):
-            act_events.setdefault(act_idx, []).append((neuron, plane))
-            corrections["logic_faults"] += 1
-
-    def apply_act_faults(vals, act_idx):
-        for neuron, plane in act_events.get(act_idx, ()):
-            vals[neuron] = fp.saturate(_perturb_result_bit(int(vals[neuron]), plane))
-        return vals
+    act_faults = plan.act_faults.get(key) if plan else None
+    if act_faults is not None:
+        corrections["logic_faults"] += len(act_faults)
 
     # The accumulators narrow once per gate; the GRU candidate's h-path
     # narrows alone (the reset gate scales it inside the kernel).
@@ -536,7 +533,7 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
         wide = np.concatenate([wide[:2], accs[0][2:] + bias[2:], accs[1][2:]])
     pre = list(fp.narrow_raw(wide))
     return cell_output(lp.cell_type, pre, vecs[1], c_prev, acts,
-                       apply_act_faults if act_events else None)
+                       None if act_faults is None else _act_fault_hook(act_faults))
 
 
 def _correct_deliveries(geo, params, path, delta, accs):
@@ -665,8 +662,8 @@ def _layer_step_timing(lp, start, pipes, hw, impl):
     return done, stall
 
 
-def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None = None,
-             energy_pj=None) -> RunResult:
+def simulate(placement: Placement, params, inputs,
+             error_cfg: ErrorConfig | None = None) -> RunResult:
     """Run the placed network over a timestep-major input stream."""
     spec = placement.spec
     hw = placement.hw
@@ -691,7 +688,7 @@ def simulate(placement: Placement, params, inputs, error_cfg: ErrorConfig | None
             f"inputs shape {inputs.shape} != ({T}, {spec.layers[0].inputs})"
         )
 
-    ledger = EnergyLedger(energy_pj=energy_pj, activation_impl=impl)
+    ledger = EnergyLedger(activation_impl=impl)
     plan = FaultPlan(error_cfg, placement) if error_cfg and error_cfg.active else None
     acts = activation_fns(impl)
     geos = [_LayerGeometry(lp, hw, error_cfg) for lp in placement.layers]

@@ -3,8 +3,8 @@
 simulator applies, on single tracks and padded batches, against the
 ``WeightTrackGroup`` device model (the EDC-off read matrix is rebuilt from
 the misread rows); fault plans decoded as a per-event reference decode does
-them (input-chain, weight and MAC events as int32 rows, path coded by its
-index in ``PATHS``), and independent of the EDC flags."""
+them (input-chain, weight, MAC and activation events as int32 rows, path
+coded by its index in ``PATHS``), and independent of the EDC flags."""
 
 import numpy as np
 import pytest
@@ -186,6 +186,14 @@ def test_weight_pass_matches_the_device_for_a_slot_0_fault(edc):
     assert protocol_pass(weights, faults, edc) == device_pass(weights, faults, edc)
 
 
+def test_regions_target_their_bit_planes():
+    assert [eligible_planes(r) for r in REGIONS] == [
+        tuple(range(16)), tuple(range(8, 16)), tuple(range(8)), (15,)
+    ]
+    with pytest.raises(ValueError):
+        ErrorConfig(bit_region="upper")
+
+
 def test_edc_flags_leave_the_fault_plan_unchanged():
     spec = NetworkSpec((LayerSpec("LSTM", 12, 8), LayerSpec("GRU", 6, 12)), 5)
     placement = map_network(spec, HardwareConfig(weights_per_pe=16))
@@ -197,7 +205,7 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
 
     def events(plan):
         return (rows(plan.input_faults), rows(plan.weight_faults), rows(plan.mac_faults),
-                plan.act_faults)
+                rows(plan.act_faults))
 
     assert all(events(plans[0]))
     for plan in plans[1:]:
@@ -313,9 +321,10 @@ def test_fault_plan_matches_the_reference_decode(layout, steps):
         plan = FaultPlan(cfg, placement)
         assert all(a.dtype == np.int32 and a.shape[1] == 5
                    for a in (*plan.weight_faults.values(), *plan.mac_faults.values()))
-        assert all(a.dtype == np.int32 and a.shape[1] == 3 for a in plan.input_faults.values())
+        assert all(a.dtype == np.int32 and a.shape[1] == 3
+                   for a in (*plan.input_faults.values(), *plan.act_faults.values()))
         got = (rows(plan.input_faults), rows(plan.weight_faults), rows(plan.mac_faults),
-               plan.act_faults)
+               rows(plan.act_faults))
         want = reference_plan(cfg, placement)
         assert ordered(got) == ordered(want), (sites, region)
         hit = [h or bool(d) for h, d in zip(hit, want)]

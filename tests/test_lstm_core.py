@@ -13,6 +13,7 @@ from rnnfast.lstm_core import (
     LayerParams,
     MacPipeline,
 )
+from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.nonlinear import tanh_approx_raw
 from rnnfast.reference_oracle import FloatCellParams, float_cell_step
 
@@ -186,32 +187,50 @@ class TestPartitionExactness:
             )
 
 
+def wide_total(partials):
+    """aggregate_wide over raw Q8.8 partials, narrowed: (raw Q8.8, hops)."""
+    total, hops = core.aggregate_wide([fp.widen(p) for p in partials])
+    return fp.narrow_raw(total), hops
+
+
 class TestAggregation:
     def test_single_partial_identity(self):
-        total, hops = core.aggregate([fp.from_real(3.25)])
+        total, hops = wide_total([fp.from_real(3.25)])
         assert fp.to_real(total) == 3.25
         assert hops == 0
 
     def test_four_partials(self):
-        vals = [fp.from_real(v) for v in (1.0, 2.0, 3.0, 4.0)]
-        total, hops = core.aggregate(vals)
+        total, hops = wide_total([fp.from_real(v) for v in (1.0, 2.0, 3.0, 4.0)])
         assert fp.to_real(total) == 10.0
         assert hops == 2
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         raw = rng.integers(-(1 << 12), 1 << 12, size=9).tolist()
-        base, hops = core.aggregate(raw)
+        base, hops = wide_total(raw)
         assert hops == 4  # ceil(log2(9))
         for _ in range(5):
             rng.shuffle(raw)
-            assert core.aggregate(raw)[0] == base
+            assert wide_total(raw)[0] == base
 
     def test_wide_partials(self):
-        wides = [("wide", 1 << 16), ("wide", 3 << 16)]
-        total, hops = core.aggregate(wides)
-        assert total == fp.from_real(4.0)
+        total, hops = core.aggregate_wide([1 << 16, 3 << 16])
+        assert fp.narrow_raw(total) == fp.from_real(4.0)
         assert hops == 1
+
+    def test_no_partials(self):
+        with pytest.raises(DimensionMismatch):
+            core.aggregate_wide([])
+
+    @pytest.mark.parametrize("units", range(1, 10))
+    def test_hops_are_the_mappers_agg_hops(self, units):
+        # One neuron whose per-gate demand (inputs + 1 hidden + 1 bias) fills
+        # exactly `units` PEs of 16 weights each.
+        spec = NetworkSpec((LayerSpec("LSTM", 1, 16 * units - 2),), 1)
+        lp = map_network(spec, HardwareConfig(weights_per_pe=16)).layers[0]
+        assert lp.units_per_neuron == len(lp.chunk_sizes) == units
+        _total, hops = core.aggregate_wide(np.zeros((units, 1), dtype=np.int64))
+        assert hops == lp.agg_hops
 
 
 class TestMacPipeline:
@@ -228,17 +247,6 @@ class TestMacPipeline:
         pipe.issue(0)
         with pytest.raises(IssueTooSoon):
             pipe.issue(1)
-
-    def test_value_matches_wide_accumulation(self):
-        rng = np.random.default_rng(13)
-        a = rng.integers(fp.RAW_MIN, fp.RAW_MAX + 1, size=32)
-        b = rng.integers(fp.RAW_MIN, fp.RAW_MAX + 1, size=32)
-        pipe = MacPipeline()
-        cycle = 0
-        for ai, bi in zip(a, b):
-            pipe.issue(cycle, int(ai), int(bi))
-            cycle += 2
-        assert pipe.narrow() == fp.narrow_raw(int(fp.dot_wide(a, b)))
 
     def test_log_keeps_only_the_first_issues(self):
         pipe = MacPipeline()

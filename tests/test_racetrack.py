@@ -1,4 +1,4 @@
-"""Racetrack device semantics, chain circulation, and both EDC protocols."""
+"""Input chain circulation, weight-track passes, and both EDC protocols."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,6 @@ from rnnfast.racetrack import (
     WORD_PLANES,
     InputTrackChain,
     PadOverrun,
-    Port,
-    PortAccessError,
-    Racetrack,
     WeightTrackGroup,
 )
 
@@ -27,79 +24,6 @@ class Counter:
 
     def get(self, op):
         return self.counts.get(op, 0)
-
-
-class TestRacetrack:
-    def test_shift_aligns_next_domain(self):
-        trk = Racetrack(data_len=3, blank_pad=4, ports=(Port("read", 0),),
-                        bits=[1, 0, 1])
-        rd = trk.ports[0]
-        assert trk.read(rd) == 1
-        trk.shift(1)
-        assert trk.read(rd) == 0  # second domain now under the head
-        trk.shift(1)
-        assert trk.read(rd) == 1
-
-    def test_shift_then_unshift_is_identity(self):
-        trk = Racetrack(data_len=8, blank_pad=2, ports=(Port("read", 3),),
-                        bits=[0, 1, 0, 1, 1, 0, 0, 1])
-        rd = trk.ports[0]
-        before = trk.read(rd)
-        trk.shift(1)
-        trk.shift(-1)
-        assert trk.read(rd) == before
-        assert trk.offset == 0
-
-    def test_full_scan_visits_every_domain_once(self):
-        bits = np.random.default_rng(0).integers(0, 2, size=64)
-        trk = Racetrack(data_len=64, blank_pad=64, ports=(Port("read", 0),), bits=bits)
-        rd = trk.ports[0]
-        seen = [trk.read(rd)]
-        for _ in range(63):
-            trk.shift(1)
-            seen.append(trk.read(rd))
-        assert seen == list(bits)
-
-    def test_pad_overrun(self):
-        trk = Racetrack(data_len=4, blank_pad=1)
-        trk.shift(1)
-        with pytest.raises(PadOverrun):
-            trk.shift(1)
-
-    def test_write_then_read_same_port(self):
-        trk = Racetrack(data_len=4, blank_pad=2, ports=(Port("read-write", 2),))
-        p = trk.ports[0]
-        trk.shift_write(p, 1)
-        assert trk.read(p) == 1
-
-    def test_fresh_track_reads_zero(self):
-        trk = Racetrack(data_len=16, blank_pad=4,
-                        ports=(Port("read", 0), Port("read", 9)))
-        assert trk.read(trk.ports[0]) == 0
-        assert trk.read(trk.ports[1]) == 0
-
-    def test_port_kind_enforced(self):
-        trk = Racetrack(data_len=4, blank_pad=1, ports=(Port("write", 0),))
-        with pytest.raises(PortAccessError):
-            trk.read(trk.ports[0])
-
-    def test_ledger_counts(self):
-        led = Counter()
-        trk = Racetrack(data_len=64, blank_pad=64, ports=(Port("read", 0),))
-        for _ in range(64):
-            trk.read(trk.ports[0], ledger=led)
-            trk.shift(1, ledger=led)
-        assert led.get("track_read") == 64
-        assert led.get("track_shift") == 64
-
-    def test_rewind_counts_shifts(self):
-        led = Counter()
-        trk = Racetrack(data_len=8, blank_pad=8)
-        for _ in range(5):
-            trk.shift(1)
-        trk.rewind(ledger=led)
-        assert trk.offset == 0
-        assert led.get("track_shift") == 5
 
 
 def rotate_full_pass(chain, faults_by_step=None, ledger=None):

@@ -1,16 +1,25 @@
 """``simulate`` rejects input streams, weights and biases that are not raw
-Q8.8 integers, and energy overrides for ops the ledger does not count;
-``energy_report`` takes its op latencies from the hardware config."""
+Q8.8 integers; the ledger rejects ops it does not count and prices the
+counted ones at the default rates; ``energy_report`` takes its op latencies
+from the hardware config."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rnnfast.error_model import ErrorConfig
 from rnnfast.lstm_core import LayerParams
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
-from rnnfast.simulator import DEFAULT_ENERGY_PJ, EnergyLedger, energy_report, simulate
+from rnnfast.simulator import (
+    DEFAULT_ENERGY_PJ,
+    LUT_NONLINEAR_PJ,
+    EnergyLedger,
+    energy_report,
+    simulate,
+)
 
 SPEC = NetworkSpec((LayerSpec("LSTM", 3, 2),), 1)
 PLACEMENT = map_network(SPEC, HardwareConfig())
@@ -83,8 +92,6 @@ def test_in_range_wide_integer_weights_are_accepted():
 
 
 def test_unknown_ledger_ops_are_rejected():
-    with pytest.raises(ValueError, match="mac_isue"):
-        simulate(PLACEMENT, PARAMS, [[1, 2]], energy_pj={"mac_isue": 1.0})
     ledger = EnergyLedger()
     with pytest.raises(ValueError, match="mac_isue"):
         ledger.add("mac_isue")
@@ -92,12 +99,26 @@ def test_unknown_ledger_ops_are_rejected():
     assert set(ledger.counters.values()) == {0}
 
 
-def test_known_energy_overrides_change_only_their_op():
-    base = simulate(PLACEMENT, PARAMS, [[1, 2]])
-    cheap = simulate(PLACEMENT, PARAMS, [[1, 2]], energy_pj={"mac_issue": 0.0})
-    assert cheap.counters == base.counters
-    mac_pj = base.counters["mac_issue"] * DEFAULT_ENERGY_PJ["mac_issue"]
-    assert cheap.total_energy_pj == pytest.approx(base.total_energy_pj - mac_pj)
+def test_energy_is_counters_times_the_default_rates():
+    # Exact: each rate is a decimal with at most 6 places, so the ledger's
+    # attojoule integers give the correctly rounded counter x rate.
+    for impl in ("approx", "lut"):
+        spec = replace(SPEC, activation_impl=impl)
+        placement = map_network(spec, HardwareConfig())
+        edc = ErrorConfig(p_overshift=0.0, edc_inputs=True, edc_weights=True)
+        result = simulate(placement, PARAMS, [[1, 2]], error_cfg=edc)
+        rates = dict(DEFAULT_ENERGY_PJ)
+        if impl == "lut":
+            rates["nonlinear_eval"] = LUT_NONLINEAR_PJ
+        exact = {op: n * Fraction(str(rates[op])) for op, n in result.counters.items()}
+        ledger = EnergyLedger(activation_impl=impl)
+        for op, n in result.counters.items():
+            ledger.add(op, n)
+        report = energy_report(ledger, HardwareConfig())
+        assert result.counters["edc_write"] and result.counters["nonlinear_eval"]
+        assert report["counters"] == result.counters
+        assert report["energy_pj_per_op"] == {op: float(e) for op, e in exact.items()}
+        assert report["total_energy_pj"] == result.total_energy_pj == float(sum(exact.values()))
 
 
 def test_energy_report_gives_the_hardware_latencies():
