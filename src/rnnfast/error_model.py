@@ -39,28 +39,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fixedpoint as fp
-from .lstm_core import NONLINEAR_EVALS
+from .lstm_core import GATE_ORDERS, NONLINEAR_EVALS
 from .mapping import Placement
+from .racetrack import WORD_PLANES
 
 SITES = ("input_chains", "weight_arrays", "logic")
 DEFAULT_P_OVERSHIFT = 4.55e-5
-WORD_BITS = 16
 # The bit planes each bit_region targets.
 REGION_PLANES = {
-    "all": tuple(range(WORD_BITS)),
-    "integer_only": tuple(range(8, WORD_BITS)),
+    "all": tuple(range(WORD_PLANES)),
+    "integer_only": tuple(range(8, WORD_PLANES)),
     "fraction_only": tuple(range(8)),
-    "sign_only": (WORD_BITS - 1,),
+    "sign_only": (WORD_PLANES - 1,),
 }
-REGIONS = tuple(REGION_PLANES)
 # Weight paths in the order of their code in the fault arrays.
 PATHS = ("x", "h")
 
 _SITE_CODE = {name: i for i, name in enumerate(SITES)}
-
-
-def eligible_planes(region: str) -> tuple:
-    return REGION_PLANES[region]
 
 
 @dataclass(frozen=True)
@@ -81,7 +76,7 @@ class ErrorConfig:
                 raise ValueError(f"unknown site {s!r}")
         if self.p_overshift > 0 and not self.sites:
             raise ValueError("sites must be nonempty when p_overshift > 0")
-        if self.bit_region not in REGIONS:
+        if self.bit_region not in REGION_PLANES:
             raise ValueError(f"unknown region {self.bit_region!r}")
         if self.p_overshift > 0 and self.seed is None:
             raise ValueError("a seed is required for error-injection runs")
@@ -91,7 +86,7 @@ class ErrorConfig:
         return self.p_overshift > 0 and bool(self.sites)
 
 
-def _stream(seed: int, site: str, layer: int, sub: int = 0) -> np.random.Generator:
+def _stream(seed: int, site: str, layer: int, sub: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), _SITE_CODE[site], int(layer), int(sub)])
     )
@@ -119,12 +114,9 @@ def _by_step(faults, prefix, t, columns):
 
 
 def gate_paths(cell_type: str):
-    """(gate_index, path) MAC streams active for a cell type."""
-    if cell_type == "LSTM":
-        return [(g, p) for g in range(4) for p in ("x", "h")]
-    if cell_type == "GRU":
-        return [(g, p) for g in range(3) for p in ("x", "h")]
-    return [(0, "x"), (0, "h")]
+    """(gate_index, path) MAC streams of a cell type: each gate's x and h
+    paths, gate by gate."""
+    return [(g, p) for g in range(len(GATE_ORDERS[cell_type])) for p in PATHS]
 
 
 class FaultPlan:
@@ -158,7 +150,7 @@ class FaultPlan:
     def __init__(self, cfg: ErrorConfig, placement: Placement):
         self.cfg = cfg
         self.placement = placement
-        self.planes = eligible_planes(cfg.bit_region)
+        self.planes = REGION_PLANES[cfg.bit_region]
         self.input_faults = {}   # (layer, chain, t) -> int32 rows (step, group, plane)
         self.weight_faults = {}  # (layer, t) -> int32 rows (neuron, gate, path, plane, slot)
         self.mac_faults = {}     # (layer, t) -> int32 rows (neuron, gate, path, slot, plane)
@@ -236,18 +228,17 @@ def fidelity_metrics(reference, observed) -> FidelityMetrics:
     return FidelityMetrics(agree, rmse / denom if denom > 0 else rmse)
 
 
-def run_fidelity_experiment(spec, hw, cfg_grid, params=None, inputs=None, seeds=(0,)):
+def run_fidelity_experiment(spec, hw, cfg_grid, params, inputs, seeds):
     """Paired error-free vs faulty runs over a config grid x seeds.
 
     Returns a list of row dicts (one per grid cell per seed) carrying the
-    config fields and the two fidelity metrics.  The error-free reference is
-    computed once since it does not depend on the fault seed.
+    config fields and the two fidelity metrics; a fault-free cell's rows
+    carry seed -1.  The error-free reference is computed once since it does
+    not depend on the fault seed.
     """
     from .mapping import map_network
     from .simulator import simulate
 
-    if params is None or inputs is None:
-        raise ValueError("params and inputs are required")
     placement = map_network(spec, hw)
     reference = simulate(placement, params, inputs).outputs[-1]
     rows = []

@@ -43,11 +43,6 @@ VANILLA_GATES = ("g",)
 
 GATE_ORDERS = {"LSTM": LSTM_GATES, "GRU": GRU_GATES, "Vanilla": VANILLA_GATES}
 
-# Active MAC streams per unit: LSTM runs 4 gates x (input + recurrent) paths;
-# GRU powers two full PEs plus two half-active ones (one MAC each); Vanilla
-# uses a single PE per neuron.
-MAC_STREAMS = {"LSTM": 8, "GRU": 6, "Vanilla": 2}
-
 # Output-stage activation waves: gate activations, then (LSTM/GRU) a second
 # wave that depends on them (tanh of the cell state / of the candidate).
 ACT_STAGES = {"LSTM": 2, "GRU": 2, "Vanilla": 1}
@@ -257,8 +252,8 @@ class MacPipeline:
     stages: int = 48
     cycles_per_stage: int = 2
     issue_interval: int = 2
-    _last_issue: int | None = None
-    log: list = field(default_factory=list)
+    _last_issue: int | None = field(init=False, default=None)
+    log: list = field(init=False, default_factory=list)
 
     @property
     def latency(self) -> int:

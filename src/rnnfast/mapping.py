@@ -1,30 +1,34 @@
 """Binding of logical networks onto the accelerator's resource grid.
 
 The hardware is a pool of tile groups; each group is a grid of rows x
-columns of compute tiles, each tile holding 64 LSTM units of 4 PEs.  A
-network layer occupies one row (consecutive layers take consecutive rows)
-and may extend horizontally across tile groups, in which case its input
+columns of compute tiles, each tile holding 64 LSTM units of 4 PEs.  Layer
+i occupies row i, so a network has at most ``rows_per_group`` layers, and a
+row may extend horizontally across tile groups, in which case its input
 chain is linked through the inter-group interconnect with a look-ahead read
 port hiding the interconnect latency.
 
-Per-neuron placement is driven by the PE weight capacity: a neuron whose
-per-gate demand (inputs + hidden + 1 bias) fits one PE maps 1:1 onto a
-single unit; larger neurons span ceil(demand / capacity) units whose
-partial results combine over an aggregation tree of depth ceil(log2(u)).
-Vanilla neurons need a single PE, so four of them pack into one unit.
-Packing is left-to-right greedy within the row; a layer spanning several
-groups splits its tiles evenly between them.
+Per-neuron placement is driven by the PE weight capacity.  A neuron's
+per-gate demand is its inputs + hidden + 1 bias words, which take
+``pes_per_neuron`` = ceil(demand / capacity) PEs per gate.  An LSTM or GRU
+neuron places one PE of each gate per unit, so it spans that many units.  A
+Vanilla neuron has one gate: floor(4 / pes_per_neuron) neurons of up to
+four PEs share a unit, and a larger one spans ceil(pes_per_neuron / 4)
+units.  The partial results of a neuron on several units combine over an
+aggregation tree of depth ceil(log2(units)).  A layer takes enough tiles
+for its units and for the words of both its chains (64 per tile buffer),
+and ``chain_plan`` spreads each chain's words evenly over those buffers.
 
 ``map_network`` is total: it returns a Placement satisfying every capacity
 invariant or raises ``CapacityExceeded`` with a structured shortfall report.
+``utilization_report`` counts the resources a placement uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .lstm_core import GATE_ORDERS, MAC_STREAMS
+from .lstm_core import GATE_ORDERS
 
 INPUT_TRACK_WORDS = 64  # words per tile input buffer (16 planes x 64 cells)
 
@@ -32,9 +36,9 @@ INPUT_TRACK_WORDS = 64  # words per tile input buffer (16 planes x 64 cells)
 class CapacityExceeded(Exception):
     """The network cannot be placed on the configured hardware."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report):
         super().__init__(message)
-        self.report = report or {}
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -143,14 +147,11 @@ class LayerPlacement:
     cell_type: str
     neurons: int
     inputs: int
-    row: int
     units_per_neuron: int
     neurons_per_unit: int       # >1 only for Vanilla packing
-    pes_per_neuron: int
+    pes_per_neuron: int         # per gate
     n_units: int
     n_tiles: int
-    tile_span: tuple            # tiles allocated per spanned hardware group
-    chunk_sizes: tuple          # per-PE split of [w_x | w_h | b] weight words
     agg_hops: int               # ceil(log2(units_per_neuron))
     chain: ChainLayout
     recurrent_chain: ChainLayout
@@ -170,30 +171,10 @@ class Placement:
     def total_pes(self) -> int:
         return sum(l.n_units * self.hw.pes_per_unit for l in self.layers)
 
-    @property
-    def total_tiles(self) -> int:
-        return sum(l.n_tiles for l in self.layers)
-
-    def to_dict(self) -> dict:
-        return {
-            "layers": [asdict(l) for l in self.layers],
-            "totals": {
-                "units": self.total_units,
-                "pes": self.total_pes,
-                "tiles": self.total_tiles,
-            },
-        }
-
 
 def _split_even(total: int, parts: int) -> tuple:
     base, rem = divmod(total, parts)
     return tuple(base + (1 if i < rem else 0) for i in range(parts))
-
-
-def _chunk_sizes(demand: int, units: int, capacity: int) -> tuple:
-    sizes = _split_even(demand, units)
-    assert all(s <= capacity for s in sizes)
-    return sizes
 
 
 def chain_plan(n_words: int, n_tiles: int, spanned_groups: int, hw: HardwareConfig) -> ChainLayout:
@@ -225,24 +206,12 @@ def chain_plan(n_words: int, n_tiles: int, spanned_groups: int, hw: HardwareConf
 
 def _place_layer(index: int, layer: LayerSpec, hw: HardwareConfig) -> LayerPlacement:
     demand = layer.inputs + layer.neurons + 1  # per-gate weight words
-    cap = hw.weights_per_pe
-    if layer.cell_type == "Vanilla":
-        pes_per_neuron = math.ceil(demand / cap)
-        if pes_per_neuron <= hw.pes_per_unit:
-            units_per_neuron = 1
-            neurons_per_unit = hw.pes_per_unit // pes_per_neuron
-            n_units = math.ceil(layer.neurons / neurons_per_unit)
-        else:
-            units_per_neuron = math.ceil(pes_per_neuron / hw.pes_per_unit)
-            neurons_per_unit = 1
-            n_units = layer.neurons * units_per_neuron
-        chunks = _chunk_sizes(demand, pes_per_neuron, cap)
-    else:
-        units_per_neuron = math.ceil(demand / cap)
-        pes_per_neuron = units_per_neuron  # per gate: one PE chunk per unit
-        neurons_per_unit = 1
-        n_units = layer.neurons * units_per_neuron
-        chunks = _chunk_sizes(demand, units_per_neuron, cap)
+    pes_per_neuron = math.ceil(demand / hw.weights_per_pe)
+    # PEs of one gate of a neuron that share a unit.
+    per_unit = hw.pes_per_unit if layer.cell_type == "Vanilla" else 1
+    units_per_neuron = math.ceil(pes_per_neuron / per_unit)
+    neurons_per_unit = max(1, per_unit // pes_per_neuron)
+    n_units = math.ceil(layer.neurons / neurons_per_unit) * units_per_neuron
 
     n_tiles = max(
         math.ceil(n_units / hw.lstm_units_per_tile),
@@ -261,7 +230,6 @@ def _place_layer(index: int, layer: LayerSpec, hw: HardwareConfig) -> LayerPlace
             },
         )
     spanned = math.ceil(n_tiles / hw.tiles_per_group)
-    tile_span = _split_even(n_tiles, spanned)
     chain = chain_plan(layer.inputs, n_tiles, spanned, hw)
     recurrent = chain_plan(layer.neurons, n_tiles, spanned, hw)
     return LayerPlacement(
@@ -269,14 +237,11 @@ def _place_layer(index: int, layer: LayerSpec, hw: HardwareConfig) -> LayerPlace
         cell_type=layer.cell_type,
         neurons=layer.neurons,
         inputs=layer.inputs,
-        row=index,
         units_per_neuron=units_per_neuron,
         neurons_per_unit=neurons_per_unit,
         pes_per_neuron=pes_per_neuron,
         n_units=n_units,
         n_tiles=n_tiles,
-        tile_span=tile_span,
-        chunk_sizes=chunks,
         agg_hops=math.ceil(math.log2(units_per_neuron)) if units_per_neuron > 1 else 0,
         chain=chain,
         recurrent_chain=recurrent,
@@ -311,18 +276,16 @@ def feasibility_check(spec: NetworkSpec, hw: HardwareConfig) -> bool:
     return demand <= supply
 
 
-def utilization_report(placement: Placement, hw: HardwareConfig | None = None) -> dict:
+def utilization_report(placement: Placement) -> dict:
     """Resource counts and fractions used by a placement."""
-    hw = hw or placement.hw
+    hw = placement.hw
     per_layer = []
     macs_active = 0
     macs_provisioned = 0
     for lp in placement.layers:
         unit_macs = 2 * hw.pes_per_unit  # two MAC engines per PE
-        if lp.cell_type == "Vanilla":
-            active = MAC_STREAMS["Vanilla"] * lp.neurons_per_unit
-        else:
-            active = MAC_STREAMS[lp.cell_type]
+        # Each neuron on a unit streams its gates' input and recurrent paths.
+        active = 2 * len(GATE_ORDERS[lp.cell_type]) * lp.neurons_per_unit
         layer_active = active * lp.n_units
         layer_prov = unit_macs * lp.n_units
         macs_active += layer_active

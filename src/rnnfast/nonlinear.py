@@ -93,7 +93,6 @@ class LutTable:
     values: table[0] is returned for z < -4, table[1 + i] for sample i, and
     table[65] for z >= 4."""
 
-    function: str               # "sigmoid" | "tanh"
     table: np.ndarray           # int64, shape (66,), monotone nondecreasing
 
     @classmethod
@@ -106,11 +105,7 @@ class LutTable:
             raise ValueError(f"unknown LUT function {function!r}")
         step = (LUT_HI - LUT_LO) / LUT_SAMPLES
         mids = LUT_LO + (np.arange(LUT_SAMPLES) + 0.5) * step
-        return cls(function, from_real(np.concatenate(([lo], fn(mids), [hi]))))
-
-    @property
-    def samples(self):
-        return self.table[1:-1]
+        return cls(from_real(np.concatenate(([lo], fn(mids), [hi]))))
 
     def lookup_raw(self, z):
         # Inputs below -4 index -1 or less, inputs at or above 4 index 64 or

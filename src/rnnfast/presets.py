@@ -1,12 +1,18 @@
 """Benchmark presets and seeded parameter/input generators.
 
-The shipped presets mirror the evaluated benchmark set (layer counts, layer
-widths, timesteps).  Trained weights are not distributed with the suite, so
-presets generate uniformly seeded weights; results are therefore fidelity
+A ``Preset`` is a named network and the ``HardwareConfig`` fields it
+overrides; ``hardware()`` applies them to the defaults.  The shipped
+presets mirror the evaluated benchmark set (layer counts, layer widths,
+timesteps).  Encoder-decoder benchmarks instantiate encoder and decoder
+stacks explicitly, which is what their published resource counts
+correspond to (e.g. the 3x1024 translation model occupies 6144 units = 6
+stacked layers).
+
+Trained weights are not distributed with the suite, so the caller draws
+them from a seed: ``generate_network_params`` gives weights and biases
+uniform in [-0.5, 0.5], ``generate_inputs`` the first layer's input stream
+uniform in [-1, 1], both quantized to Q8.8.  Results are therefore fidelity
 and performance studies of the architecture, not task accuracy runs.
-Encoder-decoder benchmarks instantiate encoder and decoder stacks
-explicitly, which is what their published resource counts correspond to
-(e.g. the 3x1024 translation model occupies 6144 units = 6 stacked layers).
 
 The 1024-wide presets override the PE weight capacity upward: the default
 capacity derived from the weight-array geometry (1,640 words) cannot hold
@@ -17,7 +23,7 @@ to 2,560 words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,11 +45,10 @@ def _quantize(real: np.ndarray) -> np.ndarray:
     return real.astype(np.int16)
 
 
-def generate_layer_params(rng, cell_type: str, neurons: int, inputs: int,
-                          weight_scale: float = 0.5) -> LayerParams:
-    """Uniform random layer parameters in [-scale, scale], Q8.8-quantized."""
+def generate_layer_params(rng, cell_type: str, neurons: int, inputs: int) -> LayerParams:
+    """Uniform random layer parameters in [-0.5, 0.5], Q8.8-quantized."""
     def draw(shape):
-        return _quantize(rng.uniform(-weight_scale, weight_scale, shape))
+        return _quantize(rng.uniform(-0.5, 0.5, shape))
 
     gates = tuple(
         GateWeights(w_x=draw((neurons, inputs)), w_h=draw((neurons, neurons)), b=draw(neurons))
@@ -52,19 +57,20 @@ def generate_layer_params(rng, cell_type: str, neurons: int, inputs: int,
     return LayerParams(cell_type, gates)
 
 
-def generate_network_params(spec: NetworkSpec, seed: int, weight_scale: float = 0.5):
+def generate_network_params(spec: NetworkSpec, seed: int):
     rng = np.random.default_rng(seed)
     return [
-        generate_layer_params(rng, layer.cell_type, layer.neurons, layer.inputs, weight_scale)
+        generate_layer_params(rng, layer.cell_type, layer.neurons, layer.inputs)
         for layer in spec.layers
     ]
 
 
-def generate_inputs(spec: NetworkSpec, seed: int, scale: float = 1.0) -> np.ndarray:
-    """Timestep-major raw Q8.8 input stream for the first layer."""
+def generate_inputs(spec: NetworkSpec, seed: int) -> np.ndarray:
+    """Timestep-major raw Q8.8 input stream for the first layer, uniform in
+    [-1, 1]."""
     rng = np.random.default_rng(seed)
     n0 = spec.layers[0].inputs
-    return _quantize(rng.uniform(-scale, scale, (spec.timesteps, n0)))
+    return _quantize(rng.uniform(-1.0, 1.0, (spec.timesteps, n0)))
 
 
 @dataclass(frozen=True)
@@ -73,26 +79,15 @@ class Preset:
     description: str
     spec: NetworkSpec
     hw_overrides: dict
-    weight_seed: int = 2024
-    input_seed: int = 7
-    weight_scale: float = 0.5
 
-    def hardware(self, base: HardwareConfig | None = None) -> HardwareConfig:
-        hw = base or HardwareConfig()
-        if self.hw_overrides:
-            hw = replace(hw, **self.hw_overrides)
-        return hw
-
-    def params(self):
-        return generate_network_params(self.spec, self.weight_seed, self.weight_scale)
-
-    def inputs(self):
-        return generate_inputs(self.spec, self.input_seed)
+    def hardware(self) -> HardwareConfig:
+        """The default hardware with this preset's overrides."""
+        return HardwareConfig(**self.hw_overrides)
 
 
-def _stack(cell, width, depth, timesteps, impl="approx"):
+def _stack(cell, width, depth, timesteps):
     layers = tuple(LayerSpec(cell, width, width) for _ in range(depth))
-    return NetworkSpec(layers, timesteps, impl)
+    return NetworkSpec(layers, timesteps)
 
 
 # Capacity override for 1024-wide 1:1 mapping (see module docstring).

@@ -4,7 +4,7 @@ tracks, and both EDC protocols.
 A track is a run of binary domains that moves one position per shift past
 fixed access ports; 16 bit-plane tracks side by side hold a 16-bit word at
 each position.  A fault is a single-position overshift of one plane.  Two
-models live here, plus the vectorized form of the second, which the
+device models live here, plus the vectorized form of the second, which the
 simulator uses:
 
 * ``InputTrackChain`` -- a circular buffer of 16-bit words built from
@@ -12,37 +12,40 @@ simulator uses:
   tile).  Each rotate step every group reads the word at its head,
   broadcasts it, and writes it to its left neighbour's tail; after
   ``capacity`` steps the content returns to its starting order.  The 16
-  planes of a group always hold the same words, so a group is one queue of
-  words plus, per plane, its uncorrected overshift and whether its next
-  shift is held.  An uncorrected overshift displaces its plane by one word
-  for the remainder of the pass, so the delivered word takes that plane's
-  bit from a later word of the queue.  With EDC enabled a 3-bit pattern
-  rewritten during the existing write slot makes every single-position
-  overshift visible in the post-shift check bit; the secondary head (one
-  position behind) supplies the correct word, the tail write is placed
-  accordingly, and the controller holds that plane's next shift -- so the
-  decoded stream is exactly the fault-free stream, at zero added cycles.
-  The simulator replays this model over the window of a faulted pass with
-  EDC on only; with EDC off it follows each displaced plane's deliveries
-  back through the queues in closed form, checked against this model.
+  planes of a group always hold the same words, so the chain keeps, per
+  group, one queue of words, the uncorrected overshift of each displaced
+  plane, and the planes whose next shift is held.  An uncorrected
+  overshift displaces its plane by one word for the remainder of the pass,
+  so the delivered word takes that plane's bit from a later word of the
+  queue.  With EDC enabled a 3-bit pattern rewritten during the existing
+  write slot makes every single-position overshift visible in the
+  post-shift check bit; the secondary head (one position behind) supplies
+  the correct word, the tail write is placed accordingly, and the
+  controller holds that plane's next shift -- so the decoded stream is
+  exactly the fault-free stream, at zero added cycles.  ``rotate_step``
+  returns plain lists: the word each group delivered and the planes each
+  group corrected.  The simulator replays this model over the window of a
+  faulted pass with EDC on only; with EDC off it follows each displaced
+  plane's deliveries back through the queues in closed form, checked
+  against this model.
 
 * ``WeightTrackGroup`` -- the weight-stationary storage of one PE, kept as
   the reference that the vectorized form is tested against.  Advancing
   exposes the next weight after one single-position shift per plane; a full
-  pass over K weights costs K-1 shifts plus a rewind.  The fixed EDC pattern
-  alternates 0/1 by weight index, so a misaligned plane's observed check bit
-  disagrees with the expected parity; on mismatch the returned weight is
-  exactly zero and the misaligned plane's next shift is suppressed, which
-  realigns the stream from the following weight onward.  Its vectorized
-  form over whole passes of a batch of tracks, the only implementation of
-  this protocol that the simulator uses, is split by the EDC setting:
-  ``weight_zeros`` (EDC on) finds the zeroed (track, slot) pairs and the
-  held shifts from the fault rows and track lengths alone, since every
-  other slot reads its stored weight; ``weight_misreads`` (EDC off) gives,
-  for each displaced (track, plane) pair, the slot that each slot's bit of
-  that plane is read from, again from the fault rows alone, since a fault
-  moves only its own plane.  In the simulator, one call per (layer,
-  timestep) covers every faulted PE track of the step.
+  pass over K weights costs K-1 shifts plus a rewind of K shifts.  The fixed
+  EDC pattern alternates 0/1 by weight index, so a misaligned plane's
+  observed check bit disagrees with the expected parity; on mismatch the
+  returned weight is exactly zero and the misaligned plane's next shift is
+  suppressed, which realigns the stream from the following weight onward.
+  Its vectorized form over whole passes of a batch of tracks, the only
+  implementation of this protocol that the simulator uses, is split by the
+  EDC setting: ``weight_zeros`` (EDC on) finds the zeroed (track, slot)
+  pairs and the held shifts from the fault rows and track lengths alone,
+  since every other slot reads its stored weight; ``weight_misreads`` (EDC
+  off) gives, for each displaced (track, plane) pair, the slot that each
+  slot's bit of that plane is read from, again from the fault rows alone,
+  since a fault moves only its own plane.  In the simulator, one call per
+  (layer, timestep) covers every faulted PE track of the step.
 
 Fault decisions are injected by the caller (the planes that overshoot, per
 step or read), so the models themselves hold no randomness.  Counters are
@@ -52,6 +55,7 @@ reported through a duck-typed ledger with ``add(op, n)``.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,119 +69,86 @@ class PadOverrun(Exception):
     scheduler bug, not a modeled device fault)."""
 
 
-def _ledger_add(ledger, op, n=1):
+def _ledger_add(ledger, op, n):
     if ledger is not None and n:
         ledger.add(op, n)
 
 
-@dataclass
-class StepOutcome:
-    """Per-rotate-step EDC bookkeeping for one track group."""
-
-    ok: bool = True
-    corrected_planes: tuple = ()
-
-
-class InputTrackGroup:
-    """One tile's input buffer: word-striped storage of `capacity` words."""
-
-    def __init__(self, capacity=64, edc_enabled=False, group_id=0):
-        self.capacity = capacity
-        self.edc_enabled = edc_enabled
-        self.group_id = group_id
-        self.words = deque()  # unsigned; the head is aligned after the next shift
-        self._mis = {}        # displaced plane -> uncorrected overshift
-        self._held = set()    # planes whose next shift the controller holds
-
-    def stage(self, words):
-        if len(words) != self.capacity:
-            raise ValueError(f"group {self.group_id} stages {self.capacity} words")
-        if any(not -(1 << 15) <= w < 1 << 16 for w in words):
-            raise ValueError(f"group {self.group_id} stages words in [-2^15, 2^16)")
-        self.words = deque(int(w) & 0xFFFF for w in words)
-        self._mis = {}
-        self._held = set()
-
-    def rotate(self, fault_planes=(), ledger=None):
-        """Shift, check and read one step, and pop the head word.
-
-        `fault_planes` lists planes whose shift overshoots this step; a held
-        plane does not shift, so its fault is a no-op.  Returns
-        (delivered_word, StepOutcome).  The caller then appends the chain
-        write at the tail: the word the right neighbour delivered this step.
-        """
-        held = self._held
-        for k in set(fault_planes) - held:
-            self._mis[k] = self._mis.get(k, 0) + 1
-        corrected = ()
-        self._held = set()
-        if self.edc_enabled and self._mis:
-            # Post-shift check bit reads 0; the secondary head, one position
-            # behind, still exposes the correct bit.
-            corrected = tuple(sorted(self._mis))
-            self._held = set(corrected)
-            self._mis = {}
-        word = self.words[0]
-        for k, e in self._mis.items():
-            word ^= (word ^ self.words[min(e, self.capacity - 1)]) & (1 << k)
-        self.words.popleft()
-
-        _ledger_add(ledger, "track_shift", WORD_PLANES - len(held))
-        _ledger_add(ledger, "track_read", WORD_PLANES)
-        _ledger_add(ledger, "track_write", WORD_PLANES)
-        if self.edc_enabled:
-            _ledger_add(ledger, "edc_read", WORD_PLANES)
-            _ledger_add(ledger, "edc_write", WORD_PLANES * len(INPUT_EDC_PATTERN))
-        return word, StepOutcome(ok=not corrected, corrected_planes=corrected)
-
-
 class InputTrackChain:
-    """Circular word buffer over one or more track groups (MUX-chained)."""
+    """Circular word buffer over one or more track groups (MUX-chained).
+
+    Group g is one tile's buffer of ``group_capacities[g]`` words: a queue
+    of unsigned words whose head is aligned after the next shift, the
+    uncorrected overshift of each displaced plane, and the planes whose next
+    shift the controller holds.
+    """
 
     def __init__(self, group_capacities, edc_enabled=False):
         if not group_capacities:
             raise ValueError("a chain needs at least one track group")
-        self.groups = [
-            InputTrackGroup(c, edc_enabled=edc_enabled, group_id=g)
-            for g, c in enumerate(group_capacities)
-        ]
-        self.capacity = int(sum(group_capacities))
+        self.group_capacities = [int(c) for c in group_capacities]
+        self.capacity = sum(self.group_capacities)
         self.edc_enabled = edc_enabled
+        self.stage([0] * self.capacity)
 
     def stage(self, words):
+        """Write `words` into the groups in order and clear every fault."""
         if len(words) != self.capacity:
             raise ValueError(f"chain stages exactly {self.capacity} words")
-        lo = 0
-        for grp in self.groups:
-            grp.stage(list(words[lo : lo + grp.capacity]))
-            lo += grp.capacity
+        if any(not -(1 << 15) <= w < 1 << 16 for w in words):
+            raise ValueError("chain stages words in [-2^15, 2^16)")
+        unsigned = (int(w) & 0xFFFF for w in words)
+        self.queues = [deque(islice(unsigned, cap)) for cap in self.group_capacities]
+        self.displaced = [{} for _ in self.queues]
+        self.held = [() for _ in self.queues]
 
     def rotate_step(self, fault_planes=None, ledger=None):
         """One synchronized step of the whole chain.
 
-        `fault_planes` maps group index -> iterable of overshifting planes.
-        Returns (delivered_words_per_group, outcomes_per_group).  Every group
-        reads its head, then receives at its tail the word its right
-        neighbour delivered in the same step.  A plane corrected this step
-        writes one position left, so content stays coherent; an uncorrected
-        plane's displaced write cancels against its displaced read, so the
-        plain append models it exactly.
+        `fault_planes` maps group index -> iterable of planes whose shift
+        overshoots this step; a held plane does not shift, so its fault is a
+        no-op.  Returns (the word each group delivered, the planes each
+        group's EDC corrected, as a sorted tuple).  Every group reads its
+        head, then receives at its tail the word its right neighbour
+        delivered in the same step.  A plane corrected this step writes one
+        position left, so content stays coherent; an uncorrected plane's
+        displaced write cancels against its displaced read, so the plain
+        append models it exactly.
         """
         fault_planes = fault_planes or {}
         for g, planes in fault_planes.items():
-            if g not in range(len(self.groups)):
+            if g not in range(len(self.queues)):
                 raise ValueError(f"fault on group {g!r}, not a group of this chain")
             if any(k not in range(WORD_PLANES) for k in planes):
                 raise ValueError(f"fault planes {planes!r} outside [0, {WORD_PLANES})")
-        steps = [grp.rotate(fault_planes.get(g, ()), ledger) for g, grp in enumerate(self.groups)]
-        deliveries = [word for word, _outcome in steps]
-        for g, grp in enumerate(self.groups):
-            grp.words.append(deliveries[(g + 1) % len(steps)])
-        return deliveries, [outcome for _word, outcome in steps]
+        delivered, corrected = [], []
+        held_shifts = sum(map(len, self.held))
+        for g, (queue, mis) in enumerate(zip(self.queues, self.displaced)):
+            for k in set(fault_planes.get(g, ())).difference(self.held[g]):
+                mis[k] = mis.get(k, 0) + 1
+            # With EDC the post-shift check bit reads 0, and the secondary
+            # head, one position behind, still exposes the correct bit.
+            fixed = tuple(sorted(mis)) if self.edc_enabled else ()
+            if fixed:
+                mis.clear()
+            self.held[g] = fixed
+            word = queue[0]
+            for k, e in mis.items():
+                word ^= (word ^ queue[min(e, self.group_capacities[g] - 1)]) & (1 << k)
+            queue.popleft()
+            delivered.append(word)
+            corrected.append(fixed)
+        for g, queue in enumerate(self.queues):
+            queue.append(delivered[(g + 1) % len(delivered)])
 
-    def read_words_in_order(self):
-        """Current content in delivery order (debug/verification)."""
-        return [w for grp in self.groups for w in grp.words]
+        plane_steps = WORD_PLANES * len(self.queues)
+        _ledger_add(ledger, "track_shift", plane_steps - held_shifts)
+        _ledger_add(ledger, "track_read", plane_steps)
+        _ledger_add(ledger, "track_write", plane_steps)
+        if self.edc_enabled:
+            _ledger_add(ledger, "edc_read", plane_steps)
+            _ledger_add(ledger, "edc_write", plane_steps * len(INPUT_EDC_PATTERN))
+        return delivered, corrected
 
 
 @dataclass
@@ -189,12 +160,9 @@ class WeightOutcome:
 class WeightTrackGroup:
     """Weight-stationary storage of one PE path (x or h weights)."""
 
-    def __init__(self, weights, edc_enabled=False, rewind_cost="full_pass"):
+    def __init__(self, weights, edc_enabled=False):
         self.weights = [int(w) for w in weights]
         self.edc_enabled = edc_enabled
-        if rewind_cost not in ("full_pass", "free"):
-            raise ValueError("rewind_cost must be 'full_pass' or 'free'")
-        self.rewind_cost = rewind_cost
         self.slot = 0
         self._mis = [0] * WORD_PLANES
         self._suppress = [False] * WORD_PLANES
@@ -249,9 +217,9 @@ class WeightTrackGroup:
         return WeightOutcome("ok", word)
 
     def rewind(self, ledger=None):
-        """Return to the first weight; realigns the tape and the EDC phase."""
-        if self.rewind_cost == "full_pass":
-            _ledger_add(ledger, "track_shift", WORD_PLANES * self.capacity)
+        """Return to the first weight at the cost of a full pass; realigns
+        the tape and the EDC phase."""
+        _ledger_add(ledger, "track_shift", WORD_PLANES * self.capacity)
         self.slot = 0
         self._mis = [0] * WORD_PLANES
         self._suppress = [False] * WORD_PLANES

@@ -119,7 +119,7 @@ class EnergyLedger:
         self.rates_aj = {k: round(v * _ATTO_PER_PJ) for k, v in rates.items()}
         self.counters = {k: 0 for k in self.rates_aj}
 
-    def add(self, op, n=1):
+    def add(self, op, n):
         if op not in self.counters:
             raise ValueError(f"unknown ledger op {op!r}")
         if n < 0:
@@ -207,13 +207,12 @@ class _LayerGeometry:
     def __init__(self, lp, hw, cfg):
         m, n = lp.neurons, lp.inputs
         u = lp.units_per_neuron
-        packed = lp.cell_type == "Vanilla" and lp.neurons_per_unit > 1
-        n_chunks = lp.pes_per_neuron if packed else u
-        neurons = np.arange(m)
-        if packed:
-            units = np.broadcast_to(neurons // lp.neurons_per_unit, (n_chunks, m))
-        else:
-            units = neurons * u + np.arange(n_chunks)[:, None]
+        # One chunk per PE of a gate, on the units where the mapper puts it:
+        # a Vanilla neuron's PEs fill a unit before the next, an LSTM or GRU
+        # neuron has one PE of each gate on each of its units.
+        n_chunks = lp.pes_per_neuron
+        per_unit = hw.pes_per_unit if lp.cell_type == "Vanilla" else 1
+        units = (np.arange(m) // lp.neurons_per_unit) * u + np.arange(n_chunks)[:, None] // per_unit
         tiles = units // hw.lstm_units_per_tile
         edc_in = bool(cfg and cfg.edc_inputs)
         edc_w = bool(cfg and cfg.edc_weights)
@@ -366,9 +365,9 @@ def _run_faulted_chain(layout, words_raw, faults, edc_enabled):
         chain.stage(np.roll(words, -first).tolist())
         last = 0
         for s in range(first, stop):
-            delivered, outcomes = chain.rotate_step(by_step.get(s))
+            delivered, fixed = chain.rotate_step(by_step.get(s))
             seen[groups, order[:, s]] = delivered
-            last = sum(len(o.corrected_planes) for o in outcomes)
+            last = sum(map(len, fixed))
             corrected += last
         held = corrected - last
     return np.where(seen >= 1 << 15, seen - (1 << 16), seen), corrected, held
@@ -461,6 +460,8 @@ def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
 
     The input path of all gates is one kernel call per block of TIME_BLOCK
     timesteps, the recurrent path one call per step over the stacked gates.
+    The layer's ledger is booked once: every step's events, less the shifts
+    that EDC corrections held back.
     """
     m = lp.neurons
     gates = params.gates
@@ -471,6 +472,7 @@ def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
     # cell_output returns int64 arrays, and c None for GRU/Vanilla, which
     # ignore it.
     h = c = np.zeros(m, dtype=np.int64)
+    held = 0
     for t0 in range(0, len(xs), TIME_BLOCK):
         x_block = xs[t0:t0 + TIME_BLOCK]
         x_accs = _exact_matmul(w_x, x_block.T)
@@ -479,16 +481,20 @@ def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
                 x_accs[:, j].reshape(len(gates), m),
                 _exact_matmul(w_h, h).reshape(len(gates), m),
             ))
-            h, c = _layer_step_values(
-                lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, ledger, corrections,
+            h, c, step_held = _layer_step_values(
+                lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, corrections,
             )
+            held += step_held
             out[t0 + j] = h
+    for op, count in geo.step_events.items():
+        ledger.add(op, len(xs) * count - (held if op == "track_shift" else 0))
     return out
 
 
 def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, plan, t,
-                       ledger, corrections):
-    """Finish one (layer, timestep) with fault effects; returns (h, c).
+                       corrections):
+    """Finish one (layer, timestep) with fault effects; returns (h, c, the
+    shifts that EDC corrections held back).
 
     `accs[path, gate, neuron]` holds the fault-free accumulators; the step's
     faults correct them in place, in int64 on the touched chunks.
@@ -497,16 +503,15 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
     vecs = (np.asarray(x, dtype=np.int64), h_prev)
     # seen[path][group, word]: what each chain group delivered this pass.
     seen = []
-    # Shifts held back by EDC corrections, off the step's closed-form count.
-    credit = 0
+    held = 0
     for path, (name, layout) in enumerate(zip(PATHS, (lp.chain, lp.recurrent_chain))):
         faults = plan.input_faults.get((lp.index, name, t)) if plan else None
         if faults is not None:
-            delivered, corrected, held = _run_faulted_chain(
+            delivered, corrected, chain_held = _run_faulted_chain(
                 layout, vecs[path], faults, plan.cfg.edc_inputs
             )
             corrections["input_corrected"] += corrected
-            credit += held
+            held += chain_held
             _correct_deliveries(geo, params, path, delivered - vecs[path], accs)
         else:
             groups = len(layout.group_capacities)
@@ -514,13 +519,10 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
         seen.append(delivered)
 
     if plan:
-        credit += _weight_and_logic_faults(
+        held += _weight_and_logic_faults(
             geo, params, plan.weight_faults.get(key), plan.mac_faults.get(key),
             plan.cfg.edc_weights, accs, seen, corrections,
         )
-
-    for op, count in geo.step_events.items():
-        ledger.add(op, count - credit if op == "track_shift" else count)
 
     act_faults = plan.act_faults.get(key) if plan else None
     if act_faults is not None:
@@ -532,8 +534,9 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
     if lp.cell_type == "GRU":
         wide = np.concatenate([wide[:2], accs[0][2:] + bias[2:], accs[1][2:]])
     pre = list(fp.narrow_raw(wide))
-    return cell_output(lp.cell_type, pre, vecs[1], c_prev, acts,
+    h, c = cell_output(lp.cell_type, pre, vecs[1], c_prev, acts,
                        None if act_faults is None else _act_fault_hook(act_faults))
+    return h, c, held
 
 
 def _correct_deliveries(geo, params, path, delta, accs):

@@ -4,7 +4,11 @@ simulator applies, on single tracks and padded batches, against the
 ``WeightTrackGroup`` device model (the EDC-off read matrix is rebuilt from
 the misread rows); fault plans decoded as a per-event reference decode does
 them (input-chain, weight, MAC and activation events as int32 rows, path
-coded by its index in ``PATHS``), and independent of the EDC flags."""
+coded by its index in ``PATHS``), and independent of the EDC flags; and
+``run_fidelity_experiment``, whose rows are each seed's own run measured
+against the fault-free one."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,18 +17,20 @@ from hypothesis import strategies as st
 
 from rnnfast.error_model import (
     PATHS,
-    REGIONS,
+    REGION_PLANES,
     SITES,
     ErrorConfig,
     FaultPlan,
     _draw_positions,
     _stream,
-    eligible_planes,
-    gate_paths,
+    fidelity_metrics,
+    run_fidelity_experiment,
 )
-from rnnfast.lstm_core import NONLINEAR_EVALS
+from rnnfast.lstm_core import GATE_ORDERS, NONLINEAR_EVALS
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
+from rnnfast.presets import generate_inputs, generate_network_params
 from rnnfast.racetrack import WORD_PLANES, WeightTrackGroup, weight_misreads, weight_zeros
+from rnnfast.simulator import simulate
 
 
 class Counter(dict):
@@ -187,9 +193,10 @@ def test_weight_pass_matches_the_device_for_a_slot_0_fault(edc):
 
 
 def test_regions_target_their_bit_planes():
-    assert [eligible_planes(r) for r in REGIONS] == [
-        tuple(range(16)), tuple(range(8, 16)), tuple(range(8)), (15,)
-    ]
+    assert REGION_PLANES == {
+        "all": tuple(range(16)), "integer_only": tuple(range(8, 16)),
+        "fraction_only": tuple(range(8)), "sign_only": (15,),
+    }
     with pytest.raises(ValueError):
         ErrorConfig(bit_region="upper")
 
@@ -225,7 +232,7 @@ def reference_plan(cfg, placement):
     divmod over each flat position, then a walk over the gate paths for the
     slot, with the draws of ``FaultPlan``'s streams.  Input events are rows
     (step, tile, plane) in event order."""
-    planes = eligible_planes(cfg.bit_region)
+    planes = REGION_PLANES[cfg.bit_region]
     T = placement.spec.timesteps
     inputs, weights, macs, acts = {}, {}, {}, {}
 
@@ -252,7 +259,7 @@ def reference_plan(cfg, placement):
                     tile, rest = divmod(int(p), T * steps)
                     t, step = divmod(rest, steps)
                     inputs.setdefault((l, tag, t), []).append((step, tile, planes[int(pk)]))
-        paths = gate_paths(lp.cell_type)
+        paths = [(g, p) for g in range(len(GATE_ORDERS[lp.cell_type])) for p in ("x", "h")]
         path_len = {"x": n, "h": m}
         slots = sum(path_len[p] for _g, p in paths)
 
@@ -315,7 +322,7 @@ def test_fault_plan_matches_the_reference_decode(layout, steps):
     placement = map_network(spec, hw)
     hit = [False] * 4
     for seed, (sites, region) in enumerate(
-        (sites, region) for sites in SITE_SUBSETS for region in REGIONS
+        (sites, region) for sites in SITE_SUBSETS for region in REGION_PLANES
     ):
         cfg = ErrorConfig(p_overshift=5e-2, sites=sites, bit_region=region, seed=seed)
         plan = FaultPlan(cfg, placement)
@@ -330,3 +337,37 @@ def test_fault_plan_matches_the_reference_decode(layout, steps):
         hit = [h or bool(d) for h, d in zip(hit, want)]
     # Every kind of event occurs at this rate once there is a timestep.
     assert hit == [steps > 0] * 4
+
+
+def test_fidelity_experiment_pairs_each_seeds_run_with_the_fault_free_one():
+    spec = NetworkSpec((LayerSpec("LSTM", 12, 8), LayerSpec("GRU", 6, 12)), 6)
+    hw = HardwareConfig(weights_per_pe=16)
+    params, inputs = generate_network_params(spec, 1), generate_inputs(spec, 2)
+    grid = [
+        ErrorConfig(p_overshift=0.0),
+        ErrorConfig(p_overshift=3e-2, seed=99),
+        ErrorConfig(p_overshift=3e-2, sites={"weight_arrays"}, bit_region="integer_only",
+                    edc_inputs=True, edc_weights=True, seed=99),
+    ]
+    seeds = (0, 3, 7)
+    rows = run_fidelity_experiment(spec, hw, grid, params, inputs, seeds)
+    assert len(rows) == len(grid) * len(seeds)
+    placement = map_network(spec, hw)
+    reference = simulate(placement, params, inputs).outputs[-1]
+    faulty = 0
+    for i, row in enumerate(rows):
+        cfg, seed = grid[i // len(seeds)], seeds[i % len(seeds)]
+        assert (row["p"], row["sites"], row["region"], row["edc_inputs"], row["edc_weights"]) == (
+            cfg.p_overshift, "+".join(sorted(cfg.sites)), cfg.bit_region, cfg.edc_inputs,
+            cfg.edc_weights,
+        )
+        if cfg.p_overshift == 0:
+            assert (row["seed"], row["argmax_agreement"], row["nrmse"]) == (-1, 1.0, 0.0)
+            continue
+        run = simulate(placement, params, inputs, error_cfg=replace(cfg, seed=seed))
+        metrics = fidelity_metrics(reference, run.outputs[-1])
+        assert row["seed"] == seed
+        assert (row["argmax_agreement"], row["nrmse"]) == (metrics.argmax_agreement, metrics.nrmse)
+        faulty += metrics.nrmse > 0
+    # The faults change some runs, so the rows are not all trivially equal.
+    assert faulty > 0

@@ -228,7 +228,7 @@ class TestAggregation:
         # exactly `units` PEs of 16 weights each.
         spec = NetworkSpec((LayerSpec("LSTM", 1, 16 * units - 2),), 1)
         lp = map_network(spec, HardwareConfig(weights_per_pe=16)).layers[0]
-        assert lp.units_per_neuron == len(lp.chunk_sizes) == units
+        assert lp.units_per_neuron == lp.pes_per_neuron == units
         _total, hops = core.aggregate_wide(np.zeros((units, 1), dtype=np.int64))
         assert hops == lp.agg_hops
 

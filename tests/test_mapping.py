@@ -1,5 +1,7 @@
 """Mapping arithmetic, chain planning, capacity contracts, fuzz totality."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,12 @@ from rnnfast.mapping import (
     utilization_report,
 )
 from rnnfast.racetrack import InputTrackChain
+
+
+def per_pe_words(lp):
+    """Largest PE share of a neuron's per-gate words, split evenly over its
+    PEs."""
+    return math.ceil((lp.inputs + lp.neurons + 1) / lp.pes_per_neuron)
 
 
 def square_spec(cell, width, layers=1, timesteps=1):
@@ -43,8 +51,8 @@ class TestMapNetwork:
         assert lp.units_per_neuron == 3
         assert lp.agg_hops == 2
         assert lp.n_units == 30
-        assert sum(lp.chunk_sizes) == 4000
-        assert max(lp.chunk_sizes) <= hw.weights_per_pe
+        assert lp.pes_per_neuron == 3
+        assert per_pe_words(lp) == 1334 <= hw.weights_per_pe
 
     def test_vanilla_packs_four_per_unit(self):
         hw = HardwareConfig()
@@ -97,7 +105,7 @@ class TestMapNetwork:
             # Mapper success implies the independent demand-vs-supply check.
             assert feasibility_check(spec, hw)
             for lp in placement.layers:
-                assert max(lp.chunk_sizes) <= hw.weights_per_pe
+                assert per_pe_words(lp) <= hw.weights_per_pe
                 assert lp.n_tiles <= hw.row_tiles
                 assert sum(lp.chain.group_capacities) == lp.inputs
         assert outcomes["ok"] > 0 and outcomes["full"] > 0
@@ -118,7 +126,7 @@ class TestChainPlan:
         model = InputTrackChain(list(chain.group_capacities))
         words = list(range(128))
         model.stage(words)
-        seen = [[] for _ in model.groups]
+        seen = [[] for _ in chain.group_capacities]
         for _ in range(chain.word_capacity):
             delivered, _ = model.rotate_step()
             for g, w in enumerate(delivered):
@@ -155,7 +163,7 @@ class TestUtilizationReport:
     def test_empty_network_utilization(self):
         hw = HardwareConfig()
         placement = map_network(square_spec("LSTM", 1), hw)
-        report = utilization_report(placement, hw)
+        report = utilization_report(placement)
         assert report["unit_utilization"] == pytest.approx(1 / hw.total_units)
 
     def test_seq2seq_shape_counts(self):
@@ -169,7 +177,17 @@ class TestUtilizationReport:
 
     def test_gru_reports_75_percent_mac_activity(self):
         hw = HardwareConfig()
-        lstm = utilization_report(map_network(square_spec("LSTM", 128), hw), hw)
-        gru = utilization_report(map_network(square_spec("GRU", 128), hw), hw)
+        lstm = utilization_report(map_network(square_spec("LSTM", 128), hw))
+        gru = utilization_report(map_network(square_spec("GRU", 128), hw))
         assert gru["mac_activity"] == pytest.approx(0.75 * lstm["mac_activity"])
         assert gru["layers"][0]["mac_activity"] == 0.75
+
+    @pytest.mark.parametrize("hw,width,per_unit,activity", [
+        (HardwareConfig(), 256, 4, 1.0),                   # four one-PE neurons a unit
+        (HardwareConfig(weights_per_pe=16), 12, 2, 0.5),   # two two-PE neurons a unit
+        (HardwareConfig(weights_per_pe=16), 20, 1, 0.25),  # one three-PE neuron a unit
+    ])
+    def test_vanilla_mac_activity_counts_the_neurons_on_a_unit(self, hw, width, per_unit, activity):
+        placement = map_network(square_spec("Vanilla", width), hw)
+        assert placement.layers[0].neurons_per_unit == per_unit
+        assert utilization_report(placement)["layers"][0]["mac_activity"] == activity

@@ -41,7 +41,8 @@ class TestInputTrackChain:
         chain = InputTrackChain([3])
         chain.stage([11, 22, 33])
         assert rotate_full_pass(chain) == [11, 22, 33]
-        assert chain.read_words_in_order() == [11, 22, 33]
+        # After a full pass the content is back in its staged order.
+        assert rotate_full_pass(chain) == [11, 22, 33]
 
     def test_two_groups_behave_as_one_long_chain(self):
         rng = np.random.default_rng(1)
@@ -51,7 +52,7 @@ class TestInputTrackChain:
         split = InputTrackChain([6, 6])
         split.stage(words)
         assert rotate_full_pass(single) == rotate_full_pass(split)
-        assert split.read_words_in_order() == words
+        assert rotate_full_pass(split) == words
 
     def test_every_group_sees_every_word_once(self):
         rng = np.random.default_rng(2)
@@ -104,15 +105,14 @@ class TestInputTrackChain:
         faulty = InputTrackChain([8], edc_enabled=True)
         faulty.stage(words)
         got = []
-        outcomes = []
+        corrected = []
         for s in range(8):
             faults = {0: (5,)} if s == 3 else None
-            delivered, outs = faulty.rotate_step(faults)
+            delivered, fixed = faulty.rotate_step(faults)
             got.append(delivered[0])
-            outcomes.append(outs[0])
+            corrected.append(fixed[0])
         assert got == want
-        assert outcomes[3].corrected_planes == (5,)
-        assert all(o.ok for i, o in enumerate(outcomes) if i != 3)
+        assert corrected == [()] * 3 + [(5,)] + [()] * 4
 
     def test_suppressed_shift_after_correction(self):
         words = [0xFFFF] * 6
@@ -163,7 +163,15 @@ class TestInputTrackChain:
             with pytest.raises(ValueError):
                 chain.stage([0, bad, 0])
         chain.stage([-(1 << 15), (1 << 16) - 1, -1])
-        assert chain.read_words_in_order() == [0x8000, 0xFFFF, 0xFFFF]
+        assert rotate_full_pass(chain) == [0x8000, 0xFFFF, 0xFFFF]
+
+    def test_stage_rejects_the_wrong_word_count(self):
+        chain = InputTrackChain([2, 1])
+        for words in ([1, 2], [1, 2, 3, 4]):
+            with pytest.raises(ValueError):
+                chain.stage(words)
+        with pytest.raises(ValueError):
+            InputTrackChain([])
 
     @pytest.mark.parametrize("faults", [
         {0: (WORD_PLANES,)}, {0: (-1,)}, {1: (0, 16)}, {2: (0,)}, {-1: (0,)}, {"0": (0,)},
@@ -242,16 +250,14 @@ def test_input_chain_matches_the_recurrence(case):
     chain = InputTrackChain(caps, edc_enabled=edc)
     chain.stage(words)
     led = Counter()
-    deliveries, corrected, ok = [], [], []
+    deliveries, corrected = [], []
     for s in range(steps):
-        delivered, outcomes = chain.rotate_step(faults.get(s), led)
+        delivered, fixed = chain.rotate_step(faults.get(s), led)
         deliveries.append(delivered)
-        corrected.append([o.corrected_planes for o in outcomes])
-        ok.append([o.ok for o in outcomes])
+        corrected.append(fixed)
     want, want_corrected, shifts = chain_recurrence(caps, words, faults, steps, edc)
     assert deliveries == want
     assert corrected == want_corrected
-    assert ok == [[not c for c in row] for row in want_corrected]
     plane_steps = WORD_PLANES * len(caps) * steps
     expected = {
         "track_read": plane_steps,

@@ -94,7 +94,7 @@ def test_in_range_wide_integer_weights_are_accepted():
 def test_unknown_ledger_ops_are_rejected():
     ledger = EnergyLedger()
     with pytest.raises(ValueError, match="mac_isue"):
-        ledger.add("mac_isue")
+        ledger.add("mac_isue", 1)
     assert set(ledger.counters) == set(DEFAULT_ENERGY_PJ)
     assert set(ledger.counters.values()) == {0}
 

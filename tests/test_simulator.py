@@ -2,7 +2,8 @@
 
 Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
 (also across the simulator's blocks of input-path timesteps) and take
-exactly ``analytic_cycles``; EDC-on input-chain faults must leave
+exactly ``analytic_cycles``; every cell type's weight paths are cut into
+one chunk per PE the mapper gives a gate; EDC-on input-chain faults must leave
 the outputs untouched; the reported fault count must be the plan's; the
 ledger's closed-form chain passes, less the shifts EDC corrections held,
 must equal what the track model counts itself, and a faulted pass (in
@@ -158,6 +159,29 @@ def test_locate_gives_each_chunk_in_its_groups_arrival_order(cell, layout):
                     assert row == [w for w in arrival if lo <= w < hi]
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("cell", CELLS)
+def test_engine_cuts_each_path_into_one_chunk_per_pe(cell, layout):
+    """Every cell type's weight paths take one chunk per PE of a gate, and
+    each neuron's chunks sit on its own units: a Vanilla neuron's PEs fill a
+    unit (shared by neurons_per_unit neurons) before the next, an LSTM or
+    GRU neuron's take one unit each."""
+    placement, _params, _inputs = net(cell, "approx", layout)
+    hw = placement.hw
+    for lp in placement.layers:
+        geo = _LayerGeometry(lp, hw, None)
+        assert geo.size.shape == (2, lp.pes_per_neuron)
+        per_unit = hw.pes_per_unit if cell == "Vanilla" else 1
+        for neuron in range(lp.neurons):
+            units = [(neuron // lp.neurons_per_unit) * lp.units_per_neuron + c // per_unit
+                     for c in range(lp.pes_per_neuron)]
+            assert units[-1] < lp.n_units
+            tiles = [u // hw.lstm_units_per_tile for u in units]
+            for path, chain in enumerate((lp.chain, lp.recurrent_chain)):
+                groups = len(chain.group_capacities)
+                assert geo.group_of[path, :, neuron].tolist() == [min(t, groups - 1) for t in tiles]
+
+
 def test_long_layout_ends_three_steps_into_a_second_time_block():
     assert LAYOUTS["long"][2] == TIME_BLOCK + 3
 
@@ -232,9 +256,9 @@ def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
     device_seen = np.empty((len(bases), n_words), dtype=np.int64)
     device_corrected = 0
     for step in range(n_words):
-        delivered, outcomes = chain.rotate_step(by_step.get(step), ledger)
+        delivered, fixed = chain.rotate_step(by_step.get(step), ledger)
         device_seen[np.arange(len(bases)), (bases + step) % n_words] = delivered
-        device_corrected += sum(len(o.corrected_planes) for o in outcomes)
+        device_corrected += sum(map(len, fixed))
     plane_steps = WORD_PLANES * len(layout.group_capacities) * n_words
     closed_form = {
         "track_read": plane_steps,

@@ -1,10 +1,20 @@
-"""Every module-level function and class in ``src/rnnfast`` is used.
+"""Every module-level function and class in ``src/rnnfast`` is used, and so
+is every member of its classes.
 
 A definition is used if module-level code of the package or a used
 definition refers to it by name, or if ``ENTRY_POINTS`` names it: the
 package's public entry points and the reference models that tests hold the
-simulator against.  Anything else is dead code that only its own tests run,
-and this test fails on it.
+simulator against.
+
+A member (a method, a property or an annotated field of a class) is used if
+the package or the benchmark harness (``perfbench/*.py``, not its tests)
+reads an attribute of that name, or holds the name as a string, as
+``getattr`` and the harness's patch targets do, or if ``MEMBERS`` names it.
+Members are matched by name, not by owner: a name that any class reads
+counts as read for every class that defines it.
+
+Anything else is dead code that only its own tests run, and these tests
+fail on it.
 """
 
 import ast
@@ -13,6 +23,7 @@ from pathlib import Path
 import rnnfast
 
 SRC = Path(rnnfast.__file__).parent
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 # name -> why it is kept although nothing else in the package calls it.
 ENTRY_POINTS = {
@@ -32,6 +43,54 @@ ENTRY_POINTS = {
     "booth_multiply": "oracle: radix-4 Booth multiply equals mul_raw",
     "WeightTrackGroup": "device model that weight_zeros and weight_misreads are tested against",
 }
+
+
+# member name -> why it is kept although nothing in the package or the
+# benchmark harness reads it.
+MEMBERS = {
+    "read_next": "WeightTrackGroup oracle API: one weight read of the device model",
+    "rewind": "WeightTrackGroup oracle API: the full-pass return of the device model",
+    "kind": "WeightOutcome oracle API: whether the read was substituted with zero",
+    "weight_raw": "WeightOutcome oracle API: the weight as read",
+    "from_quantized": "FloatCellParams: the double-precision oracle on quantized weights",
+    "clock_period_ns": "HardwareConfig field, part of the benchmark's spec key (its repr)",
+    "description": "Preset: the one-line summary of a named network",
+    "to_json": "RunResult: a run's deterministic JSON",
+}
+
+
+def class_members():
+    """(class, member) of every method, property and annotated field of a
+    class in the package, dunder methods left out."""
+    members = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    members.append((cls.name, name))
+    return members
+
+
+def member_reads():
+    """Attribute names that the package and the benchmark harness load, and
+    the identifier-like strings they hold."""
+    reads = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    reads.add(node.value)
+    return reads
 
 
 def definitions_and_references():
@@ -67,3 +126,13 @@ def test_every_definition_is_reachable():
             live.add(name)
             todo.extend(n for n in defs[name] if n in defs)
     assert sorted(set(defs) - live) == []
+
+
+def test_members_exist():
+    assert set(MEMBERS) <= {name for _cls, name in class_members()}
+    assert (PERFBENCH / "workloads.py").is_file()
+
+
+def test_every_member_is_read():
+    reads = member_reads() | set(MEMBERS)
+    assert sorted(f"{cls}.{name}" for cls, name in class_members() if name not in reads) == []
