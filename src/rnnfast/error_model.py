@@ -170,11 +170,14 @@ class FaultPlan:
                     shape = (len(layout.group_capacities), T, steps)
                     tile, t, step, plane = self._draw("input_chains", l, ci, shape).T
                     _by_step(self.input_faults, (l, path), t, (step, tile, plane))
-            # Flat gate-path-slot index -> (gate, path code, slot) columns.
-            slot_of = np.array([
-                (g, PATHS.index(p), s)
-                for g, p in gate_paths(lp.cell_type) for s in range(n if p == "x" else m)
-            ], dtype=np.int32).reshape(-1, 3)
+            # Flat gate-path-slot index -> (gate, path code, slot) columns:
+            # each gate path's row repeated over its words, then the slots.
+            streams = np.array([(g, PATHS.index(p)) for g, p in gate_paths(lp.cell_type)])
+            words = np.array((n, m))[streams[:, 1]]
+            slot_of = np.column_stack((
+                np.repeat(streams, words, axis=0),
+                np.arange(words.sum()) - np.repeat(np.cumsum(words) - words, words),
+            )).astype(np.int32)
             slots = (m, T, len(slot_of))
             if "weight_arrays" in sites:
                 neuron, t, flat, plane = self._draw("weight_arrays", l, 0, slots).T

@@ -41,11 +41,12 @@ simulator uses:
   implementation of this protocol that the simulator uses, is split by the
   EDC setting: ``weight_zeros`` (EDC on) finds the zeroed (track, slot)
   pairs and the held shifts from the fault rows and track lengths alone,
-  since every other slot reads its stored weight; ``weight_misreads`` (EDC
-  off) gives, for each displaced (track, plane) pair, the slot that each
-  slot's bit of that plane is read from, again from the fault rows alone,
-  since a fault moves only its own plane.  In the simulator, one call per
-  (layer, timestep) covers every faulted PE track of the step.
+  since every other slot reads its stored weight; ``weight_plane_reads``
+  (EDC off) takes each displaced (track, plane) pair's stored bits of that
+  plane, one row per pair, and gives them as read, since a fault moves
+  only its own plane.  In the simulator, one call per (layer, timestep),
+  or with EDC off per block of pairs, covers every faulted PE track of the
+  step.
 
 Fault decisions are injected by the caller (the planes that overshoot, per
 step or read), so the models themselves hold no randomness.  Counters are
@@ -258,34 +259,37 @@ def weight_zeros(lengths, faults):
     return np.stack(np.divmod(zeroed, k), axis=1), held
 
 
-def weight_misreads(lengths, faults):
-    """Misread plane bits of whole EDC-off passes of a batch of
-    ``WeightTrackGroup`` tracks, from the fault rows alone.
+def weight_plane_reads(bits, faults):
+    """One bit plane of whole EDC-off passes of a batch of displaced
+    ``WeightTrackGroup`` tracks, as read, from the stored bits and the fault
+    rows alone.
 
-    `lengths[i]` is track i's number of weights; `faults` holds rows
-    (track, plane, slot), one per overshooting advance, in any order.  Every
-    fault displaces its plane by one more word for the rest of the pass, so
-    a displaced (track, plane) pair reads that plane's bit at `slot` from
-    slot + (its faults at or before `slot`), and a source at or past the
-    track's length reads a blank (0) bit.  Returns the columns (track,
-    plane, slot, source) of one row per slot of each displaced pair, from
-    its first fault to the end of its track, sorted by track, plane and
-    slot.  Every other bit of every slot reads its stored bit.
+    Row i of `bits` holds one (track, plane) pair's stored bits of that
+    plane in the order the track reads them, 0 past the track's length;
+    `faults` holds rows (row, slot), one per overshooting advance of that
+    pair's plane, in any order.  Every fault displaces the plane by one more
+    word for the rest of the pass, so slot s reads the bit at s + d, d the
+    distinct faults at or before s, and a bit past the end reads blank (0).
+    Returns the bits as read, in the shape and dtype of `bits`.  Every other
+    plane of every slot reads its stored bit.
 
     Known defect: unlike ``read_next``, a fault at slot 0 takes effect
     although no shift precedes the first read.
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    track, plane, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 3).T
-    # Distinct fault rows, sorted: a repeated row is one overshoot.
-    width = int(lengths.max(initial=1))
-    pair, slot = np.divmod(np.unique((track * WORD_PLANES + plane) * width + slot), width)
-    first = np.diff(pair, prepend=-1) != 0
-    last = np.diff(pair, append=-1) != 0
-    # Each fault starts a run of rows, up to its pair's next fault or the
-    # end of its track, displaced by its rank in the pair plus one.
-    rank = np.arange(len(pair)) - np.maximum.accumulate(np.where(first, np.arange(len(pair)), 0))
-    run = np.where(last, lengths[pair // WORD_PLANES], np.roll(slot, -1)) - slot
-    at = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run - slot, run)
-    return (np.repeat(pair // WORD_PLANES, run), np.repeat(pair % WORD_PLANES, run), at,
-            at + np.repeat(rank + 1, run))
+    bits = np.asarray(bits)
+    rows, width = bits.shape
+    row, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 2).T
+    # Distinct faults sorted by row and slot: a repeated row is one overshoot.
+    row, slot = np.divmod(np.unique(row * width + slot), width)
+    # From its j-th fault on (j from 0), a row reads j + 1 bits further on,
+    # so the bit at slot + j is never read.  The row as read is the stored
+    # row followed by one blank per fault of its own (the padding past them
+    # is dropped), with those bits taken out.
+    count = np.bincount(row, minlength=rows)
+    extra = int(count.max(initial=0))
+    padded = np.zeros((rows, width + extra), dtype=bits.dtype)
+    padded[:, :width] = bits
+    keep = np.ones(padded.shape, dtype=bool)
+    keep[:, width:] = np.arange(extra) < count[:, None]
+    keep[row, slot + np.arange(len(row)) - np.searchsorted(row, row)] = False
+    return padded[keep].reshape(bits.shape)

@@ -26,17 +26,19 @@ Values and timing are deliberately decoupled and run as two loops:
   whose chunk of that word the group feeds.  Passes are booked in closed
   form less the shifts that EDC corrections held back.  Weight faults go
   through the one implementation of the weight-track protocol in
-  ``racetrack``, one call per (layer, timestep) from the fault rows alone:
-  with EDC on, ``weight_zeros`` gives the zeroed slots, and each takes its
-  stored weight times its delivered word off the accumulator; with EDC
-  off, ``weight_misreads`` gives the slots whose displaced plane reads
-  another slot's bit, and only that plane's bits are looked up.  Logic
-  faults are one vectorized pass: each perturbs one bit of its MAC product
-  (the weight as its track read it, times the word its chain group
-  delivered) by one significance position.  The narrowed accumulators go
-  through ``lstm_core.cell_output``, the one copy of the cell equations,
-  with activation faults applied by its hook.  With no faults the outputs
-  are bit-identical to ``lstm_core.cell_step``.
+  ``racetrack``, one call per (layer, timestep): with EDC on,
+  ``weight_zeros`` gives the zeroed slots from the fault rows alone, and
+  each takes its stored weight times its delivered word off the
+  accumulator; with EDC off, each displaced (track, plane) pair is one row
+  of a dense bit matrix, filled from whole-row slices of the stored weights
+  in arrival order, ``weight_plane_reads`` gives its plane as read, and the
+  pair corrects its accumulator by one row-wise dot product with the words
+  its group delivered.  Logic faults are one vectorized pass: each
+  perturbs one bit of its MAC product (the weight as its track read it,
+  times the word its chain group delivered) by one significance position.
+  The narrowed accumulators go through ``lstm_core.cell_output``, the one
+  copy of the cell equations, with activation faults applied by its hook.
+  With no faults the outputs are bit-identical to ``lstm_core.cell_step``.
 
 * The timing path runs timestep-major and drives representative MAC
   pipelines (one unit per layer is simulated; units are identical and run
@@ -65,13 +67,14 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fixedpoint as fp
 from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths
 from .lstm_core import ACT_STAGES, NONLINEAR_EVALS, MacPipeline, cell_output
 from .mapping import HardwareConfig, Placement, _split_even
 from .nonlinear import activation_fns
-from .racetrack import WORD_PLANES, InputTrackChain, weight_misreads, weight_zeros
+from .racetrack import WORD_PLANES, InputTrackChain, weight_plane_reads, weight_zeros
 
 # Per-operation energy, picojoules.  Track rates are the device parameters;
 # the rest are desk defaults derived from each unit's racetrack composition
@@ -556,91 +559,135 @@ def _correct_deliveries(geo, params, path, delta, accs):
         np.add.at(accs[path, gate], neuron, np.take(w, neuron * w.shape[1] + word) * d)
 
 
+def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, macs=None):
+    """Apply one step's EDC-off weight faults to `accs[path, gate, neuron]`.
+
+    The faults come as columns: PE track keys, raveled over `dims` as
+    ``_weight_and_logic_faults`` keys them, planes, and positions in the
+    track.  Each displaced (track, plane) pair is one row of a dense
+    (pairs x width) matrix, built in blocks of at most _BLOCK_ELEMS
+    elements: its plane's stored bits in arrival order, filled from
+    whole-row slices of the stored weights, and alongside them the words
+    its group delivered.  ``weight_plane_reads`` gives the bits as read, and
+    the pair changes its accumulator by 2^plane (negated for the sign
+    plane) times the row-wise dot of (read - stored) bits with the words.
+    `macs`, if given, is (track keys, positions, weights) of the step's MAC
+    faults: each weight gains the flips of its track's pairs at its
+    position.
+    """
+    width = int(geo.size.max())
+    keys = tracks * WORD_PLANES + planes
+    order = np.argsort(keys, kind="stable")
+    positions = positions[order]
+    pairs, pair = np.unique(keys[order], return_inverse=True)
+    track, plane = np.divmod(pairs, WORD_PLANES)
+    path, gate, chunk, neuron = np.unravel_index(track, dims)
+    size = geo.size[path, chunk]
+    group = geo.group_of[path, chunk, neuron]
+    turn = geo.turn[path, group, chunk]
+    if macs is not None:
+        # One entry per (MAC fault, pair of its track); a track's pairs are
+        # consecutive.
+        m_tracks, m_positions, weights = macs
+        first = np.searchsorted(pairs, m_tracks * WORD_PLANES)
+        count = np.searchsorted(pairs, (m_tracks + 1) * WORD_PLANES) - first
+        hit = np.repeat(np.arange(len(first)), count)
+        hit_pair = np.arange(len(hit)) + np.repeat(first - np.cumsum(count) + count, count)
+    change = np.empty(len(pairs), dtype=np.int64)
+    # Pairs sorted by key come in runs of one (path, gate, chunk): one
+    # weight matrix and one column range each.
+    cuts = 1 + np.flatnonzero(np.diff(track // dims[3]))
+    step = max(1, _BLOCK_ELEMS // width)
+    for p0 in range(0, len(pairs), step):
+        p1 = min(p0 + step, len(pairs))
+        # Row i holds pair p0 + i's stored words, then the words its group
+        # delivered, each twice in a row, so that the window of `width`
+        # words at its turn holds them in arrival order.
+        both = np.zeros((p1 - p0, 2, 2 * width), dtype=np.int16)
+        runs = [p0, *cuts[(cuts > p0) & (cuts < p1)], p1]
+        for r0, r1 in zip(runs, runs[1:]):
+            p, g, c = path[r0], gate[r0], chunk[r0]
+            lo, k = geo.lo[p, c], size[r0]
+            twice = both[r0 - p0:r1 - p0, :, :2 * k].reshape(r1 - r0, 2, 2, k)
+            twice[:, 0] = _weights(params, g, p)[neuron[r0:r1], None, lo:lo + k]
+            twice[:, 1] = seen[p][group[r0:r1], None, lo:lo + k]
+        both = sliding_window_view(both, width, axis=2)[np.arange(p1 - p0), :, turn[p0:p1]]
+        stored, words = both[:, 0], both[:, 1]
+        bits = ((stored >> plane[p0:p1, None].astype(np.int16)) & 1).astype(np.int8)
+        if (size[p0:p1] < width).any():
+            # The window runs on past a shorter track's end.
+            bits[np.arange(width) >= size[p0:p1, None]] = 0
+        f0, f1 = np.searchsorted(pair, (p0, p1))
+        faults = np.stack((pair[f0:f1] - p0, positions[f0:f1]), axis=1)
+        flips = weight_plane_reads(bits, faults) - bits
+        change[p0:p1] = np.einsum("ij,ij->i", flips, words, dtype=np.int64)
+        if macs is not None:
+            at = (hit_pair >= p0) & (hit_pair < p1)
+            h, hp = hit[at], hit_pair[at]
+            np.add.at(weights, h, flips[hp - p0, m_positions[h]] * _PLANE_VALUES[plane[hp]])
+    np.add.at(accs, (path, gate, neuron), change * _PLANE_VALUES[plane])
+
+
 def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, seen,
                              corrections):
     """Apply one step's weight and logic faults to `accs[path, gate, neuron]`
     and return the shifts EDC held back.
 
-    The fault rows are ``FaultPlan``'s arrays (or None).  Every faulted PE
-    track (path, gate, neuron, chunk) is read in one batched call, from the
-    fault rows alone.  With EDC on, ``weight_zeros`` gives the zeroed slots,
-    and each takes its stored weight times its delivered word off the
-    accumulator.  With EDC off, ``weight_misreads`` gives, for each
-    displaced (track, plane) pair, the slot each slot's bit is read from;
-    only that plane's bits are looked up, at each slot and at its source,
-    and each slot adds (source bit - stored bit) * 2^plane (negated for the
-    sign plane) times its delivered word.  A logic fault mis-shifts one
-    bit, plane + FRAC_BITS, of its MAC product: the weight its track read
-    (as read if the track is faulted this step, so 0 on a zeroed slot)
-    times the word its chain group delivered.
+    The fault rows are ``FaultPlan``'s arrays (or None).  With EDC on,
+    every faulted PE track (path, gate, chunk, neuron) is read in one
+    batched call from the fault rows alone: ``weight_zeros`` gives the
+    zeroed slots, and each takes its stored weight times its delivered word
+    off the accumulator.  With EDC off, ``_misread_faults`` reads every
+    displaced (track, plane) pair through ``weight_plane_reads``.  A logic
+    fault mis-shifts one bit, plane + FRAC_BITS, of its MAC product: the
+    weight its track read (as read if the track is faulted this step, so 0
+    on a zeroed slot) times the word its chain group delivered.
     """
-    # One integer key per PE track (path, gate, neuron, chunk), and one per
+    # One integer key per PE track (path, gate, chunk, neuron), and one per
     # (track, slot) of a chunk.  Tracks sorted by key are sorted by (path,
-    # gate), as ``_stored`` and ``_delivered`` take them.
-    dims = (2, accs.shape[1], accs.shape[2], geo.size.shape[1])
+    # gate), as ``_stored`` and ``_delivered`` take them, and then by chunk.
+    dims = (2, accs.shape[1], geo.size.shape[1], accs.shape[2])
     width = int(geo.size.max())
     held = 0
+    if mac_faults is not None:
+        # Sorted by (path, gate), as ``_stored`` and ``_delivered`` take them.
+        rows = mac_faults[np.argsort(mac_faults[:, 2] * accs.shape[1] + mac_faults[:, 1],
+                                     kind="stable")]
+        m_neuron, m_gate, m_path, m_slot, m_plane = rows.T.astype(np.int64)
+        m_chunk = geo.chunk_of[m_path, m_slot]
+        m_position = m_slot - geo.lo[m_path, m_chunk]
+        m_group, m_word = geo.locate(m_neuron, m_path, m_chunk, m_position[:, None])
+        weight = _stored(params, m_gate, m_path, m_neuron, m_word)[:, 0]
+        m_track = np.ravel_multi_index((m_path, m_gate, m_chunk, m_neuron), dims)
     if weight_faults is not None:
         neuron, gate, path, plane, slot = weight_faults.T.astype(np.int64)
         chunk = geo.chunk_of[path, slot]
-        faults = (plane, slot - geo.lo[path, chunk])
-        tracks, first, track = np.unique(
-            np.ravel_multi_index((path, gate, neuron, chunk), dims),
-            return_index=True, return_inverse=True,
-        )
-        neuron, gate, path, chunk = neuron[first], gate[first], path[first], chunk[first]
-        size = geo.size[path, chunk]
-        rows = np.stack((track, *faults), axis=1)
+        position = slot - geo.lo[path, chunk]
+        track = np.ravel_multi_index((path, gate, chunk, neuron), dims)
         if edc:
-            zero_slots, held = weight_zeros(size, rows)
-            track, position = zero_slots.T
-            zeroed = tracks[track] * width + position
-            group, words = geo.locate(neuron, path, chunk, position[:, None], track)
+            tracks, first, track = np.unique(track, return_index=True, return_inverse=True)
+            neuron, gate, path, chunk = neuron[first], gate[first], path[first], chunk[first]
+            zero_slots, held = weight_zeros(geo.size[path, chunk],
+                                            np.stack((track, plane, position), axis=1))
+            track, zero_position = zero_slots.T
+            group, words = geo.locate(neuron, path, chunk, zero_position[:, None], track)
             change = -(_stored(params, gate, path, neuron, words, track)
                        * _delivered(seen, path, group, words, track))[:, 0]
+            # Rows are sorted by track, and every faulted track has some (its
+            # first fault zeroes a slot): one change per track.
+            change = np.add.reduceat(change, np.searchsorted(track, np.arange(len(tracks))))
+            np.add.at(accs, (path, gate, neuron), change)
             corrections["weight_zeroed"] += len(zero_slots)
+            if mac_faults is not None:
+                zeroed = tracks[track] * width + zero_position
+                weight[np.isin(m_track * width + m_position, zeroed)] = 0
         else:
-            track, plane, position, source = weight_misreads(size, rows)
-            group, words = geo.locate(neuron, path, chunk, position[:, None], track)
-            # Each displaced plane's bit at each slot, then at its source
-            # slot, which is `source - position` rows further on; a source
-            # past the track's end reads blank.
-            stored = _stored(params, gate, path, neuron, words, track)[:, 0]
-            bits = np.append((stored >> plane) & 1, 0)
-            src = np.arange(len(track)) + source - position
-            src[source >= size[track]] = -1
-            flips = (bits[src] - bits[:-1]) * _PLANE_VALUES[plane]
-            misread = track, plane, position, flips
-            change = flips * _delivered(seen, path, group, words, track)[:, 0]
-        # Rows are sorted by track, and every faulted track has some (its
-        # first fault zeroes a slot or displaces a plane): one change per
-        # track.
-        change = np.add.reduceat(change, np.searchsorted(track, np.arange(len(tracks))))
-        np.add.at(accs, (path, gate, neuron), change)
+            _misread_faults(geo, params, seen, dims, track, plane, position, accs,
+                            None if mac_faults is None else (m_track, m_position, weight))
     if mac_faults is not None:
-        # Sorted by (path, gate), as ``_stored`` and ``_delivered`` take them.
-        rows = mac_faults[np.lexsort((mac_faults[:, 1], mac_faults[:, 2]))]
-        neuron, gate, path, slot, plane = rows.T.astype(np.int64)
-        chunk = geo.chunk_of[path, slot]
-        position = slot - geo.lo[path, chunk]
-        group, word = geo.locate(neuron, path, chunk, position[:, None])
-        weight = _stored(params, gate, path, neuron, word)[:, 0]
-        if weight_faults is not None:
-            key = np.ravel_multi_index((path, gate, neuron, chunk), dims)
-            if edc:
-                weight[np.isin(key * width + position, zeroed)] = 0
-            elif (hit := np.isin(key, tracks)).any():
-                # Misread rows are sorted by (track, plane, slot): look every
-                # plane up at each hit's (track, slot) and add its flips.
-                m_track, m_plane, m_position, flips = misread
-                at = (m_track * WORD_PLANES + m_plane) * width + m_position
-                query = (np.searchsorted(tracks, key[hit])[:, None] * WORD_PLANES
-                         + np.arange(WORD_PLANES)) * width + position[hit, None]
-                i = np.minimum(np.searchsorted(at, query), len(at) - 1)
-                weight[hit] += np.where(at[i] == query, flips[i], 0).sum(axis=1)
-        product = weight * _delivered(seen, path, group, word)[:, 0]
-        shift = plane + fp.FRAC_BITS
-        np.add.at(accs, (path, gate, neuron), ((product >> shift) & 1) << shift)
+        product = weight * _delivered(seen, m_path, m_group, m_word)[:, 0]
+        shift = m_plane + fp.FRAC_BITS
+        np.add.at(accs, (m_path, m_gate, m_neuron), ((product >> shift) & 1) << shift)
         corrections["logic_faults"] += len(mac_faults)
     corrections["suppressed_shifts"] += held
     return held

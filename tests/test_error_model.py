@@ -1,8 +1,8 @@
 """Fault protocol: ``racetrack.weight_zeros`` (EDC on) and
-``racetrack.weight_misreads`` (EDC off), the weight-track protocol the
+``racetrack.weight_plane_reads`` (EDC off), the weight-track protocol the
 simulator applies, on single tracks and padded batches, against the
 ``WeightTrackGroup`` device model (the EDC-off read matrix is rebuilt from
-the misread rows); fault plans decoded as a per-event reference decode does
+the planes as read); fault plans decoded as a per-event reference decode does
 them (input-chain, weight, MAC and activation events as int32 rows, path
 coded by its index in ``PATHS``), and independent of the EDC flags; and
 ``run_fidelity_experiment``, whose rows are each seed's own run measured
@@ -29,7 +29,7 @@ from rnnfast.error_model import (
 from rnnfast.lstm_core import GATE_ORDERS, NONLINEAR_EVALS
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_inputs, generate_network_params
-from rnnfast.racetrack import WORD_PLANES, WeightTrackGroup, weight_misreads, weight_zeros
+from rnnfast.racetrack import WORD_PLANES, WeightTrackGroup, weight_plane_reads, weight_zeros
 from rnnfast.simulator import simulate
 
 
@@ -53,14 +53,20 @@ def device_pass(weights, faults, edc):
 
 
 def misread_matrix(matrix, lengths, rows):
-    """A padded batch as read with EDC off: each ``weight_misreads`` row
-    takes its plane's bit at its slot from its source slot's stored bit, or
-    a blank bit past the track's end."""
+    """A padded batch as read with EDC off: ``weight_plane_reads`` reads each
+    displaced (track, plane) pair's plane from its stored bits, in slot
+    order and 0 past the track's length, and the read bits replace that
+    plane's bits up to the track's length."""
     stored = np.asarray(matrix, dtype=np.int64) & 0xFFFF
+    track, plane, slot = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+    pairs, pair = np.unique(track * WORD_PLANES + plane, return_inverse=True)
+    inside = np.arange(stored.shape[1]) < np.asarray(lengths)[pairs // WORD_PLANES, None]
+    bits = (stored[pairs // WORD_PLANES] >> (pairs % WORD_PLANES)[:, None]) & 1 & inside
+    planes_read = weight_plane_reads(bits, np.stack((pair, slot), axis=1))
     read = stored.copy()
-    for track, plane, slot, source in zip(*(a.tolist() for a in weight_misreads(lengths, rows))):
-        bit = (stored[track, source] >> plane) & 1 if source < lengths[track] else 0
-        read[track, slot] = read[track, slot] & ~(1 << plane) | bit << plane
+    for key, bit, mask in zip(pairs.tolist(), planes_read, inside):
+        t, k = divmod(key, WORD_PLANES)
+        read[t] = np.where(mask, read[t] & ~(1 << k) | bit << k, read[t])
     return np.where(read >= 1 << 15, read - (1 << 16), read)
 
 
@@ -162,27 +168,31 @@ def test_weight_zeros_are_the_slots_the_device_zeroes(case):
 
 @settings(max_examples=300, deadline=None)
 @given(batches())
-def test_weight_misreads_run_from_each_pairs_first_fault_to_its_end(case):
-    """EDC off: one row per slot of each displaced (track, plane) pair, from
-    its first fault to the end of its track, sorted by track, plane and
-    slot; the source is the slot plus the pair's faults up to it.  A
-    repeated fault row counts once, as one advance overshoots once."""
-    tracks, _width, rows = case
-    lengths = [len(w) for w, _f in tracks]
-    faults = np.array(rows + rows[::2]).reshape(-1, 3)
-    got = list(zip(*(a.tolist() for a in weight_misreads(lengths, faults))))
-    want = []
-    for i, (_weights, faults) in enumerate(tracks):
-        for plane in sorted({p for _s, p in faults}):
-            slots = sorted(s for s, p in faults if p == plane)
-            want += [(i, plane, slot, slot + sum(s <= slot for s in slots))
-                     for slot in range(slots[0], lengths[i])]
-    assert got == want
+def test_weight_plane_reads_displace_each_slot_by_the_distinct_faults_up_to_it(case):
+    """EDC off, one row per displaced (track, plane) pair, its stored bits in
+    slot order and 0 past the track's length: slot s reads the bit at
+    s + d, d the pair's distinct faults at or before s, and a bit past the
+    end reads blank.  A repeated fault row counts once, as one advance
+    overshoots once."""
+    tracks, width, rows = case
+    pairs = sorted({(i, plane) for i, plane, _slot in rows})
+    bits = np.zeros((len(pairs), width), dtype=np.int8)
+    for r, (i, plane) in enumerate(pairs):
+        weights = tracks[i][0]
+        bits[r, :len(weights)] = [(w >> plane) & 1 for w in weights]
+    faults = [(pairs.index((i, plane)), slot) for i, plane, slot in rows + rows[::2]]
+    got = weight_plane_reads(bits, np.array(faults, dtype=np.int64).reshape(-1, 2))
+    assert got.dtype == bits.dtype and got.shape == bits.shape
+    for r, (i, plane) in enumerate(pairs):
+        slots = {slot for j, p, slot in rows if (j, p) == (i, plane)}
+        for s in range(width):
+            d = sum(f <= s for f in slots)
+            assert got[r, s] == (bits[r, s + d] if s + d < width else 0), (r, s)
 
 
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect: FaultPlan, weight_zeros and weight_misreads let a fault land on "
+    reason="known defect: FaultPlan, weight_zeros and weight_plane_reads let a fault land on "
     "slot 0, which no shift precedes; the device reads slot 0 cleanly",
 )
 @pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
@@ -223,7 +233,7 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
 def test_weight_pass_displaced_plane_reads_blank_past_the_end():
     # Plane 15 (the sign) of the last slot comes from beyond the track: 0.
     rows = [(0, 15, 1)]
-    assert [a.tolist() for a in weight_misreads([2], rows)] == [[0], [15], [1], [2]]
+    assert weight_plane_reads([[1, 1]], [(0, 1)]).tolist() == [[1, 0]]
     assert misread_matrix([[-1, -1]], [2], rows).tolist() == [[-1, 0x7FFF]]
 
 

@@ -2,13 +2,15 @@
 oracles.
 
 ``_weight_and_logic_faults`` reads every faulted PE track of a (layer,
-timestep) in one batched call (``weight_zeros`` with EDC on,
-``weight_misreads`` with EDC off) and applies all logic faults as array
-operations.  The oracle below is the per-track loop it replaced: one
-single-track protocol pass per faulted track (kept here in its single-track
-form), a brute-force arrival order, and one lookup per MAC fault that takes
-the weight as read when a weight fault of the same step hit its track.
-Both must give the same accumulators, corrections and held shifts.
+timestep) in one batched call (``weight_zeros`` with EDC on; with EDC off,
+``weight_plane_reads`` over a dense matrix of the displaced (track, plane)
+pairs) and applies all logic faults as array operations.  The oracle below
+is the per-track loop it replaced: one single-track protocol pass per
+faulted track (kept here in its single-track form), a brute-force arrival
+order, and one lookup per MAC fault that takes the weight as read when a
+weight fault of the same step hit its track.  Both must give the same
+accumulators, corrections and held shifts, on the fault plans of random
+seeds and on hand-placed faults that the seeds do not reliably produce.
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
 one changed (group, word) at a time; the dense per-chunk product it
@@ -34,7 +36,7 @@ def single_track_pass(weights, fault_slots, edc):
     """One whole pass of one weight track; `fault_slots` maps a plane to its
     fault slots.  Returns (weights as read, zero substitutions, suppressed
     shifts), slot-0 faults taking effect as in ``weight_zeros`` and
-    ``weight_misreads``."""
+    ``weight_plane_reads``."""
     w = np.asarray(weights, dtype=np.int64)
     k = len(w)
     if edc:
@@ -134,6 +136,27 @@ def both(lp, geo, params, weight_faults, mac_faults, edc, accs, seen):
     return results
 
 
+def placed_faults(geo, gates):
+    """Weight and MAC fault rows, per path, on the path's shortest chunk
+    (2 words or more in every layout) of neuron 0's last gate: two faults on
+    one plane near the chunk's end, so that the plane reads 2 words on and
+    then blank (a plan never repeats a row, so neither do these), a fault on
+    a second plane, and MAC faults before, at and after that plane's fault,
+    also on neuron 1 (whose track has no weight fault)."""
+    weight, mac = [], []
+    gate = gates - 1
+    for path in (0, 1):
+        size = geo.size[path]
+        chunk = int(np.flatnonzero(size == size[size > 0].min())[-1])
+        lo, k = int(geo.lo[path, chunk]), int(size[chunk])
+        weight += [(0, gate, path, 3, lo + max(k - 3, 0)), (0, gate, path, 3, lo + max(k - 2, 1)),
+                   (0, gate, path, 15, lo + k // 2)]
+        for neuron in (0, 1):
+            mac += [(neuron, gate, path, lo + min(max(k // 2 + d, 0), k - 1), plane)
+                    for d, plane in ((-1, 0), (0, 7), (1, 15))]
+    return np.array(weight, dtype=np.int32), np.array(mac, dtype=np.int32)
+
+
 def layout_net(cell, layout):
     hw, widths, steps = LAYOUTS[layout]
     layers = tuple(LayerSpec(cell, m, n) for n, m in zip(widths, widths[1:]))
@@ -162,6 +185,13 @@ def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
             faults += 0 if wf is None else len(wf)
             weight_zeroed += want[1]["weight_zeroed"]
             logic += want[1]["logic_faults"]
+    rng = np.random.default_rng(99)
+    for lp, geo, p in zip(placement.layers, geos, generate_network_params(placement.spec, 99)):
+        accs, seen = random_state(rng, lp, p)
+        wf, mf = placed_faults(geo, len(p.gates))
+        got, want = both(lp, geo, p, wf, mf, edc, accs, seen)
+        assert got == want, ("placed", lp.index)
+        assert want[0] != accs.tolist()
     assert faults > 0 and logic > 0
     assert (weight_zeroed > 0) == edc
 

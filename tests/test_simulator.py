@@ -3,16 +3,17 @@
 Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
 (also across the simulator's blocks of input-path timesteps) and take
 exactly ``analytic_cycles``; every cell type's weight paths are cut into
-one chunk per PE the mapper gives a gate; EDC-on input-chain faults must leave
-the outputs untouched; the reported fault count must be the plan's; the
-ledger's closed-form chain passes, less the shifts EDC corrections held,
-must equal what the track model counts itself, and a faulted pass (in
-closed form with EDC off, a replayed window with EDC on) must deliver what
-a full track-model pass from step 0 delivers.  Faulty
-runs with every site active are pinned in ``simulator_golden.json`` (output
-SHA-256, cycles, ledger counters, per-layer counts, corrections), so any
-change to the fault path shows up.  After a deliberate change of fault
-semantics, rewrite the pins with
+one chunk per PE the mapper gives a gate, and no PE may hold more words
+than it has room for (a known defect, held as a strict xfail); EDC-on
+input-chain faults must leave the outputs untouched; the reported fault
+count must be the plan's; the ledger's closed-form chain passes, less the
+shifts EDC corrections held, must equal what the track model counts
+itself, and a faulted pass (in closed form with EDC off, a replayed window
+with EDC on) must deliver what a full track-model pass from step 0
+delivers.  Faulty runs with every site active are pinned in
+``simulator_golden.json`` (output SHA-256, cycles, ledger counters,
+per-layer counts, corrections), so any change to the fault path shows up.
+After a deliberate change of fault semantics, rewrite the pins with
 ``PYTHONPATH=src python tests/test_simulator.py``.
 """
 
@@ -180,6 +181,22 @@ def test_engine_cuts_each_path_into_one_chunk_per_pe(cell, layout):
             for path, chain in enumerate((lp.chain, lp.recurrent_chain)):
                 groups = len(chain.group_capacities)
                 assert geo.group_of[path, :, neuron].tolist() == [min(t, groups - 1) for t in tiles]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: the engine splits each path evenly over the PEs that the mapper "
+    "sized from both paths together, so one PE can hold more than weights_per_pe words",
+)
+def test_no_engine_pe_holds_more_than_weights_per_pe_words():
+    """A 1-input, 46-neuron layer at weights_per_pe=16 takes 3 PEs per gate
+    (48 words for 1 + 46 + 1); the engine's chunks must fit them."""
+    hw = HardwareConfig(weights_per_pe=16)
+    for cell in CELLS:
+        lp = map_network(NetworkSpec((LayerSpec(cell, 46, 1),), 1), hw).layers[0]
+        assert lp.pes_per_neuron == 3
+        geo = _LayerGeometry(lp, hw, None)
+        assert geo.size.sum(axis=0).max() <= hw.weights_per_pe, (cell, geo.size.tolist())
 
 
 def test_long_layout_ends_three_steps_into_a_second_time_block():

@@ -41,7 +41,7 @@ ENTRY_POINTS = {
     "cell_step": "Q8.8 reference cell that simulate is bit-exact against",
     "chunked_gate_preact_wide": "oracle: split neurons compute the monolithic result",
     "booth_multiply": "oracle: radix-4 Booth multiply equals mul_raw",
-    "WeightTrackGroup": "device model that weight_zeros and weight_misreads are tested against",
+    "WeightTrackGroup": "device model that weight_zeros and weight_plane_reads are tested against",
 }
 
 
