@@ -140,10 +140,11 @@ def chunked_gate_preact_wide(gw: GateWeights, x, h, chunk_sizes):
     """Gate pre-activation computed the way split neurons compute it.
 
     The concatenated weight vector [w_x | w_h | b] of every neuron is divided
-    into contiguous per-unit chunks; each chunk's partial dot product is
-    accumulated wide and the partials are combined over the aggregation
-    chain.  Because partials stay unrounded, the result equals
-    ``gate_preact_wide`` exactly for any chunking.
+    into contiguous per-PE chunks, as the mapper's ``pe_words`` lays them
+    out; each chunk's partial dot product is accumulated wide and the
+    partials are combined over the aggregation chain.  Because partials stay
+    unrounded, the result equals ``gate_preact_wide`` exactly for any
+    chunking.
     """
     n_total = gw.inputs + gw.hidden + 1
     if sum(chunk_sizes) != n_total or any(c <= 0 for c in chunk_sizes):

@@ -9,14 +9,18 @@ port hiding the interconnect latency.
 
 Per-neuron placement is driven by the PE weight capacity.  A neuron's
 per-gate demand is its inputs + hidden + 1 bias words, which take
-``pes_per_neuron`` = ceil(demand / capacity) PEs per gate.  An LSTM or GRU
-neuron places one PE of each gate per unit, so it spans that many units.  A
-Vanilla neuron has one gate: floor(4 / pes_per_neuron) neurons of up to
-four PEs share a unit, and a larger one spans ceil(pes_per_neuron / 4)
-units.  The partial results of a neuron on several units combine over an
-aggregation tree of depth ceil(log2(units)).  A layer takes enough tiles
-for its units and for the words of both its chains (64 per tile buffer),
-and ``chain_plan`` spreads each chain's words evenly over those buffers.
+P = ceil(demand / capacity) PEs per gate.  The gate's words [w_x | w_h | b]
+are split evenly over those PEs in order, the first PEs taking one word
+more, so no PE holds more than its capacity and the bias is the last PE's
+last word; a PE may hold no words of one path.  ``LayerPlacement.pe_words``
+is that table, and the simulator reads its weight chunks from it.  An LSTM
+or GRU neuron places one PE of each gate per unit, so it spans P units.  A
+Vanilla neuron has one gate: floor(4 / P) neurons of up to four PEs share a
+unit, and a larger one spans ceil(P / 4) units.  The partial results of a
+neuron on several units combine over an aggregation tree of depth
+ceil(log2(units)).  A layer takes enough tiles for its units and for the
+words of both its chains (64 per tile buffer), and ``chain_plan`` spreads
+each chain's words evenly over those buffers.
 
 ``map_network`` is total: it returns a Placement satisfying every capacity
 invariant or raises ``CapacityExceeded`` with a structured shortfall report.
@@ -149,7 +153,9 @@ class LayerPlacement:
     inputs: int
     units_per_neuron: int
     neurons_per_unit: int       # >1 only for Vanilla packing
-    pes_per_neuron: int         # per gate
+    # Per PE of a gate, in order: (unit within the neuron's units, x-path
+    # words, h-path words); the last PE also holds the bias word.
+    pe_words: tuple
     n_units: int
     n_tiles: int
     agg_hops: int               # ceil(log2(units_per_neuron))
@@ -211,6 +217,13 @@ def _place_layer(index: int, layer: LayerSpec, hw: HardwareConfig) -> LayerPlace
     per_unit = hw.pes_per_unit if layer.cell_type == "Vanilla" else 1
     units_per_neuron = math.ceil(pes_per_neuron / per_unit)
     neurons_per_unit = max(1, per_unit // pes_per_neuron)
+    pe_words, lo = [], 0
+    for pe, k in enumerate(_split_even(demand, pes_per_neuron)):
+        # Words of [lo, lo + k) before the end of w_x, and of w_h.
+        x, xh = (min(lo + k, end) - min(lo, end)
+                 for end in (layer.inputs, layer.inputs + layer.neurons))
+        pe_words.append((pe // per_unit, x, xh - x))
+        lo += k
     n_units = math.ceil(layer.neurons / neurons_per_unit) * units_per_neuron
 
     n_tiles = max(
@@ -239,7 +252,7 @@ def _place_layer(index: int, layer: LayerSpec, hw: HardwareConfig) -> LayerPlace
         inputs=layer.inputs,
         units_per_neuron=units_per_neuron,
         neurons_per_unit=neurons_per_unit,
-        pes_per_neuron=pes_per_neuron,
+        pe_words=tuple(pe_words),
         n_units=n_units,
         n_tiles=n_tiles,
         agg_hops=math.ceil(math.log2(units_per_neuron)) if units_per_neuron > 1 else 0,

@@ -231,30 +231,29 @@ def weight_zeros(lengths, faults):
     ``WeightTrackGroup`` tracks, from the fault rows alone.
 
     `lengths[i]` is track i's number of weights; `faults` holds rows
-    (track, plane, slot), one per overshooting advance, in any order.  A
-    detected fault zeroes its slot and holds that plane's next shift, so in
-    every run of consecutive fault slots on one (track, plane) each second
-    fault is a no-op.  Returns (the zeroed slots as distinct rows (track,
-    slot), sorted; the shifts held back, summed over the batch).  Every
-    other slot reads its stored weight.
+    (track, plane, slot), one per overshooting advance, in any order; a
+    repeated row is one overshoot.  A detected fault zeroes its slot and
+    holds that plane's next shift, so in every run of consecutive fault
+    slots on one (track, plane) each second fault is a no-op.  Returns (the
+    zeroed slots as distinct rows (track, slot), sorted; the shifts held
+    back, summed over the batch).  Every other slot reads its stored
+    weight.
 
     Known defect: unlike ``read_next``, a fault at slot 0 takes effect
     although no shift precedes the first read.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
+    k = int(lengths.max(initial=1))
     track, plane, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 3).T
-    order = np.lexsort((slot, plane, track))
-    track, plane, slot = track[order], plane[order], slot[order]
+    # Distinct rows, sorted by (track, plane, slot).
+    pair, slot = np.divmod(np.unique((track * WORD_PLANES + plane) * k + slot), k)
     run_start = np.ones(len(slot), dtype=bool)
-    run_start[1:] = (track[1:] != track[:-1]) | (plane[1:] != plane[:-1]) | (
-        slot[1:] != slot[:-1] + 1
-    )
+    run_start[1:] = (pair[1:] != pair[:-1]) | (slot[1:] != slot[:-1] + 1)
     starts = np.flatnonzero(run_start)
     index_in_run = np.arange(len(slot)) - starts[np.cumsum(run_start) - 1]
     live = index_in_run % 2 == 0
-    track, slot = track[live], slot[live]
+    track, slot = pair[live] // WORD_PLANES, slot[live]
     held = int(np.count_nonzero(slot + 1 < lengths[track]))
-    k = int(lengths.max(initial=1))
     zeroed = np.unique(track * k + slot)
     return np.stack(np.divmod(zeroed, k), axis=1), held
 

@@ -64,7 +64,7 @@ fault-free runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -72,7 +72,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import fixedpoint as fp
 from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths
 from .lstm_core import ACT_STAGES, NONLINEAR_EVALS, MacPipeline, cell_output
-from .mapping import HardwareConfig, Placement, _split_even
+from .mapping import HardwareConfig, Placement
 from .nonlinear import activation_fns
 from .racetrack import WORD_PLANES, InputTrackChain, weight_plane_reads, weight_zeros
 
@@ -195,12 +195,14 @@ class _LayerGeometry:
 
     Slot lookup: each weight path (code 0, "x", over the input words; code
     1, "h", over the recurrent words) is cut into contiguous chunks, one per
-    PE track.  Indexed by path code, the tables give each chunk's first
-    word and size, each slot's chunk, the chain group that feeds each
-    neuron's chunk (and, the other way round, the neurons whose chunk each
-    group feeds), and ``turn[path, group, chunk]``: how far the chunk is
-    rotated when it reaches that group.  ``locate`` turns these into the
-    words of a batch of tracks in arrival order; no per-word table is kept.
+    PE of a gate, as the mapper's ``pe_words`` lays the gate's words out; a
+    PE that holds no words of a path has an empty chunk there.  Indexed by
+    path code, the tables give each chunk's first word and size, each
+    slot's chunk, the chain group that feeds each neuron's chunk (and, the
+    other way round, the neurons whose chunk each group feeds), and
+    ``turn[path, group, chunk]``: how far the chunk is rotated when it
+    reaches that group.  ``locate`` turns these into the words of a batch of
+    tracks in arrival order; no per-word table is kept.
 
     Step events: the ledger events of one fault-free (layer, timestep), one
     pass of both input chains included, and the per-layer counts.  Faults
@@ -210,18 +212,16 @@ class _LayerGeometry:
     def __init__(self, lp, hw, cfg):
         m, n = lp.neurons, lp.inputs
         u = lp.units_per_neuron
-        # One chunk per PE of a gate, on the units where the mapper puts it:
-        # a Vanilla neuron's PEs fill a unit before the next, an LSTM or GRU
-        # neuron has one PE of each gate on each of its units.
-        n_chunks = lp.pes_per_neuron
-        per_unit = hw.pes_per_unit if lp.cell_type == "Vanilla" else 1
-        units = (np.arange(m) // lp.neurons_per_unit) * u + np.arange(n_chunks)[:, None] // per_unit
+        # One chunk per PE of a gate: its unit and its words of each path.
+        pe = np.array(lp.pe_words)
+        n_chunks = len(pe)
+        units = (np.arange(m) // lp.neurons_per_unit) * u + pe[:, :1]
         tiles = units // hw.lstm_units_per_tile
         edc_in = bool(cfg and cfg.edc_inputs)
         edc_w = bool(cfg and cfg.edc_weights)
         chains = (lp.chain, lp.recurrent_chain)
         bases = [_chain_bases(layout.group_capacities) for layout in chains]
-        self.size = np.array([_split_even(layout.word_capacity, n_chunks) for layout in chains])
+        self.size = pe[:, 1:].T
         self.lo = np.cumsum(self.size, axis=1) - self.size
         self.chunk_of = np.zeros((2, max(n, m)), dtype=np.int64)
         self.group_of = np.empty((2, n_chunks, m), dtype=np.int64)
@@ -786,12 +786,7 @@ def simulate(placement: Placement, params, inputs,
         corrections=corrections,
         mac_sample=[list(entry) for entry in pipes[0][0].log] if pipes else [],
         error_config=None if error_cfg is None else {
-            "p_overshift": error_cfg.p_overshift,
-            "sites": sorted(error_cfg.sites),
-            "bit_region": error_cfg.bit_region,
-            "edc_inputs": error_cfg.edc_inputs,
-            "edc_weights": error_cfg.edc_weights,
-            "seed": error_cfg.seed,
+            **asdict(error_cfg), "sites": sorted(error_cfg.sites),
         },
         timesteps=T,
     )

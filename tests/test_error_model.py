@@ -148,10 +148,11 @@ def test_batched_weight_pass_matches_the_device_track_by_track(case, edc):
 def test_weight_zeros_are_the_slots_the_device_zeroes(case):
     """EDC on, from the fault rows and lengths alone: the zeroed rows are
     exactly the (track, slot) pairs that ``read_next`` substitutes with
-    zero, each once and sorted, and the held shifts are the device's."""
+    zero, each once and sorted, and the held shifts are the device's.  A
+    repeated fault row counts once, as one advance overshoots once."""
     tracks, _width, rows = case
     zeroed, suppressed = weight_zeros(
-        [len(w) for w, _f in tracks], np.array(rows, dtype=np.int64).reshape(-1, 3)
+        [len(w) for w, _f in tracks], np.array(rows + rows[::2], dtype=np.int64).reshape(-1, 3)
     )
     ledger = Counter()
     want = []

@@ -34,16 +34,16 @@ MAX_STEPS = 1
 
 def single_track_pass(weights, fault_slots, edc):
     """One whole pass of one weight track; `fault_slots` maps a plane to its
-    fault slots.  Returns (weights as read, zero substitutions, suppressed
-    shifts), slot-0 faults taking effect as in ``weight_zeros`` and
-    ``weight_plane_reads``."""
+    fault slots, where a repeated slot is one overshoot.  Returns (weights
+    as read, zero substitutions, suppressed shifts), slot-0 faults taking
+    effect as in ``weight_zeros`` and ``weight_plane_reads``."""
     w = np.asarray(weights, dtype=np.int64)
     k = len(w)
     if edc:
         zeros, suppressed = set(), 0
         for slots in fault_slots.values():
             held = None
-            for s in sorted(slots):
+            for s in sorted(set(slots)):
                 if s == held:
                     continue
                 zeros.add(s)
@@ -55,7 +55,7 @@ def single_track_pass(weights, fault_slots, edc):
     unsigned = w & 0xFFFF
     idx = np.arange(k)
     for plane, slots in fault_slots.items():
-        src = idx + np.searchsorted(np.sort(slots), idx, side="right")
+        src = idx + np.searchsorted(np.unique(slots), idx, side="right")
         bits = np.where(src < k, (unsigned[np.minimum(src, k - 1)] >> plane) & 1, 0)
         unsigned = (unsigned & ~(1 << plane)) | (bits << plane)
     return np.where(unsigned >= 1 << 15, unsigned - (1 << 16), unsigned), 0, 0
@@ -137,17 +137,18 @@ def both(lp, geo, params, weight_faults, mac_faults, edc, accs, seen):
 
 
 def placed_faults(geo, gates):
-    """Weight and MAC fault rows, per path, on the path's shortest chunk
-    (2 words or more in every layout) of neuron 0's last gate: two faults on
-    one plane near the chunk's end, so that the plane reads 2 words on and
-    then blank (a plan never repeats a row, so neither do these), a fault on
-    a second plane, and MAC faults before, at and after that plane's fault,
-    also on neuron 1 (whose track has no weight fault)."""
+    """Weight and MAC fault rows, per path, on the path's shortest chunk of
+    2 words or more (a chunk may hold 0 or 1 words) of neuron 0's last gate:
+    two faults on one plane near the chunk's end, so that the plane reads 2
+    words on and then blank (a plan never repeats a row, so neither do
+    these), a fault on a second plane, and MAC faults before, at and after
+    that plane's fault, also on neuron 1 (whose track has no weight
+    fault)."""
     weight, mac = [], []
     gate = gates - 1
     for path in (0, 1):
         size = geo.size[path]
-        chunk = int(np.flatnonzero(size == size[size > 0].min())[-1])
+        chunk = int(np.flatnonzero(size == size[size >= 2].min())[-1])
         lo, k = int(geo.lo[path, chunk]), int(size[chunk])
         weight += [(0, gate, path, 3, lo + max(k - 3, 0)), (0, gate, path, 3, lo + max(k - 2, 1)),
                    (0, gate, path, 15, lo + k // 2)]

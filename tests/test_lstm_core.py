@@ -176,8 +176,14 @@ class TestPartitionExactness:
             k = int(rng.integers(1, 6))
             cuts = sorted(rng.choice(np.arange(1, total), size=min(k, total - 1), replace=False))
             sizes = np.diff([0, *cuts, total]).tolist()
-            split = core.chunked_gate_preact_wide(gw, x, h, sizes)
-            assert np.array_equal(mono, split)
+            # And the chunks the mapper puts on a neuron's PEs: each PE's x
+            # and h words, and the bias on the last PE.
+            hw = HardwareConfig(weights_per_pe=int(rng.integers(4, 17)))
+            lp = map_network(NetworkSpec((LayerSpec("Vanilla", m, n),), 1), hw).layers[0]
+            placed = [x_words + h_words for _unit, x_words, h_words in lp.pe_words]
+            placed[-1] += 1
+            for chunks in (sizes, placed):
+                assert np.array_equal(mono, core.chunked_gate_preact_wide(gw, x, h, chunks))
 
     def test_bad_chunk_sizes(self):
         gw = zero_params("Vanilla", 2, 3).gates[0]
@@ -228,7 +234,7 @@ class TestAggregation:
         # exactly `units` PEs of 16 weights each.
         spec = NetworkSpec((LayerSpec("LSTM", 1, 16 * units - 2),), 1)
         lp = map_network(spec, HardwareConfig(weights_per_pe=16)).layers[0]
-        assert lp.units_per_neuron == lp.pes_per_neuron == units
+        assert lp.units_per_neuron == len(lp.pe_words) == units
         _total, hops = core.aggregate_wide(np.zeros((units, 1), dtype=np.int64))
         assert hops == lp.agg_hops
 

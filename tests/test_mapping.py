@@ -1,7 +1,5 @@
 """Mapping arithmetic, chain planning, capacity contracts, fuzz totality."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -19,10 +17,12 @@ from rnnfast.mapping import (
 from rnnfast.racetrack import InputTrackChain
 
 
-def per_pe_words(lp):
-    """Largest PE share of a neuron's per-gate words, split evenly over its
-    PEs."""
-    return math.ceil((lp.inputs + lp.neurons + 1) / lp.pes_per_neuron)
+def pe_totals(lp):
+    """Words on each PE of a gate, from the mapper's table: its x and h
+    words, and the bias on the last PE."""
+    totals = [x + h for _unit, x, h in lp.pe_words]
+    totals[-1] += 1
+    return totals
 
 
 def square_spec(cell, width, layers=1, timesteps=1):
@@ -51,8 +51,9 @@ class TestMapNetwork:
         assert lp.units_per_neuron == 3
         assert lp.agg_hops == 2
         assert lp.n_units == 30
-        assert lp.pes_per_neuron == 3
-        assert per_pe_words(lp) == 1334 <= hw.weights_per_pe
+        # 3989 x words, 10 h words and the bias, 1334 + 1333 + 1333.
+        assert lp.pe_words == ((0, 1334, 0), (1, 1333, 0), (2, 1322, 10))
+        assert pe_totals(lp) == [1334, 1333, 1333]
 
     def test_vanilla_packs_four_per_unit(self):
         hw = HardwareConfig()
@@ -105,7 +106,8 @@ class TestMapNetwork:
             # Mapper success implies the independent demand-vs-supply check.
             assert feasibility_check(spec, hw)
             for lp in placement.layers:
-                assert per_pe_words(lp) <= hw.weights_per_pe
+                assert sum(pe_totals(lp)) == lp.inputs + lp.neurons + 1
+                assert max(pe_totals(lp)) <= hw.weights_per_pe
                 assert lp.n_tiles <= hw.row_tiles
                 assert sum(lp.chain.group_capacities) == lp.inputs
         assert outcomes["ok"] > 0 and outcomes["full"] > 0

@@ -3,9 +3,8 @@
 Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
 (also across the simulator's blocks of input-path timesteps) and take
 exactly ``analytic_cycles``; every cell type's weight paths are cut into
-one chunk per PE the mapper gives a gate, and no PE may hold more words
-than it has room for (a known defect, held as a strict xfail); EDC-on
-input-chain faults must leave the outputs untouched; the reported fault
+the chunks of the mapper's per-PE table, one per PE of a gate, and no PE
+holds more words than it has room for; EDC-on input-chain faults must leave the outputs untouched; the reported fault
 count must be the plan's; the ledger's closed-form chain passes, less the
 shifts EDC corrections held, must equal what the track model counts
 itself, and a faulted pass (in closed form with EDC off, a replayed window
@@ -14,7 +13,8 @@ delivers.  Faulty runs with every site active are pinned in
 ``simulator_golden.json`` (output SHA-256, cycles, ledger counters,
 per-layer counts, corrections), so any change to the fault path shows up.
 After a deliberate change of fault semantics, rewrite the pins with
-``PYTHONPATH=src python tests/test_simulator.py``.
+``PYTHONPATH=src python tests/test_simulator.py``, which prints the keys
+whose pins changed.
 """
 
 import hashlib
@@ -171,11 +171,12 @@ def test_engine_cuts_each_path_into_one_chunk_per_pe(cell, layout):
     hw = placement.hw
     for lp in placement.layers:
         geo = _LayerGeometry(lp, hw, None)
-        assert geo.size.shape == (2, lp.pes_per_neuron)
+        pes = len(lp.pe_words)
+        assert geo.size.shape == (2, pes)
         per_unit = hw.pes_per_unit if cell == "Vanilla" else 1
         for neuron in range(lp.neurons):
             units = [(neuron // lp.neurons_per_unit) * lp.units_per_neuron + c // per_unit
-                     for c in range(lp.pes_per_neuron)]
+                     for c in range(pes)]
             assert units[-1] < lp.n_units
             tiles = [u // hw.lstm_units_per_tile for u in units]
             for path, chain in enumerate((lp.chain, lp.recurrent_chain)):
@@ -183,20 +184,47 @@ def test_engine_cuts_each_path_into_one_chunk_per_pe(cell, layout):
                 assert geo.group_of[path, :, neuron].tolist() == [min(t, groups - 1) for t in tiles]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: the engine splits each path evenly over the PEs that the mapper "
-    "sized from both paths together, so one PE can hold more than weights_per_pe words",
-)
 def test_no_engine_pe_holds_more_than_weights_per_pe_words():
     """A 1-input, 46-neuron layer at weights_per_pe=16 takes 3 PEs per gate
-    (48 words for 1 + 46 + 1); the engine's chunks must fit them."""
+    (48 words for 1 + 46 + 1); the engine's chunks and the bias must fit
+    them."""
     hw = HardwareConfig(weights_per_pe=16)
     for cell in CELLS:
         lp = map_network(NetworkSpec((LayerSpec(cell, 46, 1),), 1), hw).layers[0]
-        assert lp.pes_per_neuron == 3
+        assert len(lp.pe_words) == 3
         geo = _LayerGeometry(lp, hw, None)
-        assert geo.size.sum(axis=0).max() <= hw.weights_per_pe, (cell, geo.size.tolist())
+        words = geo.size.sum(axis=0) + [0, 0, 1]
+        assert words.max() <= hw.weights_per_pe, (cell, geo.size.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CELLS), st.integers(1, 60), st.integers(1, 60), st.integers(4, 64))
+def test_engine_chunks_are_the_mappers_pe_table(cell, inputs, neurons, weights_per_pe):
+    """The mapper's per-PE table holds each gate's words [w_x | w_h | b] in
+    order, the bias as the last PE's last word, at most weights_per_pe words
+    a PE; the engine's chunks are that table and tile each path in order."""
+    hw = HardwareConfig(weights_per_pe=weights_per_pe)
+    lp = map_network(NetworkSpec((LayerSpec(cell, neurons, inputs),), 1), hw).layers[0]
+    units, x_words, h_words = map(list, zip(*lp.pe_words))
+    pe_text = ["x" * x + "h" * h for x, h in zip(x_words, h_words)]
+    pe_text[-1] += "b"
+    assert "".join(pe_text) == "x" * inputs + "h" * neurons + "b"
+    # An even split: ceil(words / weights_per_pe) PEs, the first ones taking
+    # one word more.
+    totals = [len(text) for text in pe_text]
+    assert len(totals) == -(-(inputs + neurons + 1) // weights_per_pe)
+    assert max(totals) <= weights_per_pe
+    assert totals == sorted(totals, reverse=True) and totals[0] - totals[-1] <= 1
+    assert units == sorted(units) and units[-1] == lp.units_per_neuron - 1
+    geo = _LayerGeometry(lp, hw, None)
+    assert geo.size.tolist() == [x_words, h_words]
+    bias = np.arange(len(totals)) == len(totals) - 1
+    assert (geo.size.sum(axis=0) + bias).max() <= weights_per_pe
+    for path, n in enumerate((inputs, neurons)):
+        assert geo.lo[path].tolist() == np.cumsum([0] + geo.size[path, :-1].tolist()).tolist()
+        assert geo.chunk_of[path, :n].tolist() == [
+            c for c, size in enumerate(geo.size[path]) for _w in range(size)
+        ]
 
 
 def test_long_layout_ends_three_steps_into_a_second_time_block():
@@ -331,6 +359,9 @@ def test_faulty_runs_match_golden(cell, impl, layout):
 
 
 def write_golden():
+    """Rewrite the pins; print each key whose pin changed, with the fields
+    that changed."""
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     golden = {}
     for cell, impl, layout in CASES:
         placement, params, inputs = net(cell, impl, layout)
@@ -338,6 +369,11 @@ def write_golden():
             result = simulate(placement, params, inputs, error_cfg=faulty_config(edc))
             golden[golden_key(cell, impl, layout, edc)] = fingerprint(result)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    changed = [key for key in sorted(golden) if old.get(key) != golden[key]]
+    for key in changed:
+        pin = old.get(key, {})
+        print(key, " ".join(f for f in golden[key] if pin.get(f) != golden[key][f]))
+    print(f"{len(changed)} of {len(golden)} pins changed")
 
 
 if __name__ == "__main__":
