@@ -11,13 +11,16 @@ simulator each narrow their own accumulators and call it.
 
 The structural side has three models.  ``MacPipeline`` is the per-gate
 processing element's MAC pipeline (48 stages, 2 cycles each, one issue per
-2 cycles); the simulator's timing path drives it for issue and completion
-cycles only, as values come from the value path.  ``aggregate_wide`` is
-the cross-unit aggregation chain (even-indexed units consume, odd-indexed
-forward, the leftmost unit finishes); ``chunked_gate_preact_wide`` sums
-split neurons' partials through it, and its hop count is the mapper's
-``agg_hops``.  ``booth_multiply``, a radix-4 Booth multiplier, is an oracle
-that tests hold bit for bit against ``fixedpoint.mul_raw``.
+2 cycles), which enforces the issue interval.  The simulator times a layer
+from its closed form and drives one pipeline only for a run's
+``mac_sample``, the first MAC_LOG_LIMIT input-path issues of layer 0; the
+tests replay it word by word as the oracle of that closed form.
+``aggregate_wide`` is the cross-unit aggregation chain (even-indexed units
+consume, odd-indexed forward, the leftmost unit finishes);
+``chunked_gate_preact_wide`` sums split neurons' partials through it, and
+its hop count is the mapper's ``agg_hops``.  ``booth_multiply``, a radix-4
+Booth multiplier, is an oracle that tests hold bit for bit against
+``fixedpoint.mul_raw``.
 
 GRU equations follow the standard update/reset/candidate cell with the
 reset gate applied to the already-accumulated recurrent product,

@@ -297,9 +297,11 @@ def utilization_report(placement: Placement) -> dict:
     macs_provisioned = 0
     for lp in placement.layers:
         unit_macs = 2 * hw.pes_per_unit  # two MAC engines per PE
-        # Each neuron on a unit streams its gates' input and recurrent paths.
-        active = 2 * len(GATE_ORDERS[lp.cell_type]) * lp.neurons_per_unit
-        layer_active = active * lp.n_units
+        # Each gate of a neuron streams a path on a unit, on one engine, only
+        # if the neuron's PEs there hold words of that path.
+        streams = {(unit, path) for unit, *words in lp.pe_words
+                   for path, n in enumerate(words) if n}
+        layer_active = len(GATE_ORDERS[lp.cell_type]) * len(streams) * lp.neurons
         layer_prov = unit_macs * lp.n_units
         macs_active += layer_active
         macs_provisioned += layer_prov

@@ -1,6 +1,6 @@
 """Cycle-level execution engine with per-operation energy accounting.
 
-Values and timing are deliberately decoupled and run as two loops:
+Values and timing are deliberately decoupled:
 
 * The value path runs layer-major: a layer consumes the whole output
   stream of the layer below.  Its input-path accumulators for every gate
@@ -40,18 +40,18 @@ Values and timing are deliberately decoupled and run as two loops:
   copy of the cell equations, with activation faults applied by its hook.
   With no faults the outputs are bit-identical to ``lstm_core.cell_step``.
 
-* The timing path runs timestep-major and drives representative MAC
-  pipelines (one unit per layer is simulated; units are identical and run
-  in lockstep, so event counts multiply out exactly).  A layer's timestep
+* The timing path is closed-form: ``_layer_timing`` gives each layer's
+  cross-group stall and the cycles of one of its timesteps.  A timestep
   streams max(inputs, neurons) words at one delivery per issue interval
-  (plus any cross-group stall), drains the 96-cycle pipeline, then pays
-  the aggregation hops and the activation stages.  Layer l timestep t
-  starts when layer l-1 has produced x_t and the layer's own t-1
-  evaluation has finished.  Faults never change timing.
-
-``analytic_cycles`` computes the same quantity from the closed form alone
-and must agree exactly with the engine on error-free runs; it is the
-timing oracle, not a shared code path.
+  (plus the stall), drains the 96-cycle MAC pipeline, then pays the
+  aggregation hops and the activation stages.  Units are identical and run
+  in lockstep, so one unit's timing is the layer's.  ``analytic_cycles``
+  runs the wavefront over those bodies: layer l timestep t starts when
+  layer l-1 has produced x_t and the layer's own t-1 evaluation has
+  finished.  ``simulate`` reports that count; the only ``MacPipeline`` it
+  drives takes the first MAC_LOG_LIMIT input-path words of layer 0 for the
+  run's ``mac_sample``.  Faults never change timing.  The per-word MAC
+  replay that the closed form is tested against lives in the tests.
 
 The energy ledger counts per-nanowire events (a 16-bit word access is 16
 plane events) and converts exactly: rates are held in attojoules as
@@ -71,7 +71,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fixedpoint as fp
 from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths
-from .lstm_core import ACT_STAGES, NONLINEAR_EVALS, MacPipeline, cell_output
+from .lstm_core import ACT_STAGES, MAC_LOG_LIMIT, NONLINEAR_EVALS, MacPipeline, cell_output
 from .mapping import HardwareConfig, Placement
 from .nonlinear import activation_fns
 from .racetrack import WORD_PLANES, InputTrackChain, weight_plane_reads, weight_zeros
@@ -693,23 +693,33 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
     return held
 
 
-def _layer_step_timing(lp, start, pipes, hw, impl):
+def _layer_timing(lp, hw, impl):
+    """(stall, period, body) of layer `lp`: the cross-group stall per word,
+    the cycles between its word deliveries, and the cycles of one timestep,
+    from its start to its activations' end."""
     stall = max(
         lp.chain.stall_per_step(hw.interconnect_latency_cycles),
         lp.recurrent_chain.stall_per_step(hw.interconnect_latency_cycles),
     )
     period = hw.mac_issue_interval + stall
-    x_pipe, h_pipe = pipes
-    last = start
-    for s in range(max(lp.inputs, lp.neurons)):
-        deliver = start + (s + 1) * period
-        if s < lp.inputs:
-            last = max(last, x_pipe.issue(deliver))
-        if s < lp.neurons:
-            last = max(last, h_pipe.issue(deliver))
-    done = last + lp.agg_hops * hw.hop_latency_cycles
-    done += ACT_STAGES[lp.cell_type] * hw.act_latency(impl)
-    return done, stall
+    body = period * max(lp.inputs, lp.neurons) + hw.mac_latency
+    body += lp.agg_hops * hw.hop_latency_cycles
+    body += ACT_STAGES[lp.cell_type] * hw.act_latency(impl)
+    return stall, period, body
+
+
+def _mac_sample(lp, hw, period, body, timesteps):
+    """(issue, completion) cycles of the first MAC_LOG_LIMIT input-path
+    words of layer `lp`, the first layer, as one ``MacPipeline`` takes
+    them.  The first layer waits only for its own previous timestep, so
+    timestep t starts at t * body and delivers word s at
+    t * body + (s + 1) * period; with fewer inputs than MAC_LOG_LIMIT the
+    sample spans several timesteps."""
+    pipe = MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval)
+    for k in range(min(MAC_LOG_LIMIT, timesteps * lp.inputs)):
+        t, s = divmod(k, lp.inputs)
+        pipe.issue(t * body + (s + 1) * period)
+    return [list(entry) for entry in pipe.log]
 
 
 def simulate(placement: Placement, params, inputs,
@@ -756,35 +766,22 @@ def simulate(placement: Placement, params, inputs,
         xs = outputs[-1] if outputs else inputs
         outputs.append(_layer_values(lp, geo, p, xs, acts, plan, ledger, corrections))
 
-    # Timing, timestep-major: (l, t) starts once layer l-1 has produced x_t
-    # and the layer's own t-1 evaluation has finished.
-    L = len(placement.layers)
-    pipes = [(MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval),
-              MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval))
-             for _ in placement.layers]
-    finish = [0] * L
-    stalls = [0] * L
-    for _t in range(T):
-        for l, lp in enumerate(placement.layers):
-            start = max(finish[l - 1] if l else 0, finish[l])
-            finish[l], stalls[l] = _layer_step_timing(lp, start, pipes[l], hw, impl)
-
-    total_cycles = finish[-1] if L else 0
+    timing = [_layer_timing(lp, hw, impl) for lp in placement.layers]
     return RunResult(
         outputs=outputs,
-        total_cycles=int(total_cycles),
+        total_cycles=analytic_cycles(placement),
         total_energy_pj=ledger.energy_pj(),
         counters=ledger.as_dict(),
         per_layer=[
             {
                 "layer": lp.index,
-                "stall_per_step": stalls[i],
+                "stall_per_step": timing[i][0],
                 **{k: v * T for k, v in geos[i].step_counts.items()},
             }
             for i, lp in enumerate(placement.layers)
         ],
         corrections=corrections,
-        mac_sample=[list(entry) for entry in pipes[0][0].log] if pipes else [],
+        mac_sample=_mac_sample(placement.layers[0], hw, *timing[0][1:], T),
         error_config=None if error_cfg is None else {
             **asdict(error_cfg), "sites": sorted(error_cfg.sites),
         },
@@ -793,36 +790,17 @@ def simulate(placement: Placement, params, inputs,
 
 
 def analytic_cycles(placement: Placement) -> int:
-    """Closed-form cycle count for an error-free run (the timing oracle).
+    """Cycle count of a run of `placement`; faults never change it.
 
-    Per layer and timestep: max(inputs, neurons) deliveries at
-    (issue_interval + stall) cycles each, the MAC pipeline drain, the
-    aggregation tree hops, and the activation stages.  Layers pipeline
-    across timesteps: (l, t) starts at max(finish(l-1, t), finish(l, t-1)).
+    Each layer's timestep takes its ``_layer_timing`` body, and layers
+    pipeline across timesteps: (l, t) starts at
+    max(finish(l-1, t), finish(l, t-1)).  ``simulate`` reports this count;
+    the tests hold it against a word-by-word ``MacPipeline`` replay.
     """
-    spec = placement.spec
-    hw = placement.hw
-    T = spec.timesteps
-    if T == 0:
-        return 0
-    body = []
-    for lp in placement.layers:
-        stall = max(
-            lp.chain.stall_per_step(hw.interconnect_latency_cycles),
-            lp.recurrent_chain.stall_per_step(hw.interconnect_latency_cycles),
-        )
-        period = hw.mac_issue_interval + stall
-        cycles = period * max(lp.inputs, lp.neurons) + hw.mac_latency
-        cycles += lp.agg_hops * hw.hop_latency_cycles
-        cycles += ACT_STAGES[lp.cell_type] * hw.act_latency(spec.activation_impl)
-        body.append(cycles)
-    L = len(body)
-    prev_row = [0] * L
-    for t in range(T):
-        row = []
-        for l in range(L):
-            left = row[l - 1] if l > 0 else 0
-            up = prev_row[l]
-            row.append(max(left, up) + body[l])
-        prev_row = row
-    return prev_row[-1]
+    impl = placement.spec.activation_impl
+    bodies = [_layer_timing(lp, placement.hw, impl)[2] for lp in placement.layers]
+    finish = [0] * len(bodies)
+    for _t in range(placement.spec.timesteps):
+        for l, body in enumerate(bodies):
+            finish[l] = max(finish[l - 1] if l else 0, finish[l]) + body
+    return finish[-1]

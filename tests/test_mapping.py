@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rnnfast.lstm_core import GATE_ORDERS
 from rnnfast.mapping import (
     INPUT_TRACK_WORDS,
     CapacityExceeded,
@@ -14,6 +15,7 @@ from rnnfast.mapping import (
     map_network,
     utilization_report,
 )
+from rnnfast.presets import get_preset
 from rnnfast.racetrack import InputTrackChain
 
 
@@ -193,3 +195,25 @@ class TestUtilizationReport:
         placement = map_network(square_spec("Vanilla", width), hw)
         assert placement.layers[0].neurons_per_unit == per_unit
         assert utilization_report(placement)["layers"][0]["mac_activity"] == activity
+
+    @pytest.mark.parametrize("placement,activity", [
+        # x words only on the first unit: ((0, 1536, 1), (1, 0, 1535)).
+        (map_network(get_preset("lang-mod").spec, get_preset("lang-mod").hardware()), 0.75),
+        # Six PEs on two units, x words only on the first: 3 of 16 engines.
+        (map_network(square_spec("Vanilla", 40), HardwareConfig(weights_per_pe=16)), 3 / 16),
+    ], ids=["lang-mod", "vanilla-split"])
+    def test_mac_activity_counts_only_engines_that_get_words(self, placement, activity):
+        """A gate of a neuron streams a path on a unit only if the mapper's
+        per-PE table puts words of that path on the neuron's PEs there."""
+        lp = placement.layers[0]
+        assert lp.units_per_neuron > 1
+        paths = {}
+        for unit, x_words, h_words in lp.pe_words:
+            paths.setdefault(unit, set()).update(
+                path for path, words in (("x", x_words), ("h", h_words)) if words
+            )
+        engines = sum(len(p) for p in paths.values()) * len(GATE_ORDERS[lp.cell_type])
+        report = utilization_report(placement)
+        assert report["macs_active"] == engines * lp.neurons
+        assert report["macs_provisioned"] == 2 * placement.hw.pes_per_unit * lp.n_units
+        assert report["mac_activity"] == report["layers"][0]["mac_activity"] == activity

@@ -1,15 +1,20 @@
 """Simulator invariants on tiny LSTM, GRU and Vanilla nets.
 
 Fault-free runs must be bit-exact against a ``lstm_core.cell_step`` replay
-(also across the simulator's blocks of input-path timesteps) and take
-exactly ``analytic_cycles``; every cell type's weight paths are cut into
-the chunks of the mapper's per-PE table, one per PE of a gate, and no PE
-holds more words than it has room for; EDC-on input-chain faults must leave the outputs untouched; the reported fault
-count must be the plan's; the ledger's closed-form chain passes, less the
-shifts EDC corrections held, must equal what the track model counts
-itself, and a faulted pass (in closed form with EDC off, a replayed window
-with EDC on) must deliver what a full track-model pass from step 0
-delivers.  Faulty runs with every site active are pinned in
+(also across the simulator's blocks of input-path timesteps).  The
+engine's closed-form timing must equal ``replay_timing``, a word-by-word
+replay through two ``MacPipeline``s per layer: the cycle count, every
+layer's stall and the whole ``mac_sample``, also where the sample spans
+several timesteps or a stalled cross-group chain stretches the issue
+period; and ``simulate`` may issue no more MACs than the sample holds.
+Every cell type's weight paths are cut into the chunks of the mapper's
+per-PE table, one per PE of a gate, and no PE holds more words than it has
+room for.  EDC-on input-chain faults must leave the outputs untouched; the
+reported fault count must be the plan's; the ledger's closed-form chain
+passes, less the shifts EDC corrections held, must equal what the track
+model counts itself, and a faulted pass (in closed form with EDC off, a
+replayed window with EDC on) must deliver what a full track-model pass from
+step 0 delivers.  Faulty runs with every site active are pinned in
 ``simulator_golden.json`` (output SHA-256, cycles, ledger counters,
 per-layer counts, corrections), so any change to the fault path shows up.
 After a deliberate change of fault semantics, rewrite the pins with
@@ -17,6 +22,7 @@ After a deliberate change of fault semantics, rewrite the pins with
 whose pins changed.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -28,12 +34,21 @@ from hypothesis import strategies as st
 
 from rnnfast import lstm_core
 from rnnfast.error_model import ErrorConfig, FaultPlan
-from rnnfast.mapping import ChainLayout, HardwareConfig, LayerSpec, NetworkSpec, map_network
+from rnnfast.mapping import (
+    CapacityExceeded,
+    ChainLayout,
+    HardwareConfig,
+    LayerSpec,
+    NetworkSpec,
+    map_network,
+)
 from rnnfast.presets import generate_inputs, generate_network_params
 from rnnfast.racetrack import WORD_PLANES, InputTrackChain
 from rnnfast.simulator import (
     TIME_BLOCK,
     _LayerGeometry,
+    _layer_timing,
+    _mac_sample,
     _run_faulted_chain,
     analytic_cycles,
     simulate,
@@ -96,6 +111,59 @@ def replay(params, inputs, impl):
     return outputs
 
 
+def replay_timing(placement):
+    """The run's timing word by word: the oracle of the engine's closed form.
+
+    Each layer streams a timestep's words through two ``MacPipeline``s, one
+    per weight path.  Word s of max(inputs, neurons) is delivered at
+    start + (s + 1) * (issue interval + stall); the x pipe takes it while
+    s < inputs, the h pipe while s < neurons.  The timestep ends when its
+    last MAC completes, plus the aggregation hops and the activation
+    stages, and (l, t) starts at max(finish(l-1, t), finish(l, t-1)).
+    Returns (finish[t][l], each layer's stall, layer 0's x-pipe log).
+    """
+    hw = placement.hw
+    act = hw.act_latency(placement.spec.activation_impl)
+    pipes = [
+        [lstm_core.MacPipeline(hw.mac_stages, hw.mac_cycles_per_stage, hw.mac_issue_interval)
+         for _path in "xh"]
+        for _lp in placement.layers
+    ]
+    stalls = [
+        max(chain.stall_per_step(hw.interconnect_latency_cycles)
+            for chain in (lp.chain, lp.recurrent_chain))
+        for lp in placement.layers
+    ]
+    finish, prev = [], [0] * len(placement.layers)
+    for _t in range(placement.spec.timesteps):
+        row = []
+        for l, lp in enumerate(placement.layers):
+            start = max(row[l - 1] if l else 0, prev[l])
+            period = hw.mac_issue_interval + stalls[l]
+            x_pipe, h_pipe = pipes[l]
+            last = start
+            for s in range(max(lp.inputs, lp.neurons)):
+                deliver = start + (s + 1) * period
+                if s < lp.inputs:
+                    last = max(last, x_pipe.issue(deliver))
+                if s < lp.neurons:
+                    last = max(last, h_pipe.issue(deliver))
+            row.append(last + lp.agg_hops * hw.hop_latency_cycles
+                       + lstm_core.ACT_STAGES[lp.cell_type] * act)
+        finish.append(row)
+        prev = row
+    return finish, stalls, [list(entry) for entry in pipes[0][0].log]
+
+
+def assert_replayed_timing(placement, result):
+    """`result`'s cycles, stalls and MAC sample are ``replay_timing``'s."""
+    finish, stalls, log = replay_timing(placement)
+    assert result.total_cycles == (finish[-1][-1] if finish else 0)
+    assert [layer["stall_per_step"] for layer in result.per_layer] == stalls
+    assert result.mac_sample == log
+    return finish
+
+
 def same_outputs(a, b):
     return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
@@ -122,7 +190,7 @@ def test_fault_free_run_matches_cell_replay_and_closed_form(cell, impl, layout):
     placement, params, inputs = net(cell, impl, layout)
     result = simulate(placement, params, inputs)
     assert same_outputs(result.outputs, replay(params, inputs, impl))
-    assert result.total_cycles == analytic_cycles(placement)
+    assert_replayed_timing(placement, result)
     assert set(result.corrections.values()) == {0}
     # EDC pattern upkeep adds only edc_* events when nothing goes wrong.
     edc = simulate(placement, params, inputs, error_cfg=ErrorConfig(
@@ -225,6 +293,119 @@ def test_engine_chunks_are_the_mappers_pe_table(cell, inputs, neurons, weights_p
         assert geo.chunk_of[path, :n].tolist() == [
             c for c, size in enumerate(geo.size[path]) for _w in range(size)
         ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(CELLS),
+    st.lists(st.integers(1, 40), min_size=2, max_size=4),
+    st.integers(0, 5),
+    st.integers(16, 64),
+    st.integers(1, 8),
+    st.sampled_from((4, 16, 64)),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.sampled_from(IMPLS),
+)
+def test_closed_form_timing_is_the_per_word_mac_replay(
+    cell, widths, steps, weights_per_pe, tiles_per_group, units_per_tile, latency, lookahead,
+    impl,
+):
+    """The timing helpers that ``simulate`` reports from give the replay's
+    cycles, stalls and MAC sample, and every (layer, timestep) of the replay
+    takes its layer's closed-form body.  Chains keep the mapper's look-ahead
+    or get a shorter one, so cross-group layers stall."""
+    hw = HardwareConfig(weights_per_pe=weights_per_pe, tiles_per_group=tiles_per_group,
+                        lstm_units_per_tile=units_per_tile, interconnect_latency_cycles=latency)
+    layers = tuple(LayerSpec(cell, m, n) for n, m in zip(widths, widths[1:]))
+    try:
+        placement = map_network(NetworkSpec(layers, steps, impl), hw)
+    except CapacityExceeded:
+        return
+    short = {"lookahead_offset_cycles": min(lookahead, latency)}
+    placement = dataclasses.replace(placement, layers=tuple(
+        dataclasses.replace(lp, chain=dataclasses.replace(lp.chain, **short),
+                            recurrent_chain=dataclasses.replace(lp.recurrent_chain, **short))
+        for lp in placement.layers
+    ))
+    timing = [_layer_timing(lp, hw, impl) for lp in placement.layers]
+    finish, stalls, log = replay_timing(placement)
+    assert analytic_cycles(placement) == (finish[-1][-1] if finish else 0)
+    assert [stall for stall, _period, _body in timing] == stalls
+    assert _mac_sample(placement.layers[0], hw, *timing[0][1:], steps) == log
+    prev = [0] * len(timing)
+    for row in finish:
+        starts = [max(left, up) for left, up in zip([0] + row[:-1], prev)]
+        assert [end - start for start, end in zip(starts, row)] == [b for *_, b in timing]
+        prev = row
+
+
+def small_net(widths, steps):
+    layers = tuple(LayerSpec("LSTM", m, n) for n, m in zip(widths, widths[1:]))
+    spec = NetworkSpec(layers, steps)
+    placement = map_network(spec, HardwareConfig())
+    return placement, generate_network_params(spec, 11), generate_inputs(spec, 12)
+
+
+def test_mac_sample_spans_timesteps_when_layer_0_has_few_inputs():
+    """Three inputs a step: the sample takes 3, 3 and 2 words of steps 0-2,
+    and each step starts where layer 0's previous one finished."""
+    placement, params, inputs = small_net((3, 5, 4), 4)
+    result = simulate(placement, params, inputs)
+    finish = assert_replayed_timing(placement, result)
+    period = placement.hw.mac_issue_interval
+    issues = [issue for issue, _done in result.mac_sample]
+    assert len(issues) == lstm_core.MAC_LOG_LIMIT
+    starts = [0, finish[0][0], finish[1][0]]
+    assert issues == [start + s * period for start in starts for s in (1, 2, 3)][:8]
+
+
+def test_mac_sample_of_a_stalled_cross_group_chain():
+    """A look-ahead one cycle short of the interconnect latency stalls every
+    delivery of the cross-group layer: the sample's issues are
+    interval + stall apart, and the run takes longer."""
+    placement, params, inputs = net("LSTM", "approx", "split")
+    hw, lp = placement.hw, placement.layers[0]
+    assert lp.chain.cross_group and lp.inputs >= lstm_core.MAC_LOG_LIMIT
+    short = dataclasses.replace(lp.chain,
+                                lookahead_offset_cycles=hw.interconnect_latency_cycles - 1)
+    stalled = dataclasses.replace(
+        placement, layers=(dataclasses.replace(lp, chain=short),) + placement.layers[1:]
+    )
+    result = simulate(stalled, params, inputs)
+    assert_replayed_timing(stalled, result)
+    assert result.per_layer[0]["stall_per_step"] == 1
+    issues = [issue for issue, _done in result.mac_sample]
+    assert np.diff(issues).tolist() == [hw.mac_issue_interval + 1] * (len(issues) - 1)
+    assert result.total_cycles > simulate(placement, params, inputs).total_cycles
+
+
+@pytest.mark.parametrize("steps,sampled", [(1, 5), (0, 0)])
+def test_mac_sample_of_short_runs(steps, sampled):
+    """One step of a 5-input layer samples its 5 issues; no step samples
+    none and takes no cycles."""
+    placement, params, inputs = small_net((5, 6, 3), steps)
+    result = simulate(placement, params, inputs)
+    assert_replayed_timing(placement, result)
+    assert len(result.mac_sample) == sampled
+    assert (result.total_cycles == 0) == (steps == 0)
+
+
+def test_simulate_issues_no_more_macs_than_it_samples(monkeypatch):
+    """The timing is closed-form: a 3-layer, 15-step run drives a
+    ``MacPipeline`` only for its MAC sample."""
+    issue = lstm_core.MacPipeline.issue
+    calls = []
+
+    def counted(self, cycle):
+        calls.append(cycle)
+        return issue(self, cycle)
+
+    monkeypatch.setattr(lstm_core.MacPipeline, "issue", counted)
+    placement, params, inputs = small_net((6, 8, 8, 5), 15)
+    result = simulate(placement, params, inputs)
+    assert 0 < len(calls) <= lstm_core.MAC_LOG_LIMIT
+    assert len(result.mac_sample) == len(calls)
 
 
 def test_long_layout_ends_three_steps_into_a_second_time_block():
@@ -354,7 +535,7 @@ def test_faulty_runs_match_golden(cell, impl, layout):
         assert plan.input_faults and plan.weight_faults and plan.mac_faults and plan.act_faults
         result = simulate(placement, params, inputs, error_cfg=cfg)
         assert result.corrections["fault_events"] == plan.total_events()
-        assert result.total_cycles == analytic_cycles(placement)
+        assert_replayed_timing(placement, result)
         assert fingerprint(result) == golden[golden_key(cell, impl, layout, edc)]
 
 

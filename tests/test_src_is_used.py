@@ -28,7 +28,7 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 # name -> why it is kept although nothing else in the package calls it.
 ENTRY_POINTS = {
     "simulate": "the simulator",
-    "analytic_cycles": "closed-form timing oracle for simulate",
+    "analytic_cycles": "a run's cycle count without simulating it; simulate reports the same",
     "energy_report": "energy breakdown of a run's ledger",
     "run_fidelity_experiment": "paired error-free/faulty sweeps",
     "map_network": "binds a network onto the hardware",
