@@ -142,9 +142,10 @@ class FaultPlan:
     per event, in event order; the path column is its index in ``PATHS``
     (0 = x, 1 = h):
       input_faults[(l, chain, t)]: rows (step, group, plane), chain "x" or "h"
-      weight_faults[(l, t)]:       rows (neuron, gate, path, plane, slot)
+      weight_faults[(l, t)]:       rows (neuron, gate, path, slot, plane)
       mac_faults[(l, t)]:          rows (neuron, gate, path, slot, plane)
       act_faults[(l, t)]:          rows (neuron, act, plane)
+    Weight and MAC faults share one row layout, so one decode serves both.
     """
 
     def __init__(self, cfg: ErrorConfig, placement: Placement):
@@ -152,7 +153,7 @@ class FaultPlan:
         self.placement = placement
         self.planes = REGION_PLANES[cfg.bit_region]
         self.input_faults = {}   # (layer, chain, t) -> int32 rows (step, group, plane)
-        self.weight_faults = {}  # (layer, t) -> int32 rows (neuron, gate, path, plane, slot)
+        self.weight_faults = {}  # (layer, t) -> int32 rows (neuron, gate, path, slot, plane)
         self.mac_faults = {}     # (layer, t) -> int32 rows (neuron, gate, path, slot, plane)
         self.act_faults = {}     # (layer, t) -> int32 rows (neuron, act, plane)
         if cfg.active:
@@ -181,12 +182,10 @@ class FaultPlan:
             slots = (m, T, len(slot_of))
             if "weight_arrays" in sites:
                 neuron, t, flat, plane = self._draw("weight_arrays", l, 0, slots).T
-                gate, path, slot = slot_of[flat].T
-                _by_step(self.weight_faults, (l,), t, (neuron, gate, path, plane, slot))
+                _by_step(self.weight_faults, (l,), t, (neuron, *slot_of[flat].T, plane))
             if "logic" in sites:
                 neuron, t, flat, plane = self._draw("logic", l, 0, slots).T
-                gate, path, slot = slot_of[flat].T
-                _by_step(self.mac_faults, (l,), t, (neuron, gate, path, slot, plane))
+                _by_step(self.mac_faults, (l,), t, (neuron, *slot_of[flat].T, plane))
                 acts = (m, T, NONLINEAR_EVALS[lp.cell_type])
                 neuron, t, act, plane = self._draw("logic", l, 1, acts).T
                 _by_step(self.act_faults, (l,), t, (neuron, act, plane))

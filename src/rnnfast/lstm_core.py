@@ -6,8 +6,8 @@ the recurrent path and the bias into one wide accumulator, narrow once to
 Q8.8, then run the elementwise output stage through the configured
 activation hardware.  Layers are evaluated vectorized (one call per
 timestep, numpy int arrays of raw Q8.8 values).  ``cell_output`` is that
-output stage and the only copy of the cell equations: ``cell_step`` and the
-simulator each narrow their own accumulators and call it.
+narrowing and output stage, the only copy of the cell equations:
+``cell_step`` and the simulator each hand it their wide accumulators.
 
 The structural side has three models.  ``MacPipeline`` is the per-gate
 processing element's MAC pipeline (48 stages, 2 cycles each, one issue per
@@ -127,18 +127,6 @@ def _check_vec(name, v, n):
         raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({n},)")
 
 
-def gate_preact_wide(gw: GateWeights, x, h):
-    """Wide (Q24.16) gate pre-activation: Wx.x + Wh.h + b, exact."""
-    _check_vec("x", x, gw.inputs)
-    _check_vec("h", h, gw.hidden)
-    return fp.dot_wide(gw.w_x, x) + fp.dot_wide(gw.w_h, h) + fp.widen(gw.b)
-
-
-def gate_preact(gw: GateWeights, x, h):
-    """Narrowed Q8.8 gate pre-activation (one terminal rounding)."""
-    return fp.narrow_raw(gate_preact_wide(gw, x, h))
-
-
 def chunked_gate_preact_wide(gw: GateWeights, x, h, chunk_sizes):
     """Gate pre-activation computed the way split neurons compute it.
 
@@ -146,8 +134,8 @@ def chunked_gate_preact_wide(gw: GateWeights, x, h, chunk_sizes):
     into contiguous per-PE chunks, as the mapper's ``pe_words`` lays them
     out; each chunk's partial dot product is accumulated wide and the
     partials are combined over the aggregation chain.  Because partials stay
-    unrounded, the result equals ``gate_preact_wide`` exactly for any
-    chunking.
+    unrounded, the result equals the monolithic Wx.x + Wh.h + b exactly for
+    any chunking.
     """
     n_total = gw.inputs + gw.hidden + 1
     if sum(chunk_sizes) != n_total or any(c <= 0 for c in chunk_sizes):
@@ -169,17 +157,25 @@ def chunked_gate_preact_wide(gw: GateWeights, x, h, chunk_sizes):
     return total
 
 
-def cell_output(cell_type, pre, h_prev, c_prev, acts, hook=None):
-    """The output stage of one timestep: the only copy of the cell equations.
+def cell_output(cell_type, x_acc, h_acc, bias, h_prev, c_prev, acts, hook=None):
+    """The narrowing and output stage of one timestep: the only copy of the
+    cell equations.
 
-    `pre` holds the narrowed Q8.8 pre-activations in kernel order: LSTM
-    (i, f, o, g); GRU (z, r, candidate x-path with bias, candidate h-path);
-    Vanilla (g,).  `acts` is the (sigmoid, tanh) pair.  `hook(values, k)`,
-    when given, sees the k-th activation wave's result (LSTM: i, f, o, g,
-    tanh(c); GRU: z, r, h~; Vanilla: h) and returns the values to use.
-    Returns (h_t, c_t) with c_t=None for GRU/Vanilla.
+    `x_acc`, `h_acc` and `bias` are [gate, neuron] arrays in the cell
+    type's gate order: the wide (Q24.16) input-path and recurrent-path
+    accumulators and the widened biases.  Each gate narrows x_acc + h_acc +
+    bias once to Q8.8, except the GRU candidate: its x-path narrows with
+    its bias and its h-path alone, since the reset gate scales the
+    recurrent MAC's narrowed output.  `acts` is the (sigmoid, tanh) pair.
+    `hook(values, k)`, when given, sees the k-th activation wave's result
+    (LSTM: i, f, o, g, tanh(c); GRU: z, r, h~; Vanilla: h) and returns the
+    values to use.  Returns (h_t, c_t) with c_t=None for GRU/Vanilla.
     """
     sig, tanh = acts
+    wide = x_acc + h_acc + bias
+    if cell_type == "GRU":
+        wide = np.concatenate([wide[:2], x_acc[2:] + bias[2:], h_acc[2:]])
+    pre = fp.narrow_raw(wide)
 
     def act(fn, z, k):
         vals = fn(z)
@@ -206,20 +202,18 @@ def cell_step(x, h_prev, c_prev, params: LayerParams, impl: str = "approx"):
 
     Returns (h_t, c_t) with c_t=None for GRU/Vanilla.
     """
+    _check_vec("x", x, params.inputs)
+    _check_vec("h", h_prev, params.gates[0].hidden)
     if params.cell_type == "LSTM":
         _check_vec("c_prev", np.asarray(c_prev), params.neurons)
-    if params.cell_type == "GRU":
-        # The candidate's x-path MAC carries the bias; its h-path narrows alone.
-        gz, gr, gc = params.gates
-        pre = [
-            gate_preact(gz, x, h_prev),
-            gate_preact(gr, x, h_prev),
-            fp.narrow_raw(fp.dot_wide(gc.w_x, x) + fp.widen(gc.b)),
-            fp.narrow_raw(fp.dot_wide(gc.w_h, h_prev)),
-        ]
-    else:
-        pre = [gate_preact(g, x, h_prev) for g in params.gates]
-    return cell_output(params.cell_type, pre, h_prev, c_prev, activation_fns(impl))
+    gates = params.gates
+    return cell_output(
+        params.cell_type,
+        np.stack([fp.dot_wide(g.w_x, x) for g in gates]),
+        np.stack([fp.dot_wide(g.w_h, h_prev) for g in gates]),
+        np.stack([fp.widen(g.b) for g in gates]),
+        h_prev, c_prev, activation_fns(impl),
+    )
 
 
 def aggregate_wide(partials):

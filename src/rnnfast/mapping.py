@@ -297,11 +297,10 @@ def utilization_report(placement: Placement) -> dict:
     macs_provisioned = 0
     for lp in placement.layers:
         unit_macs = 2 * hw.pes_per_unit  # two MAC engines per PE
-        # Each gate of a neuron streams a path on a unit, on one engine, only
-        # if the neuron's PEs there hold words of that path.
-        streams = {(unit, path) for unit, *words in lp.pe_words
-                   for path, n in enumerate(words) if n}
-        layer_active = len(GATE_ORDERS[lp.cell_type]) * len(streams) * lp.neurons
+        # Each gate of a neuron streams a path on one engine of every PE
+        # that holds words of that path.
+        engines = sum(bool(n) for _unit, *words in lp.pe_words for n in words)
+        layer_active = len(GATE_ORDERS[lp.cell_type]) * engines * lp.neurons
         layer_prov = unit_macs * lp.n_units
         macs_active += layer_active
         macs_provisioned += layer_prov

@@ -24,20 +24,25 @@ Values and timing are deliberately decoupled:
   last fault, and every delivery is the fault-free word.  Each word a
   group delivered differently corrects, in every gate, only the neurons
   whose chunk of that word the group feeds.  Passes are booked in closed
-  form less the shifts that EDC corrections held back.  Weight faults go
-  through the one implementation of the weight-track protocol in
-  ``racetrack``, one call per (layer, timestep): with EDC on,
-  ``weight_zeros`` gives the zeroed slots from the fault rows alone, and
-  each takes its stored weight times its delivered word off the
-  accumulator; with EDC off, each displaced (track, plane) pair is one row
-  of a dense bit matrix, filled from whole-row slices of the stored weights
-  in arrival order, ``weight_plane_reads`` gives its plane as read, and the
-  pair corrects its accumulator by one row-wise dot product with the words
-  its group delivered.  Logic faults are one vectorized pass: each
-  perturbs one bit of its MAC product (the weight as its track read it,
-  times the word its chain group delivered) by one significance position.
-  The narrowed accumulators go through ``lstm_core.cell_output``, the one
-  copy of the cell equations, with activation faults applied by its hook.
+  form less the shifts that EDC corrections held back.  Weight and MAC
+  fault rows share one layout and one decode, ``_fault_slots``, to (PE
+  track, position in the track).  Weight faults go through the one
+  implementation of the weight-track protocol in ``racetrack``: with EDC
+  on, one ``weight_zeros`` call per (layer, timestep) gives the zeroed
+  slots from the fault rows alone, and each takes its stored weight times
+  its delivered word off the accumulator; with EDC off, each displaced
+  (track, plane) pair is one row of a dense bit matrix, filled from
+  whole-row slices of the stored weights in arrival order,
+  ``weight_plane_reads`` gives its plane as read, and the pair corrects
+  its accumulator by one row-wise dot product with the words its group
+  delivered.  Logic faults are one vectorized pass: each perturbs one bit
+  of its MAC product (the weight as its track read it, times the word its
+  chain group delivered) by one significance position.  ``_slot_values``,
+  the one arrival-order lookup, reads the stored weight and the delivered
+  word at a slot, for the zeroed slots and for the MAC faults alike.
+  The corrected accumulators go through ``lstm_core.cell_output``, the one
+  copy of the narrowing and the cell equations, with activation faults
+  applied by its hook.
   With no faults the outputs are bit-identical to ``lstm_core.cell_step``.
 
 * The timing path is closed-form: ``_layer_timing`` gives each layer's
@@ -201,8 +206,8 @@ class _LayerGeometry:
     slot's chunk, the chain group that feeds each neuron's chunk (and, the
     other way round, the neurons whose chunk each group feeds), and
     ``turn[path, group, chunk]``: how far the chunk is rotated when it
-    reaches that group.  ``locate`` turns these into the words of a batch of
-    tracks in arrival order; no per-word table is kept.
+    reaches that group.  ``_slot_values`` turns these into the words at
+    given slots of a batch of tracks; no per-word table is kept.
 
     Step events: the ledger events of one fault-free (layer, timestep), one
     pass of both input chains included, and the per-layer counts.  Faults
@@ -269,20 +274,6 @@ class _LayerGeometry:
             "mac_issues": m * words,
             "rotation_steps": n,
         }
-
-    def locate(self, neurons, paths, chunks, positions, rows=None):
-        """(chain groups, words) of a batch of PE tracks, given as arrays of
-        neurons, path codes and chunks: the group that feeds each track, and
-        the words at `positions`, slots in [0, size) of the tracks.  A track
-        holds its chunk's words in the order they reach its group.  Row i of
-        `positions` belongs to track i, or with `rows`, to track rows[i]."""
-        group = self.group_of[paths, chunks, neurons]
-        lo, size = self.lo[paths, chunks], self.size[paths, chunks]
-        turn = self.turn[paths, group, chunks]
-        if rows is not None:
-            lo, size, turn = lo[rows], size[rows], turn[rows]
-        at = turn[:, None] + positions
-        return group, lo[:, None] + np.where(at < size[:, None], at, at - size[:, None])
 
 
 def _check_raw(what, a):
@@ -398,34 +389,36 @@ def _weights(params, gate, path):
     return gw.w_x if path == 0 else gw.w_h
 
 
-def _take_sorted(mats, codes, bases, words, rows=None):
-    """mats[codes[t]].flat[bases[t] + w] for each entry w of `words`, as
-    int64, for a batch of tracks t sorted by code: one 1-D take per matrix.
-    Row i of `words` belongs to track i, or with `rows` (sorted), to track
-    rows[i]."""
-    bounds = np.searchsorted(codes, np.arange(len(mats) + 1))
-    if rows is not None:
-        bounds, bases = np.searchsorted(rows, bounds), bases[rows]
-    flat = bases[:, None] + words
-    return np.concatenate([
-        np.take(mat, flat[lo:hi]) for mat, lo, hi in zip(mats, bounds, bounds[1:])
-    ]).astype(np.int64)
+def _fault_slots(geo, rows, dims):
+    """Columns (path, gate, chunk, neuron, position, track, plane) of
+    ``FaultPlan``'s weight or MAC fault rows (neuron, gate, path, slot,
+    plane): the PE track each fault hits, its position in that track's
+    chunk, and the track as one key raveled over `dims`."""
+    neuron, gate, path, slot, plane = rows.T.astype(np.int64)
+    chunk = geo.chunk_of[path, slot]
+    track = np.ravel_multi_index((path, gate, chunk, neuron), dims)
+    return path, gate, chunk, neuron, slot - geo.lo[path, chunk], track, plane
 
 
-def _stored(params, gates, paths, neurons, words, rows=None):
-    """Stored weights W[path][gate][neuron, word] of PE tracks sorted by
-    (path, gate), as ``_take_sorted`` reads them."""
-    g = len(params.gates)
-    mats = [_weights(params, gate, path) for path in (0, 1) for gate in range(g)]
-    cols = np.array([mats[0].shape[1], mats[g].shape[1]])
-    return _take_sorted(mats, paths * g + gates, neurons * cols[paths], words, rows)
+def _slot_values(geo, params, seen, path, gate, chunk, neuron, position):
+    """(stored weights, delivered words), as int64, at `position` of PE
+    tracks (path, gate, chunk, neuron), all given as equal-length arrays.
 
-
-def _delivered(seen, paths, groups, words, rows=None):
-    """Words as delivered, seen[path][group, word], to PE tracks sorted by
-    path, as ``_take_sorted`` reads them."""
-    cols = np.array([by_group.shape[1] for by_group in seen])
-    return _take_sorted(seen, paths, groups * cols[paths], words, rows)
+    A track holds its chunk's words in the order they reach the chain group
+    that feeds it: position s holds word lo + (turn + s) mod size, whose
+    weight is W[path][gate][neuron, word] and whose delivered value is
+    seen[path][group, word].
+    """
+    group = geo.group_of[path, chunk, neuron]
+    word = geo.lo[path, chunk] + (geo.turn[path, group, chunk] + position) % geo.size[path, chunk]
+    stored, delivered = np.empty((2, len(word)), dtype=np.int64)
+    for p in (0, 1):
+        on = path == p
+        delivered[on] = seen[p][group[on], word[on]]
+        for g in range(len(params.gates)):
+            at = on & (gate == g)
+            stored[at] = _weights(params, g, p)[neuron[at], word[at]]
+    return stored, delivered
 
 
 def _exact_matmul(weight_blocks, v):
@@ -531,13 +524,7 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
     if act_faults is not None:
         corrections["logic_faults"] += len(act_faults)
 
-    # The accumulators narrow once per gate; the GRU candidate's h-path
-    # narrows alone (the reset gate scales it inside the kernel).
-    wide = accs[0] + accs[1] + bias
-    if lp.cell_type == "GRU":
-        wide = np.concatenate([wide[:2], accs[0][2:] + bias[2:], accs[1][2:]])
-    pre = list(fp.narrow_raw(wide))
-    h, c = cell_output(lp.cell_type, pre, vecs[1], c_prev, acts,
+    h, c = cell_output(lp.cell_type, accs[0], accs[1], bias, vecs[1], c_prev, acts,
                        None if act_faults is None else _act_fault_hook(act_faults))
     return h, c, held
 
@@ -633,59 +620,46 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
     """Apply one step's weight and logic faults to `accs[path, gate, neuron]`
     and return the shifts EDC held back.
 
-    The fault rows are ``FaultPlan``'s arrays (or None).  With EDC on,
-    every faulted PE track (path, gate, chunk, neuron) is read in one
-    batched call from the fault rows alone: ``weight_zeros`` gives the
-    zeroed slots, and each takes its stored weight times its delivered word
-    off the accumulator.  With EDC off, ``_misread_faults`` reads every
-    displaced (track, plane) pair through ``weight_plane_reads``.  A logic
-    fault mis-shifts one bit, plane + FRAC_BITS, of its MAC product: the
-    weight its track read (as read if the track is faulted this step, so 0
-    on a zeroed slot) times the word its chain group delivered.
+    The fault rows are ``FaultPlan``'s arrays (or None), decoded alike by
+    ``_fault_slots``.  With EDC on, every faulted PE track (path, gate,
+    chunk, neuron) is read in one batched call from the fault rows alone:
+    ``weight_zeros`` gives the zeroed slots, and each takes its stored
+    weight times its delivered word off the accumulator.  With EDC off,
+    ``_misread_faults`` reads every displaced (track, plane) pair through
+    ``weight_plane_reads``.  A logic fault mis-shifts one bit, plane +
+    FRAC_BITS, of its MAC product: the weight its track read (as read if
+    the track is faulted this step, so 0 on a zeroed slot) times the word
+    its chain group delivered.
     """
-    # One integer key per PE track (path, gate, chunk, neuron), and one per
-    # (track, slot) of a chunk.  Tracks sorted by key are sorted by (path,
-    # gate), as ``_stored`` and ``_delivered`` take them, and then by chunk.
     dims = (2, accs.shape[1], geo.size.shape[1], accs.shape[2])
     width = int(geo.size.max())
     held = 0
     if mac_faults is not None:
-        # Sorted by (path, gate), as ``_stored`` and ``_delivered`` take them.
-        rows = mac_faults[np.argsort(mac_faults[:, 2] * accs.shape[1] + mac_faults[:, 1],
-                                     kind="stable")]
-        m_neuron, m_gate, m_path, m_slot, m_plane = rows.T.astype(np.int64)
-        m_chunk = geo.chunk_of[m_path, m_slot]
-        m_position = m_slot - geo.lo[m_path, m_chunk]
-        m_group, m_word = geo.locate(m_neuron, m_path, m_chunk, m_position[:, None])
-        weight = _stored(params, m_gate, m_path, m_neuron, m_word)[:, 0]
-        m_track = np.ravel_multi_index((m_path, m_gate, m_chunk, m_neuron), dims)
+        m_path, m_gate, m_chunk, m_neuron, m_position, m_track, m_plane = _fault_slots(
+            geo, mac_faults, dims)
+        weight, word = _slot_values(geo, params, seen, m_path, m_gate, m_chunk, m_neuron,
+                                    m_position)
     if weight_faults is not None:
-        neuron, gate, path, plane, slot = weight_faults.T.astype(np.int64)
-        chunk = geo.chunk_of[path, slot]
-        position = slot - geo.lo[path, chunk]
-        track = np.ravel_multi_index((path, gate, chunk, neuron), dims)
+        path, gate, chunk, neuron, position, track, plane = _fault_slots(geo, weight_faults, dims)
         if edc:
-            tracks, first, track = np.unique(track, return_index=True, return_inverse=True)
-            neuron, gate, path, chunk = neuron[first], gate[first], path[first], chunk[first]
-            zero_slots, held = weight_zeros(geo.size[path, chunk],
-                                            np.stack((track, plane, position), axis=1))
-            track, zero_position = zero_slots.T
-            group, words = geo.locate(neuron, path, chunk, zero_position[:, None], track)
-            change = -(_stored(params, gate, path, neuron, words, track)
-                       * _delivered(seen, path, group, words, track))[:, 0]
-            # Rows are sorted by track, and every faulted track has some (its
-            # first fault zeroes a slot): one change per track.
-            change = np.add.reduceat(change, np.searchsorted(track, np.arange(len(tracks))))
-            np.add.at(accs, (path, gate, neuron), change)
+            _, first, row = np.unique(track, return_index=True, return_inverse=True)
+            zero_slots, held = weight_zeros(geo.size[path, chunk][first],
+                                            np.stack((row, plane, position), axis=1))
+            # Each zeroed slot as a row of its track's first fault.
+            at, zero_position = first[zero_slots[:, 0]], zero_slots[:, 1]
+            path, gate, neuron = path[at], gate[at], neuron[at]
+            stored, delivered = _slot_values(geo, params, seen, path, gate, chunk[at], neuron,
+                                             zero_position)
+            np.add.at(accs, (path, gate, neuron), -stored * delivered)
             corrections["weight_zeroed"] += len(zero_slots)
             if mac_faults is not None:
-                zeroed = tracks[track] * width + zero_position
+                zeroed = track[at] * width + zero_position
                 weight[np.isin(m_track * width + m_position, zeroed)] = 0
         else:
             _misread_faults(geo, params, seen, dims, track, plane, position, accs,
                             None if mac_faults is None else (m_track, m_position, weight))
     if mac_faults is not None:
-        product = weight * _delivered(seen, m_path, m_group, m_word)[:, 0]
+        product = weight * word
         shift = m_plane + fp.FRAC_BITS
         np.add.at(accs, (m_path, m_gate, m_neuron), ((product >> shift) & 1) << shift)
         corrections["logic_faults"] += len(mac_faults)

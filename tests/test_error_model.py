@@ -282,7 +282,7 @@ def reference_plan(cfg, placement):
 
         if "weight_arrays" in cfg.sites:
             for key, neuron, gate, path, slot, plane in slot_events("weight_arrays"):
-                weights.setdefault(key, []).append((neuron, gate, PATHS.index(path), plane, slot))
+                weights.setdefault(key, []).append((neuron, gate, PATHS.index(path), slot, plane))
         if "logic" in cfg.sites:
             for key, neuron, gate, path, slot, plane in slot_events("logic"):
                 macs.setdefault(key, []).append((neuron, gate, PATHS.index(path), slot, plane))

@@ -4,13 +4,17 @@ oracles.
 ``_weight_and_logic_faults`` reads every faulted PE track of a (layer,
 timestep) in one batched call (``weight_zeros`` with EDC on; with EDC off,
 ``weight_plane_reads`` over a dense matrix of the displaced (track, plane)
-pairs) and applies all logic faults as array operations.  The oracle below
-is the per-track loop it replaced: one single-track protocol pass per
-faulted track (kept here in its single-track form), a brute-force arrival
-order, and one lookup per MAC fault that takes the weight as read when a
-weight fault of the same step hit its track.  Both must give the same
-accumulators, corrections and held shifts, on the fault plans of random
-seeds and on hand-placed faults that the seeds do not reliably produce.
+pairs, built in blocks of rows) and applies all logic faults as array
+operations, reading weights and deliveries through one arrival-order
+lookup.  The oracle below is the per-track loop it replaced: one
+single-track protocol pass per faulted track (kept here in its
+single-track form), a brute-force arrival order, and one lookup per MAC
+fault that takes the weight as read when a weight fault of the same step
+hit its track.  Both must give the same accumulators, corrections and held
+shifts, on the fault plans of random seeds, with blocks small enough that
+every faulted step spans several, and on hand-placed faults that the seeds
+do not reliably produce.  Weight and MAC fault rows are both (neuron, gate,
+path, slot, plane).
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
 one changed (group, word) at a time; the dense per-chunk product it
@@ -22,9 +26,11 @@ import pytest
 from test_simulator import CELLS, LAYOUTS
 
 from rnnfast import fixedpoint as fp
+from rnnfast import simulator
 from rnnfast.error_model import ErrorConfig, FaultPlan
 from rnnfast.mapping import LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
+from rnnfast.racetrack import weight_plane_reads
 from rnnfast.simulator import _correct_deliveries, _LayerGeometry, _weight_and_logic_faults
 
 SEEDS = range(20)
@@ -81,7 +87,7 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
     effective = {}
     credit = 0
     tracks = {}
-    for neuron, gate, path, plane, slot in [] if weight_faults is None else weight_faults.tolist():
+    for neuron, gate, path, slot, plane in [] if weight_faults is None else weight_faults.tolist():
         chunk = int(geo.chunk_of[path, slot])
         fault_slots = tracks.setdefault((neuron, gate, path, chunk), {})
         fault_slots.setdefault(plane, []).append(slot - int(geo.lo[path, chunk]))
@@ -150,8 +156,8 @@ def placed_faults(geo, gates):
         size = geo.size[path]
         chunk = int(np.flatnonzero(size == size[size >= 2].min())[-1])
         lo, k = int(geo.lo[path, chunk]), int(size[chunk])
-        weight += [(0, gate, path, 3, lo + max(k - 3, 0)), (0, gate, path, 3, lo + max(k - 2, 1)),
-                   (0, gate, path, 15, lo + k // 2)]
+        weight += [(0, gate, path, lo + max(k - 3, 0), 3), (0, gate, path, lo + max(k - 2, 1), 3),
+                   (0, gate, path, lo + k // 2, 15)]
         for neuron in (0, 1):
             mac += [(neuron, gate, path, lo + min(max(k // 2 + d, 0), k - 1), plane)
                     for d, plane in ((-1, 0), (0, 7), (1, 15))]
@@ -164,14 +170,13 @@ def layout_net(cell, layout):
     return map_network(NetworkSpec(layers, min(steps, MAX_STEPS)), hw)
 
 
-@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
-@pytest.mark.parametrize("cell", CELLS)
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
-    placement = layout_net(cell, layout)
-    geos = [_LayerGeometry(lp, placement.hw, None) for lp in placement.layers]
-    faults = weight_zeroed = logic = 0
-    for seed in SEEDS:
+def check_seeds(placement, geos, edc, seeds):
+    """Hold the step against the oracle on the weight and logic fault plans
+    of `seeds`, with random accumulators and deliveries; returns (weight
+    faults, zeroed slots, logic faults, steps with weight faults) over all
+    steps."""
+    faults = weight_zeroed = logic = steps = 0
+    for seed in seeds:
         params = generate_network_params(placement.spec, 100 + seed)
         cfg = ErrorConfig(p_overshift=5e-2, sites={"weight_arrays", "logic"},
                           edc_weights=edc, seed=seed)
@@ -184,8 +189,19 @@ def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
             got, want = both(lp, geo, p, wf, mf, edc, accs, seen)
             assert got == want, (seed, key)
             faults += 0 if wf is None else len(wf)
+            steps += wf is not None
             weight_zeroed += want[1]["weight_zeroed"]
             logic += want[1]["logic_faults"]
+    return faults, weight_zeroed, logic, steps
+
+
+@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
+@pytest.mark.parametrize("cell", CELLS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
+    placement = layout_net(cell, layout)
+    geos = [_LayerGeometry(lp, placement.hw, None) for lp in placement.layers]
+    faults, weight_zeroed, logic, _steps = check_seeds(placement, geos, edc, SEEDS)
     rng = np.random.default_rng(99)
     for lp, geo, p in zip(placement.layers, geos, generate_network_params(placement.spec, 99)):
         accs, seen = random_state(rng, lp, p)
@@ -195,6 +211,33 @@ def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
         assert want[0] != accs.tolist()
     assert faults > 0 and logic > 0
     assert (weight_zeroed > 0) == edc
+
+
+@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
+@pytest.mark.parametrize("layout", ["split", "long"])
+def test_fault_step_matches_the_oracle_across_pair_blocks(layout, edc, monkeypatch):
+    """With EDC off, ``_misread_faults`` takes the displaced (track, plane)
+    pairs in blocks of _BLOCK_ELEMS // width rows, and the tiny layouts fit
+    one block.  Blocks of one pair, of one and of a few track widths cut
+    the faulted steps of these layouts into several blocks, one
+    ``weight_plane_reads`` call each; with EDC on there is none."""
+    calls = []
+
+    def counted(bits, faults):
+        calls.append(len(bits))
+        return weight_plane_reads(bits, faults)
+
+    monkeypatch.setattr(simulator, "weight_plane_reads", counted)
+    for cell in CELLS:
+        placement = layout_net(cell, layout)
+        geos = [_LayerGeometry(lp, placement.hw, None) for lp in placement.layers]
+        widths = {int(geo.size.max()) for geo in geos}
+        for block in sorted({1} | widths | {3 * w + 1 for w in widths}):
+            monkeypatch.setattr(simulator, "_BLOCK_ELEMS", block)
+            calls.clear()
+            faults, _zeroed, logic, steps = check_seeds(placement, geos, edc, range(4))
+            assert faults > 0 and logic > 0
+            assert len(calls) > steps if not edc else not calls, (cell, block)
 
 
 @pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
@@ -213,7 +256,7 @@ def test_a_logic_fault_reads_the_weight_its_track_read_this_step(edc):
     honoured = 0
     for plane_w in range(16):
         for plane_m in (0, 7, 15):
-            wf = np.array([[neuron, gate, path, plane_w, slot]], dtype=np.int32)
+            wf = np.array([[neuron, gate, path, slot, plane_w]], dtype=np.int32)
             mf = np.array([[neuron, gate, path, slot, plane_m],
                            [neuron + 1, gate, path, slot, plane_m]], dtype=np.int32)
             got, want = both(lp, geo, params, wf, mf, edc, accs, seen)

@@ -76,7 +76,8 @@ class TestLstmCell:
         # g = tanh_approx(-1.0); c = i*g; check i via c/g relationship instead:
         # easier to check the gate directly.
         gi = params.gates[0]
-        pre = core.gate_preact(gi, np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64))
+        x, h = np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        pre = fp.narrow_raw(fp.dot_wide(gi.w_x, x) + fp.dot_wide(gi.w_h, h) + fp.widen(gi.b))
         from rnnfast.nonlinear import sigmoid_approx_raw
 
         assert np.all(sigmoid_approx_raw(pre) == fp.from_real(0.25))
@@ -103,11 +104,13 @@ class TestLstmCell:
 
     def test_dimension_mismatch(self):
         params = zero_params("LSTM", 4, 3)
-        with pytest.raises(DimensionMismatch):
-            core.cell_step(
-                np.zeros(5, dtype=np.int64), np.zeros(4, dtype=np.int64),
-                np.zeros(4, dtype=np.int64), params,
-            )
+        # A wrong x, h or c_prev length, in turn.
+        for x, h, c in ((5, 4, 4), (3, 5, 4), (3, 4, 5)):
+            with pytest.raises(DimensionMismatch):
+                core.cell_step(
+                    np.zeros(x, dtype=np.int64), np.zeros(h, dtype=np.int64),
+                    np.zeros(c, dtype=np.int64), params,
+                )
 
 
 class TestGruCell:
@@ -171,7 +174,7 @@ class TestPartitionExactness:
             gw = random_params(rng, "Vanilla", m, n).gates[0]
             x = fp.from_real(rng.uniform(-1, 1, n))
             h = fp.from_real(rng.uniform(-1, 1, m))
-            mono = core.gate_preact_wide(gw, x, h)
+            mono = fp.dot_wide(gw.w_x, x) + fp.dot_wide(gw.w_h, h) + fp.widen(gw.b)
             total = n + m + 1
             k = int(rng.integers(1, 6))
             cuts = sorted(rng.choice(np.arange(1, total), size=min(k, total - 1), replace=False))

@@ -188,8 +188,10 @@ class TestUtilizationReport:
 
     @pytest.mark.parametrize("hw,width,per_unit,activity", [
         (HardwareConfig(), 256, 4, 1.0),                   # four one-PE neurons a unit
-        (HardwareConfig(weights_per_pe=16), 12, 2, 0.5),   # two two-PE neurons a unit
-        (HardwareConfig(weights_per_pe=16), 20, 1, 0.25),  # one three-PE neuron a unit
+        # Two two-PE neurons a unit, 3 engines each: ((0, 12, 1), (0, 0, 11)).
+        (HardwareConfig(weights_per_pe=16), 12, 2, 0.75),
+        # One three-PE neuron a unit, 4 engines: ((0, 14, 0), (0, 6, 8), (0, 0, 12)).
+        (HardwareConfig(weights_per_pe=16), 20, 1, 0.5),
     ])
     def test_vanilla_mac_activity_counts_the_neurons_on_a_unit(self, hw, width, per_unit, activity):
         placement = map_network(square_spec("Vanilla", width), hw)
@@ -199,20 +201,19 @@ class TestUtilizationReport:
     @pytest.mark.parametrize("placement,activity", [
         # x words only on the first unit: ((0, 1536, 1), (1, 0, 1535)).
         (map_network(get_preset("lang-mod").spec, get_preset("lang-mod").hardware()), 0.75),
-        # Six PEs on two units, x words only on the first: 3 of 16 engines.
-        (map_network(square_spec("Vanilla", 40), HardwareConfig(weights_per_pe=16)), 3 / 16),
+        # Six PEs on two units, x words on three and h words on four: 7 of
+        # 16 engines.
+        (map_network(square_spec("Vanilla", 40), HardwareConfig(weights_per_pe=16)), 7 / 16),
     ], ids=["lang-mod", "vanilla-split"])
     def test_mac_activity_counts_only_engines_that_get_words(self, placement, activity):
-        """A gate of a neuron streams a path on a unit only if the mapper's
-        per-PE table puts words of that path on the neuron's PEs there."""
+        """A gate of a neuron streams a path on one engine of every PE to
+        which the mapper's per-PE table gives words of that path."""
         lp = placement.layers[0]
         assert lp.units_per_neuron > 1
-        paths = {}
-        for unit, x_words, h_words in lp.pe_words:
-            paths.setdefault(unit, set()).update(
-                path for path, words in (("x", x_words), ("h", h_words)) if words
-            )
-        engines = sum(len(p) for p in paths.values()) * len(GATE_ORDERS[lp.cell_type])
+        engines = 0
+        for _unit, x_words, h_words in lp.pe_words:
+            engines += (x_words > 0) + (h_words > 0)
+        engines *= len(GATE_ORDERS[lp.cell_type])
         report = utilization_report(placement)
         assert report["macs_active"] == engines * lp.neurons
         assert report["macs_provisioned"] == 2 * placement.hw.pes_per_unit * lp.n_units

@@ -50,6 +50,7 @@ from rnnfast.simulator import (
     _layer_timing,
     _mac_sample,
     _run_faulted_chain,
+    _slot_values,
     analytic_cycles,
     simulate,
 )
@@ -204,12 +205,26 @@ def test_fault_free_run_matches_cell_replay_and_closed_form(cell, impl, layout):
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("cell", CELLS)
 def test_locate_gives_each_chunk_in_its_groups_arrival_order(cell, layout):
-    placement, _params, _inputs = net(cell, "approx", layout)
-    for lp in placement.layers:
+    """``_slot_values`` at every slot of every PE track, on weights that
+    encode (gate, neuron, word) and deliveries that encode (group, word):
+    each track reads its own weights and its group's deliveries of its
+    chunk's words, in the order that group receives them."""
+    placement, params, _inputs = net(cell, "approx", layout)
+    for lp, p in zip(placement.layers, params):
         geo = _LayerGeometry(lp, placement.hw, None)
-        neurons = np.arange(lp.neurons)
-        for path, chain in enumerate((lp.chain, lp.recurrent_chain)):
-            n = chain.word_capacity
+        chains = (lp.chain, lp.recurrent_chain)
+        sizes = [chain.word_capacity for chain in chains]
+
+        def code(gate, n):
+            return (gate * lp.neurons + np.arange(lp.neurons))[:, None] * n + np.arange(n)
+
+        coded = dataclasses.replace(p, gates=tuple(
+            dataclasses.replace(gw, w_x=code(k, sizes[0]), w_h=code(k, sizes[1]))
+            for k, gw in enumerate(p.gates)
+        ))
+        seen = [np.arange(len(chain.group_capacities))[:, None] * n + np.arange(n)
+                for chain, n in zip(chains, sizes)]
+        for path, (chain, n) in enumerate(zip(chains, sizes)):
             chunks = list(zip(geo.lo[path], geo.lo[path] + geo.size[path]))
             assert [w for lo, hi in chunks for w in range(lo, hi)] == list(range(n))
             assert geo.chunk_of[path, :n].tolist() == [
@@ -217,15 +232,25 @@ def test_locate_gives_each_chunk_in_its_groups_arrival_order(cell, layout):
             ]
             bases = np.cumsum((0,) + chain.group_capacities[:-1])
             for chunk, (lo, hi) in enumerate(chunks):
-                groups, words = geo.locate(
-                    neurons, np.full_like(neurons, path), np.full_like(neurons, chunk),
-                    np.arange(hi - lo),
+                if hi == lo:
+                    continue
+                shape = (len(p.gates), lp.neurons, hi - lo)
+                gate, neuron, position = (a.ravel() for a in np.indices(shape))
+                stored, delivered = _slot_values(
+                    geo, coded, seen, np.full_like(gate, path), gate,
+                    np.full_like(gate, chunk), neuron, position,
                 )
-                for group, row in zip(groups, words.tolist()):
-                    assert 0 <= group < len(bases)
+                track, stored_word = np.divmod(stored.reshape(shape), n)
+                group, word = np.divmod(delivered.reshape(shape), n)
+                assert (track == (gate * lp.neurons + neuron).reshape(shape)).all()
+                assert (stored_word == word).all()
+                rows = zip(neuron[::hi - lo], group.reshape(-1, hi - lo), word.reshape(-1, hi - lo))
+                for nn, g_row, w_row in rows:
+                    assert set(g_row.tolist()) == {geo.group_of[path, chunk, nn]}
+                    assert 0 <= g_row[0] < len(bases)
                     # Group g receives word (base_g + s) mod n at step s.
-                    arrival = [(bases[group] + s) % n for s in range(n)]
-                    assert row == [w for w in arrival if lo <= w < hi]
+                    arrival = [(bases[g_row[0]] + s) % n for s in range(n)]
+                    assert w_row.tolist() == [w for w in arrival if lo <= w < hi]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
