@@ -132,11 +132,11 @@ class FaultPlan:
     Each (site, layer) stream draws flat positions in an event space of this
     shape (row-major), then one plane per event:
       input chains:  (tile, timestep, step)
-      weight arrays: (neuron, timestep, gate-path-slot)
-      logic MACs:    (neuron, timestep, gate-path-slot)
+      weight arrays: (neuron, timestep, gate, word)
+      logic MACs:    (neuron, timestep, gate, word)
       logic acts:    (neuron, timestep, act)
-    A gate-path slot runs over the paths of ``gate_paths`` in order, each
-    path over its words.
+    A gate's words run over its n inputs, then its m recurrent inputs:
+    word w < n is x-path slot w, and word w >= n is h-path slot w - n.
 
     Events are stored per (layer, timestep) as int32 arrays with one row
     per event, in event order; the path column is its index in ``PATHS``
@@ -171,21 +171,15 @@ class FaultPlan:
                     shape = (len(layout.group_capacities), T, steps)
                     tile, t, step, plane = self._draw("input_chains", l, ci, shape).T
                     _by_step(self.input_faults, (l, path), t, (step, tile, plane))
-            # Flat gate-path-slot index -> (gate, path code, slot) columns:
-            # each gate path's row repeated over its words, then the slots.
-            streams = np.array([(g, PATHS.index(p)) for g, p in gate_paths(lp.cell_type)])
-            words = np.array((n, m))[streams[:, 1]]
-            slot_of = np.column_stack((
-                np.repeat(streams, words, axis=0),
-                np.arange(words.sum()) - np.repeat(np.cumsum(words) - words, words),
-            )).astype(np.int32)
-            slots = (m, T, len(slot_of))
-            if "weight_arrays" in sites:
-                neuron, t, flat, plane = self._draw("weight_arrays", l, 0, slots).T
-                _by_step(self.weight_faults, (l,), t, (neuron, *slot_of[flat].T, plane))
+            slots = (m, T, len(GATE_ORDERS[lp.cell_type]), n + m)
+            for site, faults in (
+                ("weight_arrays", self.weight_faults), ("logic", self.mac_faults),
+            ):
+                if site in sites:
+                    neuron, t, gate, word, plane = self._draw(site, l, 0, slots).T
+                    path = (word >= n).astype(np.int32)
+                    _by_step(faults, (l,), t, (neuron, gate, path, word - n * path, plane))
             if "logic" in sites:
-                neuron, t, flat, plane = self._draw("logic", l, 0, slots).T
-                _by_step(self.mac_faults, (l,), t, (neuron, *slot_of[flat].T, plane))
                 acts = (m, T, NONLINEAR_EVALS[lp.cell_type])
                 neuron, t, act, plane = self._draw("logic", l, 1, acts).T
                 _by_step(self.act_faults, (l,), t, (neuron, act, plane))

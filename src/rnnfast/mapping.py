@@ -104,9 +104,21 @@ class HardwareConfig:
         for name in (
             "lstm_units_per_tile", "pes_per_unit", "weights_per_pe",
             "tiles_per_group", "rows_per_group", "groups",
+            "mac_stages", "mac_cycles_per_stage", "mac_issue_interval",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in (
+            "interconnect_latency_cycles", "hop_latency_cycles", "act_latency_approx",
+            "act_latency_lut", "read_latency_cycles", "shift_latency_cycles",
+            "write_latency_cycles",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not self.clock_period_ns > 0:
+            raise ValueError("clock_period_ns must be positive")
+        if self.rewind_cost not in ("full_pass", "free"):
+            raise ValueError(f"rewind_cost {self.rewind_cost!r} is not 'full_pass' or 'free'")
 
     @property
     def mac_latency(self) -> int:

@@ -24,10 +24,12 @@ simulator uses:
   controller holds that plane's next shift -- so the decoded stream is
   exactly the fault-free stream, at zero added cycles.  ``rotate_step``
   returns plain lists: the word each group delivered and the planes each
-  group corrected.  The simulator replays this model over the window of a
-  faulted pass with EDC on only; with EDC off it follows each displaced
-  plane's deliveries back through the queues in closed form, checked
-  against this model.
+  group corrected.  With EDC on the simulator needs only the counts of
+  corrections and held shifts, which do not depend on the words, so it
+  replays this model with nothing staged over the window of each faulted
+  pass, once per run; with EDC off it follows each displaced plane's
+  deliveries back through the queues in closed form, checked against this
+  model.
 
 * ``WeightTrackGroup`` -- the weight-stationary storage of one PE, kept as
   the reference that the vectorized form is tested against.  Advancing
@@ -89,6 +91,8 @@ class InputTrackChain:
     def __init__(self, group_capacities, edc_enabled=False):
         if not group_capacities:
             raise ValueError("a chain needs at least one track group")
+        if min(group_capacities) < 1:
+            raise ValueError("every track group holds at least one word")
         self.group_capacities = [int(c) for c in group_capacities]
         self.capacity = sum(self.group_capacities)
         self.edc_enabled = edc_enabled

@@ -19,12 +19,16 @@ Values and timing are deliberately decoupled:
   passes.  With EDC off, a chain pass with faults is computed in closed
   form: only its displaced planes differ from the fault-free pass, and
   each of their deliveries is followed back through the group queues.
-  With EDC on it is replayed through the word-level track model
-  (``InputTrackChain``) from the first faulted step to the step after the
-  last fault, and every delivery is the fault-free word.  Each word a
-  group delivered differently corrects, in every gate, only the neurons
-  whose chunk of that word the group feeds.  Passes are booked in closed
-  form less the shifts that EDC corrections held back.  Weight and MAC
+  Each word a group delivered differently corrects, in every gate, only
+  the neurons whose chunk of that word the group feeds.  With EDC on every
+  delivery is the fault-free word, so chain faults stay out of the value
+  path: they change only the corrections and the shifts those hold back,
+  which the plan's rows alone determine.  ``_edc_chain_holds`` counts both
+  once per run, replaying each faulted pass through the word-level track
+  model (``InputTrackChain``) from its first faulted step to the step
+  after its last fault.  ``simulate`` books the ledger once per run: T
+  fault-free steps of every layer, less the shifts that EDC corrections
+  held back on the chains and on the weight tracks.  Weight and MAC
   fault rows share one layout and one decode, ``_fault_slots``, to (PE
   track, position in the track).  Weight faults go through the one
   implementation of the weight-track protocol in ``racetrack``: with EDC
@@ -238,14 +242,13 @@ class _LayerGeometry:
             # chunk reaches it rotated to start at its first word >= base_g.
             self.turn[p, :len(b)] = np.clip(b[:, None] - self.lo[p], 0, self.size[p])
         # The neurons whose chunk c group g feeds, for every (c, g) in turn,
-        # with G = turn.shape[1]:
-        # fed[path, fed_ptr[path, c * G + g]:fed_ptr[path, c * G + g + 1]].
+        # with G = turn.shape[1]: i % m for i from fed_ptr[path, c * G + g]
+        # to fed_ptr[path, c * G + g + 1].  Units, and so groups, never fall
+        # as the neuron grows, so the keys c * G + g in (chunk, neuron)
+        # order are already sorted.
         feeds = (np.arange(n_chunks)[:, None] * self.turn.shape[1] + self.group_of).reshape(2, -1)
-        order = np.argsort(feeds, axis=1, kind="stable")
-        self.fed = order % m
         self.fed_ptr = np.stack([
-            np.searchsorted(f[o], np.arange(n_chunks * self.turn.shape[1] + 1))
-            for f, o in zip(feeds, order)
+            np.searchsorted(f, np.arange(n_chunks * self.turn.shape[1] + 1)) for f in feeds
         ])
         # One pass of each chain: every group reads, shifts and writes all 16
         # planes once per word.
@@ -290,32 +293,19 @@ def _check_raw(what, a):
         raise ValueError(f"{what} must lie in [{fp.RAW_MIN}, {fp.RAW_MAX}]")
 
 
-def _run_faulted_chain(layout, words_raw, faults, edc_enabled):
-    """Deliveries of one pass whose chain has faults.
+def _run_faulted_chain(layout, words_raw, faults):
+    """Deliveries of one EDC-off pass whose chain has faults.
 
     `faults` holds ``FaultPlan``'s rows (step, group, plane).  Returns
-    (seen, corrected, held): seen[group, word] is the value the group
-    delivered for that word, `corrected` counts the plane reads EDC
-    corrected, and `held` the shifts those corrections held back.  A
-    correction holds its plane's next shift, so one at the pass's last step
-    holds none.
+    seen[group, word], the value the group delivered for that word.
 
-    With EDC off nothing is corrected, and only the planes that carry a
-    fault differ from the fault-free pass; planes never mix.  Group g
-    delivers at step s the word at queue position min(e, cap_g - 1) of
-    plane k, e the faults on (g, k) at steps <= s.  Queue position j at
-    step s holds staged word base_g + s + j while s + j < cap_g, and after
-    that what group g + 1 delivered at step s + j - cap_g.  Each delivery
-    of a displaced plane is followed back through the queues to a staged
-    word, all of them at once.
-
-    With EDC on the pass is replayed through ``InputTrackChain`` over the
-    window its faults can reach.  Every step before the first fault s0
-    delivers its fault-free word, so the replay starts there, from the
-    chain as s0 fault-free steps leave it: group g holds words
-    (base_g + s0 + i) mod n.  It stops after the step that follows the last
-    fault, which releases the held planes; from there on the chain carries
-    no state and delivers fault-free words again.
+    Nothing is corrected, and only the planes that carry a fault differ
+    from the fault-free pass; planes never mix.  Group g delivers at step s
+    the word at queue position min(e, cap_g - 1) of plane k, e the faults
+    on (g, k) at steps <= s.  Queue position j at step s holds staged word
+    base_g + s + j while s + j < cap_g, and after that what group g + 1
+    delivered at step s + j - cap_g.  Each delivery of a displaced plane is
+    followed back through the queues to a staged word, all of them at once.
     """
     n_words = layout.word_capacity
     caps = np.asarray(layout.group_capacities)
@@ -324,47 +314,55 @@ def _run_faulted_chain(layout, words_raw, faults, edc_enabled):
     words = np.asarray(words_raw, dtype=np.int64) & 0xFFFF
     # order[g, s]: the word group g delivers at step s without faults.
     order = (bases[:, None] + np.arange(n_words)) % n_words
-    seen = np.tile(words, (len(caps), 1))
     step, group, plane = np.asarray(faults, dtype=np.int64).T
-    corrected = held = 0
-    if not edc_enabled:
-        planes, pair = np.unique(plane, return_inverse=True)
-        faulted = np.zeros((len(planes), len(caps), n_words), dtype=np.int64)
-        faulted[pair, group, step] = 1
-        # Each delivery (plane, group, step) reads queue position `at`,
-        # counted from the pass's start: a staged word, or else the
-        # delivery (plane, group + 1, at - cap) that it copies, whose index
-        # in the flattened array is `link`.
-        at = np.arange(n_words) + np.minimum(np.cumsum(faulted, axis=2), caps[:, None] - 1)
-        src = np.where(at < caps[:, None], bases[:, None] + at, -1).ravel()
-        right = np.arange(len(planes))[:, None, None] * len(caps) + (groups[:, None] + 1) % len(caps)
-        link = (right * n_words + at - caps[:, None]).ravel()
-        # Follow the links by pointer jumping: each round doubles the hops
-        # followed, and each hop lowers the step, so the rounds end.
-        todo = np.flatnonzero(src < 0)
-        while todo.size:
-            ahead = link[todo]
-            src[todo], link[todo] = src[ahead], link[ahead]
-            todo = todo[src[todo] < 0]
-        mask = np.bitwise_or.reduce(1 << planes)
-        bits = (words[src].reshape(faulted.shape) >> planes[:, None, None]) & 1
-        delivered = words[order] & ~mask | (bits << planes[:, None, None]).sum(axis=0)
-        seen[groups[:, None], order] = delivered
-    else:
-        by_step = {}
-        for s, g, k in zip(step.tolist(), group.tolist(), plane.tolist()):
-            by_step.setdefault(s, {}).setdefault(g, []).append(k)
-        first, stop = min(by_step), min(max(by_step) + 2, n_words)
-        chain = InputTrackChain(list(layout.group_capacities), edc_enabled=True)
-        chain.stage(np.roll(words, -first).tolist())
-        last = 0
-        for s in range(first, stop):
-            delivered, fixed = chain.rotate_step(by_step.get(s))
-            seen[groups, order[:, s]] = delivered
-            last = sum(map(len, fixed))
-            corrected += last
-        held = corrected - last
-    return np.where(seen >= 1 << 15, seen - (1 << 16), seen), corrected, held
+    planes, pair = np.unique(plane, return_inverse=True)
+    faulted = np.zeros((len(planes), len(caps), n_words), dtype=np.int64)
+    faulted[pair, group, step] = 1
+    # Each delivery (plane, group, step) reads queue position `at`, counted
+    # from the pass's start: a staged word, or else the delivery
+    # (plane, group + 1, at - cap) that it copies, whose index in the
+    # flattened array is `link`.
+    at = np.arange(n_words) + np.minimum(np.cumsum(faulted, axis=2), caps[:, None] - 1)
+    src = np.where(at < caps[:, None], bases[:, None] + at, -1).ravel()
+    right = np.arange(len(planes))[:, None, None] * len(caps) + (groups[:, None] + 1) % len(caps)
+    link = (right * n_words + at - caps[:, None]).ravel()
+    # Follow the links by pointer jumping: each round doubles the hops
+    # followed, and each hop lowers the step, so the rounds end.
+    todo = np.flatnonzero(src < 0)
+    while todo.size:
+        ahead = link[todo]
+        src[todo], link[todo] = src[ahead], link[ahead]
+        todo = todo[src[todo] < 0]
+    mask = np.bitwise_or.reduce(1 << planes)
+    bits = (words[src].reshape(faulted.shape) >> planes[:, None, None]) & 1
+    seen = np.empty((len(caps), n_words), dtype=np.int64)
+    delivered = words[order] & ~mask | (bits << planes[:, None, None]).sum(axis=0)
+    seen[groups[:, None], order] = delivered
+    return np.where(seen >= 1 << 15, seen - (1 << 16), seen)
+
+
+def _edc_chain_holds(layout, faults):
+    """(corrected, held) of one EDC-on pass whose chain has faults: the
+    plane reads EDC corrected and the shifts those corrections held back.
+
+    `faults` holds ``FaultPlan``'s rows (step, group, plane).  EDC decodes
+    every delivery to the fault-free word, and which planes it corrects
+    does not depend on the words, so the pass is replayed through
+    ``InputTrackChain`` with nothing staged.  Every step before the first
+    fault is fault-free, so the replay starts there.  It stops after the
+    step that follows the last fault, which releases the held planes.  A
+    correction holds its plane's next shift, so one at the pass's last step
+    holds none.
+    """
+    by_step = {}
+    for s, g, k in np.asarray(faults).tolist():
+        by_step.setdefault(s, {}).setdefault(g, []).append(k)
+    chain = InputTrackChain(list(layout.group_capacities), edc_enabled=True)
+    corrected = last = 0
+    for s in range(min(by_step), min(max(by_step) + 2, layout.word_capacity)):
+        last = sum(map(len, chain.rotate_step(by_step.get(s))[1]))
+        corrected += last
+    return corrected, corrected - last
 
 
 def _act_fault_hook(rows):
@@ -451,13 +449,11 @@ def _exact_matmul(weight_blocks, v):
     return out.astype(np.int64)
 
 
-def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
+def _layer_values(lp, geo, params, xs, acts, plan, corrections):
     """Evaluate one layer over the whole input stream; returns its outputs.
 
     The input path of all gates is one kernel call per block of TIME_BLOCK
     timesteps, the recurrent path one call per step over the stacked gates.
-    The layer's ledger is booked once: every step's events, less the shifts
-    that EDC corrections held back.
     """
     m = lp.neurons
     gates = params.gates
@@ -468,7 +464,6 @@ def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
     # cell_output returns int64 arrays, and c None for GRU/Vanilla, which
     # ignore it.
     h = c = np.zeros(m, dtype=np.int64)
-    held = 0
     for t0 in range(0, len(xs), TIME_BLOCK):
         x_block = xs[t0:t0 + TIME_BLOCK]
         x_accs = _exact_matmul(w_x, x_block.T)
@@ -477,37 +472,31 @@ def _layer_values(lp, geo, params, xs, acts, plan, ledger, corrections):
                 x_accs[:, j].reshape(len(gates), m),
                 _exact_matmul(w_h, h).reshape(len(gates), m),
             ))
-            h, c, step_held = _layer_step_values(
+            h, c = _layer_step_values(
                 lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, corrections,
             )
-            held += step_held
             out[t0 + j] = h
-    for op, count in geo.step_events.items():
-        ledger.add(op, len(xs) * count - (held if op == "track_shift" else 0))
     return out
 
 
 def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, plan, t,
                        corrections):
-    """Finish one (layer, timestep) with fault effects; returns (h, c, the
-    shifts that EDC corrections held back).
+    """Finish one (layer, timestep) with fault effects; returns (h, c).
 
     `accs[path, gate, neuron]` holds the fault-free accumulators; the step's
-    faults correct them in place, in int64 on the touched chunks.
+    faults correct them in place, in int64 on the touched chunks.  Chain
+    faults with EDC on change no delivery, so they are not looked at here.
     """
     key = (lp.index, t)
     vecs = (np.asarray(x, dtype=np.int64), h_prev)
     # seen[path][group, word]: what each chain group delivered this pass.
     seen = []
-    held = 0
     for path, (name, layout) in enumerate(zip(PATHS, (lp.chain, lp.recurrent_chain))):
-        faults = plan.input_faults.get((lp.index, name, t)) if plan else None
+        faults = None
+        if plan and not plan.cfg.edc_inputs:
+            faults = plan.input_faults.get((lp.index, name, t))
         if faults is not None:
-            delivered, corrected, chain_held = _run_faulted_chain(
-                layout, vecs[path], faults, plan.cfg.edc_inputs
-            )
-            corrections["input_corrected"] += corrected
-            held += chain_held
+            delivered = _run_faulted_chain(layout, vecs[path], faults)
             _correct_deliveries(geo, params, path, delivered - vecs[path], accs)
         else:
             groups = len(layout.group_capacities)
@@ -515,7 +504,7 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
         seen.append(delivered)
 
     if plan:
-        held += _weight_and_logic_faults(
+        _weight_and_logic_faults(
             geo, params, plan.weight_faults.get(key), plan.mac_faults.get(key),
             plan.cfg.edc_weights, accs, seen, corrections,
         )
@@ -526,7 +515,7 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, pla
 
     h, c = cell_output(lp.cell_type, accs[0], accs[1], bias, vecs[1], c_prev, acts,
                        None if act_faults is None else _act_fault_hook(act_faults))
-    return h, c, held
+    return h, c
 
 
 def _correct_deliveries(geo, params, path, delta, accs):
@@ -539,7 +528,8 @@ def _correct_deliveries(geo, params, path, delta, accs):
     feeds = geo.chunk_of[path, word] * geo.turn.shape[1] + group
     lo, count = geo.fed_ptr[path, feeds], np.diff(geo.fed_ptr[path])[feeds]
     change = np.repeat(np.arange(len(word)), count)
-    neuron = geo.fed[path, np.arange(len(change)) - np.repeat(np.cumsum(count) - count - lo, count)]
+    index = np.arange(len(change)) - np.repeat(np.cumsum(count) - count - lo, count)
+    neuron = index % accs.shape[2]
     word, d = word[change], delta[group, word][change]
     for gate in range(len(params.gates)):
         w = _weights(params, gate, path)
@@ -618,7 +608,7 @@ def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, ma
 def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, seen,
                              corrections):
     """Apply one step's weight and logic faults to `accs[path, gate, neuron]`
-    and return the shifts EDC held back.
+    and count them in `corrections`, the shifts EDC held back included.
 
     The fault rows are ``FaultPlan``'s arrays (or None), decoded alike by
     ``_fault_slots``.  With EDC on, every faulted PE track (path, gate,
@@ -633,7 +623,6 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
     """
     dims = (2, accs.shape[1], geo.size.shape[1], accs.shape[2])
     width = int(geo.size.max())
-    held = 0
     if mac_faults is not None:
         m_path, m_gate, m_chunk, m_neuron, m_position, m_track, m_plane = _fault_slots(
             geo, mac_faults, dims)
@@ -652,6 +641,7 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
                                              zero_position)
             np.add.at(accs, (path, gate, neuron), -stored * delivered)
             corrections["weight_zeroed"] += len(zero_slots)
+            corrections["suppressed_shifts"] += held
             if mac_faults is not None:
                 zeroed = track[at] * width + zero_position
                 weight[np.isin(m_track * width + m_position, zeroed)] = 0
@@ -663,8 +653,6 @@ def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, 
         shift = m_plane + fp.FRAC_BITS
         np.add.at(accs, (m_path, m_gate, m_neuron), ((product >> shift) & 1) << shift)
         corrections["logic_faults"] += len(mac_faults)
-    corrections["suppressed_shifts"] += held
-    return held
 
 
 def _layer_timing(lp, hw, impl):
@@ -698,7 +686,14 @@ def _mac_sample(lp, hw, period, body, timesteps):
 
 def simulate(placement: Placement, params, inputs,
              error_cfg: ErrorConfig | None = None) -> RunResult:
-    """Run the placed network over a timestep-major input stream."""
+    """Run the placed network over a timestep-major input stream.
+
+    The ledger is every layer's fault-free step events, T times, less the
+    shifts that EDC corrections held back.  Of those, the result's
+    ``corrections["suppressed_shifts"]`` counts the weight tracks' holds
+    only: ``track_shift`` also lacks the input chains' holds, which no
+    correction counter reports.
+    """
     spec = placement.spec
     hw = placement.hw
     impl = spec.activation_impl
@@ -706,7 +701,8 @@ def simulate(placement: Placement, params, inputs,
     if len(params) != len(spec.layers):
         raise ValueError("one LayerParams per layer required")
     for lp, layer, p in zip(placement.layers, spec.layers, params):
-        if p.cell_type != layer.cell_type or p.neurons != layer.neurons or p.inputs != layer.inputs:
+        shape = (p.cell_type, p.neurons, p.inputs, p.gates[0].hidden)
+        if shape != (layer.cell_type, layer.neurons, layer.inputs, layer.neurons):
             raise ValueError(f"params for layer {lp.index} disagree with the spec")
         for k, g in enumerate(p.gates):
             for name in ("w_x", "w_h", "b"):
@@ -722,7 +718,6 @@ def simulate(placement: Placement, params, inputs,
             f"inputs shape {inputs.shape} != ({T}, {spec.layers[0].inputs})"
         )
 
-    ledger = EnergyLedger(activation_impl=impl)
     plan = FaultPlan(error_cfg, placement) if error_cfg and error_cfg.active else None
     acts = activation_fns(impl)
     geos = [_LayerGeometry(lp, hw, error_cfg) for lp in placement.layers]
@@ -733,12 +728,26 @@ def simulate(placement: Placement, params, inputs,
         "logic_faults": 0,
         "fault_events": plan.total_events() if plan else 0,
     }
+    chain_held = 0
+    if plan and plan.cfg.edc_inputs:
+        for (l, name, _t), faults in plan.input_faults.items():
+            lp = placement.layers[l]
+            corrected, held = _edc_chain_holds(
+                lp.chain if name == PATHS[0] else lp.recurrent_chain, faults)
+            corrections["input_corrected"] += corrected
+            chain_held += held
 
     # Values, layer-major: each layer consumes the previous one's stream.
     outputs = []
     for lp, geo, p in zip(placement.layers, geos, params):
         xs = outputs[-1] if outputs else inputs
-        outputs.append(_layer_values(lp, geo, p, xs, acts, plan, ledger, corrections))
+        outputs.append(_layer_values(lp, geo, p, xs, acts, plan, corrections))
+
+    events = {op: T * sum(geo.step_events[op] for geo in geos) for op in geos[0].step_events}
+    events["track_shift"] -= chain_held + corrections["suppressed_shifts"]
+    ledger = EnergyLedger(activation_impl=impl)
+    for op, n in events.items():
+        ledger.add(op, n)
 
     timing = [_layer_timing(lp, hw, impl) for lp in placement.layers]
     return RunResult(

@@ -10,8 +10,8 @@ lookup.  The oracle below is the per-track loop it replaced: one
 single-track protocol pass per faulted track (kept here in its
 single-track form), a brute-force arrival order, and one lookup per MAC
 fault that takes the weight as read when a weight fault of the same step
-hit its track.  Both must give the same accumulators, corrections and held
-shifts, on the fault plans of random seeds, with blocks small enough that
+hit its track.  Both must give the same accumulators and corrections, the
+held shifts among them, on the fault plans of random seeds, with blocks small enough that
 every faulted step spans several, and on hand-placed faults that the seeds
 do not reliably produce.  Weight and MAC fault rows are both (neuron, gate,
 path, slot, plane).
@@ -85,7 +85,6 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
         return (params.gates[gate].w_x, params.gates[gate].w_h)[path]
 
     effective = {}
-    credit = 0
     tracks = {}
     for neuron, gate, path, slot, plane in [] if weight_faults is None else weight_faults.tolist():
         chunk = int(geo.chunk_of[path, slot])
@@ -97,7 +96,6 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
         read, zeroed, held = single_track_pass(stored, fault_slots, edc)
         corrections["weight_zeroed"] += zeroed
         corrections["suppressed_shifts"] += held
-        credit += held
         accs[path, gate, neuron] += int((read - stored) @ seen[path][group, words])
         lo = int(geo.lo[path, chunk])
         for j, value in enumerate(read.tolist()):
@@ -113,7 +111,6 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
         shift = plane + fp.FRAC_BITS
         accs[path, gate, neuron] += ((product >> shift) & 1) << shift
         corrections["logic_faults"] += 1
-    return credit
 
 
 def random_state(rng, lp, params):
@@ -128,7 +125,7 @@ def random_state(rng, lp, params):
 
 
 def both(lp, geo, params, weight_faults, mac_faults, edc, accs, seen):
-    """(accumulators, corrections, held shifts) of the step and the oracle."""
+    """(accumulators, corrections) of the step and the oracle."""
     results = []
     for step in (
         lambda a, c: _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc,
@@ -137,8 +134,8 @@ def both(lp, geo, params, weight_faults, mac_faults, edc, accs, seen):
     ):
         a = accs.copy()
         corrections = {"weight_zeroed": 0, "suppressed_shifts": 0, "logic_faults": 0}
-        held = step(a, corrections)
-        results.append((a.tolist(), corrections, held))
+        step(a, corrections)
+        results.append((a.tolist(), corrections))
     return results
 
 

@@ -34,6 +34,34 @@ def square_spec(cell, width, layers=1, timesteps=1):
     return NetworkSpec(tuple(specs), timesteps)
 
 
+LATENCIES = (
+    "interconnect_latency_cycles", "hop_latency_cycles", "act_latency_approx", "act_latency_lut",
+    "read_latency_cycles", "shift_latency_cycles", "write_latency_cycles",
+)
+
+
+class TestHardwareConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("rewind_cost", "full-pass"),
+        ("rewind_cost", "none"),
+        ("mac_stages", 0),
+        ("mac_cycles_per_stage", 0),
+        ("mac_issue_interval", 0),
+        ("mac_issue_interval", -2),
+        *((name, -1) for name in LATENCIES),
+        ("clock_period_ns", 0.0),
+        ("clock_period_ns", -0.5),
+        ("clock_period_ns", float("nan")),
+    ])
+    def test_bad_values_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HardwareConfig(**{field: value})
+
+    def test_zero_latencies_and_free_rewinds_are_valid(self):
+        hw = HardwareConfig(rewind_cost="free", **{name: 0 for name in LATENCIES})
+        assert map_network(square_spec("LSTM", 8), hw).layers[0].n_units == 8
+
+
 class TestMapNetwork:
     def test_512_lstm_maps_one_to_one(self):
         hw = HardwareConfig()

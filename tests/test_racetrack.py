@@ -37,6 +37,11 @@ def rotate_full_pass(chain, faults_by_step=None, ledger=None):
 
 
 class TestInputTrackChain:
+    @pytest.mark.parametrize("caps", [[], [0], [3, 0], [4, -1]])
+    def test_every_group_holds_a_word(self, caps):
+        with pytest.raises(ValueError):
+            InputTrackChain(caps)
+
     def test_three_word_circular_buffer(self):
         chain = InputTrackChain([3])
         chain.stage([11, 22, 33])

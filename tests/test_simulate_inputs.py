@@ -1,7 +1,7 @@
 """``simulate`` rejects input streams, weights and biases that are not raw
-Q8.8 integers; the ledger rejects ops it does not count and prices the
-counted ones at the default rates; ``energy_report`` takes its op latencies
-from the hardware config."""
+Q8.8 integers, and recurrent weights that do not fit the layer; the ledger
+rejects ops it does not count and prices the counted ones at the default
+rates; ``energy_report`` takes its op latencies from the hardware config."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -81,6 +81,14 @@ GOOD = PARAMS[0].gates[1]
 def test_bad_weights_and_biases_are_rejected(name, value):
     with pytest.raises(ValueError, match=f"gate 1 {name} "):
         simulate(PLACEMENT, with_gate_array(name, value), [[1, 2]])
+
+
+def test_recurrent_weights_of_the_wrong_width_are_rejected():
+    """Every gate's w_h takes one column per neuron of the layer."""
+    layer = PARAMS[0]
+    gates = tuple(replace(g, w_h=g.w_h[:, :2]) for g in layer.gates)
+    with pytest.raises(ValueError, match="params for layer 0 disagree with the spec"):
+        simulate(PLACEMENT, [LayerParams(layer.cell_type, gates)], [[1, 2]])
 
 
 def test_in_range_wide_integer_weights_are_accepted():

@@ -9,17 +9,18 @@ several timesteps or a stalled cross-group chain stretches the issue
 period; and ``simulate`` may issue no more MACs than the sample holds.
 Every cell type's weight paths are cut into the chunks of the mapper's
 per-PE table, one per PE of a gate, and no PE holds more words than it has
-room for.  EDC-on input-chain faults must leave the outputs untouched; the
-reported fault count must be the plan's; the ledger's closed-form chain
-passes, less the shifts EDC corrections held, must equal what the track
-model counts itself, and a faulted pass (in closed form with EDC off, a
-replayed window with EDC on) must deliver what a full track-model pass from
-step 0 delivers.  Faulty runs with every site active are pinned in
-``simulator_golden.json`` (output SHA-256, cycles, ledger counters,
-per-layer counts, corrections), so any change to the fault path shows up.
-After a deliberate change of fault semantics, rewrite the pins with
-``PYTHONPATH=src python tests/test_simulator.py``, which prints the keys
-whose pins changed.
+room for.  EDC-on input-chain faults must leave the outputs untouched and
+stay out of the value path, each faulted pass replayed once for its
+counts; the reported fault count must be the plan's; the ledger's
+closed-form chain passes, less the shifts EDC corrections held, must equal
+what the track model counts itself; an EDC-off faulted pass in closed form
+must deliver what a full track-model pass from step 0 delivers, and with
+EDC on that pass must deliver the fault-free words.  Faulty runs with
+every site active are pinned in ``simulator_golden.json`` (output SHA-256,
+cycles, ledger counters, per-layer counts, corrections), so any change to
+the fault path shows up.  After a deliberate change of fault semantics,
+rewrite the pins with ``PYTHONPATH=src python tests/test_simulator.py``,
+which prints the keys whose pins changed.
 """
 
 import dataclasses
@@ -32,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnnfast import lstm_core
+from rnnfast import lstm_core, simulator
 from rnnfast.error_model import ErrorConfig, FaultPlan
 from rnnfast.mapping import (
     CapacityExceeded,
@@ -46,6 +47,7 @@ from rnnfast.presets import generate_inputs, generate_network_params
 from rnnfast.racetrack import WORD_PLANES, InputTrackChain
 from rnnfast.simulator import (
     TIME_BLOCK,
+    _edc_chain_holds,
     _LayerGeometry,
     _layer_timing,
     _mac_sample,
@@ -320,6 +322,33 @@ def test_engine_chunks_are_the_mappers_pe_table(cell, inputs, neurons, weights_p
         ]
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CELLS),
+    st.integers(1, 80),
+    st.integers(1, 80),
+    st.integers(4, 64),
+    st.integers(1, 64),
+    st.integers(1, 16),
+)
+def test_each_chunks_groups_never_fall_as_the_neuron_grows(
+    cell, inputs, neurons, weights_per_pe, units_per_tile, tiles_per_group,
+):
+    """``_correct_deliveries`` takes the neurons that group g feeds through
+    chunk c as one run of the (chunk, neuron) order.  That holds because
+    every chunk's group_of is non-decreasing in neuron and below the group
+    count, so the keys chunk * G + group are sorted in that order."""
+    # Enough groups for the widest layer: 80 neurons of up to 41 units each.
+    hw = HardwareConfig(weights_per_pe=weights_per_pe, lstm_units_per_tile=units_per_tile,
+                        tiles_per_group=tiles_per_group, groups=-(-80 * 41 // tiles_per_group))
+    lp = map_network(NetworkSpec((LayerSpec(cell, neurons, inputs),), 1), hw).layers[0]
+    geo = _LayerGeometry(lp, hw, None)
+    assert (np.diff(geo.group_of, axis=2) >= 0).all()
+    assert (geo.group_of < geo.turn.shape[1]).all()
+    keys = np.arange(geo.group_of.shape[1])[:, None] * geo.turn.shape[1] + geo.group_of
+    assert (np.diff(keys.reshape(2, -1), axis=1) >= 0).all()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from(CELLS),
@@ -451,6 +480,45 @@ def test_edc_on_input_chain_faults_reproduce_the_fault_free_run(cell):
     assert corrected > 0
 
 
+def test_edc_on_chain_faults_stay_out_of_the_value_path(monkeypatch):
+    """With input EDC on, ``simulate`` computes no faulted deliveries and
+    corrects no accumulator for them; it replays each faulted pass through
+    the track model exactly once, from its first faulted step, with that
+    pass's faults."""
+    def forbidden(*_args):
+        raise AssertionError("an EDC-on chain fault reached the value path")
+
+    replays = []
+
+    class Recorded(InputTrackChain):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.calls = []
+            replays.append(self)
+
+        def rotate_step(self, fault_planes=None, ledger=None):
+            self.calls.append(fault_planes or {})
+            return super().rotate_step(fault_planes, ledger)
+
+    monkeypatch.setattr(simulator, "_run_faulted_chain", forbidden)
+    monkeypatch.setattr(simulator, "_correct_deliveries", forbidden)
+    monkeypatch.setattr(simulator, "InputTrackChain", Recorded)
+    placement, params, inputs = net("LSTM", "approx", "split")
+    cfg = ErrorConfig(p_overshift=FAULT_P, sites={"input_chains"}, edc_inputs=True,
+                      seed=FAULT_SEED)
+    result = simulate(placement, params, inputs, error_cfg=cfg)
+    passes = FaultPlan(cfg, placement).input_faults.values()
+    want = sorted(sorted((s - rows[:, 0].min(), g, k) for s, g, k in rows.tolist())
+                  for rows in passes)
+    got = sorted(
+        sorted((i, g, k) for i, planes in enumerate(chain.calls)
+               for g, ks in planes.items() for k in ks)
+        for chain in replays
+    )
+    assert len(want) > 1 and got == want
+    assert result.corrections["input_corrected"] > 0
+
+
 class Counter(dict):
     def add(self, op, n=1):
         self[op] = self.get(op, 0) + n
@@ -491,11 +559,17 @@ def faulted_passes(draw):
 @settings(max_examples=300, deadline=None)
 @given(faulted_passes())
 def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
-    """``_run_faulted_chain`` gives what a full device pass from step 0
-    gives: the same deliveries, corrections and held shifts, and the
-    device's own ledger is the closed-form pass less those held shifts."""
+    """A full device pass from step 0 gives what the simulator takes for a
+    faulted pass: with EDC off, the deliveries of ``_run_faulted_chain`` and
+    no correction; with EDC on, the fault-free deliveries and the
+    corrections and held shifts of ``_edc_chain_holds``.  The device's own
+    ledger is the closed-form pass less those held shifts."""
     layout, words, faults, edc = case
-    seen, corrected, held = _run_faulted_chain(layout, np.asarray(words), faults, edc)
+    if edc:
+        corrected, held = _edc_chain_holds(layout, faults)
+        seen = np.tile(words, (len(layout.group_capacities), 1))
+    else:
+        seen, corrected, held = _run_faulted_chain(layout, np.asarray(words), faults), 0, 0
     by_step = {}
     for step, group, plane in faults.tolist():
         by_step.setdefault(step, {}).setdefault(group, []).append(plane)
@@ -537,14 +611,13 @@ def test_edc_on_faults_cost_exactly_the_held_shifts(cell, site):
     if site == "weight_arrays":
         held = result.corrections["suppressed_shifts"]
     else:
-        # Held shifts do not depend on the words, so replay zeros.
         chains = {(lp.index, "x"): lp.chain for lp in placement.layers}
         chains.update({(lp.index, "h"): lp.recurrent_chain for lp in placement.layers})
         held = 0
         for (layer, path, _t), faults in FaultPlan(cfg, placement).input_faults.items():
-            layout = chains[layer, path]
-            words = np.zeros(layout.word_capacity, dtype=np.int64)
-            held += _run_faulted_chain(layout, words, faults, True)[2]
+            held += _edc_chain_holds(chains[layer, path], faults)[1]
+        # No correction counter reports the chains' held shifts.
+        assert result.corrections["suppressed_shifts"] == 0
     assert held > 0
     want = dict(clean.counters, track_shift=clean.counters["track_shift"] - held)
     assert result.counters == want
