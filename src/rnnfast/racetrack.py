@@ -47,10 +47,11 @@ simulator uses:
   (EDC off) takes each displaced (track, plane) pair's stored bits of that
   plane, one row per pair, and gives them as read, since a fault moves
   only its own plane.  The simulator makes one ``weight_zeros`` call per
-  (layer, timestep) over every faulted PE track of the step, and one
-  ``weight_plane_reads`` call per block of the step's displaced pairs;
-  it reads the stored weight and delivered word at each zeroed slot
-  through its one arrival-order lookup.
+  (layer, block of timesteps) over every faulted PE track of the block,
+  each step's pass a track of its own, and one ``weight_plane_reads`` call
+  per block of a step's displaced pairs; it reads the stored weight and
+  delivered word at each zeroed slot through its one arrival-order
+  lookup.
 
 Fault decisions are injected by the caller (the planes that overshoot, per
 step or read), so the models themselves hold no randomness.  Counters are

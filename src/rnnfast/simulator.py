@@ -30,20 +30,22 @@ Values and timing are deliberately decoupled:
   fault-free steps of every layer, less the shifts that EDC corrections
   held back on the chains and on the weight tracks.  Weight and MAC
   fault rows share one layout and one decode, ``_fault_slots``, to (PE
-  track, position in the track).  Weight faults go through the one
-  implementation of the weight-track protocol in ``racetrack``: with EDC
-  on, one ``weight_zeros`` call per (layer, timestep) gives the zeroed
-  slots from the fault rows alone, and each takes its stored weight times
-  its delivered word off the accumulator; with EDC off, each displaced
-  (track, plane) pair is one row of a dense bit matrix, filled from
-  whole-row slices of the stored weights in arrival order,
-  ``weight_plane_reads`` gives its plane as read, and the pair corrects
-  its accumulator by one row-wise dot product with the words its group
-  delivered.  Logic faults are one vectorized pass: each perturbs one bit
-  of its MAC product (the weight as its track read it, times the word its
-  chain group delivered) by one significance position.  ``_slot_values``,
-  the one arrival-order lookup, reads the stored weight and the delivered
-  word at a slot, for the zeroed slots and for the MAC faults alike.
+  track, position in the track), made once per (layer, time block) by
+  ``_decode_faults`` with each track keyed by its step; ``_apply_faults``
+  does per step only what needs the step's words.  Weight faults go
+  through the one implementation of the weight-track protocol in
+  ``racetrack``: with EDC on, one ``weight_zeros`` call per (layer, time
+  block) gives the zeroed slots from the fault rows alone, and each takes
+  its stored weight times its delivered word off the accumulator; with
+  EDC off, each displaced (track, plane) pair of a step is one row of a
+  dense bit matrix, filled from whole-row slices of the stored weights in
+  arrival order, ``weight_plane_reads`` gives its plane as read, and the
+  pair corrects its accumulator by one row-wise dot product with the words
+  its group delivered.  Logic faults are one vectorized pass: each
+  perturbs one bit of its MAC product (the weight as its track read it,
+  times the word its chain group delivered) by one significance position.
+  ``_slot_lookup``, the one arrival-order lookup, gives the group, word and
+  stored weight at a slot, for the zeroed slots and the MAC faults alike.
   The corrected accumulators go through ``lstm_core.cell_output``, the one
   copy of the narrowing and the cell equations, with activation faults
   applied by its hook.
@@ -210,7 +212,7 @@ class _LayerGeometry:
     slot's chunk, the chain group that feeds each neuron's chunk (and, the
     other way round, the neurons whose chunk each group feeds), and
     ``turn[path, group, chunk]``: how far the chunk is rotated when it
-    reaches that group.  ``_slot_values`` turns these into the words at
+    reaches that group.  ``_slot_lookup`` turns these into the words at
     given slots of a batch of tracks; no per-word table is kept.
 
     Step events: the ledger events of one fault-free (layer, timestep), one
@@ -392,15 +394,15 @@ def _fault_slots(geo, rows, dims):
     ``FaultPlan``'s weight or MAC fault rows (neuron, gate, path, slot,
     plane): the PE track each fault hits, its position in that track's
     chunk, and the track as one key raveled over `dims`."""
-    neuron, gate, path, slot, plane = rows.T.astype(np.int64)
+    neuron, gate, path, slot, plane = rows.T
     chunk = geo.chunk_of[path, slot]
     track = np.ravel_multi_index((path, gate, chunk, neuron), dims)
     return path, gate, chunk, neuron, slot - geo.lo[path, chunk], track, plane
 
 
-def _slot_values(geo, params, seen, path, gate, chunk, neuron, position):
-    """(stored weights, delivered words), as int64, at `position` of PE
-    tracks (path, gate, chunk, neuron), all given as equal-length arrays.
+def _slot_lookup(geo, params, path, gate, chunk, neuron, position):
+    """(group, word, stored weight), as int64, at `position` of PE tracks
+    (path, gate, chunk, neuron), all given as equal-length arrays.
 
     A track holds its chunk's words in the order they reach the chain group
     that feeds it: position s holds word lo + (turn + s) mod size, whose
@@ -409,14 +411,12 @@ def _slot_values(geo, params, seen, path, gate, chunk, neuron, position):
     """
     group = geo.group_of[path, chunk, neuron]
     word = geo.lo[path, chunk] + (geo.turn[path, group, chunk] + position) % geo.size[path, chunk]
-    stored, delivered = np.empty((2, len(word)), dtype=np.int64)
+    stored = np.empty(len(word), dtype=np.int64)
     for p in (0, 1):
-        on = path == p
-        delivered[on] = seen[p][group[on], word[on]]
         for g in range(len(params.gates)):
-            at = on & (gate == g)
+            at = (path == p) & (gate == g)
             stored[at] = _weights(params, g, p)[neuron[at], word[at]]
-    return stored, delivered
+    return group, word, stored
 
 
 def _exact_matmul(weight_blocks, v):
@@ -467,51 +467,51 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
     for t0 in range(0, len(xs), TIME_BLOCK):
         x_block = xs[t0:t0 + TIME_BLOCK]
         x_accs = _exact_matmul(w_x, x_block.T)
+        keys = [(lp.index, t) for t in range(t0, t0 + len(x_block))]
+        faults = None if plan is None else _decode_faults(
+            geo, params, [plan.weight_faults.get(k) for k in keys],
+            [plan.mac_faults.get(k) for k in keys], plan.cfg.edc_weights, corrections)
         for j, x in enumerate(x_block):
             accs = np.stack((
                 x_accs[:, j].reshape(len(gates), m),
                 _exact_matmul(w_h, h).reshape(len(gates), m),
             ))
             h, c = _layer_step_values(
-                lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, corrections,
+                lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, faults, j,
             )
             out[t0 + j] = h
     return out
 
 
 def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, plan, t,
-                       corrections):
+                       faults, j):
     """Finish one (layer, timestep) with fault effects; returns (h, c).
 
     `accs[path, gate, neuron]` holds the fault-free accumulators; the step's
     faults correct them in place, in int64 on the touched chunks.  Chain
     faults with EDC on change no delivery, so they are not looked at here.
+    t is step j of `faults`, its block's decoded weight and logic faults.
     """
     key = (lp.index, t)
     vecs = (np.asarray(x, dtype=np.int64), h_prev)
     # seen[path][group, word]: what each chain group delivered this pass.
     seen = []
     for path, (name, layout) in enumerate(zip(PATHS, (lp.chain, lp.recurrent_chain))):
-        faults = None
+        chain_faults = None
         if plan and not plan.cfg.edc_inputs:
-            faults = plan.input_faults.get((lp.index, name, t))
-        if faults is not None:
-            delivered = _run_faulted_chain(layout, vecs[path], faults)
+            chain_faults = plan.input_faults.get((lp.index, name, t))
+        if chain_faults is not None:
+            delivered = _run_faulted_chain(layout, vecs[path], chain_faults)
             _correct_deliveries(geo, params, path, delivered - vecs[path], accs)
         else:
             groups = len(layout.group_capacities)
             delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
         seen.append(delivered)
 
-    if plan:
-        _weight_and_logic_faults(
-            geo, params, plan.weight_faults.get(key), plan.mac_faults.get(key),
-            plan.cfg.edc_weights, accs, seen, corrections,
-        )
+    if faults:
+        _apply_faults(geo, params, faults, j, seen, accs)
 
     act_faults = plan.act_faults.get(key) if plan else None
-    if act_faults is not None:
-        corrections["logic_faults"] += len(act_faults)
 
     h, c = cell_output(lp.cell_type, accs[0], accs[1], bias, vecs[1], c_prev, acts,
                        None if act_faults is None else _act_fault_hook(act_faults))
@@ -536,19 +536,19 @@ def _correct_deliveries(geo, params, path, delta, accs):
         np.add.at(accs[path, gate], neuron, np.take(w, neuron * w.shape[1] + word) * d)
 
 
-def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, macs=None):
+def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, macs):
     """Apply one step's EDC-off weight faults to `accs[path, gate, neuron]`.
 
-    The faults come as columns: PE track keys, raveled over `dims` as
-    ``_weight_and_logic_faults`` keys them, planes, and positions in the
-    track.  Each displaced (track, plane) pair is one row of a dense
-    (pairs x width) matrix, built in blocks of at most _BLOCK_ELEMS
-    elements: its plane's stored bits in arrival order, filled from
-    whole-row slices of the stored weights, and alongside them the words
-    its group delivered.  ``weight_plane_reads`` gives the bits as read, and
-    the pair changes its accumulator by 2^plane (negated for the sign
-    plane) times the row-wise dot of (read - stored) bits with the words.
-    `macs`, if given, is (track keys, positions, weights) of the step's MAC
+    The faults come as columns: PE track keys, raveled over `dims` (path,
+    gate, chunk, neuron) as ``_fault_slots`` keys them, planes, and
+    positions in the track.  Each displaced (track, plane) pair is one row
+    of a dense (pairs x width) matrix, built in blocks of at most
+    _BLOCK_ELEMS elements: its plane's stored bits in arrival order, filled
+    from whole-row slices of the stored weights, and alongside them the
+    words its group delivered.  ``weight_plane_reads`` gives the bits as
+    read, and the pair changes its accumulator by 2^plane (negated for the
+    sign plane) times the row-wise dot of (read - stored) bits with the
+    words.  `macs` is (track keys, positions, weights) of the step's MAC
     faults: each weight gains the flips of its track's pairs at its
     position.
     """
@@ -562,14 +562,13 @@ def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, ma
     size = geo.size[path, chunk]
     group = geo.group_of[path, chunk, neuron]
     turn = geo.turn[path, group, chunk]
-    if macs is not None:
-        # One entry per (MAC fault, pair of its track); a track's pairs are
-        # consecutive.
-        m_tracks, m_positions, weights = macs
-        first = np.searchsorted(pairs, m_tracks * WORD_PLANES)
-        count = np.searchsorted(pairs, (m_tracks + 1) * WORD_PLANES) - first
-        hit = np.repeat(np.arange(len(first)), count)
-        hit_pair = np.arange(len(hit)) + np.repeat(first - np.cumsum(count) + count, count)
+    # One entry per (MAC fault, pair of its track); a track's pairs are
+    # consecutive.
+    m_tracks, m_positions, weights = macs
+    first = np.searchsorted(pairs, m_tracks * WORD_PLANES)
+    count = np.searchsorted(pairs, (m_tracks + 1) * WORD_PLANES) - first
+    hit = np.repeat(np.arange(len(first)), count)
+    hit_pair = np.arange(len(hit)) + np.repeat(first - np.cumsum(count) + count, count)
     change = np.empty(len(pairs), dtype=np.int64)
     # Pairs sorted by key come in runs of one (path, gate, chunk): one
     # weight matrix and one column range each.
@@ -598,61 +597,98 @@ def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, ma
         faults = np.stack((pair[f0:f1] - p0, positions[f0:f1]), axis=1)
         flips = weight_plane_reads(bits, faults) - bits
         change[p0:p1] = np.einsum("ij,ij->i", flips, words, dtype=np.int64)
-        if macs is not None:
-            at = (hit_pair >= p0) & (hit_pair < p1)
-            h, hp = hit[at], hit_pair[at]
-            np.add.at(weights, h, flips[hp - p0, m_positions[h]] * _PLANE_VALUES[plane[hp]])
+        at = (hit_pair >= p0) & (hit_pair < p1)
+        h, hp = hit[at], hit_pair[at]
+        np.add.at(weights, h, flips[hp - p0, m_positions[h]] * _PLANE_VALUES[plane[hp]])
     np.add.at(accs, (path, gate, neuron), change * _PLANE_VALUES[plane])
 
 
-def _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc, accs, seen,
-                             corrections):
-    """Apply one step's weight and logic faults to `accs[path, gate, neuron]`
-    and count them in `corrections`, the shifts EDC held back included.
+def _block_rows(rows):
+    """(step, rows) of one block's fault arrays, rows[j] step j's or None,
+    concatenated in step order."""
+    at = [j for j, r in enumerate(rows) if r is not None]
+    return (np.repeat(np.array(at, dtype=np.int64), [len(rows[j]) for j in at]),
+            np.concatenate([rows[j] for j in at] or [np.empty((0, 5), dtype=np.int32)]))
 
-    The fault rows are ``FaultPlan``'s arrays (or None), decoded alike by
-    ``_fault_slots``.  With EDC on, every faulted PE track (path, gate,
-    chunk, neuron) is read in one batched call from the fault rows alone:
-    ``weight_zeros`` gives the zeroed slots, and each takes its stored
-    weight times its delivered word off the accumulator.  With EDC off,
-    ``_misread_faults`` reads every displaced (track, plane) pair through
-    ``weight_plane_reads``.  A logic fault mis-shifts one bit, plane +
-    FRAC_BITS, of its MAC product: the weight its track read (as read if
-    the track is faulted this step, so 0 on a zeroed slot) times the word
-    its chain group delivered.
+
+def _zeroed_slots(geo, step, rows, dims, corrections):
+    """The slots that a block's weight fault rows, of steps `step`, zero
+    with EDC on, as (step, rows) in ``FaultPlan``'s row layout with plane
+    -1; counts them and the shifts they hold back in `corrections`.  One
+    ``weight_zeros`` call takes every faulted track of the block, keyed by
+    (step, track), since each step makes its own pass."""
+    path, _gate, chunk, _neuron, position, track, plane = _fault_slots(geo, rows, dims)
+    _, first, row = np.unique(step * int(np.prod(dims)) + track, return_index=True,
+                              return_inverse=True)
+    zero_slots, held = weight_zeros(geo.size[path, chunk][first],
+                                    np.stack((row, plane, position), axis=1))
+    corrections["weight_zeroed"] += len(zero_slots)
+    corrections["suppressed_shifts"] += held
+    # Each zeroed slot as its track's first fault, moved to the slot.
+    at = first[zero_slots[:, 0]]
+    zeroed = rows[at]
+    zeroed[:, 3] += zero_slots[:, 1] - position[at]
+    zeroed[:, 4] = -1
+    return step[at], zeroed
+
+
+def _decode_faults(geo, params, weight_rows, mac_rows, edc, corrections):
+    """Decode one (layer, time block)'s weight and logic faults from the
+    fault rows alone: rows[j] is ``FaultPlan``'s array of the block's step
+    j, or None.
+
+    With EDC on, ``_zeroed_slots`` gives the zeroed slots; with EDC off,
+    misread[j] is step j's weight fault rows (track, plane, position) for
+    ``_misread_faults``, or None.  Each product row adds weight * word &
+    mask to its accumulator: a MAC fault one bit, plane + FRAC_BITS, of its
+    product (weight 0 on a zeroed slot of its step), and a zeroed slot its
+    whole product taken off (weight -stored, mask -1).  Returns (misread,
+    (ptr, path, gate, neuron, group, word, weight, mask, track, position)),
+    the product rows sorted by (step, path), step j's path p rows at
+    ptr[2 j + p]:ptr[2 j + p + 1].
     """
-    dims = (2, accs.shape[1], geo.size.shape[1], accs.shape[2])
-    width = int(geo.size.max())
-    if mac_faults is not None:
-        m_path, m_gate, m_chunk, m_neuron, m_position, m_track, m_plane = _fault_slots(
-            geo, mac_faults, dims)
-        weight, word = _slot_values(geo, params, seen, m_path, m_gate, m_chunk, m_neuron,
-                                    m_position)
-    if weight_faults is not None:
-        path, gate, chunk, neuron, position, track, plane = _fault_slots(geo, weight_faults, dims)
-        if edc:
-            _, first, row = np.unique(track, return_index=True, return_inverse=True)
-            zero_slots, held = weight_zeros(geo.size[path, chunk][first],
-                                            np.stack((row, plane, position), axis=1))
-            # Each zeroed slot as a row of its track's first fault.
-            at, zero_position = first[zero_slots[:, 0]], zero_slots[:, 1]
-            path, gate, neuron = path[at], gate[at], neuron[at]
-            stored, delivered = _slot_values(geo, params, seen, path, gate, chunk[at], neuron,
-                                             zero_position)
-            np.add.at(accs, (path, gate, neuron), -stored * delivered)
-            corrections["weight_zeroed"] += len(zero_slots)
-            corrections["suppressed_shifts"] += held
-            if mac_faults is not None:
-                zeroed = track[at] * width + zero_position
-                weight[np.isin(m_track * width + m_position, zeroed)] = 0
-        else:
-            _misread_faults(geo, params, seen, dims, track, plane, position, accs,
-                            None if mac_faults is None else (m_track, m_position, weight))
-    if mac_faults is not None:
-        product = weight * word
-        shift = m_plane + fp.FRAC_BITS
-        np.add.at(accs, (m_path, m_gate, m_neuron), ((product >> shift) & 1) << shift)
-        corrections["logic_faults"] += len(mac_faults)
+    steps = len(weight_rows)
+    dims = (2, len(params.gates), *geo.group_of.shape[1:])
+    misread, products = [None] * steps, [_block_rows(mac_rows)]
+    step, rows = _block_rows(weight_rows)
+    if len(rows) and edc:
+        products.append(_zeroed_slots(geo, step, rows, dims, corrections))
+    elif len(rows):
+        *_, position, track, plane = _fault_slots(geo, rows, dims)
+        ptr = np.searchsorted(step, np.arange(steps + 1))
+        misread = [(track[a:b], plane[a:b], position[a:b]) if a < b else None
+                   for a, b in zip(ptr, ptr[1:])]
+    step, rows = (np.concatenate(c) for c in zip(*products))
+    order = np.argsort(2 * step + rows[:, 2], kind="stable")
+    step, rows = step[order], rows[order]
+    path, gate, chunk, neuron, position, track, plane = _fault_slots(geo, rows, dims)
+    group, word, weight = _slot_lookup(geo, params, path, gate, chunk, neuron, position)
+    zeroed = plane < 0
+    slot = (step * int(np.prod(dims)) + track) * int(geo.size.max()) + position
+    weight[np.isin(slot, slot[zeroed]) & ~zeroed] = 0
+    weight[zeroed] *= -1
+    mask = np.where(zeroed, -1, 1 << (plane + fp.FRAC_BITS))
+    ptr = np.searchsorted(2 * step + path, np.arange(2 * steps + 1))
+    return misread, (ptr, path, gate, neuron, group, word, weight, mask, track, position)
+
+
+def _apply_faults(geo, params, faults, j, seen, accs):
+    """Apply step j of a block of faults that ``_decode_faults`` decoded to
+    `accs[path, gate, neuron]`, with the words seen[path][group, word] the
+    step delivered.  With EDC off, ``_misread_faults`` first adds each MAC
+    fault's flips to its weight, which makes it the weight as read."""
+    misread, (ptr, path, gate, neuron, group, word, weight, mask, track, position) = faults
+    ptr = ptr[2 * j:2 * j + 3]
+    at = slice(ptr[0], ptr[2])
+    if misread[j] is not None:
+        dims = (2, accs.shape[1], geo.size.shape[1], accs.shape[2])
+        _misread_faults(geo, params, seen, dims, *misread[j], accs,
+                        (track[at], position[at], weight[at]))
+    if ptr[0] < ptr[2]:
+        delivered = np.concatenate([
+            seen[p][group[ptr[p]:ptr[p + 1]], word[ptr[p]:ptr[p + 1]]] for p in (0, 1)
+        ])
+        np.add.at(accs, (path[at], gate[at], neuron[at]), weight[at] * delivered & mask[at])
 
 
 def _layer_timing(lp, hw, impl):
@@ -725,7 +761,8 @@ def simulate(placement: Placement, params, inputs,
         "input_corrected": 0,
         "weight_zeroed": 0,
         "suppressed_shifts": 0,
-        "logic_faults": 0,
+        "logic_faults": sum(map(len, [*plan.mac_faults.values(), *plan.act_faults.values()]))
+        if plan else 0,
         "fault_events": plan.total_events() if plan else 0,
     }
     chain_held = 0

@@ -1,20 +1,24 @@
 """The simulator's batched fault corrections against dense or per-event
 oracles.
 
-``_weight_and_logic_faults`` reads every faulted PE track of a (layer,
-timestep) in one batched call (``weight_zeros`` with EDC on; with EDC off,
-``weight_plane_reads`` over a dense matrix of the displaced (track, plane)
-pairs, built in blocks of rows) and applies all logic faults as array
-operations, reading weights and deliveries through one arrival-order
-lookup.  The oracle below is the per-track loop it replaced: one
-single-track protocol pass per faulted track (kept here in its
+``_decode_faults`` decodes the weight and logic faults of a block of
+timesteps once, from the fault rows alone: every faulted PE track of the
+block, keyed by (step, track), goes through one ``weight_zeros`` call with
+EDC on, and one arrival-order lookup gives the zeroed slots' and the MAC
+faults' groups, words and stored weights.  ``_apply_faults`` then applies
+one step with the words it delivered: with EDC off through
+``weight_plane_reads`` over a dense matrix of the step's displaced (track,
+plane) pairs, built in blocks of rows, and all logic faults as array
+operations.  The oracle below is the per-track loop they replaced: one
+single-track protocol pass per faulted track of a step (kept here in its
 single-track form), a brute-force arrival order, and one lookup per MAC
 fault that takes the weight as read when a weight fault of the same step
-hit its track.  Both must give the same accumulators and corrections, the
-held shifts among them, on the fault plans of random seeds, with blocks small enough that
-every faulted step spans several, and on hand-placed faults that the seeds
-do not reliably produce.  Weight and MAC fault rows are both (neuron, gate,
-path, slot, plane).
+hit its track.  Both must give the same accumulators at every step of the
+block and the same corrections, the held shifts among them, on the fault
+plans of random seeds over blocks of several faulted steps, with pair
+blocks small enough that every faulted step spans several, and on
+hand-placed faults that the seeds do not reliably produce.  Weight and MAC
+fault rows are both (neuron, gate, path, slot, plane).
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
 one changed (group, word) at a time; the dense per-chunk product it
@@ -31,11 +35,12 @@ from rnnfast.error_model import ErrorConfig, FaultPlan
 from rnnfast.mapping import LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
 from rnnfast.racetrack import weight_plane_reads
-from rnnfast.simulator import _correct_deliveries, _LayerGeometry, _weight_and_logic_faults
+from rnnfast.simulator import _apply_faults, _correct_deliveries, _decode_faults, _LayerGeometry
 
 SEEDS = range(20)
-# The step does not depend on the timestep: one step per layer and seed.
-MAX_STEPS = 1
+# Each layer's steps are one block, so that a block holds several faulted
+# steps and their tracks must stay apart by step.
+MAX_STEPS = 4
 
 
 def single_track_pass(weights, fault_slots, edc):
@@ -110,7 +115,6 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
         product = wv * int(seen[path][group, word])
         shift = plane + fp.FRAC_BITS
         accs[path, gate, neuron] += ((product >> shift) & 1) << shift
-        corrections["logic_faults"] += 1
 
 
 def random_state(rng, lp, params):
@@ -124,19 +128,24 @@ def random_state(rng, lp, params):
     return accs, seen
 
 
-def both(lp, geo, params, weight_faults, mac_faults, edc, accs, seen):
-    """(accumulators, corrections) of the step and the oracle."""
-    results = []
-    for step in (
-        lambda a, c: _weight_and_logic_faults(geo, params, weight_faults, mac_faults, edc,
-                                              a, seen, c),
-        lambda a, c: oracle(lp, geo, params, weight_faults, mac_faults, edc, a, seen, c),
-    ):
+def both(lp, geo, params, weight_rows, mac_rows, edc, states):
+    """(accumulators of each step, corrections) of the decode/apply pair
+    and of the oracle, over one block: weight_rows[j] and mac_rows[j] are
+    step j's fault rows (or None), and states[j] its (accs, seen)."""
+    corrections = {"weight_zeroed": 0, "suppressed_shifts": 0}
+    faults = _decode_faults(geo, params, weight_rows, mac_rows, edc, corrections)
+    got = []
+    for j, (accs, seen) in enumerate(states):
         a = accs.copy()
-        corrections = {"weight_zeroed": 0, "suppressed_shifts": 0, "logic_faults": 0}
-        step(a, corrections)
-        results.append((a.tolist(), corrections))
-    return results
+        _apply_faults(geo, params, faults, j, seen, a)
+        got.append(a.tolist())
+    oracle_corrections = {"weight_zeroed": 0, "suppressed_shifts": 0}
+    want = []
+    for wf, mf, (accs, seen) in zip(weight_rows, mac_rows, states):
+        a = accs.copy()
+        oracle(lp, geo, params, wf, mf, edc, a, seen, oracle_corrections)
+        want.append(a.tolist())
+    return (got, corrections), (want, oracle_corrections)
 
 
 def placed_faults(geo, gates):
@@ -168,28 +177,32 @@ def layout_net(cell, layout):
 
 
 def check_seeds(placement, geos, edc, seeds):
-    """Hold the step against the oracle on the weight and logic fault plans
-    of `seeds`, with random accumulators and deliveries; returns (weight
-    faults, zeroed slots, logic faults, steps with weight faults) over all
-    steps."""
-    faults = weight_zeroed = logic = steps = 0
+    """Hold the decode/apply pair against the oracle on the weight and logic
+    fault plans of `seeds`, each layer's steps as one block, with random
+    accumulators and deliveries at every step; returns (weight faults,
+    zeroed slots, logic faults, steps with weight faults, blocks with
+    several of them) over all layers."""
+    faults = weight_zeroed = logic = steps = multi = 0
+    T = placement.spec.timesteps
     for seed in seeds:
         params = generate_network_params(placement.spec, 100 + seed)
         cfg = ErrorConfig(p_overshift=5e-2, sites={"weight_arrays", "logic"},
                           edc_weights=edc, seed=seed)
         plan = FaultPlan(cfg, placement)
         rng = np.random.default_rng(seed)
-        for key in sorted(set(plan.weight_faults) | set(plan.mac_faults)):
-            lp, geo, p = placement.layers[key[0]], geos[key[0]], params[key[0]]
-            accs, seen = random_state(rng, lp, p)
-            wf, mf = plan.weight_faults.get(key), plan.mac_faults.get(key)
-            got, want = both(lp, geo, p, wf, mf, edc, accs, seen)
-            assert got == want, (seed, key)
-            faults += 0 if wf is None else len(wf)
-            steps += wf is not None
+        for l, (lp, geo, p) in enumerate(zip(placement.layers, geos, params)):
+            wf = [plan.weight_faults.get((l, t)) for t in range(T)]
+            mf = [plan.mac_faults.get((l, t)) for t in range(T)]
+            states = [random_state(rng, lp, p) for _t in range(T)]
+            got, want = both(lp, geo, p, wf, mf, edc, states)
+            assert got == want, (seed, l)
+            faulted = [len(rows) for rows in wf if rows is not None]
+            faults += sum(faulted)
+            steps += len(faulted)
+            multi += len(faulted) > 1
             weight_zeroed += want[1]["weight_zeroed"]
-            logic += want[1]["logic_faults"]
-    return faults, weight_zeroed, logic, steps
+            logic += sum(len(rows) for rows in mf if rows is not None)
+    return faults, weight_zeroed, logic, steps, multi
 
 
 @pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
@@ -198,15 +211,15 @@ def check_seeds(placement, geos, edc, seeds):
 def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
     placement = layout_net(cell, layout)
     geos = [_LayerGeometry(lp, placement.hw, None) for lp in placement.layers]
-    faults, weight_zeroed, logic, _steps = check_seeds(placement, geos, edc, SEEDS)
+    faults, weight_zeroed, logic, _steps, multi = check_seeds(placement, geos, edc, SEEDS)
     rng = np.random.default_rng(99)
     for lp, geo, p in zip(placement.layers, geos, generate_network_params(placement.spec, 99)):
         accs, seen = random_state(rng, lp, p)
         wf, mf = placed_faults(geo, len(p.gates))
-        got, want = both(lp, geo, p, wf, mf, edc, accs, seen)
+        got, want = both(lp, geo, p, [wf], [mf], edc, [(accs, seen)])
         assert got == want, ("placed", lp.index)
-        assert want[0] != accs.tolist()
-    assert faults > 0 and logic > 0
+        assert want[0] != [accs.tolist()]
+    assert faults > 0 and logic > 0 and multi > 0
     assert (weight_zeroed > 0) == edc
 
 
@@ -232,7 +245,7 @@ def test_fault_step_matches_the_oracle_across_pair_blocks(layout, edc, monkeypat
         for block in sorted({1} | widths | {3 * w + 1 for w in widths}):
             monkeypatch.setattr(simulator, "_BLOCK_ELEMS", block)
             calls.clear()
-            faults, _zeroed, logic, steps = check_seeds(placement, geos, edc, range(4))
+            faults, _zeroed, logic, steps, _multi = check_seeds(placement, geos, edc, range(4))
             assert faults > 0 and logic > 0
             assert len(calls) > steps if not edc else not calls, (cell, block)
 
@@ -256,14 +269,39 @@ def test_a_logic_fault_reads_the_weight_its_track_read_this_step(edc):
             wf = np.array([[neuron, gate, path, slot, plane_w]], dtype=np.int32)
             mf = np.array([[neuron, gate, path, slot, plane_m],
                            [neuron + 1, gate, path, slot, plane_m]], dtype=np.int32)
-            got, want = both(lp, geo, params, wf, mf, edc, accs, seen)
+            got, want = both(lp, geo, params, [wf], [mf], edc, [(accs, seen)])
             assert got == want, (plane_w, plane_m)
             naive = accs.copy()
-            corrections = {"weight_zeroed": 0, "suppressed_shifts": 0, "logic_faults": 0}
+            corrections = {"weight_zeroed": 0, "suppressed_shifts": 0}
             oracle(lp, geo, params, wf, mf, edc, naive, seen, corrections,
                    honour_weight_faults=False)
-            honoured += naive.tolist() != want[0]
+            honoured += [naive.tolist()] != want[0]
     assert honoured > 0
+
+
+def test_edc_on_faults_on_consecutive_slots_of_consecutive_steps_zero_both():
+    """One (neuron, gate, path, plane) faulted at slot s in step 1 and at
+    slot s + 1 in step 2 of a block.  Each step makes its own pass over the
+    track, so both slots zero and each fault holds a shift; a decode whose
+    track key left the step out would see one run of two faults and zero
+    slot s only.  MAC faults on those slots read 0 in the step whose slot
+    zeroed and the stored weight in the other."""
+    placement = layout_net("LSTM", "split")
+    lp = placement.layers[0]
+    geo = _LayerGeometry(lp, placement.hw, None)
+    params = generate_network_params(placement.spec, 8)[0]
+    rng = np.random.default_rng(8)
+    states = [random_state(rng, lp, params) for _t in range(3)]
+    neuron, gate, path, plane = 3, 2, 0, 9
+    slot = int(geo.lo[path, 1]) + 2    # third of chunk 1's at least five slots
+    assert geo.size[path, 1] >= 5
+    wf = [None, np.array([[neuron, gate, path, slot, plane]], dtype=np.int32),
+          np.array([[neuron, gate, path, slot + 1, plane]], dtype=np.int32)]
+    mf = [None] + [np.array([[neuron, gate, path, s, 7] for s in (slot, slot + 1)],
+                            dtype=np.int32)] * 2
+    got, want = both(lp, geo, params, wf, mf, True, states)
+    assert got == want
+    assert want[1] == {"weight_zeroed": 2, "suppressed_shifts": 2}
 
 
 def dense_deliveries(geo, params, path, delta, accs):

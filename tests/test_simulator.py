@@ -15,12 +15,14 @@ counts; the reported fault count must be the plan's; the ledger's
 closed-form chain passes, less the shifts EDC corrections held, must equal
 what the track model counts itself; an EDC-off faulted pass in closed form
 must deliver what a full track-model pass from step 0 delivers, and with
-EDC on that pass must deliver the fault-free words.  Faulty runs with
-every site active are pinned in ``simulator_golden.json`` (output SHA-256,
-cycles, ledger counters, per-layer counts, corrections), so any change to
-the fault path shows up.  After a deliberate change of fault semantics,
-rewrite the pins with ``PYTHONPATH=src python tests/test_simulator.py``,
-which prints the keys whose pins changed.
+EDC on that pass must deliver the fault-free words.  Faulty runs must not
+depend on how many steps a time block holds, and an EDC-on run must call
+``weight_zeros`` once per (layer, time block) with weight faults.  Faulty
+runs with every site active are pinned in ``simulator_golden.json``
+(output SHA-256, cycles, ledger counters, per-layer counts, corrections),
+so any change to the fault path shows up.  After a deliberate change of
+fault semantics, rewrite the pins with ``PYTHONPATH=src python
+tests/test_simulator.py``, which prints the keys whose pins changed.
 """
 
 import dataclasses
@@ -44,7 +46,7 @@ from rnnfast.mapping import (
     map_network,
 )
 from rnnfast.presets import generate_inputs, generate_network_params
-from rnnfast.racetrack import WORD_PLANES, InputTrackChain
+from rnnfast.racetrack import WORD_PLANES, InputTrackChain, weight_zeros
 from rnnfast.simulator import (
     TIME_BLOCK,
     _edc_chain_holds,
@@ -52,7 +54,7 @@ from rnnfast.simulator import (
     _layer_timing,
     _mac_sample,
     _run_faulted_chain,
-    _slot_values,
+    _slot_lookup,
     analytic_cycles,
     simulate,
 )
@@ -207,10 +209,10 @@ def test_fault_free_run_matches_cell_replay_and_closed_form(cell, impl, layout):
 @pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("cell", CELLS)
 def test_locate_gives_each_chunk_in_its_groups_arrival_order(cell, layout):
-    """``_slot_values`` at every slot of every PE track, on weights that
-    encode (gate, neuron, word) and deliveries that encode (group, word):
-    each track reads its own weights and its group's deliveries of its
-    chunk's words, in the order that group receives them."""
+    """``_slot_lookup`` at every slot of every PE track, on weights that
+    encode (gate, neuron, word): each track reads its own weights of its
+    chunk's words, and its group's deliveries of them, in the order that
+    group receives them."""
     placement, params, _inputs = net(cell, "approx", layout)
     for lp, p in zip(placement.layers, params):
         geo = _LayerGeometry(lp, placement.hw, None)
@@ -224,8 +226,6 @@ def test_locate_gives_each_chunk_in_its_groups_arrival_order(cell, layout):
             dataclasses.replace(gw, w_x=code(k, sizes[0]), w_h=code(k, sizes[1]))
             for k, gw in enumerate(p.gates)
         ))
-        seen = [np.arange(len(chain.group_capacities))[:, None] * n + np.arange(n)
-                for chain, n in zip(chains, sizes)]
         for path, (chain, n) in enumerate(zip(chains, sizes)):
             chunks = list(zip(geo.lo[path], geo.lo[path] + geo.size[path]))
             assert [w for lo, hi in chunks for w in range(lo, hi)] == list(range(n))
@@ -238,12 +238,12 @@ def test_locate_gives_each_chunk_in_its_groups_arrival_order(cell, layout):
                     continue
                 shape = (len(p.gates), lp.neurons, hi - lo)
                 gate, neuron, position = (a.ravel() for a in np.indices(shape))
-                stored, delivered = _slot_values(
-                    geo, coded, seen, np.full_like(gate, path), gate,
+                group, word, stored = _slot_lookup(
+                    geo, coded, np.full_like(gate, path), gate,
                     np.full_like(gate, chunk), neuron, position,
                 )
                 track, stored_word = np.divmod(stored.reshape(shape), n)
-                group, word = np.divmod(delivered.reshape(shape), n)
+                group, word = group.reshape(shape), word.reshape(shape)
                 assert (track == (gate * lp.neurons + neuron).reshape(shape)).all()
                 assert (stored_word == word).all()
                 rows = zip(neuron[::hi - lo], group.reshape(-1, hi - lo), word.reshape(-1, hi - lo))
@@ -464,6 +464,44 @@ def test_simulate_issues_no_more_macs_than_it_samples(monkeypatch):
 
 def test_long_layout_ends_three_steps_into_a_second_time_block():
     assert LAYOUTS["long"][2] == TIME_BLOCK + 3
+
+
+@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
+@pytest.mark.parametrize("cell", CELLS)
+def test_faulty_runs_do_not_depend_on_the_time_block(cell, edc, monkeypatch):
+    """Weight and logic faults are decoded once per block of TIME_BLOCK
+    steps, and input paths multiplied once per block: blocks of 1, 2 and 5
+    steps over the long layout's 67 give the default block's run, byte for
+    byte."""
+    placement, params, inputs = net(cell, "approx", "long")
+    want = simulate(placement, params, inputs, error_cfg=faulty_config(edc)).to_json()
+    for block in (1, 2, 5):
+        monkeypatch.setattr(simulator, "TIME_BLOCK", block)
+        got = simulate(placement, params, inputs, error_cfg=faulty_config(edc)).to_json()
+        assert got == want, block
+
+
+def test_edc_on_runs_call_weight_zeros_once_per_faulted_time_block(monkeypatch):
+    """With EDC on, one ``weight_zeros`` call takes every faulted weight
+    track of a (layer, time block), not one call per step: the long
+    layout's two layers of 67 steps make four blocks."""
+    calls = []
+
+    def counted(lengths, faults):
+        calls.append(len(faults))
+        return weight_zeros(lengths, faults)
+
+    monkeypatch.setattr(simulator, "weight_zeros", counted)
+    placement, params, inputs = net("LSTM", "approx", "long")
+    cfg = ErrorConfig(p_overshift=FAULT_P, sites={"weight_arrays"}, edc_weights=True,
+                      seed=FAULT_SEED)
+    result = simulate(placement, params, inputs, error_cfg=cfg)
+    plan = FaultPlan(cfg, placement)
+    blocks = {(l, t // TIME_BLOCK) for l, t in plan.weight_faults}
+    assert len(calls) == len(blocks) == 2 * len(placement.layers)
+    assert len(plan.weight_faults) > len(blocks)
+    assert sum(calls) == sum(len(rows) for rows in plan.weight_faults.values())
+    assert result.corrections["weight_zeroed"] > 0
 
 
 @pytest.mark.parametrize("cell", CELLS)
