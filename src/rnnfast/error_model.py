@@ -80,6 +80,11 @@ class ErrorConfig:
             raise ValueError(f"unknown region {self.bit_region!r}")
         if self.p_overshift > 0 and self.seed is None:
             raise ValueError("a seed is required for error-injection runs")
+        if self.seed is not None:
+            seed = self.seed
+            if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+                raise ValueError(f"seed must be a non-negative integer, not {seed!r}")
+            object.__setattr__(self, "seed", int(seed))
 
     @property
     def active(self) -> bool:
@@ -94,23 +99,12 @@ def _stream(seed: int, site: str, layer: int, sub: int) -> np.random.Generator:
 
 def _draw_positions(gen: np.random.Generator, n_events: int, p: float) -> np.ndarray:
     """Sorted distinct event indices hit by faults (binomial count)."""
-    if n_events <= 0 or p <= 0.0:
+    if n_events <= 0:
         return np.empty(0, dtype=np.int64)
     k = int(gen.binomial(n_events, p))
     if k == 0:
         return np.empty(0, dtype=np.int64)
     return np.sort(gen.choice(n_events, size=min(k, n_events), replace=False).astype(np.int64))
-
-
-def _by_step(faults, prefix, t, columns):
-    """Store event rows under (*prefix, t), keeping event order within a
-    step and inserting steps in the order of their first event."""
-    rows = np.stack(columns, axis=1)
-    order = np.argsort(t, kind="stable")
-    steps, first, counts = np.unique(t, return_index=True, return_counts=True)
-    groups = np.split(rows[order], np.cumsum(counts)[:-1])
-    for k in np.argsort(first):
-        faults[(*prefix, int(steps[k]))] = groups[k]
 
 
 def gate_paths(cell_type: str):
@@ -120,7 +114,7 @@ def gate_paths(cell_type: str):
 
 
 class FaultPlan:
-    """All fault events of one run, decoded per (layer, timestep).
+    """All fault events of one run, as one array of rows per stream.
 
     A fault event is one overshifted word-level shift: one rotate step of
     one tile buffer, one weight advance of one PE stream, or one logic
@@ -137,67 +131,73 @@ class FaultPlan:
       logic acts:    (neuron, timestep, act)
     A gate's words run over its n inputs, then its m recurrent inputs:
     word w < n is x-path slot w, and word w >= n is h-path slot w - n.
+    A site outside ``cfg.sites``, or p = 0, draws nothing: no generator is
+    made, and its streams are empty.
 
-    Events are stored per (layer, timestep) as int32 arrays with one row
-    per event, in event order; the path column is its index in ``PATHS``
-    (0 = x, 1 = h):
-      input_faults[(l, chain, t)]: rows (step, group, plane), chain "x" or "h"
-      weight_faults[(l, t)]:       rows (neuron, gate, path, slot, plane)
-      mac_faults[(l, t)]:          rows (neuron, gate, path, slot, plane)
-      act_faults[(l, t)]:          rows (neuron, act, plane)
-    Weight and MAC faults share one row layout, so one decode serves both.
+    Each stream is one int32 array with one row per event.  Its first
+    column is the timestep, and rows are sorted by it, in event order within
+    a timestep.  The path column is its index in ``PATHS`` (0 = x, 1 = h):
+      input_faults[(l, chain)]: rows (t, step, group, plane), chain "x" or "h"
+      weight_faults[l]:         rows (t, neuron, gate, path, slot, plane)
+      mac_faults[l]:            rows (t, neuron, gate, path, slot, plane)
+      act_faults[l]:            rows (t, neuron, act, plane)
+    ``stream_rows`` slices a stream by timestep, and is the package's only
+    reader of the timestep column.  Weight and MAC faults share one row
+    layout, so one decode serves both.
     """
 
     def __init__(self, cfg: ErrorConfig, placement: Placement):
         self.cfg = cfg
-        self.placement = placement
-        self.planes = REGION_PLANES[cfg.bit_region]
-        self.input_faults = {}   # (layer, chain, t) -> int32 rows (step, group, plane)
-        self.weight_faults = {}  # (layer, t) -> int32 rows (neuron, gate, path, slot, plane)
-        self.mac_faults = {}     # (layer, t) -> int32 rows (neuron, gate, path, slot, plane)
-        self.act_faults = {}     # (layer, t) -> int32 rows (neuron, act, plane)
-        if cfg.active:
-            self._build()
-
-    def _build(self):
-        T = self.placement.spec.timesteps
-        sites = self.cfg.sites
-        for l, lp in enumerate(self.placement.layers):
+        self.input_faults, self.weight_faults, self.mac_faults, self.act_faults = {}, [], [], []
+        T = placement.spec.timesteps
+        for l, lp in enumerate(placement.layers):
             n, m = lp.inputs, lp.neurons
-            if "input_chains" in sites:
-                for ci, (path, layout, steps) in enumerate(
-                    (("x", lp.chain, n), ("h", lp.recurrent_chain, m))
-                ):
-                    shape = (len(layout.group_capacities), T, steps)
-                    tile, t, step, plane = self._draw("input_chains", l, ci, shape).T
-                    _by_step(self.input_faults, (l, path), t, (step, tile, plane))
+            for ci, (chain, layout, steps) in enumerate(
+                zip(PATHS, (lp.chain, lp.recurrent_chain), (n, m))
+            ):
+                shape = (len(layout.group_capacities), T, steps)
+                tile, t, step, plane = self._draw("input_chains", l, ci, shape).T
+                self.input_faults[l, chain] = _by_time(t, step, tile, plane)
             slots = (m, T, len(GATE_ORDERS[lp.cell_type]), n + m)
             for site, faults in (
                 ("weight_arrays", self.weight_faults), ("logic", self.mac_faults),
             ):
-                if site in sites:
-                    neuron, t, gate, word, plane = self._draw(site, l, 0, slots).T
-                    path = (word >= n).astype(np.int32)
-                    _by_step(faults, (l,), t, (neuron, gate, path, word - n * path, plane))
-            if "logic" in sites:
-                acts = (m, T, NONLINEAR_EVALS[lp.cell_type])
-                neuron, t, act, plane = self._draw("logic", l, 1, acts).T
-                _by_step(self.act_faults, (l,), t, (neuron, act, plane))
+                neuron, t, gate, word, plane = self._draw(site, l, 0, slots).T
+                path = (word >= n).astype(np.int32)
+                faults.append(_by_time(t, neuron, gate, path, word - n * path, plane))
+            acts = (m, T, NONLINEAR_EVALS[lp.cell_type])
+            neuron, t, act, plane = self._draw("logic", l, 1, acts).T
+            self.act_faults.append(_by_time(t, neuron, act, plane))
 
     def _draw(self, site, layer, sub, shape):
         """One stream's events in event order, as int32 rows: the event's
         index along each axis of `shape`, then its displaced plane."""
+        if site not in self.cfg.sites or not self.cfg.p_overshift:
+            return np.empty((0, len(shape) + 1), dtype=np.int32)
         gen = _stream(self.cfg.seed, site, layer, sub)
         pos = _draw_positions(gen, math.prod(shape), self.cfg.p_overshift)
-        planes = np.asarray(self.planes)[gen.integers(0, len(self.planes), size=len(pos))]
+        planes = np.asarray(REGION_PLANES[self.cfg.bit_region])
+        planes = planes[gen.integers(0, len(planes), size=len(pos))]
         return np.stack((*np.unravel_index(pos, shape), planes), axis=1).astype(np.int32)
 
     def total_events(self) -> int:
-        return sum(
-            len(v)
-            for faults in (self.input_faults, self.weight_faults, self.mac_faults, self.act_faults)
-            for v in faults.values()
-        )
+        kinds = (self.input_faults.values(), self.weight_faults, self.mac_faults, self.act_faults)
+        return sum(len(stream) for kind in kinds for stream in kind)
+
+
+def _by_time(t, *columns):
+    """A stream's rows (t, *columns), stably sorted by timestep.  They are
+    stored column-major, so that ``stream_rows`` searches a contiguous
+    timestep column."""
+    return np.stack((t, *columns))[:, np.argsort(t, kind="stable")].T
+
+
+def stream_rows(stream, t0, t1):
+    """(ptr, rows) of a ``FaultPlan`` stream's events at timesteps
+    t0 <= t < t1: step j of them, t = t0 + j, has the rows
+    rows[ptr[j]:ptr[j + 1]], in event order and without their timestep."""
+    ptr = np.searchsorted(stream[:, 0], np.arange(t0, t1 + 1))
+    return ptr - ptr[0], stream[ptr[0]:ptr[-1], 1:]
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def run_fidelity_experiment(spec, hw, cfg_grid, params, inputs, seeds):
     rows = []
     for cfg in cfg_grid:
         for seed in seeds:
-            run_cfg = replace(cfg, seed=int(seed)) if cfg.p_overshift > 0 else cfg
+            run_cfg = replace(cfg, seed=seed) if cfg.p_overshift > 0 else cfg
             result = simulate(placement, params, inputs, error_cfg=run_cfg)
             metrics = fidelity_metrics(reference, result.outputs[-1])
             rows.append(
@@ -250,7 +250,7 @@ def run_fidelity_experiment(spec, hw, cfg_grid, params, inputs, seeds):
                     "region": run_cfg.bit_region,
                     "edc_inputs": run_cfg.edc_inputs,
                     "edc_weights": run_cfg.edc_weights,
-                    "seed": int(seed) if run_cfg.p_overshift > 0 else -1,
+                    "seed": run_cfg.seed if run_cfg.p_overshift > 0 else -1,
                     "argmax_agreement": metrics.argmax_agreement,
                     "nrmse": metrics.nrmse,
                 }

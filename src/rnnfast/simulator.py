@@ -16,36 +16,40 @@ Values and timing are deliberately decoupled:
   16-bit range.  The step's fault effects from the run's FaultPlan then
   correct the accumulators in int64, and each costs array work in
   proportion to the planes and words it changes, not to whole tracks or
-  passes.  With EDC off, a chain pass with faults is computed in closed
+  passes.  Each time block reads the layer's four fault streams once,
+  sliced by timestep with ``error_model.stream_rows``, and hands step j
+  its rows.  With EDC off, a chain pass with faults is computed in closed
   form: only its displaced planes differ from the fault-free pass, and
   each of their deliveries is followed back through the group queues.
   Each word a group delivered differently corrects, in every gate, only
   the neurons whose chunk of that word the group feeds.  With EDC on every
   delivery is the fault-free word, so chain faults stay out of the value
   path: they change only the corrections and the shifts those hold back,
-  which the plan's rows alone determine.  ``_edc_chain_holds`` counts both
-  once per run, replaying each faulted pass through the word-level track
-  model (``InputTrackChain``) from its first faulted step to the step
-  after its last fault.  ``simulate`` books the ledger once per run: T
-  fault-free steps of every layer, less the shifts that EDC corrections
-  held back on the chains and on the weight tracks.  Weight and MAC
-  fault rows share one layout and one decode, ``_fault_slots``, to (PE
-  track, position in the track), made once per (layer, time block) by
+  which the plan's rows alone determine.  ``simulate`` cuts each chain's
+  stream into its passes with ``stream_rows``, and ``_edc_chain_holds``
+  counts both once per run, replaying each faulted pass through the
+  word-level track model (``InputTrackChain``) from its first faulted step
+  to the step after its last fault.  ``simulate`` books the ledger once per
+  run: T fault-free steps of every layer, less the shifts that EDC
+  corrections held back on the chains and on the weight tracks.  Weight
+  and MAC fault rows share one layout and one decode, ``_fault_slots``, to
+  (PE track, position in the track), made once per (layer, time block) by
   ``_decode_faults`` with each track keyed by its step; ``_apply_faults``
   does per step only what needs the step's words.  Weight faults go
   through the one implementation of the weight-track protocol in
   ``racetrack``: with EDC on, one ``weight_zeros`` call per (layer, time
   block) gives the zeroed slots from the fault rows alone, and each takes
-  its stored weight times its delivered word off the accumulator; with
-  EDC off, each displaced (track, plane) pair of a step is one row of a
-  dense bit matrix, filled from whole-row slices of the stored weights in
+  its stored weight times its delivered word off the accumulator; with EDC
+  off, each displaced (track, plane) pair of a step is one row of a dense
+  bit matrix, filled from whole-row slices of the stored weights in
   arrival order, ``weight_plane_reads`` gives its plane as read, and the
   pair corrects its accumulator by one row-wise dot product with the words
   its group delivered.  Logic faults are one vectorized pass: each
   perturbs one bit of its MAC product (the weight as its track read it,
   times the word its chain group delivered) by one significance position.
-  ``_slot_lookup``, the one arrival-order lookup, gives the group, word and
-  stored weight at a slot, for the zeroed slots and the MAC faults alike.
+  ``_slot_lookup``, the one arrival-order lookup, gives the group, word
+  and stored weight at a slot, for the zeroed slots and the MAC faults
+  alike.
   The corrected accumulators go through ``lstm_core.cell_output``, the one
   copy of the narrowing and the cell equations, with activation faults
   applied by its hook.
@@ -81,8 +85,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fixedpoint as fp
-from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths
-from .lstm_core import ACT_STAGES, MAC_LOG_LIMIT, NONLINEAR_EVALS, MacPipeline, cell_output
+from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths, stream_rows
+from .lstm_core import (ACT_STAGES, GATE_ORDERS, MAC_LOG_LIMIT, NONLINEAR_EVALS, MacPipeline,
+                        cell_output)
 from .mapping import HardwareConfig, Placement
 from .nonlinear import activation_fns
 from .racetrack import WORD_PLANES, InputTrackChain, weight_plane_reads, weight_zeros
@@ -149,8 +154,8 @@ class EnergyLedger:
 
 
 def energy_report(ledger: EnergyLedger, hw: HardwareConfig) -> dict:
-    """Exact multiply-and-sum energy breakdown, with the track op latencies
-    of `hw`."""
+    """Exact multiply-and-sum energy breakdown; ``latency_cycles_per_op``
+    echoes `hw`'s track latencies, which ``_layer_timing`` does not use yet."""
     per_op = {
         op: ledger.counters[op] * ledger.rates_aj[op] / _ATTO_PER_PJ
         for op in sorted(ledger.counters)
@@ -213,7 +218,9 @@ class _LayerGeometry:
     other way round, the neurons whose chunk each group feeds), and
     ``turn[path, group, chunk]``: how far the chunk is rotated when it
     reaches that group.  ``_slot_lookup`` turns these into the words at
-    given slots of a batch of tracks; no per-word table is kept.
+    given slots of a batch of tracks; no per-word table is kept.  A PE
+    track is keyed by raveling (path, gate, chunk, neuron) over ``dims``;
+    ``tracks`` is the number of keys.
 
     Step events: the ledger events of one fault-free (layer, timestep), one
     pass of both input chains included, and the per-layer counts.  Faults
@@ -233,6 +240,8 @@ class _LayerGeometry:
         chains = (lp.chain, lp.recurrent_chain)
         bases = [_chain_bases(layout.group_capacities) for layout in chains]
         self.size = pe[:, 1:].T
+        self.dims = (2, len(GATE_ORDERS[lp.cell_type]), n_chunks, m)
+        self.tracks = int(np.prod(self.dims))
         self.lo = np.cumsum(self.size, axis=1) - self.size
         self.chunk_of = np.zeros((2, max(n, m)), dtype=np.int64)
         self.group_of = np.empty((2, n_chunks, m), dtype=np.int64)
@@ -389,14 +398,14 @@ def _weights(params, gate, path):
     return gw.w_x if path == 0 else gw.w_h
 
 
-def _fault_slots(geo, rows, dims):
+def _fault_slots(geo, rows):
     """Columns (path, gate, chunk, neuron, position, track, plane) of
     ``FaultPlan``'s weight or MAC fault rows (neuron, gate, path, slot,
     plane): the PE track each fault hits, its position in that track's
-    chunk, and the track as one key raveled over `dims`."""
+    chunk, and the track's key."""
     neuron, gate, path, slot, plane = rows.T
     chunk = geo.chunk_of[path, slot]
-    track = np.ravel_multi_index((path, gate, chunk, neuron), dims)
+    track = np.ravel_multi_index((path, gate, chunk, neuron), geo.dims)
     return path, gate, chunk, neuron, slot - geo.lo[path, chunk], track, plane
 
 
@@ -461,61 +470,59 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
     w_h = [g.w_h for g in gates]
     bias = np.stack([fp.widen(g.b) for g in gates])
     out = np.empty((len(xs), m), dtype=np.int16)
+    faults = None
+    if plan is not None:
+        l, edc = lp.index, plan.cfg.edc_weights
+        # EDC on delivers every chain word fault-free: no chain row reaches the value path.
+        upto = 0 if plan.cfg.edc_inputs else None
+        chains = [plan.input_faults[l, name][:upto] for name in PATHS]
+        streams = [*chains, plan.weight_faults[l], plan.mac_faults[l], plan.act_faults[l]]
     # cell_output returns int64 arrays, and c None for GRU/Vanilla, which
     # ignore it.
     h = c = np.zeros(m, dtype=np.int64)
     for t0 in range(0, len(xs), TIME_BLOCK):
         x_block = xs[t0:t0 + TIME_BLOCK]
         x_accs = _exact_matmul(w_x, x_block.T)
-        keys = [(lp.index, t) for t in range(t0, t0 + len(x_block))]
-        faults = None if plan is None else _decode_faults(
-            geo, params, [plan.weight_faults.get(k) for k in keys],
-            [plan.mac_faults.get(k) for k in keys], plan.cfg.edc_weights, corrections)
+        if plan is not None:
+            *chains, weight, mac, act = (stream_rows(s, t0, t0 + len(x_block)) for s in streams)
+            faults = chains, _decode_faults(geo, params, weight, mac, edc, corrections), act
         for j, x in enumerate(x_block):
             accs = np.stack((
                 x_accs[:, j].reshape(len(gates), m),
                 _exact_matmul(w_h, h).reshape(len(gates), m),
             ))
-            h, c = _layer_step_values(
-                lp, geo, params, x, h, c, accs, bias, acts, plan, t0 + j, faults, j,
-            )
+            h, c = _layer_step_values(lp, geo, params, x, h, c, accs, bias, acts, faults, j)
             out[t0 + j] = h
     return out
 
 
-def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, plan, t,
-                       faults, j):
-    """Finish one (layer, timestep) with fault effects; returns (h, c).
+def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, faults, j):
+    """Finish step j of a time block of one layer; returns (h, c).
 
-    `accs[path, gate, neuron]` holds the fault-free accumulators; the step's
-    faults correct them in place, in int64 on the touched chunks.  Chain
-    faults with EDC on change no delivery, so they are not looked at here.
-    t is step j of `faults`, its block's decoded weight and logic faults.
+    `accs[path, gate, neuron]` holds the fault-free accumulators.  `faults`
+    is None on a fault-free run, else the block's ``stream_rows`` of each
+    chain, its ``_decode_faults`` and its activation rows; the step's
+    faults correct `accs` in place, in int64 on the touched chunks.
     """
-    key = (lp.index, t)
-    vecs = (np.asarray(x, dtype=np.int64), h_prev)
-    # seen[path][group, word]: what each chain group delivered this pass.
-    seen = []
-    for path, (name, layout) in enumerate(zip(PATHS, (lp.chain, lp.recurrent_chain))):
-        chain_faults = None
-        if plan and not plan.cfg.edc_inputs:
-            chain_faults = plan.input_faults.get((lp.index, name, t))
-        if chain_faults is not None:
-            delivered = _run_faulted_chain(layout, vecs[path], chain_faults)
-            _correct_deliveries(geo, params, path, delivered - vecs[path], accs)
-        else:
-            groups = len(layout.group_capacities)
-            delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
-        seen.append(delivered)
-
-    if faults:
-        _apply_faults(geo, params, faults, j, seen, accs)
-
-    act_faults = plan.act_faults.get(key) if plan else None
-
-    h, c = cell_output(lp.cell_type, accs[0], accs[1], bias, vecs[1], c_prev, acts,
-                       None if act_faults is None else _act_fault_hook(act_faults))
-    return h, c
+    hook = None
+    if faults is not None:
+        chains, decoded, (act_ptr, act_rows) = faults
+        vecs = (np.asarray(x, dtype=np.int64), h_prev)
+        # seen[path][group, word]: what each chain group delivered this pass.
+        seen = []
+        for path, ((ptr, rows), layout) in enumerate(zip(chains, (lp.chain, lp.recurrent_chain))):
+            rows = rows[ptr[j]:ptr[j + 1]]
+            if len(rows):
+                delivered = _run_faulted_chain(layout, vecs[path], rows)
+                _correct_deliveries(geo, params, path, delivered - vecs[path], accs)
+            else:
+                groups = len(layout.group_capacities)
+                delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
+            seen.append(delivered)
+        _apply_faults(geo, params, decoded, j, seen, accs)
+        rows = act_rows[act_ptr[j]:act_ptr[j + 1]]
+        hook = _act_fault_hook(rows) if len(rows) else None
+    return cell_output(lp.cell_type, accs[0], accs[1], bias, h_prev, c_prev, acts, hook)
 
 
 def _correct_deliveries(geo, params, path, delta, accs):
@@ -536,21 +543,20 @@ def _correct_deliveries(geo, params, path, delta, accs):
         np.add.at(accs[path, gate], neuron, np.take(w, neuron * w.shape[1] + word) * d)
 
 
-def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, macs):
+def _misread_faults(geo, params, seen, tracks, planes, positions, accs, macs):
     """Apply one step's EDC-off weight faults to `accs[path, gate, neuron]`.
 
-    The faults come as columns: PE track keys, raveled over `dims` (path,
-    gate, chunk, neuron) as ``_fault_slots`` keys them, planes, and
-    positions in the track.  Each displaced (track, plane) pair is one row
-    of a dense (pairs x width) matrix, built in blocks of at most
-    _BLOCK_ELEMS elements: its plane's stored bits in arrival order, filled
-    from whole-row slices of the stored weights, and alongside them the
-    words its group delivered.  ``weight_plane_reads`` gives the bits as
-    read, and the pair changes its accumulator by 2^plane (negated for the
-    sign plane) times the row-wise dot of (read - stored) bits with the
-    words.  `macs` is (track keys, positions, weights) of the step's MAC
-    faults: each weight gains the flips of its track's pairs at its
-    position.
+    The faults come as columns: PE track keys, as ``_fault_slots`` keys
+    them, planes, and positions in the track.  Each displaced (track,
+    plane) pair is one row of a dense (pairs x width) matrix, built in
+    blocks of at most _BLOCK_ELEMS elements: its plane's stored bits in
+    arrival order, filled from whole-row slices of the stored weights,
+    and alongside them the words its group delivered.
+    ``weight_plane_reads`` gives the bits as read, and the pair changes
+    its accumulator by 2^plane (negated for the sign plane) times the
+    row-wise dot of (read - stored) bits with the words.  `macs` is
+    (track keys, positions, weights) of the step's MAC faults: each
+    weight gains the flips of its track's pairs at its position.
     """
     width = int(geo.size.max())
     keys = tracks * WORD_PLANES + planes
@@ -558,7 +564,7 @@ def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, ma
     positions = positions[order]
     pairs, pair = np.unique(keys[order], return_inverse=True)
     track, plane = np.divmod(pairs, WORD_PLANES)
-    path, gate, chunk, neuron = np.unravel_index(track, dims)
+    path, gate, chunk, neuron = np.unravel_index(track, geo.dims)
     size = geo.size[path, chunk]
     group = geo.group_of[path, chunk, neuron]
     turn = geo.turn[path, group, chunk]
@@ -572,7 +578,7 @@ def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, ma
     change = np.empty(len(pairs), dtype=np.int64)
     # Pairs sorted by key come in runs of one (path, gate, chunk): one
     # weight matrix and one column range each.
-    cuts = 1 + np.flatnonzero(np.diff(track // dims[3]))
+    cuts = 1 + np.flatnonzero(np.diff(track // geo.dims[3]))
     step = max(1, _BLOCK_ELEMS // width)
     for p0 in range(0, len(pairs), step):
         p1 = min(p0 + step, len(pairs))
@@ -603,23 +609,14 @@ def _misread_faults(geo, params, seen, dims, tracks, planes, positions, accs, ma
     np.add.at(accs, (path, gate, neuron), change * _PLANE_VALUES[plane])
 
 
-def _block_rows(rows):
-    """(step, rows) of one block's fault arrays, rows[j] step j's or None,
-    concatenated in step order."""
-    at = [j for j, r in enumerate(rows) if r is not None]
-    return (np.repeat(np.array(at, dtype=np.int64), [len(rows[j]) for j in at]),
-            np.concatenate([rows[j] for j in at] or [np.empty((0, 5), dtype=np.int32)]))
-
-
-def _zeroed_slots(geo, step, rows, dims, corrections):
+def _zeroed_slots(geo, step, rows, corrections):
     """The slots that a block's weight fault rows, of steps `step`, zero
     with EDC on, as (step, rows) in ``FaultPlan``'s row layout with plane
     -1; counts them and the shifts they hold back in `corrections`.  One
     ``weight_zeros`` call takes every faulted track of the block, keyed by
     (step, track), since each step makes its own pass."""
-    path, _gate, chunk, _neuron, position, track, plane = _fault_slots(geo, rows, dims)
-    _, first, row = np.unique(step * int(np.prod(dims)) + track, return_index=True,
-                              return_inverse=True)
+    path, _gate, chunk, _neuron, position, track, plane = _fault_slots(geo, rows)
+    _, first, row = np.unique(step * geo.tracks + track, return_index=True, return_inverse=True)
     zero_slots, held = weight_zeros(geo.size[path, chunk][first],
                                     np.stack((row, plane, position), axis=1))
     corrections["weight_zeroed"] += len(zero_slots)
@@ -632,43 +629,42 @@ def _zeroed_slots(geo, step, rows, dims, corrections):
     return step[at], zeroed
 
 
-def _decode_faults(geo, params, weight_rows, mac_rows, edc, corrections):
+def _decode_faults(geo, params, weight, mac, edc, corrections):
     """Decode one (layer, time block)'s weight and logic faults from the
-    fault rows alone: rows[j] is ``FaultPlan``'s array of the block's step
-    j, or None.
+    fault rows alone: `weight` and `mac` are the block's (ptr, rows) from
+    ``stream_rows``.
 
-    With EDC on, ``_zeroed_slots`` gives the zeroed slots; with EDC off,
-    misread[j] is step j's weight fault rows (track, plane, position) for
-    ``_misread_faults``, or None.  Each product row adds weight * word &
-    mask to its accumulator: a MAC fault one bit, plane + FRAC_BITS, of its
-    product (weight 0 on a zeroed slot of its step), and a zeroed slot its
-    whole product taken off (weight -stored, mask -1).  Returns (misread,
-    (ptr, path, gate, neuron, group, word, weight, mask, track, position)),
-    the product rows sorted by (step, path), step j's path p rows at
-    ptr[2 j + p]:ptr[2 j + p + 1].
+    With EDC on, ``_zeroed_slots`` gives the zeroed slots, and no weight
+    row is misread; with EDC off, the weight rows' (ptr, track, plane,
+    position) are kept for ``_misread_faults``.  Each product row adds
+    weight * word & mask to its accumulator: a MAC fault one bit, plane +
+    FRAC_BITS, of its product (weight 0 on a zeroed slot of its step), and a
+    zeroed slot its whole product taken off (weight -stored, mask -1).
+    Returns (misread, (ptr, path, gate, neuron, group, word, weight, mask,
+    track, position)), the product rows sorted by (step, path), step j's
+    path p rows at ptr[2 j + p]:ptr[2 j + p + 1].
     """
-    steps = len(weight_rows)
-    dims = (2, len(params.gates), *geo.group_of.shape[1:])
-    misread, products = [None] * steps, [_block_rows(mac_rows)]
-    step, rows = _block_rows(weight_rows)
-    if len(rows) and edc:
-        products.append(_zeroed_slots(geo, step, rows, dims, corrections))
-    elif len(rows):
-        *_, position, track, plane = _fault_slots(geo, rows, dims)
-        ptr = np.searchsorted(step, np.arange(steps + 1))
-        misread = [(track[a:b], plane[a:b], position[a:b]) if a < b else None
-                   for a, b in zip(ptr, ptr[1:])]
+    (w_ptr, w_rows), (m_ptr, m_rows) = weight, mac
+    steps = np.arange(len(w_ptr) - 1)
+    products = [(np.repeat(steps, np.diff(m_ptr)), m_rows)]
+    if edc:
+        if len(w_rows):
+            products.append(_zeroed_slots(geo, np.repeat(steps, np.diff(w_ptr)), w_rows,
+                                          corrections))
+        w_ptr, w_rows = np.zeros_like(w_ptr), w_rows[:0]
+    *_, position, track, plane = _fault_slots(geo, w_rows)
+    misread = w_ptr, track, plane, position
     step, rows = (np.concatenate(c) for c in zip(*products))
     order = np.argsort(2 * step + rows[:, 2], kind="stable")
     step, rows = step[order], rows[order]
-    path, gate, chunk, neuron, position, track, plane = _fault_slots(geo, rows, dims)
+    path, gate, chunk, neuron, position, track, plane = _fault_slots(geo, rows)
     group, word, weight = _slot_lookup(geo, params, path, gate, chunk, neuron, position)
     zeroed = plane < 0
-    slot = (step * int(np.prod(dims)) + track) * int(geo.size.max()) + position
+    slot = (step * geo.tracks + track) * int(geo.size.max()) + position
     weight[np.isin(slot, slot[zeroed]) & ~zeroed] = 0
     weight[zeroed] *= -1
     mask = np.where(zeroed, -1, 1 << (plane + fp.FRAC_BITS))
-    ptr = np.searchsorted(2 * step + path, np.arange(2 * steps + 1))
+    ptr = np.searchsorted(2 * step + path, np.arange(2 * len(steps) + 1))
     return misread, (ptr, path, gate, neuron, group, word, weight, mask, track, position)
 
 
@@ -677,12 +673,13 @@ def _apply_faults(geo, params, faults, j, seen, accs):
     `accs[path, gate, neuron]`, with the words seen[path][group, word] the
     step delivered.  With EDC off, ``_misread_faults`` first adds each MAC
     fault's flips to its weight, which makes it the weight as read."""
-    misread, (ptr, path, gate, neuron, group, word, weight, mask, track, position) = faults
+    (w_ptr, *misread), products = faults
+    ptr, path, gate, neuron, group, word, weight, mask, track, position = products
     ptr = ptr[2 * j:2 * j + 3]
     at = slice(ptr[0], ptr[2])
-    if misread[j] is not None:
-        dims = (2, accs.shape[1], geo.size.shape[1], accs.shape[2])
-        _misread_faults(geo, params, seen, dims, *misread[j], accs,
+    w0, w1 = w_ptr[j], w_ptr[j + 1]
+    if w0 < w1:
+        _misread_faults(geo, params, seen, *(c[w0:w1] for c in misread), accs,
                         (track[at], position[at], weight[at]))
     if ptr[0] < ptr[2]:
         delivered = np.concatenate([
@@ -761,18 +758,18 @@ def simulate(placement: Placement, params, inputs,
         "input_corrected": 0,
         "weight_zeroed": 0,
         "suppressed_shifts": 0,
-        "logic_faults": sum(map(len, [*plan.mac_faults.values(), *plan.act_faults.values()]))
-        if plan else 0,
+        "logic_faults": sum(map(len, [*plan.mac_faults, *plan.act_faults])) if plan else 0,
         "fault_events": plan.total_events() if plan else 0,
     }
     chain_held = 0
     if plan and plan.cfg.edc_inputs:
-        for (l, name, _t), faults in plan.input_faults.items():
-            lp = placement.layers[l]
-            corrected, held = _edc_chain_holds(
-                lp.chain if name == PATHS[0] else lp.recurrent_chain, faults)
-            corrections["input_corrected"] += corrected
-            chain_held += held
+        for lp in placement.layers:
+            for name, layout in zip(PATHS, (lp.chain, lp.recurrent_chain)):
+                ptr, rows = stream_rows(plan.input_faults[lp.index, name], 0, T)
+                for t in np.flatnonzero(np.diff(ptr)):
+                    corrected, held = _edc_chain_holds(layout, rows[ptr[t]:ptr[t + 1]])
+                    corrections["input_corrected"] += corrected
+                    chain_held += held
 
     # Values, layer-major: each layer consumes the previous one's stream.
     outputs = []

@@ -3,10 +3,12 @@
 simulator applies, on single tracks and padded batches, against the
 ``WeightTrackGroup`` device model (the EDC-off read matrix is rebuilt from
 the planes as read); fault plans decoded as a per-event reference decode does
-them (input-chain, weight, MAC and activation events as int32 rows, path
-coded by its index in ``PATHS``), and independent of the EDC flags; and
-``run_fidelity_experiment``, whose rows are each seed's own run measured
-against the fault-free one."""
+them (input-chain, weight, MAC and activation streams as int32 rows led by
+their timestep, steps ascending and event order kept within a step, path
+coded by its index in ``PATHS``), empty streams for the sites a config
+leaves out, and independent of the EDC flags; seeds that are not
+non-negative integers rejected; and ``run_fidelity_experiment``, whose rows
+are each seed's own run measured against the fault-free one."""
 
 from dataclasses import replace
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnnfast import error_model
 from rnnfast.error_model import (
     PATHS,
     REGION_PLANES,
@@ -25,6 +28,7 @@ from rnnfast.error_model import (
     _stream,
     fidelity_metrics,
     run_fidelity_experiment,
+    stream_rows,
 )
 from rnnfast.lstm_core import GATE_ORDERS, NONLINEAR_EVALS
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
@@ -222,10 +226,9 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
     ]
 
     def events(plan):
-        return (rows(plan.input_faults), rows(plan.weight_faults), rows(plan.mac_faults),
-                rows(plan.act_faults))
+        return [{key: stream.tolist() for key, stream in kind.items()} for kind in streams(plan)]
 
-    assert all(events(plans[0]))
+    assert all(any(kind.values()) for kind in events(plans[0]))
     for plan in plans[1:]:
         assert events(plan) == events(plans[0])
         assert plan.total_events() == plans[0].total_events()
@@ -239,13 +242,16 @@ def test_weight_pass_displaced_plane_reads_blank_past_the_end():
 
 
 def reference_plan(cfg, placement):
-    """(input, weight, MAC, activation) fault dicts by a per-event decode:
+    """(input, weight, MAC, activation) fault streams by a per-event decode:
     divmod over each flat position, then a walk over the gate paths for the
-    slot, with the draws of ``FaultPlan``'s streams.  Input events are rows
-    (step, tile, plane) in event order."""
+    slot, with the draws of ``FaultPlan``'s streams.  Each stream is its
+    list of rows (t, ...) in event order, keyed as the plan keys it, and
+    empty for a site outside ``cfg.sites``."""
     planes = REGION_PLANES[cfg.bit_region]
     T = placement.spec.timesteps
-    inputs, weights, macs, acts = {}, {}, {}, {}
+    layers = range(len(placement.layers))
+    inputs = {(l, tag): [] for l in layers for tag in PATHS}
+    weights, macs, acts = ({l: [] for l in layers} for _kind in range(3))
 
     def draw(site, layer, sub, total):
         gen = _stream(cfg.seed, site, layer, sub)
@@ -269,7 +275,7 @@ def reference_plan(cfg, placement):
                 for p, pk in draw("input_chains", l, ci, tiles * T * steps):
                     tile, rest = divmod(int(p), T * steps)
                     t, step = divmod(rest, steps)
-                    inputs.setdefault((l, tag, t), []).append((step, tile, planes[int(pk)]))
+                    inputs[l, tag].append((t, step, tile, planes[int(pk)]))
         paths = [(g, p) for g in range(len(GATE_ORDERS[lp.cell_type])) for p in ("x", "h")]
         path_len = {"x": n, "h": m}
         slots = sum(path_len[p] for _g, p in paths)
@@ -278,35 +284,30 @@ def reference_plan(cfg, placement):
             for p, pk in draw(site, l, 0, m * T * slots):
                 neuron, rest = divmod(int(p), T * slots)
                 t, flat = divmod(rest, slots)
-                yield (l, t), neuron, *unflatten_slot(paths, path_len, flat), planes[int(pk)]
+                gate, path, slot = unflatten_slot(paths, path_len, flat)
+                yield t, neuron, gate, PATHS.index(path), slot, planes[int(pk)]
 
         if "weight_arrays" in cfg.sites:
-            for key, neuron, gate, path, slot, plane in slot_events("weight_arrays"):
-                weights.setdefault(key, []).append((neuron, gate, PATHS.index(path), slot, plane))
+            weights[l] += slot_events("weight_arrays")
         if "logic" in cfg.sites:
-            for key, neuron, gate, path, slot, plane in slot_events("logic"):
-                macs.setdefault(key, []).append((neuron, gate, PATHS.index(path), slot, plane))
+            macs[l] += slot_events("logic")
             n_acts = NONLINEAR_EVALS[lp.cell_type]
             for p, pk in draw("logic", l, 1, m * T * n_acts):
                 neuron, rest = divmod(int(p), T * n_acts)
                 t, act = divmod(rest, n_acts)
-                acts.setdefault((l, t), []).append((neuron, act, planes[int(pk)]))
+                acts[l].append((t, neuron, act, planes[int(pk)]))
     return inputs, weights, macs, acts
 
 
-def rows(faults):
-    """Fault arrays by (layer, t) as lists of row tuples."""
-    return {key: [tuple(row) for row in a.tolist()] for key, a in faults.items()}
+def streams(plan):
+    """The plan's (input, weight, MAC, activation) streams as dicts, keyed
+    as ``reference_plan`` keys them."""
+    return (plan.input_faults, *(dict(enumerate(kind)) for kind in (
+        plan.weight_faults, plan.mac_faults, plan.act_faults)))
 
 
-def ordered(obj):
-    """`obj` with every dict as its list of items, so == also compares
-    insertion order, and every leaf tagged with its type."""
-    if isinstance(obj, dict):
-        return [(ordered(k), ordered(v)) for k, v in obj.items()]
-    if isinstance(obj, (list, tuple)):
-        return [ordered(v) for v in obj]
-    return type(obj), obj
+# Row width of each stream kind, its timestep included.
+WIDTHS = (4, 6, 6, 4)
 
 
 # name -> (hardware, layers as (cell, neurons, inputs)).  Mixed cell types,
@@ -325,29 +326,100 @@ PLAN_LAYOUTS = {
 SITE_SUBSETS = [{s} for s in SITES] + [{"input_chains", "logic"}, set(SITES)]
 
 
+def plan_placement(layout, steps):
+    hw, layers = PLAN_LAYOUTS[layout]
+    return map_network(NetworkSpec(tuple(LayerSpec(*layer) for layer in layers), steps), hw)
+
+
 @pytest.mark.parametrize("steps", [0, 1, 5])
 @pytest.mark.parametrize("layout", PLAN_LAYOUTS)
 def test_fault_plan_matches_the_reference_decode(layout, steps):
-    hw, layers = PLAN_LAYOUTS[layout]
-    spec = NetworkSpec(tuple(LayerSpec(*layer) for layer in layers), steps)
-    placement = map_network(spec, hw)
+    """Each stream holds the reference's events, sorted by timestep with a
+    stable sort: steps ascend, and events keep their order within a step.
+    ``stream_rows`` gives each timestep of a window its events, in that
+    order, without the timestep."""
+    placement = plan_placement(layout, steps)
+    # A window that leaves out the first timestep.
+    t0 = min(1, steps)
     hit = [False] * 4
     for seed, (sites, region) in enumerate(
         (sites, region) for sites in SITE_SUBSETS for region in REGION_PLANES
     ):
         cfg = ErrorConfig(p_overshift=5e-2, sites=sites, bit_region=region, seed=seed)
-        plan = FaultPlan(cfg, placement)
-        assert all(a.dtype == np.int32 and a.shape[1] == 5
-                   for a in (*plan.weight_faults.values(), *plan.mac_faults.values()))
-        assert all(a.dtype == np.int32 and a.shape[1] == 3
-                   for a in (*plan.input_faults.values(), *plan.act_faults.values()))
-        got = (rows(plan.input_faults), rows(plan.weight_faults), rows(plan.mac_faults),
-               rows(plan.act_faults))
+        got = streams(FaultPlan(cfg, placement))
         want = reference_plan(cfg, placement)
-        assert ordered(got) == ordered(want), (sites, region)
-        hit = [h or bool(d) for h, d in zip(hit, want)]
+        for kind, (plan_streams, ref_streams, width) in enumerate(zip(got, want, WIDTHS)):
+            assert plan_streams.keys() == ref_streams.keys()
+            for key, stream in plan_streams.items():
+                ref = ref_streams[key]
+                assert stream.dtype == np.int32 and stream.shape == (len(ref), width)
+                want_rows = sorted(map(list, ref), key=lambda row: row[0])
+                assert stream.tolist() == want_rows, (sites, region, key)
+                ptr, rows = stream_rows(stream, t0, steps)
+                assert len(ptr) == steps - t0 + 1 and ptr[-1] == len(rows)
+                for j in range(steps - t0):
+                    assert rows[ptr[j]:ptr[j + 1]].tolist() == [
+                        list(row[1:]) for row in ref if row[0] == t0 + j
+                    ], (sites, region, key, j)
+                hit[kind] = hit[kind] or bool(ref)
     # Every kind of event occurs at this rate once there is a timestep.
     assert hit == [steps > 0] * 4
+
+
+def test_a_site_left_out_gives_empty_streams_of_their_width():
+    placement = plan_placement("split", 5)
+    for site in SITES:
+        plan = FaultPlan(ErrorConfig(p_overshift=5e-2, sites={site}, seed=1), placement)
+        kinds = streams(plan)
+        live = {"input_chains": (0,), "weight_arrays": (1,), "logic": (2, 3)}[site]
+        for kind, (kind_streams, width) in enumerate(zip(kinds, WIDTHS)):
+            for stream in kind_streams.values():
+                assert stream.dtype == np.int32 and stream.shape[1] == width
+            assert (sum(map(len, kind_streams.values())) > 0) == (kind in live), (site, kind)
+
+
+def test_an_inactive_config_builds_an_empty_plan_without_drawing(monkeypatch):
+    def forbidden(*_args):
+        raise AssertionError("an inactive config drew a fault stream")
+
+    monkeypatch.setattr(error_model, "_stream", forbidden)
+    placement = plan_placement("split", 5)
+    plan = FaultPlan(ErrorConfig(p_overshift=0.0), placement)
+    assert plan.total_events() == 0
+    layers = len(placement.layers)
+    for kind_streams, count, width in zip(streams(plan), (2 * layers, layers, layers, layers),
+                                          WIDTHS):
+        assert len(kind_streams) == count
+        assert all(s.shape == (0, width) and s.dtype == np.int32 for s in kind_streams.values())
+
+
+def test_total_events_counts_every_row():
+    plan = FaultPlan(ErrorConfig(p_overshift=5e-2, seed=4), plan_placement("split", 5))
+    rows = [len(s) for kind in streams(plan) for s in kind.values()]
+    assert all(rows) and plan.total_events() == sum(rows)
+
+
+TINY = NetworkSpec((LayerSpec("LSTM", 4, 3),), 2)
+
+
+@pytest.mark.parametrize("seed", [1.7, "3", -1, True])
+def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        ErrorConfig(p_overshift=1e-3, seed=seed)
+    params, inputs = generate_network_params(TINY, 1), generate_inputs(TINY, 2)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        run_fidelity_experiment(TINY, HardwareConfig(), [ErrorConfig(p_overshift=1e-3, seed=0)],
+                                params, inputs, seeds=(0, seed))
+
+
+def test_numpy_integer_seeds_are_plain_ints():
+    cfg = ErrorConfig(p_overshift=1e-3, seed=np.int64(3))
+    assert type(cfg.seed) is int and cfg == ErrorConfig(p_overshift=1e-3, seed=3)
+    assert ErrorConfig(p_overshift=1e-3, seed=np.uint8(0)).seed == 0
+    params, inputs = generate_network_params(TINY, 1), generate_inputs(TINY, 2)
+    rows = run_fidelity_experiment(TINY, HardwareConfig(), [cfg], params, inputs,
+                                   seeds=np.arange(2))
+    assert [type(row["seed"]) for row in rows] == [int, int]
 
 
 def test_fidelity_experiment_pairs_each_seeds_run_with_the_fault_free_one():

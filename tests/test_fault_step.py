@@ -2,10 +2,12 @@
 oracles.
 
 ``_decode_faults`` decodes the weight and logic faults of a block of
-timesteps once, from the fault rows alone: every faulted PE track of the
-block, keyed by (step, track), goes through one ``weight_zeros`` call with
-EDC on, and one arrival-order lookup gives the zeroed slots' and the MAC
-faults' groups, words and stored weights.  ``_apply_faults`` then applies
+timesteps once, from the fault rows alone, which come as ``stream_rows``
+gives them (the block's rows, step j's at ptr[j]:ptr[j + 1]): every faulted
+PE track of the block, keyed by (step, track), goes through one
+``weight_zeros`` call with EDC on, and one arrival-order lookup gives the
+zeroed slots' and the MAC faults' groups, words and stored weights.
+``_apply_faults`` then applies
 one step with the words it delivered: with EDC off through
 ``weight_plane_reads`` over a dense matrix of the step's displaced (track,
 plane) pairs, built in blocks of rows, and all logic faults as array
@@ -31,7 +33,7 @@ from test_simulator import CELLS, LAYOUTS
 
 from rnnfast import fixedpoint as fp
 from rnnfast import simulator
-from rnnfast.error_model import ErrorConfig, FaultPlan
+from rnnfast.error_model import ErrorConfig, FaultPlan, stream_rows
 from rnnfast.mapping import LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
 from rnnfast.racetrack import weight_plane_reads
@@ -91,7 +93,7 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
 
     effective = {}
     tracks = {}
-    for neuron, gate, path, slot, plane in [] if weight_faults is None else weight_faults.tolist():
+    for neuron, gate, path, slot, plane in weight_faults.tolist():
         chunk = int(geo.chunk_of[path, slot])
         fault_slots = tracks.setdefault((neuron, gate, path, chunk), {})
         fault_slots.setdefault(plane, []).append(slot - int(geo.lo[path, chunk]))
@@ -105,7 +107,7 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
         lo = int(geo.lo[path, chunk])
         for j, value in enumerate(read.tolist()):
             effective[(neuron, gate, path, lo + j)] = value
-    for neuron, gate, path, slot, plane in [] if mac_faults is None else mac_faults.tolist():
+    for neuron, gate, path, slot, plane in mac_faults.tolist():
         chunk = int(geo.chunk_of[path, slot])
         group, words = arrival_words(geo, lp, neuron, path, chunk)
         word = words[slot - int(geo.lo[path, chunk])]
@@ -128,12 +130,19 @@ def random_state(rng, lp, params):
     return accs, seen
 
 
-def both(lp, geo, params, weight_rows, mac_rows, edc, states):
+def block(*steps):
+    """(ptr, rows) of a block whose step j has the weight or MAC fault rows
+    steps[j], as ``stream_rows`` gives a block."""
+    rows = [np.asarray(r, dtype=np.int32).reshape(-1, 5) for r in steps]
+    return np.cumsum([0] + [len(r) for r in rows]), np.concatenate(rows)
+
+
+def both(lp, geo, params, weight, mac, edc, states):
     """(accumulators of each step, corrections) of the decode/apply pair
-    and of the oracle, over one block: weight_rows[j] and mac_rows[j] are
-    step j's fault rows (or None), and states[j] its (accs, seen)."""
+    and of the oracle, over one block: `weight` and `mac` are the block's
+    (ptr, rows), and states[j] is step j's (accs, seen)."""
     corrections = {"weight_zeroed": 0, "suppressed_shifts": 0}
-    faults = _decode_faults(geo, params, weight_rows, mac_rows, edc, corrections)
+    faults = _decode_faults(geo, params, weight, mac, edc, corrections)
     got = []
     for j, (accs, seen) in enumerate(states):
         a = accs.copy()
@@ -141,8 +150,9 @@ def both(lp, geo, params, weight_rows, mac_rows, edc, states):
         got.append(a.tolist())
     oracle_corrections = {"weight_zeroed": 0, "suppressed_shifts": 0}
     want = []
-    for wf, mf, (accs, seen) in zip(weight_rows, mac_rows, states):
+    for j, (accs, seen) in enumerate(states):
         a = accs.copy()
+        wf, mf = (rows[ptr[j]:ptr[j + 1]] for ptr, rows in (weight, mac))
         oracle(lp, geo, params, wf, mf, edc, a, seen, oracle_corrections)
         want.append(a.tolist())
     return (got, corrections), (want, oracle_corrections)
@@ -167,7 +177,7 @@ def placed_faults(geo, gates):
         for neuron in (0, 1):
             mac += [(neuron, gate, path, lo + min(max(k // 2 + d, 0), k - 1), plane)
                     for d, plane in ((-1, 0), (0, 7), (1, 15))]
-    return np.array(weight, dtype=np.int32), np.array(mac, dtype=np.int32)
+    return block(weight), block(mac)
 
 
 def layout_net(cell, layout):
@@ -191,17 +201,17 @@ def check_seeds(placement, geos, edc, seeds):
         plan = FaultPlan(cfg, placement)
         rng = np.random.default_rng(seed)
         for l, (lp, geo, p) in enumerate(zip(placement.layers, geos, params)):
-            wf = [plan.weight_faults.get((l, t)) for t in range(T)]
-            mf = [plan.mac_faults.get((l, t)) for t in range(T)]
+            wf = stream_rows(plan.weight_faults[l], 0, T)
+            mf = stream_rows(plan.mac_faults[l], 0, T)
             states = [random_state(rng, lp, p) for _t in range(T)]
             got, want = both(lp, geo, p, wf, mf, edc, states)
             assert got == want, (seed, l)
-            faulted = [len(rows) for rows in wf if rows is not None]
-            faults += sum(faulted)
-            steps += len(faulted)
-            multi += len(faulted) > 1
+            faulted = np.count_nonzero(np.diff(wf[0]))
+            faults += len(wf[1])
+            steps += faulted
+            multi += faulted > 1
             weight_zeroed += want[1]["weight_zeroed"]
-            logic += sum(len(rows) for rows in mf if rows is not None)
+            logic += len(mf[1])
     return faults, weight_zeroed, logic, steps, multi
 
 
@@ -216,7 +226,7 @@ def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
     for lp, geo, p in zip(placement.layers, geos, generate_network_params(placement.spec, 99)):
         accs, seen = random_state(rng, lp, p)
         wf, mf = placed_faults(geo, len(p.gates))
-        got, want = both(lp, geo, p, [wf], [mf], edc, [(accs, seen)])
+        got, want = both(lp, geo, p, wf, mf, edc, [(accs, seen)])
         assert got == want, ("placed", lp.index)
         assert want[0] != [accs.tolist()]
     assert faults > 0 and logic > 0 and multi > 0
@@ -266,14 +276,14 @@ def test_a_logic_fault_reads_the_weight_its_track_read_this_step(edc):
     honoured = 0
     for plane_w in range(16):
         for plane_m in (0, 7, 15):
-            wf = np.array([[neuron, gate, path, slot, plane_w]], dtype=np.int32)
-            mf = np.array([[neuron, gate, path, slot, plane_m],
-                           [neuron + 1, gate, path, slot, plane_m]], dtype=np.int32)
-            got, want = both(lp, geo, params, [wf], [mf], edc, [(accs, seen)])
+            wf = block([[neuron, gate, path, slot, plane_w]])
+            mf = block([[neuron, gate, path, slot, plane_m],
+                        [neuron + 1, gate, path, slot, plane_m]])
+            got, want = both(lp, geo, params, wf, mf, edc, [(accs, seen)])
             assert got == want, (plane_w, plane_m)
             naive = accs.copy()
             corrections = {"weight_zeroed": 0, "suppressed_shifts": 0}
-            oracle(lp, geo, params, wf, mf, edc, naive, seen, corrections,
+            oracle(lp, geo, params, wf[1], mf[1], edc, naive, seen, corrections,
                    honour_weight_faults=False)
             honoured += [naive.tolist()] != want[0]
     assert honoured > 0
@@ -295,10 +305,8 @@ def test_edc_on_faults_on_consecutive_slots_of_consecutive_steps_zero_both():
     neuron, gate, path, plane = 3, 2, 0, 9
     slot = int(geo.lo[path, 1]) + 2    # third of chunk 1's at least five slots
     assert geo.size[path, 1] >= 5
-    wf = [None, np.array([[neuron, gate, path, slot, plane]], dtype=np.int32),
-          np.array([[neuron, gate, path, slot + 1, plane]], dtype=np.int32)]
-    mf = [None] + [np.array([[neuron, gate, path, s, 7] for s in (slot, slot + 1)],
-                            dtype=np.int32)] * 2
+    wf = block([], [[neuron, gate, path, slot, plane]], [[neuron, gate, path, slot + 1, plane]])
+    mf = block([], *[[[neuron, gate, path, s, 7] for s in (slot, slot + 1)]] * 2)
     got, want = both(lp, geo, params, wf, mf, True, states)
     assert got == want
     assert want[1] == {"weight_zeroed": 2, "suppressed_shifts": 2}

@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnnfast import lstm_core, simulator
-from rnnfast.error_model import ErrorConfig, FaultPlan
+from rnnfast.error_model import ErrorConfig, FaultPlan, stream_rows
 from rnnfast.mapping import (
     CapacityExceeded,
     ChainLayout,
@@ -97,6 +97,12 @@ def net(cell, impl, layout):
 
 def faulty_config(edc):
     return ErrorConfig(p_overshift=FAULT_P, edc_inputs=edc, edc_weights=edc, seed=FAULT_SEED)
+
+
+def by_step(stream, T):
+    """{t: rows} of a ``FaultPlan`` stream's faulted timesteps."""
+    ptr, rows = stream_rows(stream, 0, T)
+    return {int(t): rows[ptr[t]:ptr[t + 1]] for t in np.flatnonzero(np.diff(ptr))}
 
 
 def replay(params, inputs, impl):
@@ -497,10 +503,12 @@ def test_edc_on_runs_call_weight_zeros_once_per_faulted_time_block(monkeypatch):
                       seed=FAULT_SEED)
     result = simulate(placement, params, inputs, error_cfg=cfg)
     plan = FaultPlan(cfg, placement)
-    blocks = {(l, t // TIME_BLOCK) for l, t in plan.weight_faults}
+    T = placement.spec.timesteps
+    steps = [(l, t) for l, stream in enumerate(plan.weight_faults) for t in by_step(stream, T)]
+    blocks = {(l, t // TIME_BLOCK) for l, t in steps}
     assert len(calls) == len(blocks) == 2 * len(placement.layers)
-    assert len(plan.weight_faults) > len(blocks)
-    assert sum(calls) == sum(len(rows) for rows in plan.weight_faults.values())
+    assert len(steps) > len(blocks)
+    assert sum(calls) == sum(map(len, plan.weight_faults))
     assert result.corrections["weight_zeroed"] > 0
 
 
@@ -545,7 +553,8 @@ def test_edc_on_chain_faults_stay_out_of_the_value_path(monkeypatch):
     cfg = ErrorConfig(p_overshift=FAULT_P, sites={"input_chains"}, edc_inputs=True,
                       seed=FAULT_SEED)
     result = simulate(placement, params, inputs, error_cfg=cfg)
-    passes = FaultPlan(cfg, placement).input_faults.values()
+    passes = [rows for stream in FaultPlan(cfg, placement).input_faults.values()
+              for rows in by_step(stream, placement.spec.timesteps).values()]
     want = sorted(sorted((s - rows[:, 0].min(), g, k) for s, g, k in rows.tolist())
                   for rows in passes)
     got = sorted(
@@ -652,8 +661,9 @@ def test_edc_on_faults_cost_exactly_the_held_shifts(cell, site):
         chains = {(lp.index, "x"): lp.chain for lp in placement.layers}
         chains.update({(lp.index, "h"): lp.recurrent_chain for lp in placement.layers})
         held = 0
-        for (layer, path, _t), faults in FaultPlan(cfg, placement).input_faults.items():
-            held += _edc_chain_holds(chains[layer, path], faults)[1]
+        for key, stream in FaultPlan(cfg, placement).input_faults.items():
+            for faults in by_step(stream, placement.spec.timesteps).values():
+                held += _edc_chain_holds(chains[key], faults)[1]
         # No correction counter reports the chains' held shifts.
         assert result.corrections["suppressed_shifts"] == 0
     assert held > 0
@@ -668,7 +678,8 @@ def test_faulty_runs_match_golden(cell, impl, layout):
     for edc in (False, True):
         cfg = faulty_config(edc)
         plan = FaultPlan(cfg, placement)
-        assert plan.input_faults and plan.weight_faults and plan.mac_faults and plan.act_faults
+        assert all(sum(map(len, streams)) for streams in (
+            plan.input_faults.values(), plan.weight_faults, plan.mac_faults, plan.act_faults))
         result = simulate(placement, params, inputs, error_cfg=cfg)
         assert result.corrections["fault_events"] == plan.total_events()
         assert_replayed_timing(placement, result)
