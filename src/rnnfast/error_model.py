@@ -107,12 +107,6 @@ def _draw_positions(gen: np.random.Generator, n_events: int, p: float) -> np.nda
     return np.sort(gen.choice(n_events, size=min(k, n_events), replace=False).astype(np.int64))
 
 
-def gate_paths(cell_type: str):
-    """(gate_index, path) MAC streams of a cell type: each gate's x and h
-    paths, gate by gate."""
-    return [(g, p) for g in range(len(GATE_ORDERS[cell_type])) for p in PATHS]
-
-
 class FaultPlan:
     """All fault events of one run, as one array of rows per stream.
 

@@ -8,21 +8,23 @@ Values and timing are deliberately decoupled:
   recurrent-path accumulators from one product per timestep over the
   stacked gates.  Both go through ``_exact_matmul``, which casts int16
   weight rows a block at a time into one small float64 buffer and lets
-  BLAS multiply.  This is exact: a product of two raw Q8.8 values obeys
-  |w*x| <= 2^30, so every partial sum of n < 2^23 products is an integer
-  below 2^53, which float64 holds exactly in any summation order (the
-  error-free argument of Ozaki et al., Numer. Algorithms, 2012).
-  ``simulate`` therefore rejects weights, biases and inputs outside the
-  16-bit range.  The step's fault effects from the run's FaultPlan then
-  correct the accumulators in int64, and each costs array work in
-  proportion to the planes and words it changes, not to whole tracks or
-  passes.  Each time block reads the layer's four fault streams once,
-  sliced by timestep with ``error_model.stream_rows``, and hands step j
-  its rows.  With EDC off, a chain pass with faults is computed in closed
+  BLAS multiply.  This is exact: a raw Q8.8 weight times a value below
+  2^16 in magnitude obeys |w*x| < 2^31, so every partial sum of n < 2^22
+  products is an integer below 2^53, which float64 holds exactly in any
+  summation order (the error-free argument of Ozaki et al., Numer.
+  Algorithms, 2012).  ``simulate`` therefore rejects weights, biases and
+  inputs outside the 16-bit range.  The step's fault effects from the
+  run's FaultPlan then correct the accumulators in int64, and each costs
+  array work in proportion to the planes and words it changes, not to
+  whole tracks or passes.  Each time block reads the layer's four fault
+  streams once, sliced by timestep with ``error_model.stream_rows``, and
+  hands step j its rows.  With EDC off, a chain pass with faults is computed in closed
   form: only its displaced planes differ from the fault-free pass, and
   each of their deliveries is followed back through the group queues.
-  Each word a group delivered differently corrects, in every gate, only
-  the neurons whose chunk of that word the group feeds.  With EDC on every
+  The neurons a group feeds in one chunk of a path are one run, so each
+  group that delivered a changed word in a chunk corrects them with one
+  ``_exact_matmul`` of their weight rows, in every gate, with its deltas
+  (differences of two raw words, below 2^16).  With EDC on every
   delivery is the fault-free word, so chain faults stay out of the value
   path: they change only the corrections and the shifts those hold back,
   which the plan's rows alone determine.  ``simulate`` cuts each chain's
@@ -85,7 +87,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fixedpoint as fp
-from .error_model import PATHS, ErrorConfig, FaultPlan, gate_paths, stream_rows
+from .error_model import PATHS, ErrorConfig, FaultPlan, stream_rows
 from .lstm_core import (ACT_STAGES, GATE_ORDERS, MAC_LOG_LIMIT, NONLINEAR_EVALS, MacPipeline,
                         cell_output)
 from .mapping import HardwareConfig, Placement
@@ -214,8 +216,8 @@ class _LayerGeometry:
     PE of a gate, as the mapper's ``pe_words`` lays the gate's words out; a
     PE that holds no words of a path has an empty chunk there.  Indexed by
     path code, the tables give each chunk's first word and size, each
-    slot's chunk, the chain group that feeds each neuron's chunk (and, the
-    other way round, the neurons whose chunk each group feeds), and
+    slot's chunk, the chain group that feeds each neuron's chunk (in each
+    chunk it never falls as the neuron grows), and
     ``turn[path, group, chunk]``: how far the chunk is rotated when it
     reaches that group.  ``_slot_lookup`` turns these into the words at
     given slots of a batch of tracks; no per-word table is kept.  A PE
@@ -252,23 +254,13 @@ class _LayerGeometry:
             # Group g receives word (base_g + s) mod n at step s, so each
             # chunk reaches it rotated to start at its first word >= base_g.
             self.turn[p, :len(b)] = np.clip(b[:, None] - self.lo[p], 0, self.size[p])
-        # The neurons whose chunk c group g feeds, for every (c, g) in turn,
-        # with G = turn.shape[1]: i % m for i from fed_ptr[path, c * G + g]
-        # to fed_ptr[path, c * G + g + 1].  Units, and so groups, never fall
-        # as the neuron grows, so the keys c * G + g in (chunk, neuron)
-        # order are already sorted.
-        feeds = (np.arange(n_chunks)[:, None] * self.turn.shape[1] + self.group_of).reshape(2, -1)
-        self.fed_ptr = np.stack([
-            np.searchsorted(f, np.arange(n_chunks * self.turn.shape[1] + 1)) for f in feeds
-        ])
         # One pass of each chain: every group reads, shifts and writes all 16
         # planes once per word.
         chain_steps = 16 * (
             len(lp.chain.group_capacities) * n + len(lp.recurrent_chain.group_capacities) * m
         )
-        paths = [PATHS.index(p) for _g, p in gate_paths(lp.cell_type)]
-        words = sum(n if p == 0 else m for p in paths)
-        advances = sum(int(np.maximum(self.size[p] - 1, 0).sum()) for p in paths)
+        words = self.dims[1] * (n + m)
+        advances = self.dims[1] * int(np.maximum(self.size - 1, 0).sum())
         rewinds = words if hw.rewind_cost == "full_pass" else 0
         self.step_events = {
             "track_read": 16 * m * words + chain_steps,
@@ -432,17 +424,18 @@ def _exact_matmul(weight_blocks, v):
     """Exact product of row-stacked int16 weight matrices with `v`, as int64.
 
     `weight_blocks` are matrices of raw Q8.8 values with n columns; `v` holds
-    raw Q8.8 values, shape (n,) or (n, k).  Rows are cast a block at a time
-    into one float64 buffer of about _BLOCK_ELEMS elements and multiplied
-    by BLAS into a preallocated output; no float64 copy of a whole matrix
-    is made or kept.
+    values below 2^16 in magnitude, raw Q8.8 words or the differences of
+    two, shape (n,) or (n, k).  Rows are cast a block at a time into one
+    float64 buffer of about _BLOCK_ELEMS elements and multiplied by BLAS
+    into a preallocated output; no float64 copy of a whole matrix is made
+    or kept.
     """
     n = v.shape[0]
     # Error-free float64 products (Ozaki et al., Numer. Algorithms, 2012):
-    # every product obeys |w*x| <= 2^15 * 2^15 = 2^30, so every partial sum
-    # of n products, in any order, is an integer of magnitude at most
-    # n * 2^30, which float64 holds exactly while n < 2^23.
-    assert n < 1 << 23, f"float64 sums of {n} int16 products may round"
+    # every product obeys |w*x| < 2^15 * 2^16 = 2^31, so every partial sum
+    # of n products, in any order, is an integer of magnitude below
+    # n * 2^31, which float64 holds exactly while n < 2^22.
+    assert n < 1 << 22, f"float64 sums of {n} products may round"
     vf = np.asarray(v, dtype=np.float64)
     rows = sum(len(w) for w in weight_blocks)
     out = np.empty((rows,) + vf.shape[1:])
@@ -528,19 +521,19 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, fau
 def _correct_deliveries(geo, params, path, delta, accs):
     """Correct `accs[path, gate, neuron]` for the words a faulted chain pass
     delivered: delta[group, word] is the word as the group delivered it
-    less the fault-free word.  Each changed (group, word) adds weight times
-    delta, in every gate, to the neurons whose chunk of that word the group
-    feeds."""
-    group, word = np.nonzero(delta)
-    feeds = geo.chunk_of[path, word] * geo.turn.shape[1] + group
-    lo, count = geo.fed_ptr[path, feeds], np.diff(geo.fed_ptr[path])[feeds]
-    change = np.repeat(np.arange(len(word)), count)
-    index = np.arange(len(change)) - np.repeat(np.cumsum(count) - count - lo, count)
-    neuron = index % accs.shape[2]
-    word, d = word[change], delta[group, word][change]
-    for gate in range(len(params.gates)):
-        w = _weights(params, gate, path)
-        np.add.at(accs[path, gate], neuron, np.take(w, neuron * w.shape[1] + word) * d)
+    less the fault-free word.  Chunk c holds words [lo, lo + size), and
+    the neurons that group g feeds there are one run n0:n1, since groups
+    never fall as the neuron grows.  Each group that delivered a changed
+    word in the chunk adds one exact product, of those neurons' weight
+    rows in every gate with its delta, to their accumulators."""
+    weights = [_weights(params, gate, path) for gate in range(len(params.gates))]
+    for c, (lo, size) in enumerate(zip(geo.lo[path], geo.size[path])):
+        d = delta[:, lo:lo + size]
+        fed = np.searchsorted(geo.group_of[path, c], np.arange(len(d) + 1))
+        for g in np.flatnonzero(d.any(axis=1)):
+            n0, n1 = fed[g], fed[g + 1]
+            product = _exact_matmul([w[n0:n1, lo:lo + size] for w in weights], d[g])
+            accs[path, :, n0:n1] += product.reshape(len(weights), n1 - n0)
 
 
 def _misread_faults(geo, params, seen, tracks, planes, positions, accs, macs):

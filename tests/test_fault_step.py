@@ -23,8 +23,10 @@ hand-placed faults that the seeds do not reliably produce.  Weight and MAC
 fault rows are both (neuron, gate, path, slot, plane).
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
-one changed (group, word) at a time; the dense per-chunk product it
-replaced is kept here as its oracle.
+with one exact float64 product per (chunk, group that delivered a changed
+word there), over the run of neurons that group feeds in the chunk.  Its
+oracle is a dense int64 product per chunk, every neuron against the
+deliveries of its own group.
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ from test_simulator import CELLS, LAYOUTS
 from rnnfast import fixedpoint as fp
 from rnnfast import simulator
 from rnnfast.error_model import ErrorConfig, FaultPlan, stream_rows
-from rnnfast.mapping import LayerSpec, NetworkSpec, map_network
+from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
 from rnnfast.racetrack import weight_plane_reads
 from rnnfast.simulator import _apply_faults, _correct_deliveries, _decode_faults, _LayerGeometry
@@ -323,29 +325,68 @@ def dense_deliveries(geo, params, path, delta, accs):
                 accs[path, k] += np.einsum("nk,nk->n", w, d)
 
 
+# One-layer nets beside LAYOUTS, as (hardware, neurons, inputs).  In
+# "unfed", 200 inputs fill four x-chain groups of 50 words, and all 4
+# neurons take their one chunk from group 0: groups 1-3 feed no neuron.  In
+# "extremes", the first x chunk is 2,560 words, as wide as the widest
+# preset PE; weights sit at -32,768 and 32,767 and deltas at +-65,535.
+DELIVERY_NETS = {
+    "unfed": (HardwareConfig(), 4, 200),
+    "extremes": (HardwareConfig(weights_per_pe=2560, tiles_per_group=32), 4, 5115),
+}
+
+
 @pytest.mark.parametrize("cell", CELLS)
-@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("layout", [*LAYOUTS, *DELIVERY_NETS])
 def test_delivery_corrections_match_the_dense_oracle(layout, cell):
     """Sparse and dense changes on every chain of the layout.  The split
     and multi-tile (long) layouts have several chunks per neuron fed by
     several chain groups (one group for packed Vanilla in long), and the
-    packed layout several chunks per neuron on one group."""
-    placement = layout_net(cell, layout)
+    packed layout several chunks per neuron on one group.  Changes that
+    only groups feeding no neuron delivered correct nothing, and sums of
+    2,560 products of extreme weights and deltas stay exact."""
+    if layout in LAYOUTS:
+        placement = layout_net(cell, layout)
+    else:
+        hw, m, n = DELIVERY_NETS[layout]
+        placement = map_network(NetworkSpec((LayerSpec(cell, m, n),), 1), hw)
     params = generate_network_params(placement.spec, 3)
     rng = np.random.default_rng(3)
     shapes = set()
+
+    def check(geo, p, path, delta, tag):
+        accs = rng.integers(-(1 << 40), 1 << 40, (2, len(p.gates), p.gates[0].hidden))
+        got, want = accs.copy(), accs.copy()
+        _correct_deliveries(geo, p, path, delta, got)
+        dense_deliveries(geo, p, path, delta, want)
+        assert got.tolist() == want.tolist(), tag
+        return got.tolist() == accs.tolist()
+
     for lp, p in zip(placement.layers, params):
         geo = _LayerGeometry(lp, placement.hw, None)
+        if layout == "extremes":
+            assert geo.size.max() == 2560
+            for gate in p.gates:
+                for w in (gate.w_x, gate.w_h):
+                    w[...] = rng.choice((fp.RAW_MIN, fp.RAW_MAX), w.shape)
+                    w[0], w[-1] = fp.RAW_MAX, fp.RAW_MIN
         for path, chain in enumerate((lp.chain, lp.recurrent_chain)):
             shape = (len(chain.group_capacities), chain.word_capacity)
             shapes.add((geo.size.shape[1] > 1, shape[0] > 1))
             for density in (0.01, 0.2, 1.0):
-                delta = rng.integers(-65535, 65536, shape) * (rng.random(shape) < density)
-                accs = rng.integers(-(1 << 40), 1 << 40, (2, len(p.gates), lp.neurons))
-                got, want = accs.copy(), accs.copy()
-                _correct_deliveries(geo, p, path, delta, got)
-                dense_deliveries(geo, p, path, delta, want)
-                assert got.tolist() == want.tolist(), (lp.index, path, density)
+                if layout == "extremes":
+                    delta = rng.choice((-65535, 65535), shape)
+                else:
+                    delta = rng.integers(-65535, 65536, shape)
+                delta *= rng.random(shape) < density
+                check(geo, p, path, delta, (lp.index, path, density))
+            if layout == "extremes":
+                check(geo, p, path, np.full(shape, 65535), (lp.index, path, "all +65535"))
+            if layout == "unfed" and path == 0:
+                assert shape[0] == 4 and not geo.group_of[path].any()
+                delta = rng.integers(-65535, 65536, shape)
+                delta[0] = 0
+                assert check(geo, p, path, delta, (lp.index, path, "groups 1-3"))
     if layout == "split" or (layout == "long" and cell != "Vanilla"):
         assert (True, True) in shapes
     if layout == "packed":

@@ -341,9 +341,10 @@ def test_each_chunks_groups_never_fall_as_the_neuron_grows(
     cell, inputs, neurons, weights_per_pe, units_per_tile, tiles_per_group,
 ):
     """``_correct_deliveries`` takes the neurons that group g feeds through
-    chunk c as one run of the (chunk, neuron) order.  That holds because
-    every chunk's group_of is non-decreasing in neuron and below the group
-    count, so the keys chunk * G + group are sorted in that order."""
+    chunk c as one run n0:n1, by a ``searchsorted`` of the chunk's
+    group_of.  That holds because every chunk's group_of is non-decreasing
+    in neuron and below the group count, so the keys chunk * G + group are
+    also sorted in (chunk, neuron) order."""
     # Enough groups for the widest layer: 80 neurons of up to 41 units each.
     hw = HardwareConfig(weights_per_pe=weights_per_pe, lstm_units_per_tile=units_per_tile,
                         tiles_per_group=tiles_per_group, groups=-(-80 * 41 // tiles_per_group))
