@@ -34,6 +34,7 @@ stream (the stand-in for task-level accuracy at this scale).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,8 +69,15 @@ class ErrorConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.p_overshift <= 1.0:
-            raise ValueError("p_overshift must be a probability")
+        p = self.p_overshift
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"p_overshift must be a probability, not {p!r}")
+        object.__setattr__(self, "p_overshift", float(p))
+        for name in ("edc_inputs", "edc_weights"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, not {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         object.__setattr__(self, "sites", frozenset(self.sites))
         for s in self.sites:
             if s not in SITES:

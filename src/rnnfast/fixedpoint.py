@@ -33,7 +33,9 @@ REAL_MAX = RAW_MAX / SCALE
 
 def saturate(raw):
     """Clamp raw Q8.8 integers to the 16-bit signed range."""
-    return np.clip(np.asarray(raw, dtype=np.int64), RAW_MIN, RAW_MAX)
+    # Two ufunc calls: np.clip's Python dispatch (two getlimits lookups per
+    # call) costs more than the clamp itself on the per-step vectors.
+    return np.minimum(np.maximum(np.asarray(raw, dtype=np.int64), RAW_MIN), RAW_MAX)
 
 
 def round_shift_even(value, bits: int):

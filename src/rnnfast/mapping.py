@@ -30,6 +30,7 @@ invariant or raises ``CapacityExceeded`` with a structured shortfall report.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .lstm_core import GATE_ORDERS
@@ -45,6 +46,17 @@ class CapacityExceeded(Exception):
         self.report = report
 
 
+def _integer(spec, name: str) -> int:
+    """Store the field `name` of the frozen `spec` as a plain int.
+
+    Raises ValueError for a bool or a value that is not an integer."""
+    value = getattr(spec, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    object.__setattr__(spec, name, int(value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     cell_type: str   # "LSTM" | "GRU" | "Vanilla"
@@ -54,8 +66,9 @@ class LayerSpec:
     def __post_init__(self):
         if self.cell_type not in GATE_ORDERS:
             raise ValueError(f"unknown cell type {self.cell_type!r}")
-        if self.neurons <= 0 or self.inputs <= 0:
-            raise ValueError("layer dimensions must be positive")
+        for name in ("neurons", "inputs"):
+            if _integer(self, name) <= 0:
+                raise ValueError("layer dimensions must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,10 +78,14 @@ class NetworkSpec:
     activation_impl: str = "approx"
 
     def __post_init__(self):
-        if self.timesteps < 0:
+        if _integer(self, "timesteps") < 0:
             raise ValueError("timesteps must be >= 0")
         if self.activation_impl not in ("approx", "lut"):
             raise ValueError("activation_impl must be 'approx' or 'lut'")
+        if not isinstance(self.layers, tuple) or not all(
+            isinstance(layer, LayerSpec) for layer in self.layers
+        ):
+            raise ValueError(f"layers must be a tuple of LayerSpec, not {self.layers!r}")
         if not self.layers:
             raise ValueError("a network needs at least one layer")
         for i in range(1, len(self.layers)):
@@ -106,17 +123,18 @@ class HardwareConfig:
             "tiles_per_group", "rows_per_group", "groups",
             "mac_stages", "mac_cycles_per_stage", "mac_issue_interval",
         ):
-            if getattr(self, name) <= 0:
+            if _integer(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in (
             "interconnect_latency_cycles", "hop_latency_cycles", "act_latency_approx",
             "act_latency_lut", "read_latency_cycles", "shift_latency_cycles",
             "write_latency_cycles",
         ):
-            if getattr(self, name) < 0:
+            if _integer(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if not self.clock_period_ns > 0:
-            raise ValueError("clock_period_ns must be positive")
+        clock = self.clock_period_ns
+        if isinstance(clock, bool) or not isinstance(clock, numbers.Real) or not clock > 0:
+            raise ValueError(f"clock_period_ns must be a positive real, not {clock!r}")
         if self.rewind_cost not in ("full_pass", "free"):
             raise ValueError(f"rewind_cost {self.rewind_cost!r} is not 'full_pass' or 'free'")
 

@@ -10,6 +10,7 @@ leaves out, and independent of the EDC flags; seeds that are not
 non-negative integers rejected; and ``run_fidelity_experiment``, whose rows
 are each seed's own run measured against the fault-free one."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -410,6 +411,30 @@ def test_a_seed_that_is_not_a_non_negative_integer_is_rejected(seed):
     with pytest.raises(ValueError, match="non-negative integer"):
         run_fidelity_experiment(TINY, HardwareConfig(), [ErrorConfig(p_overshift=1e-3, seed=0)],
                                 params, inputs, seeds=(0, seed))
+
+
+@pytest.mark.parametrize("field", ["edc_inputs", "edc_weights"])
+@pytest.mark.parametrize("flag", ["no", "yes", 0, 1, None], ids=repr)
+def test_edc_flags_must_be_bools(field, flag):
+    with pytest.raises(ValueError, match=field):
+        ErrorConfig(p_overshift=0.2, seed=0, **{field: flag})
+
+
+def test_numpy_flags_and_rates_are_plain_python_values():
+    cfg = ErrorConfig(p_overshift=np.float32(0.25), edc_inputs=np.bool_(True),
+                      edc_weights=np.bool_(False), seed=0)
+    assert (type(cfg.p_overshift), type(cfg.edc_inputs), type(cfg.edc_weights)) == (
+        float, bool, bool)
+    assert cfg == ErrorConfig(p_overshift=0.25, edc_inputs=True, seed=0)
+    # The run echoes its config, so a numpy rate must not break to_json.
+    json.loads(simulate(map_network(TINY, HardwareConfig()), generate_network_params(TINY, 1),
+                        generate_inputs(TINY, 2), cfg).to_json())
+
+
+@pytest.mark.parametrize("p", [True, False, "0.2", None, 1.5, -0.1, float("nan")], ids=repr)
+def test_p_overshift_must_be_a_real_probability(p):
+    with pytest.raises(ValueError, match="p_overshift"):
+        ErrorConfig(p_overshift=p, seed=0)
 
 
 def test_numpy_integer_seeds_are_plain_ints():

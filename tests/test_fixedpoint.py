@@ -69,6 +69,59 @@ class TestFromReal:
         ]
 
 
+def clip_oracle(raw):
+    """The clamp `saturate` used to be, kept as its oracle."""
+    return np.clip(np.asarray(raw, dtype=np.int64), fp.RAW_MIN, fp.RAW_MAX)
+
+
+class TestSaturate:
+    EDGES = [
+        bound + d for bound in (fp.RAW_MIN, fp.RAW_MAX, 0, 1 << 62, -(1 << 62)) for d in (-1, 0, 1)
+    ] + [np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+
+    @staticmethod
+    def assert_like_the_oracle(raw):
+        got, want = fp.saturate(raw), clip_oracle(raw)
+        assert type(got) is type(want)
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_bounds_their_neighbours_and_the_int64_extremes(self):
+        edges = np.array(self.EDGES, dtype=np.int64)
+        self.assert_like_the_oracle(edges)
+        self.assert_like_the_oracle(edges[::-1].reshape(-1, 1))
+        for value in self.EDGES:
+            self.assert_like_the_oracle(value)
+
+    def test_random_int64_values_at_every_scale(self):
+        rng = np.random.default_rng(19)
+        raw = rng.integers(-(1 << 62), 1 << 62, size=(4, 4096)) >> rng.integers(0, 63, size=4096)
+        self.assert_like_the_oracle(raw)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 0, 2)])
+    def test_empty_arrays(self, shape):
+        self.assert_like_the_oracle(np.empty(shape, dtype=np.int64))
+        self.assert_like_the_oracle(np.empty(shape, dtype=np.int16))
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.uint16])
+    def test_every_16_bit_value(self, dtype):
+        info = np.iinfo(dtype)
+        self.assert_like_the_oracle(np.arange(info.min, info.max + 1).astype(dtype))
+
+    def test_python_ints(self):
+        self.assert_like_the_oracle(self.EDGES)
+        self.assert_like_the_oracle([])
+        for value in (0, fp.RAW_MAX + 1, -(1 << 62) - 1):
+            self.assert_like_the_oracle(value)
+
+    @pytest.mark.parametrize("value", [
+        5, -(1 << 40), np.int16(-7), np.uint16(65535), np.array(1 << 62),
+    ], ids=repr)
+    def test_a_0_d_input_gives_an_int64_scalar(self, value):
+        out = fp.saturate(value)
+        assert type(out) is np.int64 and out == clip_oracle(value)
+
+
 class TestScalarOps:
     """Elementwise laws of the raw helpers."""
 

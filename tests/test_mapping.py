@@ -1,5 +1,7 @@
 """Mapping arithmetic, chain planning, capacity contracts, fuzz totality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,12 @@ LATENCIES = (
 )
 
 
+INTEGER_FIELDS = tuple(
+    f.name for f in dataclasses.fields(HardwareConfig)
+    if f.name not in ("clock_period_ns", "rewind_cost")
+)
+
+
 class TestHardwareConfig:
     @pytest.mark.parametrize("field,value", [
         ("rewind_cost", "full-pass"),
@@ -52,6 +60,9 @@ class TestHardwareConfig:
         ("clock_period_ns", 0.0),
         ("clock_period_ns", -0.5),
         ("clock_period_ns", float("nan")),
+        ("clock_period_ns", True),
+        ("clock_period_ns", "0.5"),
+        *((name, value) for name in INTEGER_FIELDS for value in (16.5, 16.0, True, "16", None)),
     ])
     def test_bad_values_are_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -60,6 +71,43 @@ class TestHardwareConfig:
     def test_zero_latencies_and_free_rewinds_are_valid(self):
         hw = HardwareConfig(rewind_cost="free", **{name: 0 for name in LATENCIES})
         assert map_network(square_spec("LSTM", 8), hw).layers[0].n_units == 8
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        hw = HardwareConfig(weights_per_pe=np.int64(16), groups=np.uint8(2))
+        assert type(hw.weights_per_pe) is int and type(hw.groups) is int
+        assert repr(hw) == repr(HardwareConfig(weights_per_pe=16, groups=2))
+        assert HardwareConfig(clock_period_ns=np.float64(0.25)).clock_period_ns == 0.25
+
+
+class TestSpecs:
+    @pytest.mark.parametrize("field", ["neurons", "inputs"])
+    @pytest.mark.parametrize("value", [4.0, 4.5, True, "4", None], ids=repr)
+    def test_layer_sizes_must_be_integers(self, field, value):
+        sizes = {"neurons": 4, "inputs": 4, field: value}
+        with pytest.raises(ValueError, match=field):
+            LayerSpec("LSTM", **sizes)
+
+    @pytest.mark.parametrize("value", [2.0, True, False, "2", None], ids=repr)
+    def test_timesteps_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="timesteps"):
+            NetworkSpec((LayerSpec("LSTM", 4, 4),), value)
+
+    @pytest.mark.parametrize("layers", [
+        [LayerSpec("LSTM", 4, 4)],
+        (("LSTM", 4, 4),),
+        LayerSpec("LSTM", 4, 4),
+        None,
+    ], ids=["list", "tuple-of-tuples", "bare-layer", "none"])
+    def test_layers_must_be_a_tuple_of_layer_specs(self, layers):
+        with pytest.raises(ValueError, match="tuple of LayerSpec"):
+            NetworkSpec(layers, 1)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        layer = LayerSpec("GRU", np.int32(6), np.uint16(12))
+        spec = NetworkSpec((layer,), np.int64(5))
+        assert (type(layer.neurons), type(layer.inputs), type(spec.timesteps)) == (int, int, int)
+        assert spec == NetworkSpec((LayerSpec("GRU", 6, 12),), 5)
+        assert repr(spec) == repr(NetworkSpec((LayerSpec("GRU", 6, 12),), 5))
 
 
 class TestMapNetwork:
