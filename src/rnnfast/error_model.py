@@ -213,11 +213,20 @@ class FidelityMetrics:
 
 
 def fidelity_metrics(reference, observed) -> FidelityMetrics:
-    """Compare final-layer output streams (T, M) of two runs, raw Q8.8."""
-    ref = np.asarray(reference, dtype=np.int64)
-    obs = np.asarray(observed, dtype=np.int64)
+    """Compare final-layer output streams (T, M) of two runs, raw Q8.8.
+
+    Both must be 2-D integer arrays of one shape; anything else raises
+    ValueError.  The nrmse is the RMSE over the reference's RMS, or the
+    plain RMSE when the reference is all zero.
+    """
+    ref, obs = np.asarray(reference), np.asarray(observed)
+    for a in (ref, obs):
+        if a.ndim != 2 or a.dtype.kind not in "iu":
+            raise ValueError(f"runs must be 2-D raw Q8.8 integer streams, not {a.dtype} "
+                             f"of shape {a.shape}")
     if ref.shape != obs.shape:
         raise ValueError("runs must share a shape to be compared")
+    ref, obs = ref.astype(np.int64), obs.astype(np.int64)
     if ref.size == 0:
         return FidelityMetrics(1.0, 0.0)
     agree = float(np.mean(np.argmax(ref, axis=1) == np.argmax(obs, axis=1)))

@@ -7,13 +7,21 @@ Values and timing are deliberately decoupled:
   come from one matrix product per block of TIME_BLOCK timesteps, its
   recurrent-path accumulators from one product per timestep over the
   stacked gates.  Both go through ``_exact_matmul``, which casts int16
-  weight rows a block at a time into one small float64 buffer and lets
-  BLAS multiply.  This is exact: a raw Q8.8 weight times a value below
-  2^16 in magnitude obeys |w*x| < 2^31, so every partial sum of n < 2^22
-  products is an integer below 2^53, which float64 holds exactly in any
-  summation order (the error-free argument of Ozaki et al., Numer.
-  Algorithms, 2012).  ``simulate`` therefore rejects weights, biases and
-  inputs outside the 16-bit range.  The step's fault effects from the
+  weight rows a block at a time into one small float buffer and lets
+  BLAS multiply.  This is exact, because a sum of integer products is
+  exact in any summation order while every partial sum is an integer the
+  float type holds (the error-free argument of Ozaki et al., Numer.
+  Algorithms, 2012).  float32 holds every integer up to 2^24, so with n
+  products of weights up to w_max, each value takes at most
+  cap = 2^24 // (n * w_max) in magnitude.  The layer's w_max is taken
+  once a run, and values that exceed cap are split into a high and a low
+  base-2^b digit, two columns of the same float32 product, recombined in
+  int64.  Preset weights lie in [-0.5, 0.5] and activations and inputs in
+  [-1, 1], so every preset weight product takes float32, in one digit up
+  to 512 wide and two beyond.  Larger operands, up to the full 16-bit
+  range, take float64: |w*x| < 2^31 keeps every partial sum of n < 2^22
+  products below 2^53.  ``simulate`` therefore rejects weights, biases
+  and inputs outside the 16-bit range.  The step's fault effects from the
   run's FaultPlan then correct the accumulators in int64, and each costs
   array work in proportion to the planes and words it changes, not to
   whole tracks or passes.  Each time block reads the layer's four fault
@@ -121,9 +129,10 @@ _PLANE_VALUES = np.array([1 << k for k in range(WORD_PLANES - 1)] + [-(1 << (WOR
 
 # Timesteps whose input paths share one kernel call.
 TIME_BLOCK = 64
-# Float64 elements of the kernel's weight-row buffer (512 KB): small enough
-# that BLAS reads the rows from cache right after the cast writes them.
-_BLOCK_ELEMS = 1 << 16
+# Bytes of the kernel's weight-row buffer (512 KB), float32 or float64: small
+# enough that BLAS reads the rows from cache right after the cast writes
+# them.  The EDC-off misread rows are built in blocks of the same size.
+_BLOCK_BYTES = 1 << 19
 
 
 class EnergyLedger:
@@ -420,27 +429,59 @@ def _slot_lookup(geo, params, path, gate, chunk, neuron, position):
     return group, word, stored
 
 
-def _exact_matmul(weight_blocks, v):
+def _magnitude(a):
+    """max |a| as a Python int; an int16 -32768 does not overflow."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _kernel_digits(n, w_max, v_max):
+    """(float type, digit shift) of ``_exact_matmul`` for n products of
+    weights up to `w_max` and values up to `v_max` in magnitude.
+
+    float32 holds every integer up to 2^24, so a float32 product is exact
+    when every partial sum is: n * w_max * |digit| <= 2^24, that is,
+    |digit| <= cap = 2^24 // (n * w_max).  Gives (float32, None) when
+    `v_max` is one such digit; (float32, b) when v >> b and v & (2^b - 1)
+    are two, b the largest with 2^b <= cap; else (float64, None).
+    """
+    cap = (1 << 24) // max(n * w_max, 1)
+    if v_max <= cap:
+        return np.float32, None
+    b = cap.bit_length() - 1
+    if b > 0 and -(-v_max >> b) <= cap:
+        return np.float32, b
+    return np.float64, None
+
+
+def _exact_matmul(weight_blocks, v, w_max=1 << 15):
     """Exact product of row-stacked int16 weight matrices with `v`, as int64.
 
-    `weight_blocks` are matrices of raw Q8.8 values with n columns; `v` holds
-    values below 2^16 in magnitude, raw Q8.8 words or the differences of
-    two, shape (n,) or (n, k).  Rows are cast a block at a time into one
-    float64 buffer of about _BLOCK_ELEMS elements and multiplied by BLAS
-    into a preallocated output; no float64 copy of a whole matrix is made
-    or kept.
+    `weight_blocks` are matrices of raw Q8.8 values with n columns, none
+    above `w_max` in magnitude; `v` holds values below 2^16 in magnitude,
+    raw Q8.8 words or the differences of two, shape (n,) or (n, k).
+    ``_kernel_digits`` picks float32 when every partial sum stays within
+    2^24, with `v` split into two digits as 2k columns of the one product
+    if it must, and float64 otherwise.  Rows are cast a block at a time
+    into one buffer of _BLOCK_BYTES and multiplied by BLAS into a
+    preallocated output; no float copy of a whole matrix is made or kept.
     """
     n = v.shape[0]
-    # Error-free float64 products (Ozaki et al., Numer. Algorithms, 2012):
-    # every product obeys |w*x| < 2^15 * 2^16 = 2^31, so every partial sum
-    # of n products, in any order, is an integer of magnitude below
-    # n * 2^31, which float64 holds exactly while n < 2^22.
+    # Error-free float products (Ozaki et al., Numer. Algorithms, 2012):
+    # a sum of integer products is exact in any order, FMA or not, while
+    # every partial sum is an integer the float type holds.  In float64,
+    # |w*x| < 2^15 * 2^16 = 2^31 keeps every partial sum of n products
+    # below n * 2^31 < 2^53 while n < 2^22.
     assert n < 1 << 22, f"float64 sums of {n} products may round"
-    vf = np.asarray(v, dtype=np.float64)
+    dtype, shift = _kernel_digits(n, w_max, _magnitude(v))
+    if shift is None:
+        vf = np.asarray(v, dtype=dtype)
+    else:
+        digits = np.asarray(v, dtype=np.int64).reshape(n, -1)
+        vf = np.concatenate((digits >> shift, digits & (1 << shift) - 1), axis=1).astype(dtype)
     rows = sum(len(w) for w in weight_blocks)
-    out = np.empty((rows,) + vf.shape[1:])
-    step = max(1, min(_BLOCK_ELEMS // max(n, 1), rows))
-    buf = np.empty((step, n))
+    out = np.empty((rows,) + vf.shape[1:], dtype=dtype)
+    step = max(1, min(_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(n, 1)), rows))
+    buf = np.empty((step, n), dtype=dtype)
     r = 0
     for w in weight_blocks:
         for lo in range(0, len(w), step):
@@ -448,7 +489,11 @@ def _exact_matmul(weight_blocks, v):
             np.copyto(buf[:k], w[lo:lo + k])
             np.matmul(buf[:k], vf, out=out[r:r + k])
             r += k
-    return out.astype(np.int64)
+    out = out.astype(np.int64)
+    if shift is None:
+        return out
+    hi, lo = np.split(out, 2, axis=1)
+    return ((hi << shift) + lo).reshape((rows,) + v.shape[1:])
 
 
 def _layer_values(lp, geo, params, xs, acts, plan, corrections):
@@ -461,6 +506,7 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
     gates = params.gates
     w_x = [g.w_x for g in gates]
     w_h = [g.w_h for g in gates]
+    w_max = max(map(_magnitude, w_x + w_h))
     bias = np.stack([fp.widen(g.b) for g in gates])
     out = np.empty((len(xs), m), dtype=np.int16)
     faults = None
@@ -475,23 +521,24 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
     h = c = np.zeros(m, dtype=np.int64)
     for t0 in range(0, len(xs), TIME_BLOCK):
         x_block = xs[t0:t0 + TIME_BLOCK]
-        x_accs = _exact_matmul(w_x, x_block.T)
+        x_accs = _exact_matmul(w_x, x_block.T, w_max)
         if plan is not None:
             *chains, weight, mac, act = (stream_rows(s, t0, t0 + len(x_block)) for s in streams)
             faults = chains, _decode_faults(geo, params, weight, mac, edc, corrections), act
         for j, x in enumerate(x_block):
             accs = np.stack((
                 x_accs[:, j].reshape(len(gates), m),
-                _exact_matmul(w_h, h).reshape(len(gates), m),
+                _exact_matmul(w_h, h, w_max).reshape(len(gates), m),
             ))
-            h, c = _layer_step_values(lp, geo, params, x, h, c, accs, bias, acts, faults, j)
+            h, c = _layer_step_values(lp, geo, params, w_max, x, h, c, accs, bias, acts, faults, j)
             out[t0 + j] = h
     return out
 
 
-def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, faults, j):
+def _layer_step_values(lp, geo, params, w_max, x, h_prev, c_prev, accs, bias, acts, faults, j):
     """Finish step j of a time block of one layer; returns (h, c).
 
+    `w_max` is the layer's largest |weight|, for ``_exact_matmul``.
     `accs[path, gate, neuron]` holds the fault-free accumulators.  `faults`
     is None on a fault-free run, else the block's ``stream_rows`` of each
     chain, its ``_decode_faults`` and its activation rows; the step's
@@ -507,7 +554,7 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, fau
             rows = rows[ptr[j]:ptr[j + 1]]
             if len(rows):
                 delivered = _run_faulted_chain(layout, vecs[path], rows)
-                _correct_deliveries(geo, params, path, delivered - vecs[path], accs)
+                _correct_deliveries(geo, params, path, delivered - vecs[path], w_max, accs)
             else:
                 groups = len(layout.group_capacities)
                 delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
@@ -518,7 +565,7 @@ def _layer_step_values(lp, geo, params, x, h_prev, c_prev, accs, bias, acts, fau
     return cell_output(lp.cell_type, accs[0], accs[1], bias, h_prev, c_prev, acts, hook)
 
 
-def _correct_deliveries(geo, params, path, delta, accs):
+def _correct_deliveries(geo, params, path, delta, w_max, accs):
     """Correct `accs[path, gate, neuron]` for the words a faulted chain pass
     delivered: delta[group, word] is the word as the group delivered it
     less the fault-free word.  Chunk c holds words [lo, lo + size), and
@@ -532,7 +579,7 @@ def _correct_deliveries(geo, params, path, delta, accs):
         fed = np.searchsorted(geo.group_of[path, c], np.arange(len(d) + 1))
         for g in np.flatnonzero(d.any(axis=1)):
             n0, n1 = fed[g], fed[g + 1]
-            product = _exact_matmul([w[n0:n1, lo:lo + size] for w in weights], d[g])
+            product = _exact_matmul([w[n0:n1, lo:lo + size] for w in weights], d[g], w_max)
             accs[path, :, n0:n1] += product.reshape(len(weights), n1 - n0)
 
 
@@ -542,7 +589,7 @@ def _misread_faults(geo, params, seen, tracks, planes, positions, accs, macs):
     The faults come as columns: PE track keys, as ``_fault_slots`` keys
     them, planes, and positions in the track.  Each displaced (track,
     plane) pair is one row of a dense (pairs x width) matrix, built in
-    blocks of at most _BLOCK_ELEMS elements: its plane's stored bits in
+    blocks of at most _BLOCK_BYTES: its plane's stored bits in
     arrival order, filled from whole-row slices of the stored weights,
     and alongside them the words its group delivered.
     ``weight_plane_reads`` gives the bits as read, and the pair changes
@@ -572,7 +619,8 @@ def _misread_faults(geo, params, seen, tracks, planes, positions, accs, macs):
     # Pairs sorted by key come in runs of one (path, gate, chunk): one
     # weight matrix and one column range each.
     cuts = 1 + np.flatnonzero(np.diff(track // geo.dims[3]))
-    step = max(1, _BLOCK_ELEMS // width)
+    # `both` below takes 8 bytes per (pair, word).
+    step = max(1, _BLOCK_BYTES // (8 * width))
     for p0 in range(0, len(pairs), step):
         p1 = min(p0 + step, len(pairs))
         # Row i holds pair p0 + i's stored words, then the words its group

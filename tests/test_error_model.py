@@ -479,3 +479,30 @@ def test_fidelity_experiment_pairs_each_seeds_run_with_the_fault_free_one():
         faulty += metrics.nrmse > 0
     # The faults change some runs, so the rows are not all trivially equal.
     assert faulty > 0
+
+
+def test_fidelity_metrics_compares_2d_integer_streams():
+    ref = np.array([[256, -128, 0], [10, 20, 30]], dtype=np.int16)
+    obs = np.array([[256, 0, 0], [10, 20, 40]], dtype=np.int16)
+    metrics = fidelity_metrics(ref, obs)
+    assert metrics.argmax_agreement == 1.0
+    rms = np.sqrt(np.mean((ref.astype(float) / 256) ** 2))
+    assert metrics.nrmse == pytest.approx(np.sqrt((0.5**2 + (10 / 256) ** 2) / 6) / rms)
+    # An all-zero reference gives the plain RMSE.
+    zero = np.zeros((1, 2), dtype=np.int64)
+    assert fidelity_metrics(zero, np.array([[256, -256]])).nrmse == 1.0
+    assert fidelity_metrics(np.zeros((0, 4), dtype=np.int16), np.zeros((0, 4), dtype=np.int64)) \
+        == error_model.FidelityMetrics(1.0, 0.0)
+
+
+@pytest.mark.parametrize("reference,observed", [
+    ([[1.7, 2.2]], [[1, 2]]),        # float streams would be truncated
+    ([[1, 2]], [[1.0, 2.0]]),
+    ([1, 2], [1, 2]),                # 1-D: no per-step argmax
+    ([[[1, 2]]], [[[1, 2]]]),        # 3-D
+    ([[True, False]], [[True, False]]),
+    ([[1, 2]], [[1, 2, 3]]),         # shapes differ
+])
+def test_fidelity_metrics_rejects_anything_but_2d_integer_streams(reference, observed):
+    with pytest.raises(ValueError):
+        fidelity_metrics(reference, observed)

@@ -23,10 +23,10 @@ hand-placed faults that the seeds do not reliably produce.  Weight and MAC
 fault rows are both (neuron, gate, path, slot, plane).
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
-with one exact float64 product per (chunk, group that delivered a changed
-word there), over the run of neurons that group feeds in the chunk.  Its
-oracle is a dense int64 product per chunk, every neuron against the
-deliveries of its own group.
+with one exact ``_exact_matmul`` product per (chunk, group that delivered
+a changed word there), over the run of neurons that group feeds in the
+chunk.  Its oracle is a dense int64 product per chunk, every neuron
+against the deliveries of its own group.
 """
 
 import numpy as np
@@ -39,7 +39,8 @@ from rnnfast.error_model import ErrorConfig, FaultPlan, stream_rows
 from rnnfast.mapping import HardwareConfig, LayerSpec, NetworkSpec, map_network
 from rnnfast.presets import generate_network_params
 from rnnfast.racetrack import weight_plane_reads
-from rnnfast.simulator import _apply_faults, _correct_deliveries, _decode_faults, _LayerGeometry
+from rnnfast.simulator import (_apply_faults, _correct_deliveries, _decode_faults, _LayerGeometry,
+                               _magnitude)
 
 SEEDS = range(20)
 # Each layer's steps are one block, so that a block holds several faulted
@@ -239,9 +240,9 @@ def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
 @pytest.mark.parametrize("layout", ["split", "long"])
 def test_fault_step_matches_the_oracle_across_pair_blocks(layout, edc, monkeypatch):
     """With EDC off, ``_misread_faults`` takes the displaced (track, plane)
-    pairs in blocks of _BLOCK_ELEMS // width rows, and the tiny layouts fit
-    one block.  Blocks of one pair, of one and of a few track widths cut
-    the faulted steps of these layouts into several blocks, one
+    pairs in blocks of _BLOCK_BYTES // (8 * width) rows, and the tiny
+    layouts fit one block.  Blocks of one pair, of one and of a few track
+    widths cut the faulted steps of these layouts into several blocks, one
     ``weight_plane_reads`` call each; with EDC on there is none."""
     calls = []
 
@@ -255,7 +256,7 @@ def test_fault_step_matches_the_oracle_across_pair_blocks(layout, edc, monkeypat
         geos = [_LayerGeometry(lp, placement.hw, None) for lp in placement.layers]
         widths = {int(geo.size.max()) for geo in geos}
         for block in sorted({1} | widths | {3 * w + 1 for w in widths}):
-            monkeypatch.setattr(simulator, "_BLOCK_ELEMS", block)
+            monkeypatch.setattr(simulator, "_BLOCK_BYTES", 8 * block)
             calls.clear()
             faults, _zeroed, logic, steps, _multi = check_seeds(placement, geos, edc, range(4))
             assert faults > 0 and logic > 0
@@ -357,7 +358,8 @@ def test_delivery_corrections_match_the_dense_oracle(layout, cell):
     def check(geo, p, path, delta, tag):
         accs = rng.integers(-(1 << 40), 1 << 40, (2, len(p.gates), p.gates[0].hidden))
         got, want = accs.copy(), accs.copy()
-        _correct_deliveries(geo, p, path, delta, got)
+        w_max = max(_magnitude(w) for g in p.gates for w in (g.w_x, g.w_h))
+        _correct_deliveries(geo, p, path, delta, w_max, got)
         dense_deliveries(geo, p, path, delta, want)
         assert got.tolist() == want.tolist(), tag
         return got.tolist() == accs.tolist()
