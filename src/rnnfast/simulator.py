@@ -50,11 +50,14 @@ Values and timing are deliberately decoupled:
   ``racetrack``: with EDC on, one ``weight_zeros`` call per (layer, time
   block) gives the zeroed slots from the fault rows alone, and each takes
   its stored weight times its delivered word off the accumulator; with EDC
-  off, each displaced (track, plane) pair of a step is one row of a dense
-  bit matrix, filled from whole-row slices of the stored weights in
-  arrival order, ``weight_plane_reads`` gives its plane as read, and the
-  pair corrects its accumulator by one row-wise dot product with the words
-  its group delivered.  Logic faults are one vectorized pass: each
+  off, ``_Misreads`` keys the block's weight rows by (step, track, plane),
+  one displaced pair of one step's pass each, and decodes the pairs in
+  units of _BLOCK_BYTES, each when the first step that needs it comes up:
+  one ``weight_plane_reads`` call per unit over its pairs' stored bits in
+  arrival order gives the flips (read - stored bits), kept in the chunk's
+  word order.  Each step then corrects its accumulators with one row-wise
+  product of its flip rows with the words each pair's group delivered,
+  per (path, chunk) run, and one ``np.add.at``.  Logic faults are one vectorized pass: each
   perturbs one bit of its MAC product (the weight as its track read it,
   times the word its chain group delivered) by one significance position.
   ``_slot_lookup``, the one arrival-order lookup, gives the group, word
@@ -131,7 +134,8 @@ _PLANE_VALUES = np.array([1 << k for k in range(WORD_PLANES - 1)] + [-(1 << (WOR
 TIME_BLOCK = 64
 # Bytes of the kernel's weight-row buffer (512 KB), float32 or float64: small
 # enough that BLAS reads the rows from cache right after the cast writes
-# them.  The EDC-off misread rows are built in blocks of the same size.
+# them.  The EDC-off misreads are decoded in units whose doubled int8 bit
+# rows take at most the same size.
 _BLOCK_BYTES = 1 << 19
 
 
@@ -559,7 +563,7 @@ def _layer_step_values(lp, geo, params, w_max, x, h_prev, c_prev, accs, bias, ac
                 groups = len(layout.group_capacities)
                 delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
             seen.append(delivered)
-        _apply_faults(geo, params, decoded, j, seen, accs)
+        _apply_faults(decoded, j, seen, accs)
         rows = act_rows[act_ptr[j]:act_ptr[j + 1]]
         hook = _act_fault_hook(rows) if len(rows) else None
     return cell_output(lp.cell_type, accs[0], accs[1], bias, h_prev, c_prev, acts, hook)
@@ -583,71 +587,129 @@ def _correct_deliveries(geo, params, path, delta, w_max, accs):
             accs[path, :, n0:n1] += product.reshape(len(weights), n1 - n0)
 
 
-def _misread_faults(geo, params, seen, tracks, planes, positions, accs, macs):
-    """Apply one step's EDC-off weight faults to `accs[path, gate, neuron]`.
+class _Misreads:
+    """The EDC-off weight faults of one (layer, time block), decoded from
+    the fault rows and the stored weights, and applied a step at a time.
 
-    The faults come as columns: PE track keys, as ``_fault_slots`` keys
-    them, planes, and positions in the track.  Each displaced (track,
-    plane) pair is one row of a dense (pairs x width) matrix, built in
-    blocks of at most _BLOCK_BYTES: its plane's stored bits in
-    arrival order, filled from whole-row slices of the stored weights,
-    and alongside them the words its group delivered.
-    ``weight_plane_reads`` gives the bits as read, and the pair changes
-    its accumulator by 2^plane (negated for the sign plane) times the
-    row-wise dot of (read - stored) bits with the words.  `macs` is
-    (track keys, positions, weights) of the step's MAC faults: each
-    weight gains the flips of its track's pairs at its position.
+    The rows are keyed by (step, track, plane), as ``_fault_slots`` keys a
+    track: each key is one displaced (track, plane) pair of one step's pass.
+    The pairs, in key order, are decoded in units of consecutive pairs whose
+    doubled int8 rows (two bytes per pair and word) fit _BLOCK_BYTES, so a
+    unit may span several steps or split one.  A unit is decoded when the
+    first step that needs it comes up and dropped after its last step.
+
+    Decoding a unit takes each pair's plane of its stored weights in
+    arrival order, ``weight_plane_reads`` gives the plane as read, and the
+    flips are read - stored, kept in the chunk's word order: arrival slot s
+    holds word lo + (turn + s) mod size.  Each MAC fault's weight gains its
+    track's flips at its position then, which makes it the weight as read.
+    A step then makes, for each (path, chunk) run of its pairs in a unit,
+    one row-wise product of the flip rows with the words that each pair's
+    group delivered, seen[path][group, lo:lo + size], and adds 2^plane
+    (negated for the sign plane) times each to its accumulator.
     """
-    width = int(geo.size.max())
-    keys = tracks * WORD_PLANES + planes
-    order = np.argsort(keys, kind="stable")
-    positions = positions[order]
-    pairs, pair = np.unique(keys[order], return_inverse=True)
-    track, plane = np.divmod(pairs, WORD_PLANES)
-    path, gate, chunk, neuron = np.unravel_index(track, geo.dims)
-    size = geo.size[path, chunk]
-    group = geo.group_of[path, chunk, neuron]
-    turn = geo.turn[path, group, chunk]
-    # One entry per (MAC fault, pair of its track); a track's pairs are
-    # consecutive.
-    m_tracks, m_positions, weights = macs
-    first = np.searchsorted(pairs, m_tracks * WORD_PLANES)
-    count = np.searchsorted(pairs, (m_tracks + 1) * WORD_PLANES) - first
-    hit = np.repeat(np.arange(len(first)), count)
-    hit_pair = np.arange(len(hit)) + np.repeat(first - np.cumsum(count) + count, count)
-    change = np.empty(len(pairs), dtype=np.int64)
-    # Pairs sorted by key come in runs of one (path, gate, chunk): one
-    # weight matrix and one column range each.
-    cuts = 1 + np.flatnonzero(np.diff(track // geo.dims[3]))
-    # `both` below takes 8 bytes per (pair, word).
-    step = max(1, _BLOCK_BYTES // (8 * width))
-    for p0 in range(0, len(pairs), step):
-        p1 = min(p0 + step, len(pairs))
-        # Row i holds pair p0 + i's stored words, then the words its group
-        # delivered, each twice in a row, so that the window of `width`
-        # words at its turn holds them in arrival order.
-        both = np.zeros((p1 - p0, 2, 2 * width), dtype=np.int16)
-        runs = [p0, *cuts[(cuts > p0) & (cuts < p1)], p1]
-        for r0, r1 in zip(runs, runs[1:]):
-            p, g, c = path[r0], gate[r0], chunk[r0]
-            lo, k = geo.lo[p, c], size[r0]
-            twice = both[r0 - p0:r1 - p0, :, :2 * k].reshape(r1 - r0, 2, 2, k)
-            twice[:, 0] = _weights(params, g, p)[neuron[r0:r1], None, lo:lo + k]
-            twice[:, 1] = seen[p][group[r0:r1], None, lo:lo + k]
-        both = sliding_window_view(both, width, axis=2)[np.arange(p1 - p0), :, turn[p0:p1]]
-        stored, words = both[:, 0], both[:, 1]
-        bits = ((stored >> plane[p0:p1, None].astype(np.int16)) & 1).astype(np.int8)
-        if (size[p0:p1] < width).any():
+
+    def __init__(self, geo, params, steps, step, rows, macs):
+        self.geo, self.params = geo, params
+        *_, position, track, plane = _fault_slots(geo, rows)
+        key = (step * geo.tracks + track) * WORD_PLANES + plane
+        order = np.argsort(key, kind="stable")
+        self.pairs, pair = np.unique(key[order], return_inverse=True)
+        # Fault rows (pair, position), sorted by pair.
+        self.faults = np.stack((pair, position[order]), axis=1)
+        pair_track, self.plane = np.divmod(self.pairs, WORD_PLANES)
+        pair_step, track = np.divmod(pair_track, geo.tracks)
+        self.path, self.gate, self.chunk, self.neuron = np.unravel_index(track, geo.dims)
+        self.group = geo.group_of[self.path, self.chunk, self.neuron]
+        # Step j's pairs are pairs[ptr[j]:ptr[j + 1]]; a (step, path, chunk)
+        # run of pairs ends at each cut.
+        self.ptr = np.searchsorted(pair_step, np.arange(steps + 1))
+        run = (pair_step * 2 + self.path) * geo.dims[2] + self.chunk
+        self.cuts = 1 + np.flatnonzero(np.diff(run))
+        # One entry per (MAC fault, pair of its step's track), sorted by pair.
+        m_step, m_track, self.m_position, self.m_weight = macs
+        m_key = (m_step * geo.tracks + m_track) * WORD_PLANES
+        first = np.searchsorted(self.pairs, m_key)
+        count = np.searchsorted(self.pairs, m_key + WORD_PLANES) - first
+        hit = np.repeat(np.arange(len(first)), count)
+        hit_pair = np.arange(len(hit)) + np.repeat(first - np.cumsum(count) + count, count)
+        order = np.argsort(hit_pair, kind="stable")
+        self.hit, self.hit_pair = hit[order], hit_pair[order]
+        self.width = int(geo.size.max())
+        self.unit = max(1, _BLOCK_BYTES // (2 * self.width))
+        self.held = None
+
+    def _decode(self, u):
+        """(flips, row): unit u's flip rows, int8, in word order, pair i's at
+        row[i]."""
+        geo = self.geo
+        p0, p1 = u * self.unit, min((u + 1) * self.unit, len(self.pairs))
+        at = np.arange(p0, p1)
+        # The unit's pairs by (path, gate, chunk): one weight matrix and one
+        # column range per run of rows.
+        by = np.ravel_multi_index((self.path[at], self.gate[at], self.chunk[at]), geo.dims[:3])
+        order = np.argsort(by, kind="stable")
+        row = np.empty_like(order)
+        row[order] = np.arange(len(order))
+        at = at[order]
+        path, gate, chunk, neuron = self.path[at], self.gate[at], self.chunk[at], self.neuron[at]
+        plane = self.plane[at]
+        size, lo = geo.size[path, chunk], geo.lo[path, chunk]
+        turn = geo.turn[path, self.group[at], chunk]
+        cuts = [0, *(1 + np.flatnonzero(np.diff(by[order]))), len(at)]
+        # Row i holds its pair's stored bits in word order, twice, so that
+        # the window of `width` bits at its turn holds them in arrival order.
+        twice = np.empty((len(at), 2 * self.width), dtype=np.int8)
+        for r0, r1 in zip(cuts, cuts[1:]):
+            k, start = size[r0], lo[r0]
+            stored = _weights(self.params, gate[r0], path[r0])[neuron[r0:r1], start:start + k]
+            bits = (stored >> plane[r0:r1, None].astype(np.int16)) & 1
+            twice[r0:r1, :2 * k].reshape(r1 - r0, 2, k)[:] = bits[:, None]
+        windows = sliding_window_view(twice, self.width, axis=1)
+        bits = windows[np.arange(len(at)), turn]
+        if (size < self.width).any():
             # The window runs on past a shorter track's end.
-            bits[np.arange(width) >= size[p0:p1, None]] = 0
-        f0, f1 = np.searchsorted(pair, (p0, p1))
-        faults = np.stack((pair[f0:f1] - p0, positions[f0:f1]), axis=1)
-        flips = weight_plane_reads(bits, faults) - bits
-        change[p0:p1] = np.einsum("ij,ij->i", flips, words, dtype=np.int64)
-        at = (hit_pair >= p0) & (hit_pair < p1)
-        h, hp = hit[at], hit_pair[at]
-        np.add.at(weights, h, flips[hp - p0, m_positions[h]] * _PLANE_VALUES[plane[hp]])
-    np.add.at(accs, (path, gate, neuron), change * _PLANE_VALUES[plane])
+            bits[np.arange(self.width) >= size[:, None]] = 0
+        f0, f1 = np.searchsorted(self.faults[:, 0], (p0, p1))
+        pair, position = self.faults[f0:f1].T
+        flips = weight_plane_reads(bits, np.stack((row[pair - p0], position), axis=1)) - bits
+        h0, h1 = np.searchsorted(self.hit_pair, (p0, p1))
+        h, hr = self.hit[h0:h1], row[self.hit_pair[h0:h1] - p0]
+        np.add.at(self.m_weight, h, flips[hr, self.m_position[h]] * _PLANE_VALUES[plane[hr]])
+        # Back to word order: word lo + w is arrival slot (w - turn) mod size.
+        for r0, r1 in zip(cuts, cuts[1:]):
+            k = size[r0]
+            twice[r0:r1, :2 * k].reshape(r1 - r0, 2, k)[:] = flips[r0:r1, None, :k]
+        return windows[np.arange(len(at)), size - turn], row
+
+    def apply(self, j, seen, accs):
+        """Add step j's misreads, with the words seen[path][group, word] the
+        step delivered, to `accs[path, gate, neuron]`."""
+        a, b = self.ptr[j], self.ptr[j + 1]
+        if a == b:
+            return
+        change = np.empty(b - a, dtype=np.int64)
+        cuts = self.cuts[np.searchsorted(self.cuts, a, "right"):np.searchsorted(self.cuts, b)]
+        for r0, r1 in zip([a, *cuts], [*cuts, b]):
+            p, c = self.path[r0], self.chunk[r0]
+            lo, k = self.geo.lo[p, c], self.geo.size[p, c]
+            # The delivered words take 8 bytes per pair and word.
+            rows = max(1, _BLOCK_BYTES // (8 * k))
+            while r0 < r1:
+                u, r = divmod(r0, self.unit)
+                if self.held is None or self.held[0] != u:
+                    self.held = None
+                    self.held = u, *self._decode(u)
+                _, flips, row = self.held
+                n = min(r1 - r0, self.unit - r, rows)
+                words = seen[p][self.group[r0:r0 + n], lo:lo + k]
+                change[r0 - a:r0 - a + n] = np.einsum("ij,ij->i", flips[row[r:r + n], :k], words)
+                r0 += n
+        if self.held is not None and min((self.held[0] + 1) * self.unit, len(self.pairs)) <= b:
+            self.held = None
+        at = slice(a, b)
+        np.add.at(accs, (self.path[at], self.gate[at], self.neuron[at]),
+                  change * _PLANE_VALUES[self.plane[at]])
 
 
 def _zeroed_slots(geo, step, rows, corrections):
@@ -675,26 +737,22 @@ def _decode_faults(geo, params, weight, mac, edc, corrections):
     fault rows alone: `weight` and `mac` are the block's (ptr, rows) from
     ``stream_rows``.
 
-    With EDC on, ``_zeroed_slots`` gives the zeroed slots, and no weight
-    row is misread; with EDC off, the weight rows' (ptr, track, plane,
-    position) are kept for ``_misread_faults``.  Each product row adds
-    weight * word & mask to its accumulator: a MAC fault one bit, plane +
-    FRAC_BITS, of its product (weight 0 on a zeroed slot of its step), and a
-    zeroed slot its whole product taken off (weight -stored, mask -1).
-    Returns (misread, (ptr, path, gate, neuron, group, word, weight, mask,
-    track, position)), the product rows sorted by (step, path), step j's
+    With EDC on, ``_zeroed_slots`` gives the zeroed slots, no weight row is
+    misread, and nothing else is made for them; with EDC off, a
+    ``_Misreads`` takes the weight rows, and the MAC faults' weights, which
+    its units make the weights as read when they are decoded.  Each product
+    row adds weight * word & mask to its accumulator: a MAC fault one bit,
+    plane + FRAC_BITS, of its product (weight 0 on a zeroed slot of its
+    step), and a zeroed slot its whole product taken off (weight -stored,
+    mask -1).  Returns (misreads or None, (ptr, path, gate, neuron, group,
+    word, weight, mask)), the product rows sorted by (step, path), step j's
     path p rows at ptr[2 j + p]:ptr[2 j + p + 1].
     """
     (w_ptr, w_rows), (m_ptr, m_rows) = weight, mac
     steps = np.arange(len(w_ptr) - 1)
     products = [(np.repeat(steps, np.diff(m_ptr)), m_rows)]
-    if edc:
-        if len(w_rows):
-            products.append(_zeroed_slots(geo, np.repeat(steps, np.diff(w_ptr)), w_rows,
-                                          corrections))
-        w_ptr, w_rows = np.zeros_like(w_ptr), w_rows[:0]
-    *_, position, track, plane = _fault_slots(geo, w_rows)
-    misread = w_ptr, track, plane, position
+    if edc and len(w_rows):
+        products.append(_zeroed_slots(geo, np.repeat(steps, np.diff(w_ptr)), w_rows, corrections))
     step, rows = (np.concatenate(c) for c in zip(*products))
     order = np.argsort(2 * step + rows[:, 2], kind="stable")
     step, rows = step[order], rows[order]
@@ -706,23 +764,25 @@ def _decode_faults(geo, params, weight, mac, edc, corrections):
     weight[zeroed] *= -1
     mask = np.where(zeroed, -1, 1 << (plane + fp.FRAC_BITS))
     ptr = np.searchsorted(2 * step + path, np.arange(2 * len(steps) + 1))
-    return misread, (ptr, path, gate, neuron, group, word, weight, mask, track, position)
+    misreads = None
+    if not edc and len(w_rows):
+        misreads = _Misreads(geo, params, len(steps), np.repeat(steps, np.diff(w_ptr)), w_rows,
+                             (step, track, position, weight))
+    return misreads, (ptr, path, gate, neuron, group, word, weight, mask)
 
 
-def _apply_faults(geo, params, faults, j, seen, accs):
+def _apply_faults(faults, j, seen, accs):
     """Apply step j of a block of faults that ``_decode_faults`` decoded to
     `accs[path, gate, neuron]`, with the words seen[path][group, word] the
-    step delivered.  With EDC off, ``_misread_faults`` first adds each MAC
-    fault's flips to its weight, which makes it the weight as read."""
-    (w_ptr, *misread), products = faults
-    ptr, path, gate, neuron, group, word, weight, mask, track, position = products
+    step delivered.  With EDC off, the step's misreads come first: decoding
+    their units adds each MAC fault's flips to its weight, which makes it
+    the weight as read."""
+    misreads, (ptr, path, gate, neuron, group, word, weight, mask) = faults
+    if misreads is not None:
+        misreads.apply(j, seen, accs)
     ptr = ptr[2 * j:2 * j + 3]
-    at = slice(ptr[0], ptr[2])
-    w0, w1 = w_ptr[j], w_ptr[j + 1]
-    if w0 < w1:
-        _misread_faults(geo, params, seen, *(c[w0:w1] for c in misread), accs,
-                        (track[at], position[at], weight[at]))
     if ptr[0] < ptr[2]:
+        at = slice(ptr[0], ptr[2])
         delivered = np.concatenate([
             seen[p][group[ptr[p]:ptr[p + 1]], word[ptr[p]:ptr[p + 1]]] for p in (0, 1)
         ])
@@ -850,15 +910,17 @@ def simulate(placement: Placement, params, inputs,
 def analytic_cycles(placement: Placement) -> int:
     """Cycle count of a run of `placement`; faults never change it.
 
-    Each layer's timestep takes its ``_layer_timing`` body, and layers
+    Each layer's timestep takes its ``_layer_timing`` body b_l, and layers
     pipeline across timesteps: (l, t) starts at
-    max(finish(l-1, t), finish(l, t-1)).  ``simulate`` reports this count;
-    the tests hold it against a word-by-word ``MacPipeline`` replay.
+    max(finish(l-1, t), finish(l, t-1)).  That wavefront finishes its last
+    layer at sum(b) + (T - 1) * max(b) for T >= 1 timesteps: the first
+    timestep fills the pipeline and the slowest layer paces the rest.
+    ``simulate`` reports this count; the tests hold it against a
+    word-by-word ``MacPipeline`` replay.
     """
+    T = placement.spec.timesteps
+    if T == 0:
+        return 0
     impl = placement.spec.activation_impl
     bodies = [_layer_timing(lp, placement.hw, impl)[2] for lp in placement.layers]
-    finish = [0] * len(bodies)
-    for _t in range(placement.spec.timesteps):
-        for l, body in enumerate(bodies):
-            finish[l] = max(finish[l - 1] if l else 0, finish[l]) + body
-    return finish[-1]
+    return sum(bodies) + (T - 1) * max(bodies)

@@ -3,24 +3,29 @@ oracles.
 
 ``_decode_faults`` decodes the weight and logic faults of a block of
 timesteps once, from the fault rows alone, which come as ``stream_rows``
-gives them (the block's rows, step j's at ptr[j]:ptr[j + 1]): every faulted
-PE track of the block, keyed by (step, track), goes through one
+gives them (the block's rows, step j's at ptr[j]:ptr[j + 1]): every
+faulted PE track of the block, keyed by (step, track), goes through one
 ``weight_zeros`` call with EDC on, and one arrival-order lookup gives the
-zeroed slots' and the MAC faults' groups, words and stored weights.
-``_apply_faults`` then applies
-one step with the words it delivered: with EDC off through
-``weight_plane_reads`` over a dense matrix of the step's displaced (track,
-plane) pairs, built in blocks of rows, and all logic faults as array
-operations.  The oracle below is the per-track loop they replaced: one
-single-track protocol pass per faulted track of a step (kept here in its
-single-track form), a brute-force arrival order, and one lookup per MAC
-fault that takes the weight as read when a weight fault of the same step
-hit its track.  Both must give the same accumulators at every step of the
-block and the same corrections, the held shifts among them, on the fault
-plans of random seeds over blocks of several faulted steps, with pair
-blocks small enough that every faulted step spans several, and on
-hand-placed faults that the seeds do not reliably produce.  Weight and MAC
-fault rows are both (neuron, gate, path, slot, plane).
+zeroed slots' and the MAC faults' groups, words and stored weights.  With
+EDC off it keys the weight rows by (step, track, plane), one displaced
+pair of a step's pass each, and decodes the pairs in units of consecutive
+pairs, one ``weight_plane_reads`` call each, into flip rows in word
+order; a unit may split a step or span several, and each MAC fault's
+weight gains the flips of its track's pairs, which may lie in two units.
+``_apply_faults`` then applies one step with the words it delivered: one
+row-wise product of the flip rows with the delivered words per (path,
+chunk) run, and all logic faults as array operations.  The oracle below is
+the per-track loop they replaced: one single-track protocol pass per
+faulted track of a step (kept here in its single-track form), a
+brute-force arrival order, and one lookup per MAC fault that takes the
+weight as read when a weight fault of the same step hit its track.  Both
+must give the same accumulators at every step of the block and the same
+corrections, the held shifts among them, on the fault plans of random
+seeds over blocks of several faulted steps, with decode units small
+enough that some unit splits a step and large enough that some spans
+several, and on hand-placed faults that the seeds do not reliably
+produce.  Weight and MAC fault rows are both (neuron, gate, path, slot,
+plane).
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
 with one exact ``_exact_matmul`` product per (chunk, group that delivered
@@ -149,7 +154,7 @@ def both(lp, geo, params, weight, mac, edc, states):
     got = []
     for j, (accs, seen) in enumerate(states):
         a = accs.copy()
-        _apply_faults(geo, params, faults, j, seen, a)
+        _apply_faults(faults, j, seen, a)
         got.append(a.tolist())
     oracle_corrections = {"weight_zeroed": 0, "suppressed_shifts": 0}
     want = []
@@ -236,31 +241,96 @@ def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
     assert (weight_zeroed > 0) == edc
 
 
-@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
-@pytest.mark.parametrize("layout", ["split", "long"])
-def test_fault_step_matches_the_oracle_across_pair_blocks(layout, edc, monkeypatch):
-    """With EDC off, ``_misread_faults`` takes the displaced (track, plane)
-    pairs in blocks of _BLOCK_BYTES // (8 * width) rows, and the tiny
-    layouts fit one block.  Blocks of one pair, of one and of a few track
-    widths cut the faulted steps of these layouts into several blocks, one
-    ``weight_plane_reads`` call each; with EDC on there is none."""
-    calls = []
+def record_units(monkeypatch):
+    """Record each decoded unit as (decoder, unit, first step, last step,
+    whether it starts or ends inside a step), and count the
+    ``weight_plane_reads`` calls."""
+    units, calls = [], []
 
     def counted(bits, faults):
         calls.append(len(bits))
         return weight_plane_reads(bits, faults)
 
+    decode = simulator._Misreads._decode
+
+    def recorded(self, u):
+        p0, p1 = u * self.unit, min((u + 1) * self.unit, len(self.pairs))
+        first, last = np.searchsorted(self.ptr, (p0, p1 - 1), "right") - 1
+        units.append((self, u, first, last, p0 not in self.ptr or p1 not in self.ptr))
+        return decode(self, u)
+
     monkeypatch.setattr(simulator, "weight_plane_reads", counted)
+    monkeypatch.setattr(simulator._Misreads, "_decode", recorded)
+    return units, calls
+
+
+def unit_budget(monkeypatch, width, pairs):
+    """Set _BLOCK_BYTES so that a decode unit of a layer whose widest chunk
+    is `width` words holds `pairs` pairs (two bytes per pair and word); a
+    wider layer's holds fewer, and at least one."""
+    monkeypatch.setattr(simulator, "_BLOCK_BYTES", 2 * width * pairs)
+
+
+@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
+@pytest.mark.parametrize("layout", ["split", "long"])
+def test_fault_step_matches_the_oracle_across_pair_blocks(layout, edc, monkeypatch):
+    """With EDC off, ``_decode_faults`` cuts a block's displaced (track,
+    plane) pairs, in (step, track, plane) order, into blocks of pairs, its
+    decode units, of _BLOCK_BYTES // (2 * width) pairs, and the tiny
+    layouts fit one unit.  Units of one pair, of one track width and of a
+    few widths (of the narrowest layer's tracks) cut the blocks of time
+    steps so that some unit splits a step and some unit spans several.
+    Each unit is decoded once, with one ``weight_plane_reads`` call; with
+    EDC on there is none."""
+    units, calls = record_units(monkeypatch)
+    split = spans = 0
     for cell in CELLS:
         placement = layout_net(cell, layout)
         geos = [_LayerGeometry(lp, placement.hw, None) for lp in placement.layers]
-        widths = {int(geo.size.max()) for geo in geos}
-        for block in sorted({1} | widths | {3 * w + 1 for w in widths}):
-            monkeypatch.setattr(simulator, "_BLOCK_BYTES", 8 * block)
+        width = min(int(geo.size.max()) for geo in geos)
+        for pairs in (1, width, 3 * width + 1):
+            unit_budget(monkeypatch, width, pairs)
+            units.clear()
             calls.clear()
-            faults, _zeroed, logic, steps, _multi = check_seeds(placement, geos, edc, range(4))
+            faults, _zeroed, logic, _steps, _multi = check_seeds(placement, geos, edc, range(4))
             assert faults > 0 and logic > 0
-            assert len(calls) > steps if not edc else not calls, (cell, block)
+            assert len(calls) == len(units), (cell, pairs)
+            assert len({u[:2] for u in units}) == len(units), (cell, pairs)
+            assert bool(units) != edc, (cell, pairs)
+            split += any(inside for *_, inside in units)
+            spans += any(first < last for _, _, first, last, _ in units)
+    assert (split > 0 and spans > 0) != edc
+
+
+def test_a_mac_fault_reads_flips_from_two_decode_units(monkeypatch):
+    """Weight faults on planes 14 and 15 of one track, and MAC faults at
+    the track's last arrival slot in the same step.  The stored weight there
+    is negative, so both its bits are set, and both planes read blank there.
+    With units of one pair, a unit boundary falls between the two planes,
+    and the MAC faults' weight gains flips from both units:
+    -2^14 and +2^15."""
+    units, _calls = record_units(monkeypatch)
+    placement = layout_net("LSTM", "split")
+    lp = placement.layers[0]
+    geo = _LayerGeometry(lp, placement.hw, None)
+    params = generate_network_params(placement.spec, 5)[0]
+    gate, path, chunk = 1, 0, 1
+    lo, size = int(geo.lo[path, chunk]), int(geo.size[path, chunk])
+    assert size >= 4
+    w = params.gates[gate].w_x
+    neuron, word = next((n, words[-1]) for n in range(lp.neurons)
+                        for _group, words in [arrival_words(geo, lp, n, path, chunk)]
+                        if w[n, words[-1]] < 0)
+    wf = block([[neuron, gate, path, lo + 1, 14], [neuron, gate, path, lo + 2, 15]])
+    mf = block([[neuron, gate, path, lo + size - 1, plane] for plane in (0, 7)])
+    unit_budget(monkeypatch, int(geo.size.max()), 1)
+    accs, seen = random_state(np.random.default_rng(5), lp, params)
+    got, want = both(lp, geo, params, wf, mf, False, [(accs, seen)])
+    assert got == want
+    assert [u[1] for u in units] == [0, 1]
+    misreads, products = _decode_faults(geo, params, wf, mf, False, {})
+    _apply_faults((misreads, products), 0, seen, accs.copy())
+    assert products[6].tolist() == [int(w[neuron, word]) - (1 << 14) + (1 << 15)] * 2
 
 
 @pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])

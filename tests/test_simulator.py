@@ -45,7 +45,7 @@ from rnnfast.mapping import (
     NetworkSpec,
     map_network,
 )
-from rnnfast.presets import generate_inputs, generate_network_params
+from rnnfast.presets import PRESETS, generate_inputs, generate_network_params, get_preset
 from rnnfast.racetrack import WORD_PLANES, InputTrackChain, weight_zeros
 from rnnfast.simulator import (
     TIME_BLOCK,
@@ -400,6 +400,27 @@ def test_closed_form_timing_is_the_per_word_mac_replay(
         assert [end - start for start, end in zip(starts, row)] == [b for *_, b in timing]
         prev = row
 
+
+
+def wavefront_loop(placement):
+    """The T x L wavefront loop that ``analytic_cycles`` replaced with its
+    closed form: (l, t) starts at max(finish(l-1, t), finish(l, t-1))."""
+    impl = placement.spec.activation_impl
+    bodies = [_layer_timing(lp, placement.hw, impl)[2] for lp in placement.layers]
+    finish = [0] * len(bodies)
+    for _t in range(placement.spec.timesteps):
+        for l, body in enumerate(bodies):
+            finish[l] = max(finish[l - 1] if l else 0, finish[l]) + body
+    return finish[-1]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_closed_form_cycles_equal_the_wavefront_loop_on_every_preset(name):
+    preset = get_preset(name)
+    for steps in (0, 1, preset.spec.timesteps):
+        placement = map_network(dataclasses.replace(preset.spec, timesteps=steps),
+                                preset.hardware())
+        assert analytic_cycles(placement) == wavefront_loop(placement), steps
 
 def small_net(widths, steps):
     layers = tuple(LayerSpec("LSTM", m, n) for n, m in zip(widths, widths[1:]))

@@ -220,6 +220,30 @@ def test_simulate_peak_memory_is_a_fraction_of_the_weights():
     assert peak < weight_bytes / 32, (peak, weight_bytes)
 
 
+
+def test_edc_off_weight_faults_add_a_few_blocks_to_the_peak():
+    """A d-speech slice at the paper's rate, weight faults only, EDC off:
+    about 2,900 displaced (track, plane) pairs a step of tracks up to 1,878
+    words.  Decoded a unit of _BLOCK_BYTES at a time, the run stays within
+    the clean bound above plus a few _BLOCK_BYTES; the whole block's int8
+    rows alone would take 11 MB."""
+    preset = get_preset("d-speech")
+    spec = replace(preset.spec, timesteps=2)
+    params = generate_network_params(spec, 1)
+    inputs = generate_inputs(spec, 2)
+    placement = map_network(spec, preset.hardware())
+    weight_bytes = sum(g.w_x.nbytes + g.w_h.nbytes for p in params for g in p.gates)
+    cfg = ErrorConfig(p_overshift=DEFAULT_P_OVERSHIFT, sites={"weight_arrays"}, seed=0)
+    tracemalloc.start()
+    try:
+        result = simulate(placement, params, inputs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not (cfg.edc_inputs or cfg.edc_weights)
+    assert result.corrections["fault_events"] > 5_000
+    assert peak < weight_bytes / 32 + 4 * simulator._BLOCK_BYTES, (peak, weight_bytes)
+
 def test_fault_plan_memory_is_a_quarter_of_python_tuples():
     # A 20-step d-speech slice at the paper's rate has 116,190 events; held
     # as Python tuples, its plan retained 13.8 MiB (125 bytes per event).
