@@ -26,10 +26,10 @@ simulator uses:
   returns plain lists: the word each group delivered and the planes each
   group corrected.  With EDC on the simulator needs only the counts of
   corrections and held shifts, which do not depend on the words, so it
-  replays this model with nothing staged over the window of each faulted
-  pass, once per run; with EDC off it follows each displaced plane's
-  deliveries back through the queues in closed form, checked against this
-  model.
+  replays this model with nothing staged, once per run, over each maximal
+  run of a pass's faulted steps and the step after it; with EDC off it
+  follows each displaced plane's deliveries back through the queues in
+  closed form, checked against this model.
 
 * ``WeightTrackGroup`` -- the weight-stationary storage of one PE, kept as
   the reference that the vectorized form is tested against.  Advancing
@@ -49,9 +49,10 @@ simulator uses:
   only its own plane.  The simulator makes one ``weight_zeros`` call per
   (layer, block of timesteps) over every faulted PE track of the block,
   each step's pass a track of its own, and one ``weight_plane_reads`` call
-  per block of a step's displaced pairs; it reads the stored weight and
-  delivered word at each zeroed slot through its one arrival-order
-  lookup.
+  per decode unit: a run of the block's displaced (step, track, plane)
+  pairs whose rows fit one buffer, which may split a step or span
+  several.  It reads the stored weight and delivered word at each zeroed
+  slot through its one arrival-order lookup.
 
 Fault decisions are injected by the caller (the planes that overshoot, per
 step or read), so the models themselves hold no randomness.  Counters are
@@ -60,8 +61,9 @@ reported through a duck-typed ledger with ``add(op, n)``.
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
-from itertools import islice
+from itertools import islice, repeat
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +80,18 @@ class PadOverrun(Exception):
 def _ledger_add(ledger, op, n):
     if ledger is not None and n:
         ledger.add(op, n)
+
+
+def _integers(values, lo, hi, what):
+    """`values` as a list of Python ints; ValueError for a bool, a value
+    that is not an integer or one outside [lo, hi], as the simulator
+    rejects anything but raw 16-bit integers."""
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or not lo <= v <= hi:
+            raise ValueError(f"{what} must be integers in [{lo}, {hi}], not {v!r}")
+        out.append(int(v))
+    return out
 
 
 class InputTrackChain:
@@ -97,15 +111,20 @@ class InputTrackChain:
         self.group_capacities = [int(c) for c in group_capacities]
         self.capacity = sum(self.group_capacities)
         self.edc_enabled = edc_enabled
-        self.stage([0] * self.capacity)
+        self._load(repeat(0))
 
     def stage(self, words):
-        """Write `words` into the groups in order and clear every fault."""
+        """Write `words` into the groups in order and clear every fault.
+
+        Raises ValueError unless `words` are `capacity` integers in
+        [-2^15, 2^16)."""
         if len(words) != self.capacity:
             raise ValueError(f"chain stages exactly {self.capacity} words")
-        if any(not -(1 << 15) <= w < 1 << 16 for w in words):
-            raise ValueError("chain stages words in [-2^15, 2^16)")
-        unsigned = (int(w) & 0xFFFF for w in words)
+        self._load(w & 0xFFFF for w in _integers(words, -(1 << 15), (1 << 16) - 1, "chain words"))
+
+    def _load(self, unsigned):
+        """Fill the groups in order from the iterator `unsigned` of words in
+        [0, 2^16) and clear every fault."""
         self.queues = [deque(islice(unsigned, cap)) for cap in self.group_capacities]
         self.displaced = [{} for _ in self.queues]
         self.held = [() for _ in self.queues]
@@ -166,10 +185,11 @@ class WeightOutcome:
 
 
 class WeightTrackGroup:
-    """Weight-stationary storage of one PE path (x or h weights)."""
+    """Weight-stationary storage of one PE path (x or h weights): raw Q8.8
+    integers in [-2^15, 2^15), else ValueError."""
 
     def __init__(self, weights, edc_enabled=False):
-        self.weights = [int(w) for w in weights]
+        self.weights = _integers(weights, -(1 << 15), (1 << 15) - 1, "weights")
         self.edc_enabled = edc_enabled
         self.slot = 0
         self._mis = [0] * WORD_PLANES

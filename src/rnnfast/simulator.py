@@ -8,13 +8,19 @@ Values and timing are deliberately decoupled:
   recurrent-path accumulators from one product per timestep over the
   stacked gates.  Both go through ``_exact_matmul``, which casts int16
   weight rows a block at a time into one small float buffer and lets
-  BLAS multiply.  This is exact, because a sum of integer products is
-  exact in any summation order while every partial sum is an integer the
-  float type holds (the error-free argument of Ozaki et al., Numer.
-  Algorithms, 2012).  float32 holds every integer up to 2^24, so with n
-  products of weights up to w_max, each value takes at most
-  cap = 2^24 // (n * w_max) in magnitude.  The layer's w_max is taken
-  once a run, and values that exceed cap are split into a high and a low
+  BLAS multiply.  A layer whose recurrent weights take at most
+  _STACK_BYTES as float32 casts them once a run instead, into one float32
+  stack of all its gates that lives while the layer runs, and each step
+  multiplies that stack in one BLAS call; a wider layer's stack would be
+  read from memory at every step, which costs more than the cast into a
+  buffer that stays in cache.  float32 holds every int16 exactly, so
+  both forms multiply the same integers.  The products are exact, because
+  a sum of integer products is exact in any summation order while every
+  partial sum is an integer the float type holds (the error-free argument
+  of Ozaki et al., Numer. Algorithms, 2012).  float32 holds every
+  integer up to 2^24, so with n products of weights up to w_max, each
+  value takes at most cap = 2^24 // (n * w_max) in magnitude.  The
+  layer's w_max is taken once a run, and values that exceed cap are split into a high and a low
   base-2^b digit, two columns of the same float32 product, recombined in
   int64.  Preset weights lie in [-0.5, 0.5] and activations and inputs in
   [-1, 1], so every preset weight product takes float32, in one digit up
@@ -38,8 +44,9 @@ Values and timing are deliberately decoupled:
   which the plan's rows alone determine.  ``simulate`` cuts each chain's
   stream into its passes with ``stream_rows``, and ``_edc_chain_holds``
   counts both once per run, replaying each faulted pass through the
-  word-level track model (``InputTrackChain``) from its first faulted step
-  to the step after its last fault.  ``simulate`` books the ledger once per
+  word-level track model (``InputTrackChain``): each maximal run of
+  faulted steps and the step after it, which leaves the chain as
+  fault-free as it started.  ``simulate`` books the ledger once per
   run: T fault-free steps of every layer, less the shifts that EDC
   corrections held back on the chains and on the weight tracks.  Weight
   and MAC fault rows share one layout and one decode, ``_fault_slots``, to
@@ -134,9 +141,18 @@ _PLANE_VALUES = np.array([1 << k for k in range(WORD_PLANES - 1)] + [-(1 << (WOR
 TIME_BLOCK = 64
 # Bytes of the kernel's weight-row buffer (512 KB), float32 or float64: small
 # enough that BLAS reads the rows from cache right after the cast writes
-# them.  The EDC-off misreads are decoded in units whose doubled int8 bit
-# rows take at most the same size.
+# them.  The input path and the recurrent path of layers above
+# _STACK_BYTES cast their int16 rows into it; a float32 stack goes through
+# it only on the float64 path.  The EDC-off misreads are decoded in units
+# whose doubled int8 bit rows take at most the same size.
 _BLOCK_BYTES = 1 << 19
+# Largest float32 stack of a layer's recurrent weights (4 MiB) that is
+# cast once a run rather than a block at a time at every step.  In clean
+# runs of single-layer LSTMs of 11 and 25 steps, with 2 BLAS threads on
+# cores with 2 MiB of L2 each, a 512-wide layer (4 MiB) ran 13-30%
+# faster stacked, and layers 640 to 1024 wide (6.25 to 16 MiB) ran no
+# faster or slower.
+_STACK_BYTES = 1 << 22
 
 
 class EnergyLedger:
@@ -364,18 +380,20 @@ def _edc_chain_holds(layout, faults):
     `faults` holds ``FaultPlan``'s rows (step, group, plane).  EDC decodes
     every delivery to the fault-free word, and which planes it corrects
     does not depend on the words, so the pass is replayed through
-    ``InputTrackChain`` with nothing staged.  Every step before the first
-    fault is fault-free, so the replay starts there.  It stops after the
-    step that follows the last fault, which releases the held planes.  A
-    correction holds its plane's next shift, so one at the pass's last step
-    holds none.
+    ``InputTrackChain`` with nothing staged.  EDC clears every displacement
+    at the step that makes it, and a step without faults releases the
+    planes the step before held, so after it the chain is as fault-free as
+    at the pass's start.  One chain therefore replays each maximal run of
+    faulted steps and the step after it, up to the pass's last step, and
+    skips the steps in between.  A correction holds its plane's next shift,
+    so one at the pass's last step holds none.
     """
     by_step = {}
     for s, g, k in np.asarray(faults).tolist():
         by_step.setdefault(s, {}).setdefault(g, []).append(k)
     chain = InputTrackChain(list(layout.group_capacities), edc_enabled=True)
     corrected = last = 0
-    for s in range(min(by_step), min(max(by_step) + 2, layout.word_capacity)):
+    for s in sorted({t for s in by_step for t in (s, s + 1)} - {layout.word_capacity}):
         last = sum(map(len, chain.rotate_step(by_step.get(s))[1]))
         corrected += last
     return corrected, corrected - last
@@ -458,16 +476,19 @@ def _kernel_digits(n, w_max, v_max):
 
 
 def _exact_matmul(weight_blocks, v, w_max=1 << 15):
-    """Exact product of row-stacked int16 weight matrices with `v`, as int64.
+    """Exact product of row-stacked weight matrices with `v`, as int64.
 
     `weight_blocks` are matrices of raw Q8.8 values with n columns, none
-    above `w_max` in magnitude; `v` holds values below 2^16 in magnitude,
-    raw Q8.8 words or the differences of two, shape (n,) or (n, k).
-    ``_kernel_digits`` picks float32 when every partial sum stays within
-    2^24, with `v` split into two digits as 2k columns of the one product
-    if it must, and float64 otherwise.  Rows are cast a block at a time
-    into one buffer of _BLOCK_BYTES and multiplied by BLAS into a
-    preallocated output; no float copy of a whole matrix is made or kept.
+    above `w_max` in magnitude, as int16 or as float32, which holds them
+    exactly; `v` holds values below 2^16 in magnitude, raw Q8.8 words or
+    the differences of two, shape (n,) or (n, k).  ``_kernel_digits``
+    picks float32 when every partial sum stays within 2^24, with `v` split
+    into two digits as 2k columns of the one product if it must, and
+    float64 otherwise.  A block already of that float type is multiplied
+    by BLAS as it is.  Other rows are cast a block at a time into one
+    buffer of _BLOCK_BYTES and multiplied from there; this function makes
+    no float copy of a whole matrix.  Each product goes into one
+    preallocated output.
     """
     n = v.shape[0]
     # Error-free float products (Ozaki et al., Numer. Algorithms, 2012):
@@ -488,6 +509,10 @@ def _exact_matmul(weight_blocks, v, w_max=1 << 15):
     buf = np.empty((step, n), dtype=dtype)
     r = 0
     for w in weight_blocks:
+        if w.dtype == dtype:
+            np.matmul(w, vf, out=out[r:r + len(w)])
+            r += len(w)
+            continue
         for lo in range(0, len(w), step):
             k = min(step, len(w) - lo)
             np.copyto(buf[:k], w[lo:lo + k])
@@ -504,13 +529,16 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
     """Evaluate one layer over the whole input stream; returns its outputs.
 
     The input path of all gates is one kernel call per block of TIME_BLOCK
-    timesteps, the recurrent path one call per step over the stacked gates.
+    timesteps, the recurrent path one call per step over the stacked gates:
+    one float32 stack, cast here, when it takes at most _STACK_BYTES.
     """
     m = lp.neurons
     gates = params.gates
     w_x = [g.w_x for g in gates]
     w_h = [g.w_h for g in gates]
     w_max = max(map(_magnitude, w_x + w_h))
+    if 4 * sum(w.size for w in w_h) <= _STACK_BYTES:
+        w_h = [np.concatenate(w_h, dtype=np.float32)]
     bias = np.stack([fp.widen(g.b) for g in gates])
     out = np.empty((len(xs), m), dtype=np.int16)
     faults = None

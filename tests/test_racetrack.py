@@ -170,6 +170,14 @@ class TestInputTrackChain:
         chain.stage([-(1 << 15), (1 << 16) - 1, -1])
         assert rotate_full_pass(chain) == [0x8000, 0xFFFF, 0xFFFF]
 
+    @pytest.mark.parametrize("bad", [1.7, -2.2, 65535.5, 3.0, True, np.bool_(False), "1", None])
+    def test_stage_rejects_words_that_are_not_integers(self, bad):
+        chain = InputTrackChain([2, 1])
+        with pytest.raises(ValueError):
+            chain.stage([0, bad, 0])
+        chain.stage([np.int16(-1), np.uint16(2), np.int64(3)])
+        assert rotate_full_pass(chain) == [0xFFFF, 2, 3]
+
     def test_stage_rejects_the_wrong_word_count(self):
         chain = InputTrackChain([2, 1])
         for words in ([1, 2], [1, 2, 3, 4]):
@@ -338,6 +346,14 @@ class TestWeightTrackGroup:
         assert base[0] == a[0]
         diff = [j for j in range(30) if a[j] != b[j]]
         assert diff == sorted(fault_slots)
+
+    @pytest.mark.parametrize("bad", [1.9, -0.5, True, np.bool_(True), 1 << 15, -(1 << 15) - 1,
+                                     np.int64(1 << 16), "1", None])
+    def test_weights_must_be_raw_q8_8_integers(self, bad):
+        with pytest.raises(ValueError):
+            WeightTrackGroup([1, bad, 2])
+        grp = WeightTrackGroup([np.int16(-(1 << 15)), np.int64((1 << 15) - 1), 0])
+        assert [grp.read_next().weight_raw for _ in range(3)] == [-(1 << 15), (1 << 15) - 1, 0]
 
     def test_overrun_guard(self):
         grp = WeightTrackGroup([1, 2])

@@ -36,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnnfast import lstm_core, simulator
-from rnnfast.error_model import ErrorConfig, FaultPlan, stream_rows
+from rnnfast.error_model import PATHS, ErrorConfig, FaultPlan, stream_rows
 from rnnfast.mapping import (
     CapacityExceeded,
     ChainLayout,
@@ -550,9 +550,10 @@ def test_edc_on_input_chain_faults_reproduce_the_fault_free_run(cell):
 
 def test_edc_on_chain_faults_stay_out_of_the_value_path(monkeypatch):
     """With input EDC on, ``simulate`` computes no faulted deliveries and
-    corrects no accumulator for them; it replays each faulted pass through
-    the track model exactly once, from its first faulted step, with that
-    pass's faults."""
+    corrects no accumulator for them.  It replays each faulted pass through
+    the track model once, on one chain: each maximal run of faulted steps,
+    with exactly that run's faults, then the fault-free step after it, if
+    the pass has one.  The steps in between are skipped."""
     def forbidden(*_args):
         raise AssertionError("an EDC-on chain fault reached the value path")
 
@@ -565,7 +566,8 @@ def test_edc_on_chain_faults_stay_out_of_the_value_path(monkeypatch):
             replays.append(self)
 
         def rotate_step(self, fault_planes=None, ledger=None):
-            self.calls.append(fault_planes or {})
+            self.calls.append(tuple(sorted((g, k) for g, ks in (fault_planes or {}).items()
+                                           for k in ks)))
             return super().rotate_step(fault_planes, ledger)
 
     monkeypatch.setattr(simulator, "_run_faulted_chain", forbidden)
@@ -575,16 +577,18 @@ def test_edc_on_chain_faults_stay_out_of_the_value_path(monkeypatch):
     cfg = ErrorConfig(p_overshift=FAULT_P, sites={"input_chains"}, edc_inputs=True,
                       seed=FAULT_SEED)
     result = simulate(placement, params, inputs, error_cfg=cfg)
-    passes = [rows for stream in FaultPlan(cfg, placement).input_faults.values()
-              for rows in by_step(stream, placement.spec.timesteps).values()]
-    want = sorted(sorted((s - rows[:, 0].min(), g, k) for s, g, k in rows.tolist())
-                  for rows in passes)
-    got = sorted(
-        sorted((i, g, k) for i, planes in enumerate(chain.calls)
-               for g, ks in planes.items() for k in ks)
-        for chain in replays
-    )
-    assert len(want) > 1 and got == want
+    words = {(lp.index, name): layout.word_capacity for lp in placement.layers
+             for name, layout in zip(PATHS, (lp.chain, lp.recurrent_chain))}
+    want, skipped = [], 0
+    for key, stream in FaultPlan(cfg, placement).input_faults.items():
+        for rows in by_step(stream, placement.spec.timesteps).values():
+            steps = sorted({t for s in rows[:, 0].tolist() for t in (s, s + 1)} - {words[key]})
+            want.append([tuple(sorted((g, k) for s, g, k in rows.tolist() if s == t))
+                         for t in steps])
+            skipped += steps[-1] - steps[0] + 1 - len(steps)
+    got = [chain.calls for chain in replays]
+    assert len(want) > 1 and skipped > 0
+    assert sorted(got) == sorted(want)
     assert result.corrections["input_corrected"] > 0
 
 
@@ -599,10 +603,13 @@ def faulted_passes(draw):
 
     Groups hold 1-12 words each, unequal in general.  Besides random events
     there are optional faults at step 0 and at the last step, so the EDC-on
-    window starts and ends at the edges of the pass, and up to three runs of
+    replay starts and ends at the edges of the pass, and up to three runs of
     faults on one (group, plane) in consecutive steps, so several planes
     are displaced in one pass and a run can displace its plane to the end
-    of its group's queue (cap - 1) and beyond."""
+    of its group's queue (cap - 1) and beyond.  Two cases the EDC-on replay
+    of faulted runs turns on are drawn explicitly: a run of faults that
+    ends on the pass's last step, and two runs with exactly one fault-free
+    step between them."""
     caps = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
     n_words = sum(caps)
     layout = ChainLayout(n_words, caps, 1, 0, 0)
@@ -618,6 +625,13 @@ def faulted_passes(draw):
         length = draw(st.integers(1, n_words) | st.just(min(caps[group] + 1, n_words)))
         start = draw(st.integers(0, n_words - length))
         events += [(step, group, plane) for step in range(start, start + length)]
+    if draw(st.booleans()):
+        length = draw(st.integers(1, n_words))
+        events += [(step, draw(groups), draw(planes)) for step in range(n_words - length, n_words)]
+    if n_words >= 3 and draw(st.booleans()):
+        gap = draw(st.integers(1, n_words - 2))
+        events = [e for e in events if e[0] != gap]
+        events += [(gap - 1, draw(groups), draw(planes)), (gap + 1, draw(groups), draw(planes))]
     if not events:
         events.append((draw(st.integers(0, n_words - 1)), draw(groups), draw(planes)))
     faults = np.array(draw(st.permutations(events)), dtype=np.int32)

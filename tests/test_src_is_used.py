@@ -50,6 +50,7 @@ ENTRY_POINTS = {
 MEMBERS = {
     "read_next": "WeightTrackGroup oracle API: one weight read of the device model",
     "rewind": "WeightTrackGroup oracle API: the full-pass return of the device model",
+    "stage": "InputTrackChain oracle API: the words of a device pass; the simulator stages none",
     "kind": "WeightOutcome oracle API: whether the read was substituted with zero",
     "weight_raw": "WeightOutcome oracle API: the weight as read",
     "from_quantized": "FloatCellParams: the double-precision oracle on quantized weights",

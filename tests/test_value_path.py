@@ -5,9 +5,12 @@ operand, whatever the width, the row blocking or the number of columns.
 It multiplies in float32 when every partial sum stays within 2^24, with
 the values split into two digits if they must be, and in float64
 otherwise; ``_kernel_digits`` makes that choice, and every preset product
-takes float32.  ``simulate`` must hold no float copy of a weight matrix
-and no per-word table of chain groups, which the ``tracemalloc`` peak of a
-run on the widest preset shows (below 1/32 of its int16 weights).  A
+takes float32, and so does a float32 stack of the same weights.
+``simulate`` must hold no float copy of weights larger than _STACK_BYTES,
+one such stack at a time, and no per-word table of chain groups.  The
+``tracemalloc`` peaks show it: a run on the widest preset stays below 1/32
+of its int16 weights, and one on two 512-wide layers below one stack and
+two kernel buffers.  A
 ``FaultPlan`` on that preset must hold its events as int32 rows, not
 Python tuples (a quarter of their retained size).
 """
@@ -32,6 +35,13 @@ RAW = (-32768, 32767)
 
 def reference(blocks, v):
     return np.concatenate(blocks).astype(np.int64) @ np.asarray(v, dtype=np.int64)
+
+
+def forms(blocks):
+    """The int16 weight blocks, and the same weights as the one float32
+    stack that ``_layer_values`` makes of a small layer's recurrent
+    weights."""
+    return [blocks, [np.concatenate(blocks, dtype=np.float32)]]
 
 
 def path_of(dtype, shift):
@@ -95,9 +105,10 @@ def operands(draw):
 def test_exact_matmul_equals_int64_matmul(case):
     blocks, v, w_max, path = case
     assert path_of(*_kernel_digits(len(v), w_max, _magnitude(v))) == path
-    got = _exact_matmul(blocks, v, w_max)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, reference(blocks, v))
+    for form in forms(blocks):
+        got = _exact_matmul(form, v, w_max)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference(blocks, v))
 
 
 # (n, w_max, v_max, path).  cap is 256 for the first two, 258 for the
@@ -131,7 +142,7 @@ def test_exact_matmul_at_the_digit_edges(n, w_max, v_max, path, columns):
     want = reference([w], v)
     if columns:
         assert (want % 2).any() and (abs(want) >= 1 << 24).any()
-    for blocks in ([w], [w[:1], w[1:]]):
+    for blocks in ([w], [w[:1], w[1:]], [w.astype(np.float32)]):
         assert np.array_equal(_exact_matmul(blocks, v, w_max), want)
 
 
@@ -190,11 +201,12 @@ def test_simulate_takes_float64_for_a_full_range_weight(monkeypatch):
 def test_exact_matmul_at_the_largest_magnitudes(n, rows, columns):
     blocks = [np.full((r, n), RAW[0], dtype=np.int16) for r in rows]
     shape = (n,) if columns is None else (n, columns)
-    for v in (np.full(shape, RAW[0], dtype=np.int16), np.full(shape, RAW[1], dtype=np.int16)):
-        got = _exact_matmul(blocks, v)
-        assert np.array_equal(got, reference(blocks, v))
-    # (-2^15)^2 summed n times, exactly.
-    assert np.all(_exact_matmul(blocks, np.full(shape, RAW[0], dtype=np.int16)) == n << 30)
+    for form in forms(blocks):
+        for v in (np.full(shape, RAW[0], dtype=np.int16), np.full(shape, RAW[1], dtype=np.int16)):
+            got = _exact_matmul(form, v)
+            assert np.array_equal(got, reference(blocks, v))
+        # (-2^15)^2 summed n times, exactly.
+        assert np.all(_exact_matmul(form, np.full(shape, RAW[0], dtype=np.int16)) == n << 30)
 
 
 def test_exact_matmul_refuses_widths_where_float64_sums_may_round():
@@ -219,6 +231,55 @@ def test_simulate_peak_memory_is_a_fraction_of_the_weights():
     assert result.outputs[0].shape == (4, 2816)
     assert peak < weight_bytes / 32, (peak, weight_bytes)
 
+
+def test_simulate_holds_one_float32_stack_at_a_time():
+    """Each of mach-tran-512's two 512-wide layers multiplies its recurrent
+    weights from one float32 stack of _STACK_BYTES.  A stack lives only
+    while its layer runs, so the peak holds one stack, the kernel's buffer
+    and little else."""
+    preset = get_preset("mach-tran-512")
+    spec = replace(preset.spec, timesteps=3)
+    params = generate_network_params(spec, 1)
+    inputs = generate_inputs(spec, 2)
+    placement = map_network(spec, preset.hardware())
+    assert [4 * sum(g.w_h.size for g in p.gates) for p in params] == [simulator._STACK_BYTES] * 2
+    tracemalloc.start()
+    try:
+        result = simulate(placement, params, inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.outputs[1].shape == (3, 512)
+    assert peak < simulator._STACK_BYTES + 2 * simulator._BLOCK_BYTES, peak
+
+
+@pytest.mark.parametrize("name,stacked", [
+    ("desk-ref", True),           # 256 KiB as float32
+    ("im2txt", True),             # 4 MiB
+    ("mach-tran-1024", False),    # 16 MiB
+])
+def test_only_layers_within_the_stack_limit_multiply_a_float32_stack(monkeypatch, name, stacked):
+    """A layer whose recurrent weights fit _STACK_BYTES as float32
+    multiplies them at every step from one stack of all its gates; a wider
+    layer's int16 weights are cast a block at a time, as the input path's
+    always are."""
+    calls = []
+
+    def spy(blocks, v, w_max=1 << 15):
+        calls.append((v.ndim, [(b.dtype, b.shape) for b in blocks]))
+        return _exact_matmul(blocks, v, w_max)
+
+    monkeypatch.setattr(simulator, "_exact_matmul", spy)
+    preset = get_preset(name)
+    spec = replace(preset.spec, timesteps=2)
+    simulate(map_network(spec, preset.hardware()), generate_network_params(spec, 1),
+             generate_inputs(spec, 2))
+    m, n = spec.layers[0].neurons, spec.layers[0].inputs
+    recurrent = [blocks for ndim, blocks in calls if ndim == 1]
+    assert len(recurrent) == 2 * len(spec.layers)
+    want = [(np.float32, (4 * m, m))] if stacked else [(np.int16, (m, m))] * 4
+    assert all(blocks == want for blocks in recurrent)
+    assert all(blocks == [(np.int16, (m, n))] * 4 for ndim, blocks in calls if ndim == 2)
 
 
 def test_edc_off_weight_faults_add_a_few_blocks_to_the_peak():
