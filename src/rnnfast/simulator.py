@@ -11,23 +11,25 @@ Values and timing are deliberately decoupled:
   BLAS multiply.  A layer whose recurrent weights take at most
   _STACK_BYTES as float32 casts them once a run instead, into one float32
   stack of all its gates that lives while the layer runs, and each step
-  multiplies that stack in one BLAS call; a wider layer's stack would be
-  read from memory at every step, which costs more than the cast into a
-  buffer that stays in cache.  float32 holds every int16 exactly, so
-  both forms multiply the same integers.  The products are exact, because
-  a sum of integer products is exact in any summation order while every
-  partial sum is an integer the float type holds (the error-free argument
-  of Ozaki et al., Numer. Algorithms, 2012).  float32 holds every
-  integer up to 2^24, so with n products of weights up to w_max, each
-  value takes at most cap = 2^24 // (n * w_max) in magnitude.  The
-  layer's w_max is taken once a run, and values that exceed cap are split into a high and a low
-  base-2^b digit, two columns of the same float32 product, recombined in
-  int64.  Preset weights lie in [-0.5, 0.5] and activations and inputs in
-  [-1, 1], so every preset weight product takes float32, in one digit up
-  to 512 wide and two beyond.  Larger operands, up to the full 16-bit
-  range, take float64: |w*x| < 2^31 keeps every partial sum of n < 2^22
-  products below 2^53.  ``simulate`` therefore rejects weights, biases
-  and inputs outside the 16-bit range.  The step's fault effects from the
+  multiplies that stack with one matrix-vector call per column block.
+  float32 holds every int16 exactly, so both forms multiply the same
+  integers.  The products are exact, because a sum of integer products
+  is exact in any summation order while every partial sum is an integer
+  the float type holds (the error-free argument of Ozaki et al., Numer.
+  Algorithms, 2012).  So the n columns are split into blocks: a block of
+  width columns, with weights up to w_max and values up to v_max in
+  magnitude, sums at most width * w_max * v_max, so float32 blocks of
+  width = 2^24 // (w_max * v_max) are exact, and the blocks' products
+  are added in int64.  The layer's w_max is taken once a run.  Preset
+  weights lie in [-0.5, 0.5] and activations and inputs in [-1, 1], so
+  every preset weight product takes float32 blocks of 512 columns: one
+  block up to 512 wide, and up to six on d-speech.  Products whose
+  float32 blocks would hold fewer than _F32_MIN_COLUMNS columns (or the
+  whole product, if narrower) take float64, split the same way into
+  blocks of 2^53 // (w_max * v_max) >= 2^22 columns, since |w * v| < 2^31
+  for raw Q8.8 operands; the chain-delivery deltas and full-range weights
+  do.  So the kernel is exact at any width.  ``simulate`` therefore
+  rejects weights, biases and inputs outside the 16-bit range.  The step's fault effects from the
   run's FaultPlan then correct the accumulators in int64, and each costs
   array work in proportion to the planes and words it changes, not to
   whole tracks or passes.  Each time block reads the layer's four fault
@@ -139,20 +141,32 @@ _PLANE_VALUES = np.array([1 << k for k in range(WORD_PLANES - 1)] + [-(1 << (WOR
 
 # Timesteps whose input paths share one kernel call.
 TIME_BLOCK = 64
-# Bytes of the kernel's weight-row buffer (512 KB), float32 or float64: small
+# Bytes of the kernel's weight buffer (512 KB), float32 or float64: small
 # enough that BLAS reads the rows from cache right after the cast writes
 # them.  The input path and the recurrent path of layers above
-# _STACK_BYTES cast their int16 rows into it; a float32 stack goes through
-# it only on the float64 path.  The EDC-off misreads are decoded in units
-# whose doubled int8 bit rows take at most the same size.
+# _STACK_BYTES cast their int16 rows into it, one column block of
+# ``_exact_matmul`` at a time, as many rows of the block as fit; a float32
+# stack goes through it only on the float64 path.  The EDC-off misreads
+# are decoded in units whose doubled int8 bit rows take at most the same
+# size.
 _BLOCK_BYTES = 1 << 19
-# Largest float32 stack of a layer's recurrent weights (4 MiB) that is
+# Largest float32 stack of a layer's recurrent weights (64 MiB) that is
 # cast once a run rather than a block at a time at every step.  In clean
-# runs of single-layer LSTMs of 11 and 25 steps, with 2 BLAS threads on
-# cores with 2 MiB of L2 each, a 512-wide layer (4 MiB) ran 13-30%
-# faster stacked, and layers 640 to 1024 wide (6.25 to 16 MiB) ran no
-# faster or slower.
-_STACK_BYTES = 1 << 22
+# 15-step runs of single-layer LSTMs, with 2 BLAS threads, every width
+# measured ran 27-40% faster stacked, in 10 of 10 rounds each: 512, 768,
+# 1024 and 1536 wide on im2txt's hardware, and 2048 wide (64 MiB) on
+# mach-tran-2048's.  d-speech's 2816-wide layer (121 MiB) stays blocked,
+# which bounds the memory of the widest preset.
+_STACK_BYTES = 1 << 26
+# Fewest columns a float32 block of ``_exact_matmul`` may hold, unless the
+# product has fewer (see ``_column_blocks``); a product whose float32
+# blocks would be narrower takes float64, in one block.  Each block costs
+# one more BLAS call, and for int16 rows one more cast.  Against one
+# float64 block, with 2 BLAS threads, float32 blocks of 64 columns ran
+# 20-25% slower in int16 products 512 to 2816 wide (and 16% faster 256
+# wide); blocks of 128 ran 8% faster 512 and 1536 wide and 20% slower
+# 2816 wide.
+_F32_MIN_COLUMNS = 128
 
 
 class EnergyLedger:
@@ -456,23 +470,22 @@ def _magnitude(a):
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _kernel_digits(n, w_max, v_max):
-    """(float type, digit shift) of ``_exact_matmul`` for n products of
-    weights up to `w_max` and values up to `v_max` in magnitude.
+def _column_blocks(n, w_max, v_max):
+    """(float type, columns per block) of ``_exact_matmul`` for n products
+    of weights up to `w_max` and values up to `v_max` in magnitude.
 
-    float32 holds every integer up to 2^24, so a float32 product is exact
-    when every partial sum is: n * w_max * |digit| <= 2^24, that is,
-    |digit| <= cap = 2^24 // (n * w_max).  Gives (float32, None) when
-    `v_max` is one such digit; (float32, b) when v >> b and v & (2^b - 1)
-    are two, b the largest with 2^b <= cap; else (float64, None).
+    A block of `width` columns sums at most width * w_max * v_max in
+    magnitude.  float32 holds every integer up to 2^24, so float32 blocks
+    of width = 2^24 // (w_max * v_max) columns are exact.  Gives float32
+    when such a block holds at least min(n, _F32_MIN_COLUMNS) columns, else
+    float64, whose blocks of 2^53 // (w_max * v_max) columns are at least
+    2^22 wide for raw Q8.8 operands.
     """
-    cap = (1 << 24) // max(n * w_max, 1)
-    if v_max <= cap:
-        return np.float32, None
-    b = cap.bit_length() - 1
-    if b > 0 and -(-v_max >> b) <= cap:
-        return np.float32, b
-    return np.float64, None
+    bound = max(w_max * v_max, 1)
+    width = (1 << 24) // bound
+    if width >= min(n, _F32_MIN_COLUMNS):
+        return np.float32, width
+    return np.float64, (1 << 53) // bound
 
 
 def _exact_matmul(weight_blocks, v, w_max=1 << 15):
@@ -481,48 +494,48 @@ def _exact_matmul(weight_blocks, v, w_max=1 << 15):
     `weight_blocks` are matrices of raw Q8.8 values with n columns, none
     above `w_max` in magnitude, as int16 or as float32, which holds them
     exactly; `v` holds values below 2^16 in magnitude, raw Q8.8 words or
-    the differences of two, shape (n,) or (n, k).  ``_kernel_digits``
-    picks float32 when every partial sum stays within 2^24, with `v` split
-    into two digits as 2k columns of the one product if it must, and
-    float64 otherwise.  A block already of that float type is multiplied
-    by BLAS as it is.  Other rows are cast a block at a time into one
-    buffer of _BLOCK_BYTES and multiplied from there; this function makes
-    no float copy of a whole matrix.  Each product goes into one
-    preallocated output.
+    the differences of two, shape (n,) or (n, k).  ``_column_blocks``
+    splits the n columns into blocks whose every partial sum the float
+    type holds: float32 unless its blocks would be too narrow, else
+    float64.  Each block is multiplied in that float type, and the blocks'
+    products are added in int64.  A weight block already of that float
+    type is multiplied by BLAS as it is, one call per column block.  Other
+    rows are cast a block of columns and rows at a time into one buffer of
+    _BLOCK_BYTES and multiplied from there; this function makes no float
+    copy of a whole matrix.
     """
     n = v.shape[0]
     # Error-free float products (Ozaki et al., Numer. Algorithms, 2012):
     # a sum of integer products is exact in any order, FMA or not, while
-    # every partial sum is an integer the float type holds.  In float64,
-    # |w*x| < 2^15 * 2^16 = 2^31 keeps every partial sum of n products
-    # below n * 2^31 < 2^53 while n < 2^22.
-    assert n < 1 << 22, f"float64 sums of {n} products may round"
-    dtype, shift = _kernel_digits(n, w_max, _magnitude(v))
-    if shift is None:
-        vf = np.asarray(v, dtype=dtype)
-    else:
-        digits = np.asarray(v, dtype=np.int64).reshape(n, -1)
-        vf = np.concatenate((digits >> shift, digits & (1 << shift) - 1), axis=1).astype(dtype)
+    # every partial sum is an integer the float type holds.
+    dtype, width = _column_blocks(n, w_max, _magnitude(v))
+    width = max(1, min(width, n))
+    vf = np.asarray(v, dtype=dtype)
     rows = sum(len(w) for w in weight_blocks)
-    out = np.empty((rows,) + vf.shape[1:], dtype=dtype)
-    step = max(1, min(_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(n, 1)), rows))
-    buf = np.empty((step, n), dtype=dtype)
-    r = 0
-    for w in weight_blocks:
-        if w.dtype == dtype:
-            np.matmul(w, vf, out=out[r:r + len(w)])
-            r += len(w)
-            continue
-        for lo in range(0, len(w), step):
-            k = min(step, len(w) - lo)
-            np.copyto(buf[:k], w[lo:lo + k])
-            np.matmul(buf[:k], vf, out=out[r:r + k])
-            r += k
-    out = out.astype(np.int64)
-    if shift is None:
-        return out
-    hi, lo = np.split(out, 2, axis=1)
-    return ((hi << shift) + lo).reshape((rows,) + v.shape[1:])
+    part = np.empty((rows,) + v.shape[1:], dtype=dtype)
+    step = max(1, min(_BLOCK_BYTES // (np.dtype(dtype).itemsize * width), rows))
+    buf = np.empty(step * width, dtype=dtype)
+    out = None
+    for c0 in range(0, max(n, 1), width):
+        cols = slice(c0, c0 + width)
+        r = 0
+        for w in weight_blocks:
+            w = w[:, cols]
+            if w.dtype == dtype:
+                np.matmul(w, vf[cols], out=part[r:r + len(w)])
+                r += len(w)
+                continue
+            for lo in range(0, len(w), step):
+                k = min(step, len(w) - lo)
+                b = buf[:k * w.shape[1]].reshape(k, -1)
+                np.copyto(b, w[lo:lo + k])
+                np.matmul(b, vf[cols], out=part[r:r + k])
+                r += k
+        if out is None:
+            out = part.astype(np.int64)
+        else:
+            np.add(out, part, out=out, dtype=np.int64, casting="unsafe")
+    return out
 
 
 def _layer_values(lp, geo, params, xs, acts, plan, corrections):

@@ -2,17 +2,22 @@
 
 ``_exact_matmul`` must equal int64 matmul bit for bit on every raw Q8.8
 operand, whatever the width, the row blocking or the number of columns.
-It multiplies in float32 when every partial sum stays within 2^24, with
-the values split into two digits if they must be, and in float64
-otherwise; ``_kernel_digits`` makes that choice, and every preset product
-takes float32, and so does a float32 stack of the same weights.
-``simulate`` must hold no float copy of weights larger than _STACK_BYTES,
-one such stack at a time, and no per-word table of chain groups.  The
-``tracemalloc`` peaks show it: a run on the widest preset stays below 1/32
-of its int16 weights, and one on two 512-wide layers below one stack and
-two kernel buffers.  A
-``FaultPlan`` on that preset must hold its events as int32 rows, not
-Python tuples (a quarter of their retained size).
+``_column_blocks`` splits the columns into blocks whose every partial sum
+the float type holds: float32 blocks of 2^24 // (w_max * v_max) columns,
+unless they would hold fewer than min(n, _F32_MIN_COLUMNS), and float64
+blocks of 2^53 // (w_max * v_max) otherwise.  The tests draw operands at
+and one past each edge of that rule: a block sum of exactly 2^24, one,
+two and many blocks, the float32/float64 floor, and float64 products wide
+enough to split.  Every preset product takes float32, one block up to 512
+wide, and so does a float32 stack of the same weights, which BLAS
+multiplies one column per call.  ``simulate`` must hold no float copy of
+weights larger than _STACK_BYTES, one such stack at a time, and no
+per-word table of chain groups.  The ``tracemalloc`` peaks show it: a run
+on the widest preset stays below 1/32 of its int16 weights, and runs on
+two 512-wide or six 1024-wide layers below one of their stacks and a few
+kernel buffers.  A ``FaultPlan`` on the widest preset must hold its
+events as int32 rows, not Python tuples (a quarter of their retained
+size).
 """
 
 import tracemalloc
@@ -28,9 +33,10 @@ from rnnfast import simulator
 from rnnfast.error_model import DEFAULT_P_OVERSHIFT, ErrorConfig, FaultPlan
 from rnnfast.mapping import map_network
 from rnnfast.presets import PRESETS, generate_inputs, generate_network_params, get_preset
-from rnnfast.simulator import _exact_matmul, _kernel_digits, _magnitude, simulate
+from rnnfast.simulator import _column_blocks, _exact_matmul, _magnitude, simulate
 
 RAW = (-32768, 32767)
+FLOOR = simulator._F32_MIN_COLUMNS
 
 
 def reference(blocks, v):
@@ -39,16 +45,14 @@ def reference(blocks, v):
 
 def forms(blocks):
     """The int16 weight blocks, and the same weights as the one float32
-    stack that ``_layer_values`` makes of a small layer's recurrent
-    weights."""
+    stack that ``_layer_values`` makes of a layer's recurrent weights."""
     return [blocks, [np.concatenate(blocks, dtype=np.float32)]]
 
 
-def path_of(dtype, shift):
-    """The kernel path a ``_kernel_digits`` result names."""
-    if dtype is np.float64:
-        return "float64"
-    return "one digit" if shift is None else "two digits"
+def kernel_path(n, w_max, v_max):
+    """(float type name, number of column blocks) of a product."""
+    dtype, width = _column_blocks(n, w_max, v_max)
+    return np.dtype(dtype).name, max(1, -(-n // width))
 
 
 def within(rng, kind, bound, shape, dtype):
@@ -66,30 +70,23 @@ def within(rng, kind, bound, shape, dtype):
 
 @st.composite
 def operands(draw):
-    """(blocks, v, w_max, path): weights within +-w_max and v of largest
-    magnitude v_max, drawn at or near the edge of the drawn kernel path.
-
-    With cap = 2^24 // (n * w_max), one digit holds v_max <= cap, and two
-    digits v_max <= top = cap * 2^b, b the largest with 2^b <= cap.  Two
-    digits need n * w_max <= 2^23 (cap >= 2), and float64 with values below
-    2^16 needs n * w_max > 2^16 (cap <= 255, so top < 2^15).
+    """(blocks, v, w_max): weights within +-w_max and v of largest
+    magnitude v_max, drawn so that float32 blocks hold `width` columns
+    (v_max at the edge, width * w_max * v_max <= 2^24), one fewer (one
+    past it), or more.  `width` is the whole product (one block), half
+    of it (two), a third or less (many), or the float32/float64 floor.
     """
-    path = draw(st.sampled_from(["one digit", "two digits", "float64"]))
-    n = draw(st.integers(3 if path == "float64" else 1, 3000))
-    w_lo, w_hi = {
-        "one digit": (1, 1 << 15),
-        "two digits": (-(-257 // n), min((1 << 23) // n, 1 << 15)),
-        "float64": (-(-((1 << 16) + 1) // n), 1 << 15),
-    }[path]
-    w_max = draw(st.integers(w_lo, w_hi))
-    cap = (1 << 24) // (n * w_max)
-    top = cap << max(cap.bit_length() - 1, 0)
-    v_lo, v_hi = {
-        "one digit": (0, min(cap, 65535)),
-        "two digits": (cap + 1, min(top, 65535)),
-        "float64": (top + 1, 65535),
-    }[path]
-    v_max = draw(st.one_of(st.sampled_from((v_lo, v_hi)), st.integers(v_lo, v_hi)))
+    n = draw(st.integers(1, 3000))
+    floor = min(n, FLOOR)
+    width = draw(st.one_of(
+        st.sampled_from([n, -(-n // 2), floor]),
+        st.integers(floor, max(floor, n // 3)),
+    ))
+    bits = draw(st.integers(0, 15))
+    w_max = draw(st.integers(max(1, 1 << bits >> 1), 1 << bits))
+    edge = (1 << 24) // (w_max * width)
+    v_max = draw(st.one_of(st.sampled_from((edge, edge + 1)), st.integers(0, edge + 1)))
+    v_max = min(v_max, 65535)
     rows = draw(st.lists(st.integers(0, 150), min_size=1, max_size=4))
     k = draw(st.sampled_from([None, 1, 2, 64, 67]))
     kinds = st.sampled_from(["random", "max", "extremes"])
@@ -97,60 +94,86 @@ def operands(draw):
     v_type = np.int16 if v_max <= RAW[1] and draw(st.booleans()) else np.int64
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blocks = [within(rng, w_kind, w_max, (r, n), np.int16) for r in rows]
-    return blocks, within(rng, v_kind, v_max, (n,) if k is None else (n, k), v_type), w_max, path
+    return blocks, within(rng, v_kind, v_max, (n,) if k is None else (n, k), v_type), w_max
 
 
 @settings(max_examples=300, deadline=None)
 @given(operands())
 def test_exact_matmul_equals_int64_matmul(case):
-    blocks, v, w_max, path = case
-    assert path_of(*_kernel_digits(len(v), w_max, _magnitude(v))) == path
+    blocks, v, w_max = case
+    n, bound = len(v), w_max * _magnitude(v)
+    dtype, width = _column_blocks(n, w_max, _magnitude(v))
+    # The widest exact blocks of the float type.
+    top = 24 if dtype is np.float32 else 53
+    assert width * bound <= 1 << top < (width + 1) * max(bound, 1)
+    assert (dtype is np.float32) == ((1 << 24) // max(bound, 1) >= min(n, FLOOR))
     for form in forms(blocks):
         got = _exact_matmul(form, v, w_max)
         assert got.dtype == np.int64
         assert np.array_equal(got, reference(blocks, v))
 
 
-# (n, w_max, v_max, path).  cap is 256 for the first two, 258 for the
-# third and 129 for the last two, where 2^7 * 129 = 16512.
+# (n, w_max, v_max, float type, column blocks).  A float32 block holds
+# 2^24 // (w_max * v_max) columns: 512 for the first, fourth and sixth.
 EDGES = [
-    (512, 128, 256, "one digit"),     # n * w_max * v_max = 2^24 exactly
-    (512, 128, 257, "two digits"),    # one past it
-    (511, 127, 259, "two digits"),    # v_max = cap + 1: odd sums above 2^24 in one digit
-    (1023, 127, 16512, "two digits"),   # the high digit is cap
-    (1023, 127, 16513, "float64"),    # one past the two-digit edge
+    (512, 128, 256, "float32", 1),      # a block sums to 2^24 exactly
+    (512, 128, 257, "float32", 2),      # one past it: 510 columns a block
+    (511, 127, 259, "float32", 2),      # 510 columns a block, odd sums
+    (1024, 128, 256, "float32", 2),     # seq2seq
+    (1025, 128, 256, "float32", 3),     # one column past two blocks
+    (2816, 128, 256, "float32", 6),     # d-speech
+    # The floor: blocks of exactly FLOOR columns, and one past it.
+    (1000, 512, (1 << 24) // (512 * FLOOR), "float32", -(-1000 // FLOOR)),
+    (1000, 512, (1 << 24) // (512 * FLOOR) + 1, "float64", 1),
+    # Narrower than the floor: one float32 block of all 100 columns, and
+    # one past it (2^24 // (4 * 41944) = 99).
+    (100, 4, 41943, "float32", 1),
+    (100, 4, 41944, "float64", 1),
 ]
 
 
-@pytest.mark.parametrize("n,w_max,v_max,path", EDGES)
+@pytest.mark.parametrize("n,w_max,v_max,dtype,blocks", EDGES)
 @pytest.mark.parametrize("columns", [False, True])
-def test_exact_matmul_at_the_digit_edges(n, w_max, v_max, path, columns):
+def test_exact_matmul_at_the_block_edges(n, w_max, v_max, dtype, blocks, columns):
     """Rows of +w_max, of -w_max and of w_max but w_max - 1 first, against
     columns of v_max, -v_max and v_max but v_max - 1 first: every product
-    at the largest magnitudes, some of the sums odd."""
-    dtype, shift = _kernel_digits(n, w_max, v_max)
-    assert path_of(dtype, shift) == path
-    if path == "two digits":
-        assert shift == ((1 << 24) // (n * w_max)).bit_length() - 1
-    if v_max == 16512:
-        assert v_max >> shift == (1 << 24) // (n * w_max)
+    at the largest magnitudes, some of the sums odd and above 2^24."""
+    assert kernel_path(n, w_max, v_max) == (dtype, blocks)
     w = np.full((3, n), w_max, dtype=np.int16)
     w[1], w[2, 0] = -w_max, w_max - 1
     v = np.full((n, 3), v_max, dtype=np.int64)
     v[:, 1], v[0, 2] = -v_max, v_max - 1
     v = v if columns else v[:, 0]
     want = reference([w], v)
-    if columns:
-        assert (want % 2).any() and (abs(want) >= 1 << 24).any()
-    for blocks in ([w], [w[:1], w[1:]], [w.astype(np.float32)]):
-        assert np.array_equal(_exact_matmul(blocks, v, w_max), want)
+    if columns and blocks > 1:
+        assert ((want % 2 == 1) & (abs(want) > 1 << 24)).any()
+    for form in ([w], [w[:1], w[1:]], [w.astype(np.float32)]):
+        assert np.array_equal(_exact_matmul(form, v, w_max), want)
 
 
-def test_every_preset_product_takes_float32_in_at_most_two_digits():
+@pytest.mark.parametrize("rows", [(600,), (255, 1, 300)])
+@pytest.mark.parametrize("columns", [None, 2])
+def test_exact_matmul_blocks_rows_within_each_column_block(rows, columns):
+    """d-speech's width in six float32 column blocks, the last 256 wide,
+    each cast 256 rows at a time: partial row blocks in every column
+    block."""
+    n = 2816
+    assert kernel_path(n, 128, 256) == ("float32", 6)
+    rng = np.random.default_rng(0)
+    blocks = [within(rng, "extremes", 128, (r, n), np.int16) for r in rows]
+    v = within(rng, "extremes", 256, (n,) if columns is None else (n, columns), np.int16)
+    for form in forms(blocks):
+        assert np.array_equal(_exact_matmul(form, v, 128), reference(blocks, v))
+
+
+def test_every_preset_product_takes_float32_and_the_deltas_float64():
     """Preset weights lie in [-0.5, 0.5] (|w| <= 128 raw) and inputs and
     outputs in [-1, 1] (|v| <= 256), so every weight product of every
-    preset, input path and recurrent path, takes float32; full-range int16
-    operands of the same widths take float64."""
+    preset, input path and recurrent path, takes float32 blocks of 512
+    columns.  A chain delivery's delta flips one plane of a word, up to
+    2^15 in magnitude, so a float32 block would hold 2 to 4 columns: every
+    delta product wider than that takes float64 in one block, as do
+    full-range int16 operands."""
     spec = replace(get_preset("im2txt").spec, timesteps=4)
     params = generate_network_params(spec, 1)
     assert max(_magnitude(w) for g in params[0].gates for w in (g.w_x, g.w_h)) == 128
@@ -160,11 +183,23 @@ def test_every_preset_product_takes_float32_in_at_most_two_digits():
     assert max(widths) == 2816
     for n in widths:
         for v_max in range(257):
-            assert _kernel_digits(n, 128, v_max)[0] is np.float32, (n, v_max)
-        assert _kernel_digits(n, 1 << 15, 1 << 15) == (np.float64, None), n
-    assert _kernel_digits(512, 128, 256) == (np.float32, None)      # im2txt
-    assert _kernel_digits(1024, 128, 256) == (np.float32, 7)        # seq2seq
-    assert _kernel_digits(128, 128, 256) == (np.float32, None)      # desk-ref
+            assert kernel_path(n, 128, v_max)[0] == "float32", (n, v_max)
+        assert kernel_path(n, 128, 256) == ("float32", -(-n // 512)), n
+        assert kernel_path(n, 1 << 15, 1 << 15) == ("float64", 1), n
+    assert kernel_path(512, 128, 256) == ("float32", 1)      # im2txt
+    assert kernel_path(128, 128, 256) == ("float32", 1)      # desk-ref
+    assert kernel_path(1024, 128, 256) == ("float32", 2)     # seq2seq
+    assert kernel_path(1536, 128, 256) == ("float32", 3)     # lang-mod
+    assert kernel_path(2816, 128, 256) == ("float32", 6)     # d-speech
+    chunks = set()
+    for p in PRESETS.values():
+        for lp in map_network(p.spec, p.hardware()).layers:
+            chunks |= set(np.array(lp.pe_words)[:, 1:].ravel().tolist())
+    assert {512, 1024, 1878} <= chunks
+    for size in chunks:
+        for v_max in (1 << 15, 65535):
+            want = ("float64", 1) if size > 4 else ("float32", 1)
+            assert kernel_path(size, 128, v_max) == want, (size, v_max)
 
 
 def test_simulate_takes_float64_for_a_full_range_weight(monkeypatch):
@@ -178,15 +213,14 @@ def test_simulate_takes_float64_for_a_full_range_weight(monkeypatch):
     paths = []
 
     def spy(n, w_max, v_max):
-        digits = _kernel_digits(n, w_max, v_max)
-        paths.append(path_of(*digits))
-        return digits
+        paths.append(kernel_path(n, w_max, v_max))
+        return _column_blocks(n, w_max, v_max)
 
-    monkeypatch.setattr(simulator, "_kernel_digits", spy)
+    monkeypatch.setattr(simulator, "_column_blocks", spy)
     result = simulate(map_network(spec, preset.hardware()), params, inputs)
     # The input-path block, then one recurrent product a step; h is 0 at
     # the first step.
-    assert paths == ["float64", "one digit"] + ["float64"] * (spec.timesteps - 1)
+    assert paths == [("float64", 1), ("float32", 1)] + [("float64", 1)] * (spec.timesteps - 1)
     want = replay(params, inputs, "approx")
     assert all(np.array_equal(a, b) for a, b in zip(result.outputs, want))
 
@@ -209,10 +243,30 @@ def test_exact_matmul_at_the_largest_magnitudes(n, rows, columns):
         assert np.all(_exact_matmul(form, np.full(shape, RAW[0], dtype=np.int16)) == n << 30)
 
 
-def test_exact_matmul_refuses_widths_where_float64_sums_may_round():
-    n = 1 << 23
-    with pytest.raises(AssertionError):
-        _exact_matmul([np.broadcast_to(np.int16(0), (1, n))], np.broadcast_to(np.int16(0), (n,)))
+def test_exact_matmul_is_exact_past_2_to_the_22_products():
+    """2^22 + 1 products of +-32768: float64 sums of up to 2^23 of them
+    stay exact, so one block, with no width limit to trip."""
+    n = (1 << 22) + 1
+    w = np.broadcast_to(np.int16(RAW[0]), (2, n))
+    v = np.full(n, RAW[0], dtype=np.int32)
+    v[1::2] = 1 << 15
+    assert kernel_path(n, 1 << 15, 1 << 15) == ("float64", 1)
+    # n odd: one more -32768 than +32768.
+    assert _exact_matmul([w], v).tolist() == [1 << 30] * 2
+
+
+def test_exact_matmul_splits_float64_past_its_exact_width():
+    """Odd products of -32767 and 65535 (2^31 - 98,303 each): 2^22 + 256
+    of them sum past 2^53, where float64 holds no odd integer, so one
+    float64 block would round.  The kernel takes two."""
+    n = (1 << 22) + 256
+    w = np.broadcast_to(np.int16(-RAW[1]), (1, n))
+    v = np.full(n, 65535, dtype=np.int64)
+    v[0] = 65534
+    want = -RAW[1] * (65535 * n - 1)
+    assert abs(want) > 1 << 53 and want % 2
+    assert kernel_path(n, RAW[1], 65535) == ("float64", 2)
+    assert _exact_matmul([w], v, RAW[1]).tolist() == [want]
 
 
 def test_simulate_peak_memory_is_a_fraction_of_the_weights():
@@ -232,31 +286,55 @@ def test_simulate_peak_memory_is_a_fraction_of_the_weights():
     assert peak < weight_bytes / 32, (peak, weight_bytes)
 
 
-def test_simulate_holds_one_float32_stack_at_a_time():
-    """Each of mach-tran-512's two 512-wide layers multiplies its recurrent
-    weights from one float32 stack of _STACK_BYTES.  A stack lives only
-    while its layer runs, so the peak holds one stack, the kernel's buffer
-    and little else."""
-    preset = get_preset("mach-tran-512")
-    spec = replace(preset.spec, timesteps=3)
-    params = generate_network_params(spec, 1)
-    inputs = generate_inputs(spec, 2)
-    placement = map_network(spec, preset.hardware())
-    assert [4 * sum(g.w_h.size for g in p.gates) for p in params] == [simulator._STACK_BYTES] * 2
+def traced_peak(run):
+    """The ``tracemalloc`` peak of run(), and its result."""
     tracemalloc.start()
     try:
-        result = simulate(placement, params, inputs)
+        result = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.outputs[1].shape == (3, 512)
-    assert peak < simulator._STACK_BYTES + 2 * simulator._BLOCK_BYTES, peak
+    return peak, result
+
+
+def stack_peak(name, steps, stack):
+    """Run a `steps`-step slice of preset `name`, each of whose layers
+    multiplies its recurrent weights from one float32 stack of `stack`
+    bytes; returns the ``tracemalloc`` peak."""
+    preset = get_preset(name)
+    spec = replace(preset.spec, timesteps=steps)
+    params = generate_network_params(spec, 1)
+    inputs = generate_inputs(spec, 2)
+    placement = map_network(spec, preset.hardware())
+    assert [4 * sum(g.w_h.size for g in p.gates) for p in params] == [stack] * len(params)
+    peak, result = traced_peak(lambda: simulate(placement, params, inputs))
+    assert result.outputs[-1].shape == (steps, spec.layers[-1].neurons)
+    return peak
+
+
+def test_simulate_holds_one_float32_stack_at_a_time():
+    """Each of mach-tran-512's two 512-wide layers multiplies its recurrent
+    weights from one 4 MiB float32 stack.  A stack lives only while its
+    layer runs, so the peak holds one stack, the kernel's buffer and
+    little else."""
+    stack = 4 << 20
+    peak = stack_peak("mach-tran-512", 3, stack)
+    assert peak < stack + 2 * simulator._BLOCK_BYTES, peak
+
+
+def test_simulate_holds_one_1024_wide_stack_at_a_time():
+    """The same on a seq2seq slice: six 1024-wide layers, 16 MiB stacks."""
+    stack = 16 << 20
+    peak = stack_peak("seq2seq", 2, stack)
+    assert peak < stack + 2 * simulator._BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize("name,stacked", [
     ("desk-ref", True),           # 256 KiB as float32
     ("im2txt", True),             # 4 MiB
-    ("mach-tran-1024", False),    # 16 MiB
+    ("mach-tran-1024", True),     # 16 MiB
+    ("lang-mod", True),           # 36 MiB
+    ("d-speech", False),          # 121 MiB
 ])
 def test_only_layers_within_the_stack_limit_multiply_a_float32_stack(monkeypatch, name, stacked):
     """A layer whose recurrent weights fit _STACK_BYTES as float32
@@ -280,6 +358,39 @@ def test_only_layers_within_the_stack_limit_multiply_a_float32_stack(monkeypatch
     want = [(np.float32, (4 * m, m))] if stacked else [(np.int16, (m, m))] * 4
     assert all(blocks == want for blocks in recurrent)
     assert all(blocks == [(np.int16, (m, n))] * 4 for ndim, blocks in calls if ndim == 2)
+
+
+def test_stacked_recurrent_products_pass_blas_one_column_per_call(monkeypatch):
+    """On a seq2seq slice, every BLAS call on a layer's recurrent stack
+    multiplies a block of its columns with one column of h: a
+    matrix-vector product.  Two or more columns at once make BLAS repack
+    the whole stack at every step, several times slower."""
+    calls = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, **kwargs):
+        if a.dtype == np.float32 and a.shape[0] == 4 * 1024:
+            calls.append((a.shape, b.shape))
+        return matmul(a, b, *args, **kwargs)
+
+    preset = get_preset("seq2seq")
+    spec = replace(preset.spec, timesteps=2)
+    placement = map_network(spec, preset.hardware())
+    params = generate_network_params(spec, 1)
+    inputs = generate_inputs(spec, 2)
+    monkeypatch.setattr(np, "matmul", spy)
+    result = simulate(placement, params, inputs)
+    monkeypatch.undo()
+    assert all(b == (a[1],) for a, b in calls), calls
+    # One product a step and layer, in column blocks that add up to the
+    # stack's 1024 columns: one block at the first step, where h is 0, and
+    # more at the second.
+    widths = [a[1] for a, b in calls]
+    products = np.split(widths, np.flatnonzero(np.cumsum(widths) % 1024 == 0)[:-1] + 1)
+    assert [sum(p) for p in products] == [1024] * 2 * len(spec.layers)
+    assert [len(p) > 1 for p in products] == [False, True] * len(spec.layers)
+    want = replay(params, inputs, "approx")
+    assert all(np.array_equal(a, b) for a, b in zip(result.outputs, want))
 
 
 def test_edc_off_weight_faults_add_a_few_blocks_to_the_peak():
