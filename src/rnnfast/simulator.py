@@ -19,24 +19,25 @@ Values and timing are deliberately decoupled:
   Algorithms, 2012).  So the n columns are split into blocks: a block of
   width columns, with weights up to w_max and values up to v_max in
   magnitude, sums at most width * w_max * v_max, so float32 blocks of
-  width = 2^24 // (w_max * v_max) are exact, and the blocks' products
-  are added in int64.  The layer's w_max is taken once a run.  Preset
-  weights lie in [-0.5, 0.5] and activations and inputs in [-1, 1], so
-  every preset weight product takes float32 blocks of 512 columns: one
-  block up to 512 wide, and up to six on d-speech.  Products whose
-  float32 blocks would hold fewer than _F32_MIN_COLUMNS columns (or the
-  whole product, if narrower) take float64, split the same way into
-  blocks of 2^53 // (w_max * v_max) >= 2^22 columns, since |w * v| < 2^31
-  for raw Q8.8 operands; the chain-delivery deltas and full-range weights
-  do.  So the kernel is exact at any width.  ``simulate`` therefore
-  rejects weights, biases and inputs outside the 16-bit range.  The step's fault effects from the
-  run's FaultPlan then correct the accumulators in int64, and each costs
-  array work in proportion to the planes and words it changes, not to
-  whole tracks or passes.  Each time block reads the layer's four fault
-  streams once, sliced by timestep with ``error_model.stream_rows``, and
-  hands step j its rows.  With EDC off, a chain pass with faults is computed in closed
-  form: only its displaced planes differ from the fault-free pass, and
-  each of their deliveries is followed back through the group queues.
+  width = 2^24 // (w_max * v_max) columns are exact, and the blocks'
+  products are added in int64.  The layer's w_max is taken once a run.
+  Preset weights lie in [-0.5, 0.5] and activations and inputs in
+  [-1, 1], so every preset weight product takes float32 blocks of 512
+  columns: one block up to 512 wide, and six on d-speech.  A product
+  whose float32 blocks would hold fewer than _F32_MIN_COLUMNS columns (or
+  fewer than all of them, if it is narrower) takes float64, split the
+  same way into blocks of 2^53 // (w_max * v_max) columns, at least 2^22
+  since |w * v| < 2^31 for raw Q8.8 operands.  The chain-delivery deltas
+  and full-range weights do.  So the kernel is exact at any width, and
+  ``simulate`` rejects weights, biases and inputs outside the 16-bit
+  range.  The step's fault effects from the run's FaultPlan then correct
+  the accumulators in int64, and each costs array work in proportion to
+  the planes and words it changes, not to whole tracks or passes.  Each
+  time block reads the layer's four fault streams once, sliced by
+  timestep with ``error_model.stream_rows``, and hands step j its rows.
+  With EDC off, a chain pass with faults is computed in closed form:
+  only its displaced planes differ from the fault-free pass, and each of
+  their deliveries is followed back through the group queues.
   The neurons a group feeds in one chunk of a path are one run, so each
   group that delivered a changed word in a chunk corrects them with one
   ``_exact_matmul`` of their weight rows, in every gate, with its deltas
@@ -527,7 +528,7 @@ def _exact_matmul(weight_blocks, v, w_max=1 << 15):
                 continue
             for lo in range(0, len(w), step):
                 k = min(step, len(w) - lo)
-                b = buf[:k * w.shape[1]].reshape(k, -1)
+                b = buf[:k * w.shape[1]].reshape(k, w.shape[1])
                 np.copyto(b, w[lo:lo + k])
                 np.matmul(b, vf[cols], out=part[r:r + k])
                 r += k
