@@ -148,9 +148,9 @@ TIME_BLOCK = 64
 # _STACK_BYTES cast as many whole int16 rows into it as fit, and
 # ``_exact_matmul`` multiplies each of its column blocks from there; a
 # float32 stack goes through it only on the float64 path.  Whole rows are
-# read from memory in order: d-speech's recurrent product took 13.9 ms a
-# step that way, and 15.6 ms when each column block's slice of every row
-# was cast in turn (clean 6-step runs, medians, 2 BLAS threads).  The
+# read from memory in order: d-speech's recurrent product took 14.8 ms a
+# step that way, and 19.7 ms when each column block's slice of every row
+# was cast in turn (clean 6-step runs, medians of 8, 2 BLAS threads).  The
 # EDC-off misreads are decoded in units whose doubled int8 bit rows take
 # at most the same size.
 _BLOCK_BYTES = 1 << 19
@@ -516,28 +516,27 @@ def _exact_matmul(weight_blocks, v, w_max=1 << 15):
     vf = np.asarray(v, dtype=dtype)
     cols = [slice(c, c + width) for c in range(0, n, width)] or [slice(0, 0)]
     rows = sum(len(w) for w in weight_blocks)
-    out = np.empty((rows,) + v.shape[1:], dtype=np.int64)
+    part = np.empty((len(cols), rows) + v.shape[1:], dtype=dtype)
     step = max(1, min(_BLOCK_BYTES // (np.dtype(dtype).itemsize * max(n, 1)), rows))
-    casts = [w.dtype != dtype for w in weight_blocks]
-    sizes = [step if cast else max(len(w), 1) for w, cast in zip(weight_blocks, casts)]
-    buf = np.empty((step, n), dtype=dtype) if any(casts) else None
-    part = np.empty((len(cols), max(sizes)) + v.shape[1:], dtype=dtype)
+    buf = None
     r = 0
-    for w, cast, size in zip(weight_blocks, casts, sizes):
-        for lo in range(0, len(w), size):
-            a = w[lo:lo + size]
-            k = len(a)
-            if cast:
-                np.copyto(buf[:k], a)
-                a = buf[:k]
+    for w in weight_blocks:
+        if w.dtype == dtype:
             for b, c in enumerate(cols):
-                np.matmul(a[:, c], vf[c], out=part[b, :k])
-            if len(cols) == 1:
-                out[r:r + k] = part[0, :k]
-            else:
-                np.add.reduce(part[:, :k], axis=0, dtype=np.int64, out=out[r:r + k])
+                np.matmul(w[:, c], vf[c], out=part[b, r:r + len(w)])
+            r += len(w)
+            continue
+        if buf is None:
+            buf = np.empty((step, n), dtype=dtype)
+        for lo in range(0, len(w), step):
+            k = min(step, len(w) - lo)
+            np.copyto(buf[:k], w[lo:lo + k])
+            for b, c in enumerate(cols):
+                np.matmul(buf[:k, c], vf[c], out=part[b, r:r + k])
             r += k
-    return out
+    if len(cols) == 1:
+        return part[0].astype(np.int64)
+    return part.sum(axis=0, dtype=np.int64)
 
 
 def _layer_values(lp, geo, params, xs, acts, plan, corrections):

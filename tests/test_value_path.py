@@ -153,10 +153,10 @@ def test_exact_matmul_at_the_block_edges(n, w_max, v_max, dtype, blocks, columns
 
 @pytest.mark.parametrize("rows", [(600,), (255, 1, 300)])
 @pytest.mark.parametrize("columns", [None, 2])
-def test_exact_matmul_blocks_rows_within_each_column_block(rows, columns):
+def test_exact_matmul_casts_row_blocks_for_six_column_blocks(rows, columns):
     """d-speech's width in six float32 column blocks, the last 256 wide,
-    each cast 256 rows at a time: partial row blocks in every column
-    block."""
+    of int16 rows cast 46 whole rows at a time, so the last row block of
+    each weight block is partial."""
     n = 2816
     assert kernel_path(n, 128, 256) == ("float32", 6)
     rng = np.random.default_rng(0)
