@@ -157,19 +157,19 @@ _BLOCK_BYTES = 1 << 19
 # Largest float32 stack of a layer's recurrent weights (64 MiB) that is
 # cast once a run rather than a block at a time at every step.  In clean
 # 15-step runs of single-layer LSTMs, with 2 BLAS threads, every width
-# measured ran 27-40% faster stacked, in 10 of 10 rounds each: 512, 768,
-# 1024 and 1536 wide on im2txt's hardware, and 2048 wide (64 MiB) on
-# mach-tran-2048's.  d-speech's 2816-wide layer (121 MiB) stays blocked,
-# which bounds the memory of the widest preset.
+# measured ran 22-40% faster stacked (medians of 10 alternating rounds,
+# two runs): 512, 768, 1024 and 1536 wide on im2txt's hardware, and 2048
+# wide (64 MiB) on mach-tran-2048's.  d-speech's 2816-wide layer
+# (121 MiB) stays blocked, which bounds the memory of the widest preset.
 _STACK_BYTES = 1 << 26
 # Fewest columns a float32 block of ``_exact_matmul`` may hold, unless the
 # product has fewer (see ``_column_blocks``); a product whose float32
 # blocks would be narrower takes float64, in one block.  Each block costs
-# one more BLAS call, and for int16 rows one more cast.  Against one
-# float64 block, with 2 BLAS threads, float32 blocks of 64 columns ran
-# 20-25% slower in int16 products 512 to 2816 wide (and 16% faster 256
-# wide); blocks of 128 ran 8% faster 512 and 1536 wide and 20% slower
-# 2816 wide.
+# one more BLAS call, and for int16 rows one more cast.  Timed per call
+# against one float64 block, with 2 BLAS threads (two runs), float32
+# blocks of 128 columns ran 2-27% faster in int16 products 512 to 1536
+# wide and 20-63% slower 2816 wide; blocks of 64 columns ran 8% to twice
+# as slow from 1024 to 2816 wide.
 _F32_MIN_COLUMNS = 128
 
 

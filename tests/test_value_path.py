@@ -114,7 +114,8 @@ def test_exact_matmul_equals_int64_matmul(case):
 
 
 # (n, w_max, v_max, float type, column blocks).  A float32 block holds
-# 2^24 // (w_max * v_max) columns: 512 for the first, fourth and sixth.
+# 2^24 // (w_max * v_max) columns: 512 for the first and the fourth to
+# sixth.
 EDGES = [
     (512, 128, 256, "float32", 1),      # a block sums to 2^24 exactly
     (512, 128, 257, "float32", 2),      # one past it: 510 columns a block
