@@ -287,17 +287,6 @@ def test_simulate_peak_memory_is_a_fraction_of_the_weights():
     assert peak < weight_bytes / 32, (peak, weight_bytes)
 
 
-def traced_peak(run):
-    """The ``tracemalloc`` peak of run(), and its result."""
-    tracemalloc.start()
-    try:
-        result = run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, result
-
-
 def stack_peak(name, steps, stack):
     """Run a `steps`-step slice of preset `name`, each of whose layers
     multiplies its recurrent weights from one float32 stack of `stack`
@@ -308,7 +297,12 @@ def stack_peak(name, steps, stack):
     inputs = generate_inputs(spec, 2)
     placement = map_network(spec, preset.hardware())
     assert [4 * sum(g.w_h.size for g in p.gates) for p in params] == [stack] * len(params)
-    peak, result = traced_peak(lambda: simulate(placement, params, inputs))
+    tracemalloc.start()
+    try:
+        result = simulate(placement, params, inputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert result.outputs[-1].shape == (steps, spec.layers[-1].neurons)
     return peak
 
