@@ -253,6 +253,16 @@ class WeightTrackGroup:
         self._suppress = [False] * WORD_PLANES
 
 
+def _distinct(keys):
+    """The distinct values of the integer array `keys`, sorted: one sort and
+    a neighbour compare, several times faster than ``np.unique`` on the few
+    thousand keys of a block of faults."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def weight_zeros(lengths, faults):
     """Zero substitutions of whole EDC-on passes of a batch of
     ``WeightTrackGroup`` tracks, from the fault rows alone.
@@ -273,7 +283,7 @@ def weight_zeros(lengths, faults):
     k = int(lengths.max(initial=1))
     track, plane, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 3).T
     # Distinct rows, sorted by (track, plane, slot).
-    pair, slot = np.divmod(np.unique((track * WORD_PLANES + plane) * k + slot), k)
+    pair, slot = np.divmod(_distinct((track * WORD_PLANES + plane) * k + slot), k)
     run_start = np.ones(len(slot), dtype=bool)
     run_start[1:] = (pair[1:] != pair[:-1]) | (slot[1:] != slot[:-1] + 1)
     starts = np.flatnonzero(run_start)
@@ -281,7 +291,7 @@ def weight_zeros(lengths, faults):
     live = index_in_run % 2 == 0
     track, slot = pair[live] // WORD_PLANES, slot[live]
     held = int(np.count_nonzero(slot + 1 < lengths[track]))
-    zeroed = np.unique(track * k + slot)
+    zeroed = _distinct(track * k + slot)
     return np.stack(np.divmod(zeroed, k), axis=1), held
 
 
@@ -306,7 +316,7 @@ def weight_plane_reads(bits, faults):
     rows, width = bits.shape
     row, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 2).T
     # Distinct faults sorted by row and slot: a repeated row is one overshoot.
-    row, slot = np.divmod(np.unique(row * width + slot), width)
+    row, slot = np.divmod(_distinct(row * width + slot), width)
     # From its j-th fault on (j from 0), a row reads j + 1 bits further on,
     # so the bit at slot + j is never read.  The row as read is the stored
     # row followed by one blank per fault of its own (the padding past them

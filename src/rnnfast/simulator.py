@@ -35,13 +35,20 @@ Values and timing are deliberately decoupled:
   the planes and words it changes, not to whole tracks or passes.  Each
   time block reads the layer's four fault streams once, sliced by
   timestep with ``error_model.stream_rows``, and hands step j its rows.
-  With EDC off, a chain pass with faults is computed in closed form:
-  only its displaced planes differ from the fault-free pass, and each of
-  their deliveries is followed back through the group queues.
-  The neurons a group feeds in one chunk of a path are one run, so each
-  group that delivered a changed word in a chunk corrects them with one
-  ``_exact_matmul`` of their weight rows, in every gate, with its deltas
-  (differences of two raw words, below 2^16).  With EDC on every
+  With EDC off, a chain pass with faults is computed in closed form,
+  one displaced plane at a time: a delivery (g, s) of plane k can differ
+  from the fault-free pass only from step L_g = min(F_g, L_{g+1} + cap_g)
+  on, around the ring, F_g the step of the first fault on (g, k).  Only
+  the faulted groups' deliveries in that set are followed back through
+  the group queues, over int32 indices; a link out of the set lands on a
+  fault-free word, and a group without a fault copies the next faulted
+  one.  The neurons a group feeds in one chunk of a path are one run, so
+  each group that delivered a changed word in a chunk corrects them with
+  one ``_exact_matmul`` of their weight rows, in every gate, over the
+  chunk's words it can have changed (from step L_g on), with its deltas
+  (differences of two raw words, below 2^16) over their lowest displaced
+  plane's 2^k; the h path takes the rows from the layer's float32 stack
+  when it has one.  With EDC on every
   delivery is the fault-free word, so chain faults stay out of the value
   path: they change only the corrections and the shifts those hold back,
   which the plan's rows alone determine.  ``simulate`` cuts each chain's
@@ -101,6 +108,7 @@ fault-free runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -264,10 +272,11 @@ class _LayerGeometry:
     PE that holds no words of a path has an empty chunk there.  Indexed by
     path code, the tables give each chunk's first word and size, each
     slot's chunk, the chain group that feeds each neuron's chunk (in each
-    chunk it never falls as the neuron grows), and
+    chunk it never falls as the neuron grows),
     ``turn[path, group, chunk]``: how far the chunk is rotated when it
-    reaches that group.  ``_slot_lookup`` turns these into the words at
-    given slots of a batch of tracks; no per-word table is kept.  A PE
+    reaches that group, and ``bases[path]``: each chain group's first
+    word.  ``_slot_lookup`` turns these into the words at given slots of a
+    batch of tracks; no per-word table is kept.  A PE
     track is keyed by raveling (path, gate, chunk, neuron) over ``dims``;
     ``tracks`` is the number of keys.
 
@@ -287,7 +296,7 @@ class _LayerGeometry:
         edc_in = bool(cfg and cfg.edc_inputs)
         edc_w = bool(cfg and cfg.edc_weights)
         chains = (lp.chain, lp.recurrent_chain)
-        bases = [_chain_bases(layout.group_capacities) for layout in chains]
+        self.bases = bases = [_chain_bases(layout.group_capacities) for layout in chains]
         self.size = pe[:, 1:].T
         self.dims = (2, len(GATE_ORDERS[lp.cell_type]), n_chunks, m)
         self.tracks = int(np.prod(self.dims))
@@ -347,48 +356,115 @@ def _run_faulted_chain(layout, words_raw, faults):
     """Deliveries of one EDC-off pass whose chain has faults.
 
     `faults` holds ``FaultPlan``'s rows (step, group, plane).  Returns
-    seen[group, word], the value the group delivered for that word.
+    (seen, reach): seen[group, word], the value the group delivered for
+    that word, and reach[group], the first step from which the group's
+    deliveries can differ from the fault-free pass (the pass's length n if
+    none can).
 
-    Nothing is corrected, and only the planes that carry a fault differ
-    from the fault-free pass; planes never mix.  Group g delivers at step s
-    the word at queue position min(e, cap_g - 1) of plane k, e the faults
-    on (g, k) at steps <= s.  Queue position j at step s holds staged word
-    base_g + s + j while s + j < cap_g, and after that what group g + 1
-    delivered at step s + j - cap_g.  Each delivery of a displaced plane is
-    followed back through the queues to a staged word, all of them at once.
+    Nothing is corrected, and planes never mix, so each plane that carries
+    a fault is resolved on its own.  Group g delivers at step s the word at
+    queue position min(e, cap_g - 1) of plane k, e the faults on (g, k) at
+    steps <= s.  Queue position j at step s holds staged word base_g + s + j
+    while s + j < cap_g, and after that what group g + 1 delivered at step
+    s + j - cap_g; so a fault on a one-word group displaces nothing.
+    Delivery (g, s) of plane k can differ from the fault-free pass only
+    when s >= L_g, where L_g = min(F_g, L_{g+1} + cap_g) around the ring,
+    F_g the step of the first fault on (g, k) (none on a one-word group).
+    Taken twice around the ring, that is the least F_h + dist(g, h) over
+    the faulted groups h, dist(g, h) the words of groups g up to h.  A
+    group without a fault on plane k copies the next faulted group h: at
+    step s >= dist(g, h) it delivers what h delivered at s - dist(g, h),
+    which is the same word, and before that a staged word.  So only the
+    faulted groups' deliveries at steps s >= L_h are followed back.  Such a
+    delivery reads position at = s + min(e, cap_h - 1), which holds the
+    delivery (h', at - dist(h, h')) of the next faulted group h'.  When
+    that step is below L_h', the link leaves the set and lands on a
+    fault-free delivery, and a staged word is one too: either way the
+    delivery is word (base_h + at) mod n.  The other links are followed by
+    pointer jumping over the set's int32 indices; each hop lowers the step,
+    so the rounds end.
     """
     n_words = layout.word_capacity
-    caps = np.asarray(layout.group_capacities)
-    bases = _chain_bases(caps)
-    groups = np.arange(len(caps))
-    words = np.asarray(words_raw, dtype=np.int64) & 0xFFFF
-    # order[g, s]: the word group g delivers at step s without faults.
-    order = (bases[:, None] + np.arange(n_words)) % n_words
-    step, group, plane = np.asarray(faults, dtype=np.int64).T
-    planes, pair = np.unique(plane, return_inverse=True)
-    faulted = np.zeros((len(planes), len(caps), n_words), dtype=np.int64)
-    faulted[pair, group, step] = 1
-    # Each delivery (plane, group, step) reads queue position `at`, counted
-    # from the pass's start: a staged word, or else the delivery
-    # (plane, group + 1, at - cap) that it copies, whose index in the
-    # flattened array is `link`.
-    at = np.arange(n_words) + np.minimum(np.cumsum(faulted, axis=2), caps[:, None] - 1)
-    src = np.where(at < caps[:, None], bases[:, None] + at, -1).ravel()
-    right = np.arange(len(planes))[:, None, None] * len(caps) + (groups[:, None] + 1) % len(caps)
-    link = (right * n_words + at - caps[:, None]).ravel()
-    # Follow the links by pointer jumping: each round doubles the hops
-    # followed, and each hop lowers the step, so the rounds end.
-    todo = np.flatnonzero(src < 0)
-    while todo.size:
-        ahead = link[todo]
-        src[todo], link[todo] = src[ahead], link[ahead]
-        todo = todo[src[todo] < 0]
-    mask = np.bitwise_or.reduce(1 << planes)
-    bits = (words[src].reshape(faulted.shape) >> planes[:, None, None]) & 1
-    seen = np.empty((len(caps), n_words), dtype=np.int64)
-    delivered = words[order] & ~mask | (bits << planes[:, None, None]).sum(axis=0)
-    seen[groups[:, None], order] = delivered
-    return np.where(seen >= 1 << 15, seen - (1 << 16), seen)
+    caps = layout.group_capacities
+    n_groups = len(caps)
+    bases = _chain_bases(caps).tolist()
+    words = np.asarray(words_raw).astype(np.uint16)
+    # Each plane's distinct faults as keys group * n + step, on groups of
+    # two words or more.
+    keys = {}
+    for step, g, k in np.asarray(faults).tolist():
+        if caps[g] > 1:
+            keys.setdefault(k, set()).add(g * n_words + step)
+    # flips[g, w]: the bits that group g's delivery of word w flips.
+    flips = np.zeros((n_groups, n_words), dtype=np.uint16)
+    reach = [n_words] * n_groups
+    for k, plane_keys in keys.items():
+        fault = sorted(plane_keys)
+        # The faulted groups h, in ring order, each with the index and step
+        # of its first fault.
+        h, first, L = [], [], []
+        for i, key in enumerate(fault):
+            g, s = divmod(key, n_words)
+            if not h or h[-1] != g:
+                h.append(g)
+                first.append(i)
+                L.append(s)
+        # Words from each faulted group to the next, n if it is the only one.
+        n_h = len(h)
+        ahead = [(bases[h[(i + 1) % n_h]] - bases[g] - 1) % n_words + 1 for i, g in enumerate(h)]
+        # L_i = min(F_i, L_{i+1} + dist(h_i, h_{i+1})), twice around the ring.
+        for i in [*reversed(range(n_h))] * 2:
+            L[i] = min(L[i], L[(i + 1) % n_h] + ahead[i])
+        # The set: faulted group i at steps L_i..n-1, flattened.  Each entry
+        # gets its group's row of `table`.
+        count = [n_words - x for x in L]
+        start = [0, *itertools.accumulate(count)]
+        table = [(start[i] - L[i], bases[g], g * n_words, first[i], caps[g] - 1, ahead[i],
+                  L[(i + 1) % n_h], start[(i + 1) % n_h] - L[(i + 1) % n_h], i)
+                 for i, g in enumerate(h)]
+        offset, base, group_key, first_fault, cap, ahead, next_l, next_off, row = np.repeat(
+            np.array(table, dtype=np.int32), count, axis=0).T
+        s = np.arange(start[-1], dtype=np.int32) - offset
+        word = base + s
+        np.subtract(word, n_words, out=word, where=word >= n_words)
+        e = np.searchsorted(np.array(fault), group_key + s, "right") - first_fault
+        at = s + np.minimum(e, cap).astype(np.int32)
+        # Delivery (i, s) copies (i + 1, at - dist(h_i, h_{i+1})): an entry
+        # of the set when that step is at least L_{i+1}, else word
+        # (base_i + at) mod n.
+        u = at - ahead
+        inside = u >= next_l
+        src = base + at
+        np.subtract(src, n_words, out=src, where=src >= n_words)
+        src[inside] = -1
+        link = u + next_off
+        todo = np.flatnonzero(inside)
+        while todo.size:
+            hop = link[todo]
+            src[todo], link[todo] = src[hop], link[hop]
+            todo = todo[src[todo] < 0]
+        plane_flips = np.zeros((n_h, n_words), dtype=np.uint16)
+        plane_flips[row, word] = (words[src] ^ words[word]) & (1 << k)
+        # Group g copies the first faulted group h_i at or after it, less the
+        # words that groups g up to h_i stage, and reaches step L_i + dist.
+        groups, copies, staged = [], [], []
+        i = 0
+        for g in range(n_groups):
+            if i < n_h and h[i] < g:
+                i += 1
+            c = i % n_h
+            d = (bases[h[c]] - bases[g]) % n_words
+            if L[c] + d < n_words:
+                reach[g] = min(reach[g], L[c] + d)
+                groups.append(g)
+                copies.append(c)
+                staged.append((bases[g], bases[g] + d))
+        copied = plane_flips[copies]
+        for j, (a, b) in enumerate(staged):
+            copied[j, a:b] = 0
+            copied[j, :max(b - n_words, 0)] = 0
+        flips[groups] |= copied
+    return (words ^ flips).view(np.int16).astype(np.int64), np.array(reach)
 
 
 def _edc_chain_holds(layout, faults):
@@ -551,8 +627,10 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
     w_x = [g.w_x for g in gates]
     w_h = [g.w_h for g in gates]
     w_max = max(map(_magnitude, w_x + w_h))
+    stack = None
     if 4 * sum(w.size for w in w_h) <= _STACK_BYTES:
-        w_h = [np.concatenate(w_h, dtype=np.float32)]
+        stack = np.concatenate(w_h, dtype=np.float32)
+        w_h = [stack]
     bias = np.stack([fp.widen(g.b) for g in gates])
     out = np.empty((len(xs), m), dtype=np.int16)
     faults = None
@@ -576,15 +654,18 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
                 x_accs[:, j].reshape(len(gates), m),
                 _exact_matmul(w_h, h, w_max).reshape(len(gates), m),
             ))
-            h, c = _layer_step_values(lp, geo, params, w_max, x, h, c, accs, bias, acts, faults, j)
+            h, c = _layer_step_values(lp, geo, params, w_max, stack, x, h, c, accs, bias, acts,
+                                      faults, j)
             out[t0 + j] = h
     return out
 
 
-def _layer_step_values(lp, geo, params, w_max, x, h_prev, c_prev, accs, bias, acts, faults, j):
+def _layer_step_values(lp, geo, params, w_max, stack, x, h_prev, c_prev, accs, bias, acts,
+                       faults, j):
     """Finish step j of a time block of one layer; returns (h, c).
 
-    `w_max` is the layer's largest |weight|, for ``_exact_matmul``.
+    `w_max` is the layer's largest |weight|, for ``_exact_matmul``, and
+    `stack` its float32 stack of w_h, or None.
     `accs[path, gate, neuron]` holds the fault-free accumulators.  `faults`
     is None on a fault-free run, else the block's ``stream_rows`` of each
     chain, its ``_decode_faults`` and its activation rows; the step's
@@ -599,8 +680,9 @@ def _layer_step_values(lp, geo, params, w_max, x, h_prev, c_prev, accs, bias, ac
         for path, ((ptr, rows), layout) in enumerate(zip(chains, (lp.chain, lp.recurrent_chain))):
             rows = rows[ptr[j]:ptr[j + 1]]
             if len(rows):
-                delivered = _run_faulted_chain(layout, vecs[path], rows)
-                _correct_deliveries(geo, params, path, delivered - vecs[path], w_max, accs)
+                delivered, reach = _run_faulted_chain(layout, vecs[path], rows)
+                _correct_deliveries(geo, params, path, delivered - vecs[path], reach, w_max, accs,
+                                    stack)
             else:
                 groups = len(layout.group_capacities)
                 delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
@@ -611,22 +693,56 @@ def _layer_step_values(lp, geo, params, w_max, x, h_prev, c_prev, accs, bias, ac
     return cell_output(lp.cell_type, accs[0], accs[1], bias, h_prev, c_prev, acts, hook)
 
 
-def _correct_deliveries(geo, params, path, delta, w_max, accs):
+def _correct_deliveries(geo, params, path, delta, reach, w_max, accs, stack=None):
     """Correct `accs[path, gate, neuron]` for the words a faulted chain pass
     delivered: delta[group, word] is the word as the group delivered it
-    less the fault-free word.  Chunk c holds words [lo, lo + size), and
-    the neurons that group g feeds there are one run n0:n1, since groups
-    never fall as the neuron grows.  Each group that delivered a changed
-    word in the chunk adds one exact product, of those neurons' weight
-    rows in every gate with its delta, to their accumulators."""
-    weights = [_weights(params, gate, path) for gate in range(len(params.gates))]
+    less the fault-free word, zero wherever the group delivered it before
+    step reach[group] (see ``_run_faulted_chain``).  Group g delivers word
+    w at step (w - base_g) mod n, so the words it can have changed run
+    cyclically from base_g + reach_g up to base_g: one run of words, or two
+    when they wrap past word n - 1.  Chunk c holds words [lo, lo + size),
+    and the neurons that group g feeds there are one run n0:n1, since
+    groups never fall as the neuron grows.  Each group that can have
+    changed a word of the chunk, and did, adds one exact product, of those
+    neurons' weight rows in every gate with its deltas over the chunk's
+    columns from the first to the last such word, to their accumulators.
+    Two wrapped runs take one product over their hull: on im2txt's
+    one-chunk paths, one product per run was slower.  Every delta is a sum
+    of +-2^k over the displaced planes k, so a multiple of 2^k for the
+    lowest of them; the products take the deltas over that power, which
+    keeps them in float32 when one plane is displaced, and the h path
+    takes its rows from the layer's float32 `stack` of w_h when there is
+    one."""
+    n_words = delta.shape[1]
+    low = int(np.bitwise_or.reduce(delta, axis=None))
+    if not low:
+        return
+    shift = (low & -low).bit_length() - 1
+    delta = delta >> shift
+    m, bases, reach = accs.shape[2], geo.bases[path].tolist(), reach.tolist()
+    if path == 1 and stack is not None:
+        weights = [stack[q * m:(q + 1) * m] for q in range(len(params.gates))]
+    else:
+        weights = [_weights(params, gate, path) for gate in range(len(params.gates))]
     for c, (lo, size) in enumerate(zip(geo.lo[path], geo.size[path])):
-        d = delta[:, lo:lo + size]
-        fed = np.searchsorted(geo.group_of[path, c], np.arange(len(d) + 1))
-        for g in np.flatnonzero(d.any(axis=1)):
+        fed = np.searchsorted(geo.group_of[path, c], np.arange(len(delta) + 1)).tolist()
+        for g in range(len(delta)):
             n0, n1 = fed[g], fed[g + 1]
-            product = _exact_matmul([w[n0:n1, lo:lo + size] for w in weights], d[g], w_max)
-            accs[path, :, n0:n1] += product.reshape(len(weights), n1 - n0)
+            if n0 == n1 or reach[g] >= n_words:
+                continue
+            # The chunk's columns from the first to the last word g can have
+            # changed there, of runs [first, n) and [0, base_g), or of
+            # [first - n, base_g).
+            first, hi = bases[g] + reach[g], lo + size
+            if first >= n_words:
+                w0, w1 = max(first - n_words, lo), min(bases[g], hi)
+            elif bases[g] <= lo:
+                w0, w1 = max(first, lo), hi
+            else:
+                w0, w1 = lo, hi if first < hi else min(bases[g], hi)
+            if w0 < w1 and delta[g, w0:w1].any():
+                product = _exact_matmul([w[n0:n1, w0:w1] for w in weights], delta[g, w0:w1], w_max)
+                accs[path, :, n0:n1] += product.reshape(len(weights), n1 - n0) << shift
 
 
 class _Misreads:
@@ -801,8 +917,12 @@ def _decode_faults(geo, params, weight, mac, edc, corrections):
     path, gate, chunk, neuron, position, track, plane = _fault_slots(geo, rows)
     group, word, weight = _slot_lookup(geo, params, path, gate, chunk, neuron, position)
     zeroed = plane < 0
-    slot = (step * geo.tracks + track) * int(geo.size.max()) + position
-    weight[np.isin(slot, slot[zeroed]) & ~zeroed] = 0
+    if zeroed.any():
+        # A MAC fault on a zeroed slot of its step reads 0.
+        slot = (step * geo.tracks + track) * int(geo.size.max()) + position
+        zero_slots = np.sort(slot[zeroed])
+        on_zero = zero_slots[np.searchsorted(zero_slots, slot) % len(zero_slots)] == slot
+        weight[on_zero & ~zeroed] = 0
     weight[zeroed] *= -1
     mask = np.where(zeroed, -1, 1 << (plane + fp.FRAC_BITS))
     ptr = np.searchsorted(2 * step + path, np.arange(2 * len(steps) + 1))

@@ -29,9 +29,10 @@ plane).
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
 with one exact ``_exact_matmul`` product per (chunk, group that delivered
-a changed word there), over the run of neurons that group feeds in the
-chunk.  Its oracle is a dense int64 product per chunk, every neuron
-against the deliveries of its own group.
+a changed word there, run of the words the group can have changed), over
+the run of neurons that group feeds in the chunk.  Its oracle is a dense
+int64 product per chunk, every neuron against the deliveries of its own
+group.
 """
 
 import numpy as np
@@ -415,7 +416,11 @@ def test_delivery_corrections_match_the_dense_oracle(layout, cell):
     several chain groups (one group for packed Vanilla in long), and the
     packed layout several chunks per neuron on one group.  Changes that
     only groups feeding no neuron delivered correct nothing, and sums of
-    2,560 products of extreme weights and deltas stay exact."""
+    2,560 products of extreme weights and deltas stay exact.  Each change
+    is corrected with the whole pass reachable and with a random reach per
+    group, before which its deltas are zero, and on the h path both from
+    the int16 weights and from their float32 stack.  Deltas of one plane
+    (+-2^k) take float32 products, the others float64."""
     if layout in LAYOUTS:
         placement = layout_net(cell, layout)
     else:
@@ -427,12 +432,22 @@ def test_delivery_corrections_match_the_dense_oracle(layout, cell):
 
     def check(geo, p, path, delta, tag):
         accs = rng.integers(-(1 << 40), 1 << 40, (2, len(p.gates), p.gates[0].hidden))
-        got, want = accs.copy(), accs.copy()
-        w_max = max(_magnitude(w) for g in p.gates for w in (g.w_x, g.w_h))
-        _correct_deliveries(geo, p, path, delta, w_max, got)
+        want = accs.copy()
         dense_deliveries(geo, p, path, delta, want)
-        assert got.tolist() == want.tolist(), tag
-        return got.tolist() == accs.tolist()
+        w_max = max(_magnitude(w) for g in p.gates for w in (g.w_x, g.w_h))
+        groups, n_words = delta.shape
+        stack = np.concatenate([g.w_h for g in p.gates], dtype=np.float32)
+        reach = rng.integers(0, n_words + 1, groups)
+        early = (np.arange(n_words) - geo.bases[path][:, None]) % n_words < reach[:, None]
+        late = np.where(early, 0, delta)
+        late_want = accs.copy()
+        dense_deliveries(geo, p, path, late, late_want)
+        for d, r, w in ((delta, np.zeros(groups, dtype=np.int64), want), (late, reach, late_want)):
+            for s in (None, stack) if path else (None,):
+                got = accs.copy()
+                _correct_deliveries(geo, p, path, d, r, w_max, got, s)
+                assert got.tolist() == w.tolist(), (tag, s is None)
+        return want.tolist() == accs.tolist()
 
     for lp, p in zip(placement.layers, params):
         geo = _LayerGeometry(lp, placement.hw, None)
@@ -452,8 +467,13 @@ def test_delivery_corrections_match_the_dense_oracle(layout, cell):
                     delta = rng.integers(-65535, 65536, shape)
                 delta *= rng.random(shape) < density
                 check(geo, p, path, delta, (lp.index, path, density))
+                plane = rng.integers(16)
+                delta = rng.choice((-1, 1), shape) << plane
+                delta *= rng.random(shape) < density
+                check(geo, p, path, delta, (lp.index, path, density, "plane", plane))
             if layout == "extremes":
                 check(geo, p, path, np.full(shape, 65535), (lp.index, path, "all +65535"))
+                check(geo, p, path, np.full(shape, -32768), (lp.index, path, "all -32768"))
             if layout == "unfed" and path == 0:
                 assert shape[0] == 4 and not geo.group_of[path].any()
                 delta = rng.integers(-65535, 65536, shape)

@@ -601,21 +601,27 @@ class Counter(dict):
 def faulted_passes(draw):
     """A chain pass with faults, as ``FaultPlan`` rows (step, group, plane).
 
-    Groups hold 1-12 words each, unequal in general.  Besides random events
-    there are optional faults at step 0 and at the last step, so the EDC-on
-    replay starts and ends at the edges of the pass, and up to three runs of
+    Chains have 1-8 groups of 1-12 words each, unequal in general.  An
+    optional early fault on the last group displaces a plane that then
+    travels through several upstream groups and wraps around the ring
+    before the pass ends.  Besides random events there are optional faults
+    at step 0 and at the last step, so the EDC-on replay starts and ends at
+    the edges of the pass, and up to three runs of
     faults on one (group, plane) in consecutive steps, so several planes
     are displaced in one pass and a run can displace its plane to the end
     of its group's queue (cap - 1) and beyond.  Two cases the EDC-on replay
     of faulted runs turns on are drawn explicitly: a run of faults that
     ends on the pass's last step, and two runs with exactly one fault-free
     step between them."""
-    caps = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)))
+    caps = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=8)))
     n_words = sum(caps)
     layout = ChainLayout(n_words, caps, 1, 0, 0)
     groups = st.integers(0, len(caps) - 1)
     planes = st.integers(0, WORD_PLANES - 1)
     events = draw(st.lists(st.tuples(st.integers(0, n_words - 1), groups, planes), max_size=12))
+    if draw(st.booleans()):
+        step = draw(st.integers(0, min(caps[-1], n_words - 1)))
+        events.append((step, len(caps) - 1, draw(planes)))
     for step in (0, n_words - 1):
         if draw(st.booleans()):
             events.append((step, draw(groups), draw(planes)))
@@ -648,18 +654,19 @@ def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
     corrections and held shifts of ``_edc_chain_holds``.  The device's own
     ledger is the closed-form pass less those held shifts."""
     layout, words, faults, edc = case
+    n_words = layout.word_capacity
     if edc:
         corrected, held = _edc_chain_holds(layout, faults)
         seen = np.tile(words, (len(layout.group_capacities), 1))
+        reach = np.zeros(len(layout.group_capacities), dtype=np.int64)
     else:
-        seen, corrected, held = _run_faulted_chain(layout, np.asarray(words), faults), 0, 0
+        (seen, reach), corrected, held = _run_faulted_chain(layout, np.asarray(words), faults), 0, 0
     by_step = {}
     for step, group, plane in faults.tolist():
         by_step.setdefault(step, {}).setdefault(group, []).append(plane)
     chain = InputTrackChain(list(layout.group_capacities), edc_enabled=edc)
     chain.stage(words)
     ledger = Counter()
-    n_words = layout.word_capacity
     bases = np.cumsum((0,) + layout.group_capacities[:-1])
     device_seen = np.empty((len(bases), n_words), dtype=np.int64)
     device_corrected = 0
@@ -680,6 +687,24 @@ def test_track_model_ledger_is_the_closed_form_pass_less_held_shifts(case):
                                      device_seen).tolist()
     assert corrected == device_corrected
     assert 0 <= held <= corrected
+    # Before its reach, every group delivers the fault-free words.
+    early = (np.arange(n_words) - bases[:, None]) % n_words < reach[:, None]
+    assert (seen == np.asarray(words))[early].all()
+    if not edc:
+        # The reach is the least over the planes of L_g = min(F_g, L_{g+1}
+        # + cap_g), taken twice around the ring, F_g the step of the first
+        # fault on (g, plane) of a group of two words or more.
+        caps = layout.group_capacities
+        want = [n_words] * len(caps)
+        for plane in set(faults[:, 2].tolist()):
+            first = [2 * n_words] * len(caps)
+            for s, g, k in faults.tolist():
+                if k == plane and caps[g] > 1:
+                    first[g] = min(first[g], s)
+            for g in [*reversed(range(len(caps)))] * 2:
+                first[g] = min(first[g], first[(g + 1) % len(caps)] + caps[g])
+            want = [min(w, f) for w, f in zip(want, first)]
+        assert reach.tolist() == want
 
 
 @pytest.mark.parametrize("site", ["input_chains", "weight_arrays"])

@@ -15,9 +15,9 @@ weights larger than _STACK_BYTES, one such stack at a time, and no
 per-word table of chain groups.  The ``tracemalloc`` peaks show it: a run
 on the widest preset stays below 1/32 of its int16 weights, and runs on
 two 512-wide or six 1024-wide layers below one of their stacks and a few
-kernel buffers.  A ``FaultPlan`` on the widest preset must hold its
-events as int32 rows, not Python tuples (a quarter of their retained
-size).
+kernel buffers.  EDC-off chain faults on the widest preset must stay
+within 32 MiB.  A ``FaultPlan`` on the widest preset must hold its events
+as int32 rows, not Python tuples (a quarter of their retained size).
 """
 
 import tracemalloc
@@ -410,6 +410,31 @@ def test_edc_off_weight_faults_add_a_few_blocks_to_the_peak():
     assert not (cfg.edc_inputs or cfg.edc_weights)
     assert result.corrections["fault_events"] > 5_000
     assert peak < weight_bytes / 32 + 4 * simulator._BLOCK_BYTES, (peak, weight_bytes)
+
+
+def test_edc_off_chain_faults_stay_within_32_mib():
+    """A d-speech slice with faults on the input chains only, EDC off: at
+    the paper's rate each of its four passes of a 132-group, 2,816-word
+    chain holds 12-22 faults on 10-13 of the 16 planes.  Each faulted
+    plane is followed back over int32 indices of only the deliveries it
+    can reach, one plane at a time, so the run peaks far below the 300 MB
+    that dense (planes x groups x words) int64 arrays took."""
+    preset = get_preset("d-speech")
+    spec = replace(preset.spec, timesteps=2)
+    params = generate_network_params(spec, 1)
+    inputs = generate_inputs(spec, 2)
+    placement = map_network(spec, preset.hardware())
+    cfg = ErrorConfig(p_overshift=DEFAULT_P_OVERSHIFT, sites={"input_chains"}, seed=0)
+    tracemalloc.start()
+    try:
+        result = simulate(placement, params, inputs, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not (cfg.edc_inputs or cfg.edc_weights)
+    assert result.corrections["fault_events"] > 0
+    assert peak <= 32 << 20, peak
+
 
 def test_fault_plan_memory_is_a_quarter_of_python_tuples():
     # A 20-step d-speech slice at the paper's rate has 116,190 events; held
