@@ -29,10 +29,10 @@ plane).
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
 with one exact ``_exact_matmul`` product per (chunk, group that delivered
-a changed word there, run of the words the group can have changed), over
-the run of neurons that group feeds in the chunk.  Its oracle is a dense
-int64 product per chunk, every neuron against the deliveries of its own
-group.
+a changed word there), over the run of neurons that group feeds in the
+chunk and the chunk's columns that the group can have changed.  Its
+oracle is a dense int64 product per chunk, every neuron against the
+deliveries of its own group.
 """
 
 import numpy as np
