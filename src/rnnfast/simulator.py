@@ -45,13 +45,13 @@ Values and timing are deliberately decoupled:
   one.  The neurons a group feeds in one chunk of a path are one run, so
   each group that delivered a changed word in a chunk corrects them with
   one ``_exact_matmul`` of their weight rows, in every gate, over the
-  chunk's words it can have changed (from step L_g on), with its deltas
-  (differences of two raw words, below 2^16) over their lowest displaced
-  plane's 2^k; the h path takes the rows from the layer's float32 stack
-  when it has one.  With EDC on every
-  delivery is the fault-free word, so chain faults stay out of the value
-  path: they change only the corrections and the shifts those hold back,
-  which the plan's rows alone determine.  ``simulate`` cuts each chain's
+  chunk's columns from its first changed word to its last, with its
+  deltas (differences of two raw words, below 2^16) over their lowest
+  displaced plane's 2^k; the h path takes the rows from the layer's
+  float32 stack when it has one.  With EDC on every delivery is the
+  fault-free word, so chain faults stay out of the value path: they
+  change only the corrections and the shifts those hold back, which the
+  plan's rows alone determine.  ``simulate`` cuts each chain's
   stream into its passes with ``stream_rows``, and ``_edc_chain_holds``
   counts both once per run, replaying each faulted pass through the
   word-level track model (``InputTrackChain``): each maximal run of
@@ -272,11 +272,10 @@ class _LayerGeometry:
     PE that holds no words of a path has an empty chunk there.  Indexed by
     path code, the tables give each chunk's first word and size, each
     slot's chunk, the chain group that feeds each neuron's chunk (in each
-    chunk it never falls as the neuron grows),
-    ``turn[path, group, chunk]``: how far the chunk is rotated when it
-    reaches that group, and ``bases[path]``: each chain group's first
-    word.  ``_slot_lookup`` turns these into the words at given slots of a
-    batch of tracks; no per-word table is kept.  A PE
+    chunk it never falls as the neuron grows), and
+    ``turn[path, group, chunk]``: how far the chunk is rotated when that
+    group receives it.  ``_slot_lookup`` turns these into the words at
+    given slots of a batch of tracks; no per-word table is kept.  A PE
     track is keyed by raveling (path, gate, chunk, neuron) over ``dims``;
     ``tracks`` is the number of keys.
 
@@ -296,7 +295,7 @@ class _LayerGeometry:
         edc_in = bool(cfg and cfg.edc_inputs)
         edc_w = bool(cfg and cfg.edc_weights)
         chains = (lp.chain, lp.recurrent_chain)
-        self.bases = bases = [_chain_bases(layout.group_capacities) for layout in chains]
+        bases = [_chain_bases(layout.group_capacities) for layout in chains]
         self.size = pe[:, 1:].T
         self.dims = (2, len(GATE_ORDERS[lp.cell_type]), n_chunks, m)
         self.tracks = int(np.prod(self.dims))
@@ -308,7 +307,7 @@ class _LayerGeometry:
             self.chunk_of[p, :layout.word_capacity] = np.repeat(np.arange(n_chunks), self.size[p])
             self.group_of[p] = np.minimum(tiles, len(b) - 1)
             # Group g receives word (base_g + s) mod n at step s, so each
-            # chunk reaches it rotated to start at its first word >= base_g.
+            # chunk arrives there rotated to start at its first word >= base_g.
             self.turn[p, :len(b)] = np.clip(b[:, None] - self.lo[p], 0, self.size[p])
         # One pass of each chain: every group reads, shifts and writes all 16
         # planes once per word.
@@ -356,10 +355,7 @@ def _run_faulted_chain(layout, words_raw, faults):
     """Deliveries of one EDC-off pass whose chain has faults.
 
     `faults` holds ``FaultPlan``'s rows (step, group, plane).  Returns
-    (seen, reach): seen[group, word], the value the group delivered for
-    that word, and reach[group], the first step from which the group's
-    deliveries can differ from the fault-free pass (the pass's length n if
-    none can).
+    seen[group, word], the value the group delivered for that word.
 
     Nothing is corrected, and planes never mix, so each plane that carries
     a fault is resolved on its own.  Group g delivers at step s the word at
@@ -397,7 +393,6 @@ def _run_faulted_chain(layout, words_raw, faults):
             keys.setdefault(k, set()).add(g * n_words + step)
     # flips[g, w]: the bits that group g's delivery of word w flips.
     flips = np.zeros((n_groups, n_words), dtype=np.uint16)
-    reach = [n_words] * n_groups
     for k, plane_keys in keys.items():
         fault = sorted(plane_keys)
         # The faulted groups h, in ring order, each with the index and step
@@ -446,7 +441,7 @@ def _run_faulted_chain(layout, words_raw, faults):
         plane_flips = np.zeros((n_h, n_words), dtype=np.uint16)
         plane_flips[row, word] = (words[src] ^ words[word]) & (1 << k)
         # Group g copies the first faulted group h_i at or after it, less the
-        # words that groups g up to h_i stage, and reaches step L_i + dist.
+        # words that groups g up to h_i stage, from step L_i + dist on.
         groups, copies, staged = [], [], []
         i = 0
         for g in range(n_groups):
@@ -455,7 +450,6 @@ def _run_faulted_chain(layout, words_raw, faults):
             c = i % n_h
             d = (bases[h[c]] - bases[g]) % n_words
             if L[c] + d < n_words:
-                reach[g] = min(reach[g], L[c] + d)
                 groups.append(g)
                 copies.append(c)
                 staged.append((bases[g], bases[g] + d))
@@ -464,7 +458,7 @@ def _run_faulted_chain(layout, words_raw, faults):
             copied[j, a:b] = 0
             copied[j, :max(b - n_words, 0)] = 0
         flips[groups] |= copied
-    return (words ^ flips).view(np.int16).astype(np.int64), np.array(reach)
+    return (words ^ flips).view(np.int16).astype(np.int64)
 
 
 def _edc_chain_holds(layout, faults):
@@ -530,10 +524,10 @@ def _slot_lookup(geo, params, path, gate, chunk, neuron, position):
     """(group, word, stored weight), as int64, at `position` of PE tracks
     (path, gate, chunk, neuron), all given as equal-length arrays.
 
-    A track holds its chunk's words in the order they reach the chain group
-    that feeds it: position s holds word lo + (turn + s) mod size, whose
-    weight is W[path][gate][neuron, word] and whose delivered value is
-    seen[path][group, word].
+    A track holds its chunk's words in the order the chain group that
+    feeds it receives them: position s holds word lo + (turn + s) mod size,
+    whose weight is W[path][gate][neuron, word] and whose delivered value
+    is seen[path][group, word].
     """
     group = geo.group_of[path, chunk, neuron]
     word = geo.lo[path, chunk] + (geo.turn[path, group, chunk] + position) % geo.size[path, chunk]
@@ -620,23 +614,25 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
 
     The input path of all gates is one kernel call per block of TIME_BLOCK
     timesteps, the recurrent path one call per step over the stacked gates:
-    one float32 stack, cast here, when it takes at most _STACK_BYTES.
+    one float32 stack, cast here, when it takes at most _STACK_BYTES.  The
+    chain corrections take each path's weights per gate: the int16
+    matrices, or the stack's rows of each gate when there is one.
     """
     m = lp.neurons
     gates = params.gates
     w_x = [g.w_x for g in gates]
     w_h = [g.w_h for g in gates]
     w_max = max(map(_magnitude, w_x + w_h))
-    stack = None
+    path_weights = [w_x, w_h]
     if 4 * sum(w.size for w in w_h) <= _STACK_BYTES:
         stack = np.concatenate(w_h, dtype=np.float32)
-        w_h = [stack]
+        w_h, path_weights[1] = [stack], np.split(stack, len(gates))
     bias = np.stack([fp.widen(g.b) for g in gates])
     out = np.empty((len(xs), m), dtype=np.int16)
     faults = None
     if plan is not None:
         l, edc = lp.index, plan.cfg.edc_weights
-        # EDC on delivers every chain word fault-free: no chain row reaches the value path.
+        # EDC on delivers every chain word fault-free: no chain row enters the value path.
         upto = 0 if plan.cfg.edc_inputs else None
         chains = [plan.input_faults[l, name][:upto] for name in PATHS]
         streams = [*chains, plan.weight_faults[l], plan.mac_faults[l], plan.act_faults[l]]
@@ -654,22 +650,23 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
                 x_accs[:, j].reshape(len(gates), m),
                 _exact_matmul(w_h, h, w_max).reshape(len(gates), m),
             ))
-            h, c = _layer_step_values(lp, geo, params, w_max, stack, x, h, c, accs, bias, acts,
+            h, c = _layer_step_values(lp, geo, path_weights, w_max, x, h, c, accs, bias, acts,
                                       faults, j)
             out[t0 + j] = h
     return out
 
 
-def _layer_step_values(lp, geo, params, w_max, stack, x, h_prev, c_prev, accs, bias, acts,
-                       faults, j):
+def _layer_step_values(lp, geo, path_weights, w_max, x, h_prev, c_prev, accs, bias, acts, faults,
+                       j):
     """Finish step j of a time block of one layer; returns (h, c).
 
-    `w_max` is the layer's largest |weight|, for ``_exact_matmul``, and
-    `stack` its float32 stack of w_h, or None.
-    `accs[path, gate, neuron]` holds the fault-free accumulators.  `faults`
-    is None on a fault-free run, else the block's ``stream_rows`` of each
-    chain, its ``_decode_faults`` and its activation rows; the step's
-    faults correct `accs` in place, in int64 on the touched chunks.
+    `path_weights[path]` holds the layer's weights of each gate for the
+    chain corrections, and `w_max` its largest |weight|, for
+    ``_exact_matmul``.  `accs[path, gate, neuron]` holds the fault-free
+    accumulators.  `faults` is None on a fault-free run, else the block's
+    ``stream_rows`` of each chain, its ``_decode_faults`` and its
+    activation rows; the step's faults correct `accs` in place, in int64
+    on the touched chunks.
     """
     hook = None
     if faults is not None:
@@ -680,9 +677,9 @@ def _layer_step_values(lp, geo, params, w_max, stack, x, h_prev, c_prev, accs, b
         for path, ((ptr, rows), layout) in enumerate(zip(chains, (lp.chain, lp.recurrent_chain))):
             rows = rows[ptr[j]:ptr[j + 1]]
             if len(rows):
-                delivered, reach = _run_faulted_chain(layout, vecs[path], rows)
-                _correct_deliveries(geo, params, path, delivered - vecs[path], reach, w_max, accs,
-                                    stack)
+                delivered = _run_faulted_chain(layout, vecs[path], rows)
+                _correct_deliveries(geo, path, path_weights[path], delivered - vecs[path], w_max,
+                                    accs)
             else:
                 groups = len(layout.group_capacities)
                 delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
@@ -693,56 +690,47 @@ def _layer_step_values(lp, geo, params, w_max, stack, x, h_prev, c_prev, accs, b
     return cell_output(lp.cell_type, accs[0], accs[1], bias, h_prev, c_prev, acts, hook)
 
 
-def _correct_deliveries(geo, params, path, delta, reach, w_max, accs, stack=None):
+def _correct_deliveries(geo, path, weights, delta, w_max, accs):
     """Correct `accs[path, gate, neuron]` for the words a faulted chain pass
     delivered: delta[group, word] is the word as the group delivered it
-    less the fault-free word, zero wherever the group delivered it before
-    step reach[group] (see ``_run_faulted_chain``).  Group g delivers word
-    w at step (w - base_g) mod n, so the words it can have changed run
-    cyclically from base_g + reach_g up to base_g: one run of words, or two
-    when they wrap past word n - 1.  Chunk c holds words [lo, lo + size),
-    and the neurons that group g feeds there are one run n0:n1, since
-    groups never fall as the neuron grows.  Each group that can have
-    changed a word of the chunk, and did, adds one exact product, of those
+    less the fault-free word, and weights[gate] the path's weights of each
+    gate, as int16 or as float32 rows of the layer's stack.  Chunk c holds
+    words [lo, lo + size), and the neurons that group g feeds there are one
+    run n0:n1, since groups never fall as the neuron grows.  Each group
+    that changed a word of the chunk adds one exact product, of those
     neurons' weight rows in every gate with its deltas over the chunk's
-    columns from the first to the last such word, to their accumulators.
-    Two wrapped runs take one product over their hull: on im2txt's
-    one-chunk paths, one product per run was slower.  Every delta is a sum
-    of +-2^k over the displaced planes k, so a multiple of 2^k for the
-    lowest of them; the products take the deltas over that power, which
-    keeps them in float32 when one plane is displaced, and the h path
-    takes its rows from the layer's float32 `stack` of w_h when there is
-    one."""
-    n_words = delta.shape[1]
+    columns from its first changed word to its last, to their
+    accumulators; one argmax pair over the chunk's changed words gives
+    those bounds for all its groups.  A group's changed words run
+    cyclically from the first of its steps that a fault can change (see
+    ``_run_faulted_chain``), so they can wrap past word n - 1 and leave two
+    runs in a chunk: on im2txt's one-chunk paths, one product over their
+    hull beat one product per run.  Every delta is a sum of +-2^k over the
+    displaced planes k, so a multiple of 2^k for the lowest of them; the
+    products take the deltas over that power, which keeps them in float32
+    when one plane is displaced."""
     low = int(np.bitwise_or.reduce(delta, axis=None))
     if not low:
         return
     shift = (low & -low).bit_length() - 1
     delta = delta >> shift
-    m, bases, reach = accs.shape[2], geo.bases[path].tolist(), reach.tolist()
-    if path == 1 and stack is not None:
-        weights = [stack[q * m:(q + 1) * m] for q in range(len(params.gates))]
-    else:
-        weights = [_weights(params, gate, path) for gate in range(len(params.gates))]
+    changed = delta != 0
+    groups = np.arange(len(delta) + 1)
     for c, (lo, size) in enumerate(zip(geo.lo[path], geo.size[path])):
-        fed = np.searchsorted(geo.group_of[path, c], np.arange(len(delta) + 1)).tolist()
-        for g in range(len(delta)):
+        hit = changed[:, lo:lo + size]
+        if not hit.any():
+            continue
+        # Each group's first changed column of the chunk and one past its
+        # last; live: the groups that changed one and feed neurons there.
+        first = hit.argmax(axis=1)
+        fed = np.searchsorted(geo.group_of[path, c], groups)
+        live = hit[groups[:-1], first] & (fed[:-1] < fed[1:])
+        w0, w1 = lo + first, lo + size - hit[:, ::-1].argmax(axis=1)
+        for g in np.flatnonzero(live).tolist():
             n0, n1 = fed[g], fed[g + 1]
-            if n0 == n1 or reach[g] >= n_words:
-                continue
-            # The chunk's columns from the first to the last word g can have
-            # changed there, of runs [first, n) and [0, base_g), or of
-            # [first - n, base_g).
-            first, hi = bases[g] + reach[g], lo + size
-            if first >= n_words:
-                w0, w1 = max(first - n_words, lo), min(bases[g], hi)
-            elif bases[g] <= lo:
-                w0, w1 = max(first, lo), hi
-            else:
-                w0, w1 = lo, hi if first < hi else min(bases[g], hi)
-            if w0 < w1 and delta[g, w0:w1].any():
-                product = _exact_matmul([w[n0:n1, w0:w1] for w in weights], delta[g, w0:w1], w_max)
-                accs[path, :, n0:n1] += product.reshape(len(weights), n1 - n0) << shift
+            product = _exact_matmul([w[n0:n1, w0[g]:w1[g]] for w in weights],
+                                    delta[g, w0[g]:w1[g]], w_max)
+            accs[path, :, n0:n1] += product.reshape(len(weights), n1 - n0) << shift
 
 
 class _Misreads:

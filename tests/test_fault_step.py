@@ -30,9 +30,10 @@ plane).
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
 with one exact ``_exact_matmul`` product per (chunk, group that delivered
 a changed word there), over the run of neurons that group feeds in the
-chunk and the chunk's columns that the group can have changed.  Its
-oracle is a dense int64 product per chunk, every neuron against the
-deliveries of its own group.
+chunk and the chunk's columns from the group's first changed word to its
+last.  Its oracle is a dense int64 product per chunk, every neuron against
+the deliveries of its own group, and a spy on ``_exact_matmul`` holds each
+product to those columns.
 """
 
 import numpy as np
@@ -408,19 +409,43 @@ DELIVERY_NETS = {
 }
 
 
+def address(a):
+    return a.__array_interface__["data"][0], a.shape
+
+
+def hull_spans(geo, path, weights, delta):
+    """The views that ``_correct_deliveries`` should multiply, as sorted
+    (address, shape) of each gate's block: one list per (chunk, group that
+    feeds neurons there and changed a word of it), the group's neurons
+    n0:n1 over the chunk's columns from its first nonzero delta to its
+    last."""
+    spans = []
+    for chunk, (lo, size) in enumerate(zip(geo.lo[path], geo.size[path])):
+        for g in range(len(delta)):
+            fed = np.flatnonzero(geo.group_of[path, chunk] == g)
+            nonzero = np.flatnonzero(delta[g, lo:lo + size])
+            if fed.size and nonzero.size:
+                n0, n1 = fed[0], fed[-1] + 1
+                w0, w1 = lo + nonzero[0], lo + nonzero[-1] + 1
+                spans.append([address(w[n0:n1, w0:w1]) for w in weights])
+    return sorted(spans)
+
+
 @pytest.mark.parametrize("cell", CELLS)
 @pytest.mark.parametrize("layout", [*LAYOUTS, *DELIVERY_NETS])
-def test_delivery_corrections_match_the_dense_oracle(layout, cell):
+def test_delivery_corrections_match_the_dense_oracle(monkeypatch, layout, cell):
     """Sparse and dense changes on every chain of the layout.  The split
     and multi-tile (long) layouts have several chunks per neuron fed by
     several chain groups (one group for packed Vanilla in long), and the
     packed layout several chunks per neuron on one group.  Changes that
     only groups feeding no neuron delivered correct nothing, and sums of
     2,560 products of extreme weights and deltas stay exact.  Each change
-    is corrected with the whole pass reachable and with a random reach per
-    group, before which its deltas are zero, and on the h path both from
-    the int16 weights and from their float32 stack.  Deltas of one plane
-    (+-2^k) take float32 products, the others float64."""
+    is corrected from the int16 weights and, on the h path, from the
+    float32 stack's rows of each gate, as ``_layer_values`` passes them.
+    Each product spans exactly one (chunk, feeding group)'s columns from
+    its first nonzero delta to its last, and a (chunk, group) without one
+    makes none.  Deltas of one plane (+-2^k) take float32 products, the
+    others float64."""
     if layout in LAYOUTS:
         placement = layout_net(cell, layout)
     else:
@@ -429,24 +454,30 @@ def test_delivery_corrections_match_the_dense_oracle(layout, cell):
     params = generate_network_params(placement.spec, 3)
     rng = np.random.default_rng(3)
     shapes = set()
+    spans = []
+    exact = simulator._exact_matmul
+
+    def spy(blocks, v, w_max):
+        spans.append([address(b) for b in blocks])
+        return exact(blocks, v, w_max)
+
+    monkeypatch.setattr(simulator, "_exact_matmul", spy)
 
     def check(geo, p, path, delta, tag):
         accs = rng.integers(-(1 << 40), 1 << 40, (2, len(p.gates), p.gates[0].hidden))
         want = accs.copy()
         dense_deliveries(geo, p, path, delta, want)
         w_max = max(_magnitude(w) for g in p.gates for w in (g.w_x, g.w_h))
-        groups, n_words = delta.shape
-        stack = np.concatenate([g.w_h for g in p.gates], dtype=np.float32)
-        reach = rng.integers(0, n_words + 1, groups)
-        early = (np.arange(n_words) - geo.bases[path][:, None]) % n_words < reach[:, None]
-        late = np.where(early, 0, delta)
-        late_want = accs.copy()
-        dense_deliveries(geo, p, path, late, late_want)
-        for d, r, w in ((delta, np.zeros(groups, dtype=np.int64), want), (late, reach, late_want)):
-            for s in (None, stack) if path else (None,):
-                got = accs.copy()
-                _correct_deliveries(geo, p, path, d, r, w_max, got, s)
-                assert got.tolist() == w.tolist(), (tag, s is None)
+        weights = [[g.w_x for g in p.gates], [g.w_h for g in p.gates]][path]
+        forms = [weights]
+        if path:
+            forms.append(np.split(np.concatenate(weights, dtype=np.float32), len(p.gates)))
+        for w in forms:
+            got = accs.copy()
+            spans.clear()
+            _correct_deliveries(geo, path, w, delta, w_max, got)
+            assert got.tolist() == want.tolist(), (tag, w[0].dtype)
+            assert sorted(spans) == hull_spans(geo, path, w, delta), (tag, w[0].dtype)
         return want.tolist() == accs.tolist()
 
     for lp, p in zip(placement.layers, params):

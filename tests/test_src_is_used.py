@@ -6,8 +6,9 @@ definition refers to it by name, or if ``ENTRY_POINTS`` names it: the
 package's public entry points and the reference models that tests hold the
 simulator against.
 
-A member (a method, a property or an annotated field of a class) is used if
-the package or the benchmark harness (``perfbench/*.py``, not its tests)
+A member (a method, a property, an annotated field of a class, or an
+instance attribute that its methods store through ``self.<name>``) is used
+if the package or the benchmark harness (``perfbench/*.py``, not its tests)
 reads an attribute of that name, or holds the name as a string, as
 ``getattr`` and the harness's patch targets do, or if ``MEMBERS`` names it.
 Members are matched by name, not by owner: a name that any class reads
@@ -57,27 +58,33 @@ MEMBERS = {
     "clock_period_ns": "HardwareConfig field, part of the benchmark's spec key (its repr)",
     "description": "Preset: the one-line summary of a named network",
     "to_json": "RunResult: a run's deterministic JSON",
+    "report": "CapacityExceeded: the public report of the shortfall that failed a placement",
 }
 
 
 def class_members():
-    """(class, member) of every method, property and annotated field of a
-    class in the package, dunder methods left out."""
-    members = []
+    """(class, member) of every method, property, annotated field and
+    ``self.<name>`` attribute of a class in the package, dunder names left
+    out."""
+    members = set()
     for path in sorted(SRC.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    name = node.name
+                    names = [node.name] + [
+                        n.attr for n in ast.walk(node)
+                        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"
+                    ]
                 elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    name = node.target.id
+                    names = [node.target.id]
                 else:
                     continue
-                if not (name.startswith("__") and name.endswith("__")):
-                    members.append((cls.name, name))
-    return members
+                members.update((cls.name, name) for name in names
+                               if not (name.startswith("__") and name.endswith("__")))
+    return sorted(members)
 
 
 def member_reads():
