@@ -45,14 +45,15 @@ simulator uses:
   pairs and the held shifts from the fault rows and track lengths alone,
   since every other slot reads its stored weight; ``weight_plane_reads``
   (EDC off) takes each displaced (track, plane) pair's stored bits of that
-  plane, one row per pair, and gives them as read, since a fault moves
-  only its own plane.  The simulator makes one ``weight_zeros`` call per
-  (layer, block of timesteps) over every faulted PE track of the block,
-  each step's pass a track of its own, and one ``weight_plane_reads`` call
-  per decode unit: a run of the block's displaced (step, track, plane)
-  pairs whose rows fit one buffer, which may split a step or span
-  several.  It reads the stored weight and delivered word at each zeroed
-  slot through its one arrival-order lookup.
+  plane from the pair's first fault on, one row per pair, and gives them
+  as read, since a fault moves only its own plane and no slot before it.
+  The simulator makes one ``weight_zeros`` call per (layer, block of
+  timesteps) over every faulted PE track of the block, each step's pass a
+  track of its own, and one ``weight_plane_reads`` call per decode unit: a
+  run of the block's displaced (step, track, plane) pairs whose rows fit
+  one buffer, which may split a step or span several.  It reads the stored
+  weight and delivered word at each zeroed slot through its one
+  arrival-order lookup.
 
 Fault decisions are injected by the caller (the planes that overshoot, per
 step or read), so the models themselves hold no randomness.  Counters are
@@ -297,35 +298,50 @@ def weight_zeros(lengths, faults):
 
 def weight_plane_reads(bits, faults):
     """One bit plane of whole EDC-off passes of a batch of displaced
-    ``WeightTrackGroup`` tracks, as read, from the stored bits and the fault
-    rows alone.
+    ``WeightTrackGroup`` tracks, as read from each pair's first fault on,
+    from the stored bits and the fault rows alone.
 
     Row i of `bits` holds one (track, plane) pair's stored bits of that
-    plane in the order the track reads them, 0 past the track's length;
-    `faults` holds rows (row, slot), one per overshooting advance of that
-    pair's plane, in any order.  Every fault displaces the plane by one more
-    word for the rest of the pass, so slot s reads the bit at s + d, d the
-    distinct faults at or before s, and a bit past the end reads blank (0).
-    Returns the bits as read, in the shape and dtype of `bits`.  Every other
-    plane of every slot reads its stored bit.
+    plane in the order the track reads them, from the slot of the pair's
+    first fault on, and 0 past the track's length; the slots before that
+    fault read their stored bits.  So each row's first fault is at its slot
+    0, and `faults` holds rows (row, slot) of the pairs' later overshooting
+    advances, in any order, each slot counted from its row's start; a
+    repeated row, or one at slot 0, is no further overshoot.  Every fault
+    displaces the plane by one more word for the rest of the pass, so slot
+    s reads the bit at s + d, d the distinct faults at or before s, and a
+    bit past the end reads blank (0).  Returns the bits as read, in the
+    shape and dtype of `bits`.  Every other plane of every slot reads its
+    stored bit.
 
-    Known defect: unlike ``read_next``, a fault at slot 0 takes effect
-    although no shift precedes the first read.
+    A row without a later fault reads its stored bits one slot on, with a
+    blank at its last slot; only the rows with a later fault count their
+    faults slot by slot.
+
+    Known defect: unlike ``read_next``, a fault at a track's first slot
+    takes effect although no shift precedes the first read.
     """
     bits = np.asarray(bits)
-    rows, width = bits.shape
+    width = bits.shape[1]
+    read = np.zeros_like(bits)
+    read[:, :-1] = bits[:, 1:]
     row, slot = np.asarray(faults, dtype=np.int64).reshape(-1, 2).T
-    # Distinct faults sorted by row and slot: a repeated row is one overshoot.
-    row, slot = np.divmod(_distinct(row * width + slot), width)
-    # From its j-th fault on (j from 0), a row reads j + 1 bits further on,
-    # so the bit at slot + j is never read.  The row as read is the stored
-    # row followed by one blank per fault of its own (the padding past them
-    # is dropped), with those bits taken out.
-    count = np.bincount(row, minlength=rows)
-    extra = int(count.max(initial=0))
-    padded = np.zeros((rows, width + extra), dtype=bits.dtype)
-    padded[:, :width] = bits
-    keep = np.ones(padded.shape, dtype=bool)
-    keep[:, width:] = np.arange(extra) < count[:, None]
-    keep[row, slot + np.arange(len(row)) - np.searchsorted(row, row)] = False
-    return padded[keep].reshape(bits.shape)
+    if not len(row):
+        return read
+    # Slot s of the i-th row with a later fault reads the bit at src[i, s]:
+    # s plus its distinct faults up to s, the first one included.
+    later = _distinct(row)
+    src = np.zeros((len(later), width), dtype=np.int32)
+    src[np.searchsorted(later, row), slot] = slot > 0
+    src = np.cumsum(src, axis=1, out=src) + np.arange(1, width + 1)
+    read[later] = bits[later[:, None], np.minimum(src, width - 1)] * (src < width)
+    return read
+    # The rows with a later fault: d(s) counts the distinct faults at or
+    # before s.
+    at = np.searchsorted(later, row)
+    on = later[np.minimum(at, len(later) - 1)] == row
+    d = np.zeros((len(later), width), dtype=np.int32)
+    d[at[on], slot[on]] = 1
+    src = np.cumsum(d, axis=1, out=d) + np.arange(width)
+    read[later] = np.take_along_axis(bits[later], np.minimum(src, width - 1), axis=1) * (src < width)
+    return read

@@ -70,13 +70,18 @@ Values and timing are deliberately decoupled:
   off, ``_Misreads`` keys the block's weight rows by (step, track, plane),
   one displaced pair of one step's pass each, and decodes the pairs in
   units of _BLOCK_BYTES, each when the first step that needs it comes up:
-  one ``weight_plane_reads`` call per unit over its pairs' stored bits in
-  arrival order gives the flips (read - stored bits), kept in the chunk's
-  word order.  Each step then corrects its accumulators with one row-wise
-  product of its flip rows with the words each pair's group delivered,
-  per (path, chunk) run, and one ``np.add.at``.  Logic faults are one vectorized pass: each
-  perturbs one bit of its MAC product (the weight as its track read it,
-  times the word its chain group delivered) by one significance position.
+  one ``weight_plane_reads`` call per unit, over each pair's stored bits in
+  arrival order from its first fault on (the slots before it read their
+  stored bits), gives the flips (read - stored bits), kept in the chunk's
+  word order.  Each step then corrects its accumulators a (path, chunk)
+  run of pairs at a time: after a fault-free chain pass, every group
+  delivered the same words, and the run is one exact ``_exact_matmul``
+  product of its flip rows with that one vector; after a pass with chain
+  faults, a row-wise product with the words each pair's group delivered.
+  One ``np.add.at`` adds the step's products.  Logic faults are one
+  vectorized pass: each perturbs one bit of its MAC product (the weight as
+  its track read it, times the word its chain group delivered) by one
+  significance position.
   ``_slot_lookup``, the one arrival-order lookup, gives the group, word
   and stored weight at a slot, for the zeroed slots and the MAC faults
   alike.
@@ -110,10 +115,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fixedpoint as fp
 from .error_model import PATHS, ErrorConfig, FaultPlan, stream_rows
@@ -159,8 +164,9 @@ TIME_BLOCK = 64
 # read from memory in order: d-speech's recurrent product took 14.8 ms a
 # step that way, and 19.7 ms when each column block's slice of every row
 # was cast in turn (clean 6-step runs, medians of 8, 2 BLAS threads).  The
-# EDC-off misreads are decoded in units whose doubled int8 bit rows take
-# at most the same size.
+# EDC-off misreads are decoded in units whose doubled bit rows, one byte per
+# bit, take at most the same size; a unit holds its int8 flip rows, half
+# that, until its last step.
 _BLOCK_BYTES = 1 << 19
 # Largest float32 stack of a layer's recurrent weights (64 MiB) that is
 # cast once a run rather than a block at a time at every step.  In clean
@@ -184,11 +190,16 @@ _F32_MIN_COLUMNS = 128
 class EnergyLedger:
     """Monotone event counters with exact energy conversion.
 
-    The ops are the keys of DEFAULT_ENERGY_PJ, at those rates; an unknown op
-    in `add` raises ValueError.
+    The ops are the keys of DEFAULT_ENERGY_PJ, at those rates, with
+    LUT_NONLINEAR_PJ for ``nonlinear_eval`` when `activation_impl` is
+    "lut"; it must be "approx" or "lut".  `add` takes a known op and a
+    non-negative integer count, Python's or numpy's but not a bool; anything
+    else raises ValueError.
     """
 
     def __init__(self, activation_impl="approx"):
+        if activation_impl not in ("approx", "lut"):
+            raise ValueError(f"activation_impl must be 'approx' or 'lut', not {activation_impl!r}")
         rates = dict(DEFAULT_ENERGY_PJ)
         if activation_impl == "lut":
             rates["nonlinear_eval"] = LUT_NONLINEAR_PJ
@@ -198,6 +209,8 @@ class EnergyLedger:
     def add(self, op, n):
         if op not in self.counters:
             raise ValueError(f"unknown ledger op {op!r}")
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"ledger counts are integers, not {n!r}")
         if n < 0:
             raise ValueError("ledger counters are monotone")
         self.counters[op] += int(n)
@@ -567,7 +580,7 @@ def _exact_matmul(weight_blocks, v, w_max=1 << 15):
 
     `weight_blocks` are matrices of raw Q8.8 values with n columns, none
     above `w_max` in magnitude, as int16 or as float32, which holds them
-    exactly; `v` holds values below 2^16 in magnitude, raw Q8.8 words or
+    exactly, or the EDC-off misreads' int8 flip rows, with `w_max` 1; `v` holds values below 2^16 in magnitude, raw Q8.8 words or
     the differences of two, shape (n,) or (n, k).  ``_column_blocks``
     splits the n columns into blocks whose every partial sum the float
     type holds: float32 unless its blocks would be too narrow, else
@@ -733,6 +746,19 @@ def _correct_deliveries(geo, path, weights, delta, w_max, accs):
             accs[path, :, n0:n1] += product.reshape(len(weights), n1 - n0) << shift
 
 
+def _windows(a, width):
+    """Every run of `width` columns of the C-contiguous 2-D array `a`, as a
+    read-only view: w[i, j] is a[i, j:j + width].  ``sliding_window_view``
+    gives the same view after checks in Python: 10.7 us a call against
+    1.1 us, on a 2-core VM (numpy 2.4), for a 512-row unit whose gather
+    through the view takes 15 us."""
+    rows, cols = a.shape
+    step = a.strides[1]
+    view = np.ndarray((rows, cols - width + 1, width), a.dtype, a, 0, (a.strides[0], step, step))
+    view.flags.writeable = False
+    return view
+
+
 class _Misreads:
     """The EDC-off weight faults of one (layer, time block), decoded from
     the fault rows and the stored weights, and applied a step at a time.
@@ -740,122 +766,184 @@ class _Misreads:
     The rows are keyed by (step, track, plane), as ``_fault_slots`` keys a
     track: each key is one displaced (track, plane) pair of one step's pass.
     The pairs, in key order, are decoded in units of consecutive pairs whose
-    doubled int8 rows (two bytes per pair and word) fit _BLOCK_BYTES, so a
+    doubled bit rows (two bytes per pair and word) fit _BLOCK_BYTES, so a
     unit may span several steps or split one.  A unit is decoded when the
     first step that needs it comes up and dropped after its last step.
 
-    Decoding a unit takes each pair's plane of its stored weights in
-    arrival order, ``weight_plane_reads`` gives the plane as read, and the
-    flips are read - stored, kept in the chunk's word order: arrival slot s
-    holds word lo + (turn + s) mod size.  Each MAC fault's weight gains its
-    track's flips at its position then, which makes it the weight as read.
-    A step then makes, for each (path, chunk) run of its pairs in a unit,
-    one row-wise product of the flip rows with the words that each pair's
-    group delivered, seen[path][group, lo:lo + size], and adds 2^plane
-    (negated for the sign plane) times each to its accumulator.
+    Decoding a unit gives each pair a row of its plane's stored bits in
+    arrival order from the pair's first fault on, 0 past its track's end.
+    Arrival slot s holds word lo + (turn + s) mod size, so the row is one
+    window of the chunk's bits laid out twice in word order.  The slots
+    before a pair's first fault read their stored bits, and a row's first
+    slot is its first fault's, so ``weight_plane_reads`` needs only the
+    pairs' later faults to give the rows as read; the flips are read -
+    stored.  Each MAC fault's weight gains its track's flip at its position
+    then, which makes it the weight as read.  The flips go back to the
+    chunk's word order through a second window: one int8 row per pair, in
+    key order.
+
+    A step then adds to each pair's accumulator 2^plane (negated for the
+    sign plane) times the product of its flip row with the words its
+    pair's group delivered, seen[path][group, lo:lo + size], a (path,
+    chunk) run of pairs at a time.  After a fault-free pass every group
+    delivered the same words, so a run is one exact ``_exact_matmul``
+    product of its flip rows with that one vector; |flip| <= 1, so its
+    float32 blocks are 512 columns wide.  After a pass with chain faults,
+    the run gathers each pair's delivered words and multiplies row by row.
     """
 
     def __init__(self, geo, params, steps, step, rows, macs):
-        self.geo, self.params = geo, params
         *_, position, track, plane = _fault_slots(geo, rows)
+        width = self.width = int(geo.size.max())
+        unit = self.unit = max(1, _BLOCK_BYTES // (2 * width))
         key = (step * geo.tracks + track) * WORD_PLANES + plane
-        order = np.argsort(key, kind="stable")
-        self.pairs, pair = np.unique(key[order], return_inverse=True)
-        # Fault rows (pair, position), sorted by pair.
-        self.faults = np.stack((pair, position[order]), axis=1)
-        pair_track, self.plane = np.divmod(self.pairs, WORD_PLANES)
+        # The fault rows sorted by pair, and by position within a pair.
+        order = np.argsort(key * width + position, kind="stable")
+        key, position = key[order], position[order]
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        self.pairs = key[new]
+        n = len(self.pairs)
+        pair = np.cumsum(new) - 1
+        # Each pair's first fault.
+        first = position[new]
+        pair_track, plane = np.divmod(self.pairs, WORD_PLANES)
         pair_step, track = np.divmod(pair_track, geo.tracks)
-        self.path, self.gate, self.chunk, self.neuron = np.unravel_index(track, geo.dims)
-        self.group = geo.group_of[self.path, self.chunk, self.neuron]
-        # Step j's pairs are pairs[ptr[j]:ptr[j + 1]]; a (step, path, chunk)
-        # run of pairs ends at each cut.
-        self.ptr = np.searchsorted(pair_step, np.arange(steps + 1))
-        run = (pair_step * 2 + self.path) * geo.dims[2] + self.chunk
-        self.cuts = 1 + np.flatnonzero(np.diff(run))
-        # One entry per (MAC fault, pair of its step's track), sorted by pair.
-        m_step, m_track, self.m_position, self.m_weight = macs
+        path, gate, chunk, self.neuron = np.unravel_index(track, geo.dims)
+        self.path, self.gate = path, gate
+        self.group = geo.group_of[path, chunk, self.neuron]
+        self.value = _PLANE_VALUES[plane]
+        size, lo = geo.size[path, chunk], geo.lo[path, chunk]
+        # Step j's pairs as pieces (unit, first row there, rows, path,
+        # words): (path, chunk) runs of its pairs within one unit, and the
+        # chunk's word range.
+        self.pieces = [[] for _ in range(steps)]
+        cuts = 1 + np.flatnonzero(np.diff(pair_step * 2 + path) | np.diff(chunk))
+        cuts = sorted({0, *cuts.tolist(), *range(unit, n, unit)})
+        for i0, i1, j, p, w0, k in zip(cuts, cuts[1:] + [n], *(a[cuts].tolist() for a in (
+                pair_step, path, lo, size))):
+            self.pieces[j].append((i0 // unit, i0 % unit, i1 - i0, p, slice(w0, w0 + k)))
+        # Decode order: each unit's pairs by (path, gate, chunk), so that a
+        # run of rows shares one weight matrix and one column range; pair i
+        # is row[i] of its unit.
+        matrix = np.arange(n) // unit * geo.tracks + np.ravel_multi_index(
+            (path, gate, chunk), geo.dims[:3])
+        o = np.argsort(matrix, kind="stable")
+        self.row = np.empty_like(o)
+        self.row[o] = np.arange(n) % unit
+        # Each unit's runs of rows as (first row, end, weights, words).
+        self.runs = [[] for _ in range(-(-n // unit))]
+        cuts = [0, *(1 + np.flatnonzero(np.diff(matrix[o]))).tolist()]
+        for r0, r1, i, p, g, w0, k in zip(cuts, cuts[1:] + [n], *(a[o[cuts]].tolist() for a in (
+                np.arange(n), path, gate, lo, size))):
+            self.runs[i // unit].append((r0 % unit, r1 - r0 + r0 % unit, _weights(params, g, p),
+                                         slice(w0, w0 + k)))
+        # A pair's row starts at word lo + start, its first fault's, and
+        # word lo + w is row slot (w - start) mod size, back + w taken mod
+        # size.
+        start = (geo.turn[path, self.group, chunk] + first) % size
+        self.back = (size - start) % size
+        self.start, self.stored = start[o], self.neuron[o]
+        self.bit = (1 << plane[o]).astype(np.int16)
+        # Row `blank` of `prefix` is 1 up to the pair's track's end, then 0.
+        self.blank = (width - size + first)[o]
+        self.prefix = _windows((np.arange(2 * width) < width)[None], width)[0]
+        units = np.arange(len(self.runs) + 1) * unit
+        # The later fault rows as (row, slot), unit u's at
+        # later[later_ptr[u]:later_ptr[u + 1]].
+        later = pair[~new]
+        self.later = np.stack((self.row[later], position[~new] - first[later]), axis=1)
+        self.later_ptr = np.searchsorted(later, units).tolist()
+        # One entry per (MAC fault, pair of its step's track), sorted by pair:
+        # the pair's row, the fault's slot in it, and the weight its flip
+        # there adds, 0 before the pair's first fault; unit u's at
+        # hit_ptr[u]:hit_ptr[u + 1].
+        m_step, m_track, m_position, self.m_weight = macs
         m_key = (m_step * geo.tracks + m_track) * WORD_PLANES
-        first = np.searchsorted(self.pairs, m_key)
-        count = np.searchsorted(self.pairs, m_key + WORD_PLANES) - first
-        hit = np.repeat(np.arange(len(first)), count)
-        hit_pair = np.arange(len(hit)) + np.repeat(first - np.cumsum(count) + count, count)
-        order = np.argsort(hit_pair, kind="stable")
-        self.hit, self.hit_pair = hit[order], hit_pair[order]
-        self.width = int(geo.size.max())
-        self.unit = max(1, _BLOCK_BYTES // (2 * self.width))
+        at = np.searchsorted(self.pairs, np.concatenate((m_key, m_key + WORD_PLANES)))
+        at, count = at[:len(m_key)], at[len(m_key):] - at[:len(m_key)]
+        self.hit_ptr = [0] * len(units)
+        if count.any():
+            hit = np.repeat(np.arange(len(at)), count)
+            hit_pair = np.arange(len(hit)) + np.repeat(at - np.cumsum(count) + count, count)
+            order = np.argsort(hit_pair, kind="stable")
+            self.hit, hit_pair = hit[order], hit_pair[order]
+            self.hit_row = self.row[hit_pair]
+            self.hit_slot = m_position[self.hit] - first[hit_pair]
+            self.hit_value = (self.hit_slot >= 0) * self.value[hit_pair]
+            self.hit_ptr = np.searchsorted(hit_pair, units).tolist()
         self.held = None
 
     def _decode(self, u):
-        """(flips, row): unit u's flip rows, int8, in word order, pair i's at
-        row[i]."""
-        geo = self.geo
+        """Unit u's flip rows, int8, in word order: pair u * unit + i's at
+        row i, its chunk's words in its first columns."""
+        width = self.width
         p0, p1 = u * self.unit, min((u + 1) * self.unit, len(self.pairs))
-        at = np.arange(p0, p1)
-        # The unit's pairs by (path, gate, chunk): one weight matrix and one
-        # column range per run of rows.
-        by = np.ravel_multi_index((self.path[at], self.gate[at], self.chunk[at]), geo.dims[:3])
-        order = np.argsort(by, kind="stable")
-        row = np.empty_like(order)
-        row[order] = np.arange(len(order))
-        at = at[order]
-        path, gate, chunk, neuron = self.path[at], self.gate[at], self.chunk[at], self.neuron[at]
-        plane = self.plane[at]
-        size, lo = geo.size[path, chunk], geo.lo[path, chunk]
-        turn = geo.turn[path, self.group[at], chunk]
-        cuts = [0, *(1 + np.flatnonzero(np.diff(by[order]))), len(at)]
-        # Row i holds its pair's stored bits in word order, twice, so that
-        # the window of `width` bits at its turn holds them in arrival order.
-        twice = np.empty((len(at), 2 * self.width), dtype=np.int8)
-        for r0, r1 in zip(cuts, cuts[1:]):
-            k, start = size[r0], lo[r0]
-            stored = _weights(self.params, gate[r0], path[r0])[neuron[r0:r1], start:start + k]
-            bits = (stored >> plane[r0:r1, None].astype(np.int16)) & 1
-            twice[r0:r1, :2 * k].reshape(r1 - r0, 2, k)[:] = bits[:, None]
-        windows = sliding_window_view(twice, self.width, axis=1)
-        bits = windows[np.arange(len(at)), turn]
-        if (size < self.width).any():
-            # The window runs on past a shorter track's end.
-            bits[np.arange(self.width) >= size[:, None]] = 0
-        f0, f1 = np.searchsorted(self.faults[:, 0], (p0, p1))
-        pair, position = self.faults[f0:f1].T
-        flips = weight_plane_reads(bits, np.stack((row[pair - p0], position), axis=1)) - bits
-        h0, h1 = np.searchsorted(self.hit_pair, (p0, p1))
-        h, hr = self.hit[h0:h1], row[self.hit_pair[h0:h1] - p0]
-        np.add.at(self.m_weight, h, flips[hr, self.m_position[h]] * _PLANE_VALUES[plane[hr]])
-        # Back to word order: word lo + w is arrival slot (w - turn) mod size.
-        for r0, r1 in zip(cuts, cuts[1:]):
-            k = size[r0]
-            twice[r0:r1, :2 * k].reshape(r1 - r0, 2, k)[:] = flips[r0:r1, None, :k]
-        return windows[np.arange(len(at)), size - turn], row
+        n = p1 - p0
+        at = slice(p0, p1)
+        stored = np.empty((n, width), dtype=np.int16)
+        for r0, r1, weights, words in self.runs[u]:
+            stored[r0:r1, :words.stop - words.start] = weights[self.stored[p0 + r0:p0 + r1], words]
+        # Row i holds its pair's bits of its plane in word order, twice, with
+        # the chunk's period, so that the window of `width` bits at its start
+        # holds them in arrival order from its first fault on.
+        np.bitwise_and(stored, self.bit[at, None], out=stored)
+        twice = np.empty((n, 2 * width), dtype=bool)
+        np.not_equal(stored, 0, out=twice[:, :width])
+        del stored
+        twice[:, width:] = twice[:, :width]
+        short = [(r0, r1, words.stop - words.start) for r0, r1, _, words in self.runs[u]
+                 if words.stop - words.start < width]
+        for r0, r1, k in short:
+            twice[r0:r1, k:2 * k] = twice[r0:r1, :k]
+        bits = _windows(twice, width)[np.arange(n), self.start[at]]
+        # Past its track's end, a row holds 0.
+        np.logical_and(bits, self.prefix[self.blank[at]], out=bits)
+        read = weight_plane_reads(bits, self.later[self.later_ptr[u]:self.later_ptr[u + 1]])
+        flips = np.subtract(read.view(np.int8), bits.view(np.int8), out=read.view(np.int8))
+        h0, h1 = self.hit_ptr[u], self.hit_ptr[u + 1]
+        if h0 < h1:
+            np.add.at(self.m_weight, self.hit[h0:h1],
+                      flips[self.hit_row[h0:h1], self.hit_slot[h0:h1]] * self.hit_value[h0:h1])
+        # Back to word order, through the flips laid out twice the same way.
+        twice = twice.view(np.int8)
+        twice.reshape(n, 2, width)[:] = flips[:, None]
+        for r0, r1, k in short:
+            twice[r0:r1, k:2 * k] = flips[r0:r1, :k]
+        return _windows(twice, width)[self.row[at], self.back[at]]
 
     def apply(self, j, seen, accs):
         """Add step j's misreads, with the words seen[path][group, word] the
-        step delivered, to `accs[path, gate, neuron]`."""
-        a, b = self.ptr[j], self.ptr[j + 1]
-        if a == b:
+        step delivered, to `accs[path, gate, neuron]`.  A seen[path] whose
+        groups share one row (stride 0, as ``np.broadcast_to`` gives it) is
+        a fault-free pass."""
+        pieces = self.pieces[j]
+        if not pieces:
             return
+        a = pieces[0][0] * self.unit + pieces[0][1]
+        b = pieces[-1][0] * self.unit + pieces[-1][1] + pieces[-1][2]
         change = np.empty(b - a, dtype=np.int64)
-        cuts = self.cuts[np.searchsorted(self.cuts, a, "right"):np.searchsorted(self.cuts, b)]
-        for r0, r1 in zip([a, *cuts], [*cuts, b]):
-            p, c = self.path[r0], self.chunk[r0]
-            lo, k = self.geo.lo[p, c], self.geo.size[p, c]
-            # The delivered words take 8 bytes per pair and word.
-            rows = max(1, _BLOCK_BYTES // (8 * k))
-            while r0 < r1:
-                u, r = divmod(r0, self.unit)
-                if self.held is None or self.held[0] != u:
-                    self.held = None
-                    self.held = u, *self._decode(u)
-                _, flips, row = self.held
-                n = min(r1 - r0, self.unit - r, rows)
-                words = seen[p][self.group[r0:r0 + n], lo:lo + k]
-                change[r0 - a:r0 - a + n] = np.einsum("ij,ij->i", flips[row[r:r + n], :k], words)
-                r0 += n
-        if self.held is not None and min((self.held[0] + 1) * self.unit, len(self.pairs)) <= b:
+        for u, r, n, p, words in pieces:
+            if self.held is None or self.held[0] != u:
+                self.held = None
+                self.held = u, self._decode(u)
+            flips = self.held[1][r:r + n, :words.stop - words.start]
+            i = u * self.unit + r - a
+            delivered = seen[p]
+            if not delivered.strides[0]:
+                change[i:i + n] = _exact_matmul([flips], delivered[0, words], 1)
+                continue
+            # After a chain fault, each pair's group's words, 8 bytes per
+            # pair and word.
+            rows = max(1, _BLOCK_BYTES // (8 * flips.shape[1]))
+            for r0 in range(0, n, rows):
+                group = self.group[a + i + r0:a + i + min(r0 + rows, n)]
+                change[i + r0:i + r0 + len(group)] = np.einsum(
+                    "ij,ij->i", flips[r0:r0 + len(group)], delivered[group, words])
+        if min((self.held[0] + 1) * self.unit, len(self.pairs)) <= b:
             self.held = None
         at = slice(a, b)
-        np.add.at(accs, (self.path[at], self.gate[at], self.neuron[at]),
-                  change * _PLANE_VALUES[self.plane[at]])
+        np.add.at(accs, (self.path[at], self.gate[at], self.neuron[at]), change * self.value[at])
 
 
 def _zeroed_slots(geo, step, rows, corrections):

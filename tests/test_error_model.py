@@ -2,7 +2,7 @@
 ``racetrack.weight_plane_reads`` (EDC off), the weight-track protocol the
 simulator applies, on single tracks and padded batches, against the
 ``WeightTrackGroup`` device model (the EDC-off read matrix is rebuilt from
-the planes as read); fault plans decoded as a per-event reference decode does
+the planes as read, each pair's row from its first fault on); fault plans decoded as a per-event reference decode does
 them (input-chain, weight, MAC and activation streams as int32 rows led by
 their timestep, steps ascending and event order kept within a step, path
 coded by its index in ``PATHS``), empty streams for the sites a config
@@ -59,19 +59,27 @@ def device_pass(weights, faults, edc):
 
 def misread_matrix(matrix, lengths, rows):
     """A padded batch as read with EDC off: ``weight_plane_reads`` reads each
-    displaced (track, plane) pair's plane from its stored bits, in slot
-    order and 0 past the track's length, and the read bits replace that
-    plane's bits up to the track's length."""
+    displaced (track, plane) pair's plane from its stored bits in slot
+    order, from the pair's first fault on and 0 past the track's length, and
+    the read bits replace that plane's bits from that fault up to the
+    track's length.  Every fault row goes in, the first ones at slot 0."""
     stored = np.asarray(matrix, dtype=np.int64) & 0xFFFF
+    width = stored.shape[1]
     track, plane, slot = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
     pairs, pair = np.unique(track * WORD_PLANES + plane, return_inverse=True)
-    inside = np.arange(stored.shape[1]) < np.asarray(lengths)[pairs // WORD_PLANES, None]
-    bits = (stored[pairs // WORD_PLANES] >> (pairs % WORD_PLANES)[:, None]) & 1 & inside
-    planes_read = weight_plane_reads(bits, np.stack((pair, slot), axis=1))
+    first = np.full(len(pairs), width)
+    np.minimum.at(first, pair, slot)
+    # Row slot j of a pair is its track's slot first + j.
+    at = first[:, None] + np.arange(width)
+    inside = at < np.asarray(lengths)[pairs // WORD_PLANES, None]
+    bits = (stored[pairs[:, None] // WORD_PLANES, np.minimum(at, width - 1)]
+            >> (pairs % WORD_PLANES)[:, None]) & 1 & inside
+    planes_read = weight_plane_reads(bits, np.stack((pair, slot - first[pair]), axis=1))
     read = stored.copy()
-    for key, bit, mask in zip(pairs.tolist(), planes_read, inside):
+    for key, f, bit, mask in zip(pairs.tolist(), first.tolist(), planes_read, inside):
         t, k = divmod(key, WORD_PLANES)
-        read[t] = np.where(mask, read[t] & ~(1 << k) | bit << k, read[t])
+        part = read[t, f:]
+        read[t, f:] = np.where(mask[:width - f], part & ~(1 << k) | bit[:width - f] << k, part)
     return np.where(read >= 1 << 15, read - (1 << 16), read)
 
 
@@ -175,24 +183,32 @@ def test_weight_zeros_are_the_slots_the_device_zeroes(case):
 @settings(max_examples=300, deadline=None)
 @given(batches())
 def test_weight_plane_reads_displace_each_slot_by_the_distinct_faults_up_to_it(case):
-    """EDC off, one row per displaced (track, plane) pair, its stored bits in
-    slot order and 0 past the track's length: slot s reads the bit at
-    s + d, d the pair's distinct faults at or before s, and a bit past the
-    end reads blank.  A repeated fault row counts once, as one advance
-    overshoots once."""
+    """EDC off, one row per displaced (track, plane) pair: its stored bits in
+    slot order from the pair's first fault on, and 0 past the track's
+    length, so most rows are narrower than the width.  A pair has one
+    fault or several, in runs.  Row slot s reads the bit at s + d, d the
+    pair's distinct faults at or before it, its first fault at row slot 0
+    included, and a bit past the end reads blank.  Only the later faults
+    are passed, some of them twice, as a repeated row counts once; passing
+    the first faults as well changes nothing."""
     tracks, width, rows = case
     pairs = sorted({(i, plane) for i, plane, _slot in rows})
+    slots = {pair: sorted({slot for i, p, slot in rows if (i, p) == pair}) for pair in pairs}
     bits = np.zeros((len(pairs), width), dtype=np.int8)
     for r, (i, plane) in enumerate(pairs):
-        weights = tracks[i][0]
-        bits[r, :len(weights)] = [(w >> plane) & 1 for w in weights]
-    faults = [(pairs.index((i, plane)), slot) for i, plane, slot in rows + rows[::2]]
+        first = slots[i, plane][0]
+        rest = [(w >> plane) & 1 for w in tracks[i][0][first:]]
+        bits[r, :len(rest)] = rest
+    faults = [(pairs.index((i, plane)), slot - slots[i, plane][0])
+              for i, plane, slot in rows + rows[::2] if slot > slots[i, plane][0]]
     got = weight_plane_reads(bits, np.array(faults, dtype=np.int64).reshape(-1, 2))
+    firsts = [(r, 0) for r in range(len(pairs))]
+    again = weight_plane_reads(bits, np.array(faults + firsts, dtype=np.int64).reshape(-1, 2))
     assert got.dtype == bits.dtype and got.shape == bits.shape
-    for r, (i, plane) in enumerate(pairs):
-        slots = {slot for j, p, slot in rows if (j, p) == (i, plane)}
+    assert np.array_equal(again, got)
+    for r, pair in enumerate(pairs):
         for s in range(width):
-            d = sum(f <= s for f in slots)
+            d = sum(f - slots[pair][0] <= s for f in slots[pair])
             assert got[r, s] == (bits[r, s + d] if s + d < width else 0), (r, s)
 
 
@@ -237,9 +253,12 @@ def test_edc_flags_leave_the_fault_plan_unchanged():
 
 def test_weight_pass_displaced_plane_reads_blank_past_the_end():
     # Plane 15 (the sign) of the last slot comes from beyond the track: 0.
+    # A row starts at its pair's first fault; this one fills the width.
     rows = [(0, 15, 1)]
-    assert weight_plane_reads([[1, 1]], [(0, 1)]).tolist() == [[1, 0]]
+    assert weight_plane_reads([[1, 1]], np.empty((0, 2))).tolist() == [[1, 0]]
     assert misread_matrix([[-1, -1]], [2], rows).tolist() == [[-1, 0x7FFF]]
+    # A later fault at row slot 2 moves the rest one bit further on.
+    assert weight_plane_reads([[1, 0, 1, 1]], [(0, 2)]).tolist() == [[0, 1, 0, 0]]
 
 
 def reference_plan(cfg, placement):

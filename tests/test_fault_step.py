@@ -9,23 +9,27 @@ faulted PE track of the block, keyed by (step, track), goes through one
 zeroed slots' and the MAC faults' groups, words and stored weights.  With
 EDC off it keys the weight rows by (step, track, plane), one displaced
 pair of a step's pass each, and decodes the pairs in units of consecutive
-pairs, one ``weight_plane_reads`` call each, into flip rows in word
-order; a unit may split a step or span several, and each MAC fault's
-weight gains the flips of its track's pairs, which may lie in two units.
-``_apply_faults`` then applies one step with the words it delivered: one
-row-wise product of the flip rows with the delivered words per (path,
-chunk) run, and all logic faults as array operations.  The oracle below is
-the per-track loop they replaced: one single-track protocol pass per
-faulted track of a step (kept here in its single-track form), a
-brute-force arrival order, and one lookup per MAC fault that takes the
-weight as read when a weight fault of the same step hit its track.  Both
-must give the same accumulators at every step of the block and the same
-corrections, the held shifts among them, on the fault plans of random
-seeds over blocks of several faulted steps, with decode units small
-enough that some unit splits a step and large enough that some spans
-several, and on hand-placed faults that the seeds do not reliably
-produce.  Weight and MAC fault rows are both (neuron, gate, path, slot,
-plane).
+pairs, one ``weight_plane_reads`` call each over rows that start at each
+pair's first fault, into flip rows in word order; a unit may split a step
+or span several, and each MAC fault's weight gains the flips of its
+track's pairs, which may lie in two units.  ``_apply_faults`` then applies
+one step with the words it delivered, a (path, chunk) run of pairs at a
+time: one exact product of the flip rows with the one vector that a
+fault-free pass delivered to every group (``np.broadcast_to`` rows, as
+``_layer_step_values`` passes them), or, after a pass with chain faults, a
+row-wise product with each pair's group's words; and all logic faults as
+array operations.  The oracle below is the per-track loop they replaced:
+one single-track protocol pass per faulted track of a step (kept here in
+its single-track form), a brute-force arrival order, and one lookup per
+MAC fault that takes the weight as read when a weight fault of the same
+step hit its track.  Both must give the same accumulators at every step of
+the block and the same corrections, the held shifts among them, on the
+fault plans of random seeds over blocks of several faulted steps, whose
+paths deliver one vector or per-group words step by step, with decode
+units small enough that some unit splits a step and large enough that
+some spans several, and on hand-placed faults that the seeds do not
+reliably produce.  Weight and MAC fault rows are both (neuron, gate, path,
+slot, plane).
 
 ``_correct_deliveries`` corrects the accumulators for a faulted chain pass
 with one exact ``_exact_matmul`` product per (chunk, group that delivered
@@ -129,14 +133,20 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
         accs[path, gate, neuron] += ((product >> shift) & 1) << shift
 
 
-def random_state(rng, lp, params):
-    """Random accumulators and per-group deliveries, different in every
-    group, so a wrong group or word lookup shows."""
+def random_state(rng, lp, params, shared=(False, False)):
+    """Random accumulators and per-group deliveries.  On a path that
+    `shared` marks, every group delivered one vector, which
+    ``np.broadcast_to`` gives, as ``_layer_step_values`` passes a fault-free
+    pass; on the others the words differ in every group, as after a chain
+    fault, so a wrong group or word lookup shows."""
     accs = rng.integers(-(1 << 40), 1 << 40, (2, len(params.gates), lp.neurons))
-    seen = [
-        rng.integers(-32768, 32768, (len(chain.group_capacities), chain.word_capacity))
-        for chain in (lp.chain, lp.recurrent_chain)
-    ]
+    seen = []
+    for chain, one in zip((lp.chain, lp.recurrent_chain), shared):
+        groups, n = len(chain.group_capacities), chain.word_capacity
+        if one:
+            seen.append(np.broadcast_to(rng.integers(-32768, 32768, n), (groups, n)))
+        else:
+            seen.append(rng.integers(-32768, 32768, (groups, n)))
     return accs, seen
 
 
@@ -199,10 +209,14 @@ def layout_net(cell, layout):
 def check_seeds(placement, geos, edc, seeds):
     """Hold the decode/apply pair against the oracle on the weight and logic
     fault plans of `seeds`, each layer's steps as one block, with random
-    accumulators and deliveries at every step; returns (weight faults,
-    zeroed slots, logic faults, steps with weight faults, blocks with
-    several of them) over all layers."""
+    accumulators and deliveries at every step: each path of each step
+    delivers one vector to every group (a fault-free pass) or different
+    words to each (a pass with chain faults), drawn step by step.  Returns
+    (weight faults, zeroed slots, logic faults, steps with weight faults,
+    blocks with several of them, the set of (x shared, h shared) of the
+    steps with weight faults) over all layers."""
     faults = weight_zeroed = logic = steps = multi = 0
+    routes = set()
     T = placement.spec.timesteps
     for seed in seeds:
         params = generate_network_params(placement.spec, 100 + seed)
@@ -213,16 +227,18 @@ def check_seeds(placement, geos, edc, seeds):
         for l, (lp, geo, p) in enumerate(zip(placement.layers, geos, params)):
             wf = stream_rows(plan.weight_faults[l], 0, T)
             mf = stream_rows(plan.mac_faults[l], 0, T)
-            states = [random_state(rng, lp, p) for _t in range(T)]
+            shared = [tuple(rng.random(2) < 0.5) for _t in range(T)]
+            states = [random_state(rng, lp, p, one) for one in shared]
             got, want = both(lp, geo, p, wf, mf, edc, states)
             assert got == want, (seed, l)
             faulted = np.count_nonzero(np.diff(wf[0]))
             faults += len(wf[1])
             steps += faulted
             multi += faulted > 1
+            routes |= {one for one, n in zip(shared, np.diff(wf[0])) if n}
             weight_zeroed += want[1]["weight_zeroed"]
             logic += len(mf[1])
-    return faults, weight_zeroed, logic, steps, multi
+    return faults, weight_zeroed, logic, steps, multi, routes
 
 
 @pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
@@ -231,21 +247,23 @@ def check_seeds(placement, geos, edc, seeds):
 def test_fault_step_matches_the_per_event_oracle(layout, cell, edc):
     placement = layout_net(cell, layout)
     geos = [_LayerGeometry(lp, placement.hw, None) for lp in placement.layers]
-    faults, weight_zeroed, logic, _steps, multi = check_seeds(placement, geos, edc, SEEDS)
+    faults, weight_zeroed, logic, _steps, multi, routes = check_seeds(placement, geos, edc, SEEDS)
     rng = np.random.default_rng(99)
     for lp, geo, p in zip(placement.layers, geos, generate_network_params(placement.spec, 99)):
-        accs, seen = random_state(rng, lp, p)
-        wf, mf = placed_faults(geo, len(p.gates))
-        got, want = both(lp, geo, p, wf, mf, edc, [(accs, seen)])
-        assert got == want, ("placed", lp.index)
-        assert want[0] != [accs.tolist()]
+        for shared in ((False, False), (True, True)):
+            accs, seen = random_state(rng, lp, p, shared)
+            wf, mf = placed_faults(geo, len(p.gates))
+            got, want = both(lp, geo, p, wf, mf, edc, [(accs, seen)])
+            assert got == want, ("placed", lp.index, shared)
+            assert want[0] != [accs.tolist()]
     assert faults > 0 and logic > 0 and multi > 0
     assert (weight_zeroed > 0) == edc
+    assert routes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def record_units(monkeypatch):
-    """Record each decoded unit as (decoder, unit, first step, last step,
-    whether it starts or ends inside a step), and count the
+    """Record each decoded unit as (decoder, unit, the steps it holds pairs
+    of, whether it shares a step with another unit), and count the
     ``weight_plane_reads`` calls."""
     units, calls = [], []
 
@@ -256,9 +274,10 @@ def record_units(monkeypatch):
     decode = simulator._Misreads._decode
 
     def recorded(self, u):
-        p0, p1 = u * self.unit, min((u + 1) * self.unit, len(self.pairs))
-        first, last = np.searchsorted(self.ptr, (p0, p1 - 1), "right") - 1
-        units.append((self, u, first, last, p0 not in self.ptr or p1 not in self.ptr))
+        # A step's pieces are (unit, first row, rows, path, words).
+        held = {j: {piece[0] for piece in pieces} for j, pieces in enumerate(self.pieces)}
+        steps = sorted(j for j, us in held.items() if u in us)
+        units.append((self, u, steps, any(len(held[j]) > 1 for j in steps)))
         return decode(self, u)
 
     monkeypatch.setattr(simulator, "weight_plane_reads", counted)
@@ -294,13 +313,14 @@ def test_fault_step_matches_the_oracle_across_pair_blocks(layout, edc, monkeypat
             unit_budget(monkeypatch, width, pairs)
             units.clear()
             calls.clear()
-            faults, _zeroed, logic, _steps, _multi = check_seeds(placement, geos, edc, range(4))
+            faults, _zeroed, logic, *_ = check_seeds(placement, geos, edc, range(4))
             assert faults > 0 and logic > 0
             assert len(calls) == len(units), (cell, pairs)
             assert len({u[:2] for u in units}) == len(units), (cell, pairs)
             assert bool(units) != edc, (cell, pairs)
-            split += any(inside for *_, inside in units)
-            spans += any(first < last for _, _, first, last, _ in units)
+            assert all(steps for _, _, steps, _ in units), (cell, pairs)
+            split += any(shares for *_, shares in units)
+            spans += any(len(steps) > 1 for _, _, steps, _ in units)
     assert (split > 0 and spans > 0) != edc
 
 

@@ -1,7 +1,9 @@
 """``simulate`` rejects input streams, weights and biases that are not raw
 Q8.8 integers, and recurrent weights that do not fit the layer; the ledger
-rejects ops it does not count and prices the counted ones at the default
-rates; ``energy_report`` takes its op latencies from the hardware config."""
+rejects ops it does not count, counts that are not non-negative integers
+and activation implementations other than "approx" and "lut", and prices
+the counted ops at the default rates; ``energy_report`` takes its op
+latencies from the hardware config."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -105,6 +107,31 @@ def test_unknown_ledger_ops_are_rejected():
         ledger.add("mac_isue", 1)
     assert set(ledger.counters) == set(DEFAULT_ENERGY_PJ)
     assert set(ledger.counters.values()) == {0}
+
+
+def test_unknown_activation_impls_are_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        EnergyLedger("bogus")
+
+
+@pytest.mark.parametrize("n", [1.7, np.float64(2.9), 2.0, True, np.bool_(True), "3", None],
+                         ids=["float", "float64", "whole-float", "bool", "numpy-bool", "str",
+                              "none"])
+def test_ledger_counts_that_are_not_integers_are_rejected(n):
+    ledger = EnergyLedger()
+    with pytest.raises(ValueError, match="integers"):
+        ledger.add("track_read", n)
+    assert ledger.counters["track_read"] == 0
+
+
+def test_numpy_integer_ledger_counts_are_accepted():
+    ledger = EnergyLedger()
+    for n in (np.int64(3), np.uint32(4), np.int8(5), 6):
+        ledger.add("track_read", n)
+    assert ledger.counters["track_read"] == 18
+    assert type(ledger.counters["track_read"]) is int
+    with pytest.raises(ValueError, match="monotone"):
+        ledger.add("track_read", np.int64(-1))
 
 
 def test_energy_is_counters_times_the_default_rates():
