@@ -336,12 +336,3 @@ def weight_plane_reads(bits, faults):
     src = np.cumsum(src, axis=1, out=src) + np.arange(1, width + 1)
     read[later] = bits[later[:, None], np.minimum(src, width - 1)] * (src < width)
     return read
-    # The rows with a later fault: d(s) counts the distinct faults at or
-    # before s.
-    at = np.searchsorted(later, row)
-    on = later[np.minimum(at, len(later) - 1)] == row
-    d = np.zeros((len(later), width), dtype=np.int32)
-    d[at[on], slot[on]] = 1
-    src = np.cumsum(d, axis=1, out=d) + np.arange(width)
-    read[later] = np.take_along_axis(bits[later], np.minimum(src, width - 1), axis=1) * (src < width)
-    return read

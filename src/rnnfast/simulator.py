@@ -580,8 +580,9 @@ def _exact_matmul(weight_blocks, v, w_max=1 << 15):
 
     `weight_blocks` are matrices of raw Q8.8 values with n columns, none
     above `w_max` in magnitude, as int16 or as float32, which holds them
-    exactly, or the EDC-off misreads' int8 flip rows, with `w_max` 1; `v` holds values below 2^16 in magnitude, raw Q8.8 words or
-    the differences of two, shape (n,) or (n, k).  ``_column_blocks``
+    exactly, or the EDC-off misreads' int8 flip rows, with `w_max` 1; `v`
+    holds values below 2^16 in magnitude, raw Q8.8 words or the
+    differences of two, shape (n,) or (n, k).  ``_column_blocks``
     splits the n columns into blocks whose every partial sum the float
     type holds: float32 unless its blocks would be too narrow, else
     float64.  Each block is multiplied in that float type, and the blocks'
@@ -843,9 +844,10 @@ class _Misreads:
         # size.
         start = (geo.turn[path, self.group, chunk] + first) % size
         self.back = (size - start) % size
-        self.start, self.stored = start[o], self.neuron[o]
+        # In decode order: each row's start, neuron and plane's bit, and its
+        # row `blank` of `prefix`, which is 1 up to its track's end, then 0.
+        self.start, self.rows_neuron = start[o], self.neuron[o]
         self.bit = (1 << plane[o]).astype(np.int16)
-        # Row `blank` of `prefix` is 1 up to the pair's track's end, then 0.
         self.blank = (width - size + first)[o]
         self.prefix = _windows((np.arange(2 * width) < width)[None], width)[0]
         units = np.arange(len(self.runs) + 1) * unit
@@ -883,7 +885,8 @@ class _Misreads:
         at = slice(p0, p1)
         stored = np.empty((n, width), dtype=np.int16)
         for r0, r1, weights, words in self.runs[u]:
-            stored[r0:r1, :words.stop - words.start] = weights[self.stored[p0 + r0:p0 + r1], words]
+            stored[r0:r1, :words.stop - words.start] = weights[self.rows_neuron[p0 + r0:p0 + r1],
+                                                               words]
         # Row i holds its pair's bits of its plane in word order, twice, with
         # the chunk's period, so that the window of `width` bits at its start
         # holds them in arrival order from its first fault on.
@@ -928,18 +931,19 @@ class _Misreads:
                 self.held = None
                 self.held = u, self._decode(u)
             flips = self.held[1][r:r + n, :words.stop - words.start]
-            i = u * self.unit + r - a
+            i0 = u * self.unit + r
+            out = change[i0 - a:i0 - a + n]
             delivered = seen[p]
             if not delivered.strides[0]:
-                change[i:i + n] = _exact_matmul([flips], delivered[0, words], 1)
+                out[:] = _exact_matmul([flips], delivered[0, words], 1)
                 continue
             # After a chain fault, each pair's group's words, 8 bytes per
             # pair and word.
             rows = max(1, _BLOCK_BYTES // (8 * flips.shape[1]))
             for r0 in range(0, n, rows):
-                group = self.group[a + i + r0:a + i + min(r0 + rows, n)]
-                change[i + r0:i + r0 + len(group)] = np.einsum(
-                    "ij,ij->i", flips[r0:r0 + len(group)], delivered[group, words])
+                r1 = min(r0 + rows, n)
+                out[r0:r1] = np.einsum("ij,ij->i", flips[r0:r1],
+                                       delivered[self.group[i0 + r0:i0 + r1], words])
         if min((self.held[0] + 1) * self.unit, len(self.pairs)) <= b:
             self.held = None
         at = slice(a, b)
