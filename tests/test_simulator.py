@@ -25,6 +25,7 @@ fault semantics, rewrite the pins with ``PYTHONPATH=src python
 tests/test_simulator.py``, which prints the keys whose pins changed.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -36,7 +37,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rnnfast import lstm_core, simulator
-from rnnfast.error_model import PATHS, ErrorConfig, FaultPlan, stream_rows
+from rnnfast.error_model import (
+    DEFAULT_P_OVERSHIFT,
+    PATHS,
+    ErrorConfig,
+    FaultPlan,
+    run_fidelity_experiment,
+    stream_rows,
+)
 from rnnfast.mapping import (
     CapacityExceeded,
     ChainLayout,
@@ -751,6 +759,98 @@ def test_faulty_runs_match_golden(cell, impl, layout):
         assert fingerprint(result) == golden[golden_key(cell, impl, layout, edc)]
 
 
+# Preset runs whose to_json() SHA-256 the goldens pin, as preset ->
+# (timesteps, None for the preset's own, and the fault rates), each run EDC
+# off and on, with params seed 1, inputs seed 2 and fault seed 0.  They
+# cover what the small CASES do not: 512-column blocks, the recurrent
+# stacks, d-speech's blocked cast and wide multi-group chains.
+PRESET_RUNS = {
+    "im2txt": (None, (0.0, DEFAULT_P_OVERSHIFT, 5e-3)),
+    "mach-tran-512": (6, (0.0, DEFAULT_P_OVERSHIFT, 5e-3)),
+    "mach-tran-1024": (4, (0.0, DEFAULT_P_OVERSHIFT)),
+    "lang-mod": (8, (0.0, DEFAULT_P_OVERSHIFT)),
+    "seq2seq": (4, (0.0, DEFAULT_P_OVERSHIFT)),
+    "desk-ref": (200, (0.0, DEFAULT_P_OVERSHIFT, 5e-3)),
+    "mach-tran-2048": (3, (DEFAULT_P_OVERSHIFT,)),
+    "d-speech": (2, (DEFAULT_P_OVERSHIFT,)),
+}
+# The fault seeds of the pinned im2txt sweeps, which perfbench's
+# fault-sweep workload runs too.
+SWEEP_SEEDS = (0, 1, 2, 3)
+
+
+@contextlib.contextmanager
+def recorded_runs():
+    """(args, kwargs, RunResult) of every ``simulate`` call made meanwhile,
+    caught as perfbench's ``captured_runs`` catches them: by wrapping
+    ``simulator.simulate``, which ``run_fidelity_experiment`` looks up at
+    each call."""
+    calls = []
+    inner = simulator.simulate
+
+    def recording(*args, **kwargs):
+        result = inner(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    simulator.simulate = recording
+    try:
+        yield calls
+    finally:
+        simulator.simulate = inner
+
+
+def run_digest(result):
+    return hashlib.sha256(result.to_json().encode()).hexdigest()
+
+
+def preset_pins(name):
+    """{golden key: pin} of preset `name`'s runs in PRESET_RUNS."""
+    steps, rates = PRESET_RUNS[name]
+    preset = get_preset(name)
+    spec = preset.spec if steps is None else dataclasses.replace(preset.spec, timesteps=steps)
+    placement = map_network(spec, preset.hardware())
+    params, inputs = generate_network_params(spec, 1), generate_inputs(spec, 2)
+    pins = {}
+    for p in rates:
+        for edc in (False, True):
+            cfg = ErrorConfig(p_overshift=p, edc_inputs=edc, edc_weights=edc, seed=0)
+            result = simulate(placement, params, inputs, error_cfg=cfg)
+            key = f"preset-{name}-{spec.timesteps}-p{p}-edc-{'on' if edc else 'off'}"
+            pins[key] = {"to_json_sha256": run_digest(result)}
+    return pins
+
+
+def sweep_key(edc):
+    return f"sweep-im2txt-edc-{'on' if edc else 'off'}"
+
+
+def sweep_pin(edc):
+    """The rows of an im2txt fault sweep over SWEEP_SEEDS at the paper's
+    rate on all sites, and the to_json() SHA-256 of each of its runs."""
+    preset = get_preset("im2txt")
+    params, inputs = generate_network_params(preset.spec, 1), generate_inputs(preset.spec, 2)
+    cfg = ErrorConfig(p_overshift=DEFAULT_P_OVERSHIFT, edc_inputs=edc, edc_weights=edc, seed=0)
+    with recorded_runs() as calls:
+        rows = run_fidelity_experiment(preset.spec, preset.hardware(), [cfg], params, inputs,
+                                       SWEEP_SEEDS)
+    return json.loads(json.dumps({"rows": rows, "runs": [run_digest(r) for *_, r in calls]}))
+
+
+@pytest.mark.parametrize("name", PRESET_RUNS)
+def test_preset_runs_match_golden(name):
+    golden = json.loads(GOLDEN.read_text())
+    pins = preset_pins(name)
+    assert pins == {key: golden.get(key) for key in pins}
+
+
+@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
+def test_fault_sweep_matches_golden(edc):
+    pin = sweep_pin(edc)
+    assert len(pin["runs"]) == 1 + len(SWEEP_SEEDS)
+    assert pin == json.loads(GOLDEN.read_text())[sweep_key(edc)]
+
+
 def write_golden():
     """Rewrite the pins; print each key whose pin changed, with the fields
     that changed."""
@@ -761,6 +861,10 @@ def write_golden():
         for edc in (False, True):
             result = simulate(placement, params, inputs, error_cfg=faulty_config(edc))
             golden[golden_key(cell, impl, layout, edc)] = fingerprint(result)
+    for name in PRESET_RUNS:
+        golden.update(preset_pins(name))
+    for edc in (False, True):
+        golden[sweep_key(edc)] = sweep_pin(edc)
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     changed = [key for key in sorted(golden) if old.get(key) != golden[key]]
     for key in changed:
