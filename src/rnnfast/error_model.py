@@ -241,19 +241,28 @@ def run_fidelity_experiment(spec, hw, cfg_grid, params, inputs, seeds):
     Returns a list of row dicts (one per grid cell per seed) carrying the
     config fields and the two fidelity metrics; a fault-free cell's rows
     carry seed -1.  The error-free reference is computed once since it does
-    not depend on the fault seed.
+    not depend on the fault seed, and a fault-free cell's rows are the
+    reference against itself, with no run of their own.  So the sweep makes
+    one ``simulate`` call for the reference and one per seed of each faulty
+    cell.  All of them share one ``simulator._Shared``: the state that
+    depends only on the placement, the parameters and the inputs is made
+    once for the sweep, within _STACK_BYTES, and dropped when it returns.
     """
     from .mapping import map_network
-    from .simulator import simulate
+    from .simulator import _Shared, simulate
 
     placement = map_network(spec, hw)
-    reference = simulate(placement, params, inputs).outputs[-1]
+    shared = _Shared(placement, params, inputs)
+    reference = simulate(placement, params, inputs, shared=shared).outputs[-1]
+    clean = fidelity_metrics(reference, reference)
     rows = []
     for cfg in cfg_grid:
         for seed in seeds:
-            run_cfg = replace(cfg, seed=seed) if cfg.p_overshift > 0 else cfg
-            result = simulate(placement, params, inputs, error_cfg=run_cfg)
-            metrics = fidelity_metrics(reference, result.outputs[-1])
+            run_cfg, metrics = cfg, clean
+            if cfg.p_overshift > 0:
+                run_cfg = replace(cfg, seed=seed)
+                result = simulate(placement, params, inputs, error_cfg=run_cfg, shared=shared)
+                metrics = fidelity_metrics(reference, result.outputs[-1])
             rows.append(
                 {
                     "p": run_cfg.p_overshift,

@@ -9,9 +9,9 @@ Values and timing are deliberately decoupled:
   stacked gates.  Both go through ``_exact_matmul``, which casts int16
   weight rows a block at a time into one small float buffer and lets
   BLAS multiply.  A layer whose recurrent weights take at most
-  _STACK_BYTES as float32 casts them once a run instead, into one float32
-  stack of all its gates that lives while the layer runs, and each step
-  multiplies that stack with one matrix-vector call per column block.
+  _STACK_BYTES as float32 casts them once a run instead, or once a sweep,
+  into one float32 stack of all its gates, and each step multiplies that
+  stack with one matrix-vector call per column block.
   float32 holds every int16 exactly, so both forms multiply the same
   integers.  The products are exact, because a sum of integer products
   is exact in any summation order while every partial sum is an integer
@@ -20,7 +20,8 @@ Values and timing are deliberately decoupled:
   width columns, with weights up to w_max and values up to v_max in
   magnitude, sums at most width * w_max * v_max, so float32 blocks of
   width = 2^24 // (w_max * v_max) columns are exact, and the blocks'
-  products are added in int64.  The layer's w_max is taken once a run.
+  products are added in int64.  The layer's w_max is taken once a run, or
+  once a sweep.
   Preset weights lie in [-0.5, 0.5] and activations and inputs in
   [-1, 1], so every preset weight product takes float32 blocks of 512
   columns: one block up to 512 wide, and six on d-speech.  A product
@@ -89,6 +90,12 @@ Values and timing are deliberately decoupled:
   copy of the narrowing and the cell equations, with activation faults
   applied by its hook.
   With no faults the outputs are bit-identical to ``lstm_core.cell_step``.
+  A run takes what depends only on its placement, params and inputs from
+  a ``_Shared``: each layer's w_max, biases and float32 stack, and layer
+  0's fault-free input-path accumulators.  A plain run's own keeps none of
+  them past the layer using it, so the run holds one stack at a time.
+  ``run_fidelity_experiment`` passes one to every run of a sweep, which
+  keeps them, within _STACK_BYTES, for the sweep's later runs.
 
 * The timing path is closed-form: ``_layer_timing`` gives each layer's
   cross-group stall and the cycles of one of its timesteps.  A timestep
@@ -175,6 +182,8 @@ _BLOCK_BYTES = 1 << 19
 # two runs): 512, 768, 1024 and 1536 wide on im2txt's hardware, and 2048
 # wide (64 MiB) on mach-tran-2048's.  d-speech's 2816-wide layer
 # (121 MiB) stays blocked, which bounds the memory of the widest preset.
+# A sweep's ``_Shared`` keeps at most as much, stacks and input-path
+# accumulators together, for its later runs.
 _STACK_BYTES = 1 << 26
 # Fewest columns a float32 block of ``_exact_matmul`` may hold, unless the
 # product has fewer (see ``_column_blocks``); a product whose float32
@@ -623,25 +632,81 @@ def _exact_matmul(weight_blocks, v, w_max=1 << 15):
     return part.sum(axis=0, dtype=np.int64)
 
 
-def _layer_values(lp, geo, params, xs, acts, plan, corrections):
+class _Shared:
+    """The per-network part of ``simulate``: what every run of one
+    (placement, params, inputs) computes alike, whatever its faults.
+
+    Per layer: w_max, the stacked biases and, when the recurrent weights
+    take at most _STACK_BYTES as float32, their float32 stack with its
+    per-gate views; and layer 0's fault-free input-path accumulators, per
+    time block.  The layers above read the run's own outputs, so theirs
+    are made by every run.  The first run that needs an array makes it,
+    read-only: a step copies the accumulators before its faults correct
+    them.
+
+    With `keep`, the object keeps the arrays its first run makes, in layer
+    order and block order, while their total stays within _STACK_BYTES,
+    and later runs read them; each run makes again any array past that.
+    ``run_fidelity_experiment`` makes one such object per sweep.  Without
+    `keep`, as ``simulate`` makes one for a plain run, it keeps no array,
+    so a run holds only the arrays of the layer it is running.  w_max, an
+    int per layer, is kept either way.
+    """
+
+    def __init__(self, placement, params, inputs, keep=True):
+        self.placement, self.params, self.inputs = placement, params, inputs
+        self.room = _STACK_BYTES if keep else 0
+        self.kept = {}
+        self.w_max = {}
+
+    def _array(self, key, make, shareable=True):
+        a = self.kept.get(key)
+        if a is None:
+            a = make()
+            a.flags.writeable = False
+            if shareable and a.nbytes <= self.room:
+                self.room -= a.nbytes
+                self.kept[key] = a
+        return a
+
+    def layer(self, l):
+        """(w_max, bias[gate, neuron], recurrent weights as ``_exact_matmul``
+        blocks, recurrent weights per gate) of layer l: the float32 stack
+        and its rows of each gate, or the int16 matrices twice."""
+        gates = self.params[l].gates
+        w_h = [g.w_h for g in gates]
+        if l not in self.w_max:
+            self.w_max[l] = max(_magnitude(w) for g in gates for w in (g.w_x, g.w_h))
+        bias = self._array(("bias", l), lambda: np.stack([fp.widen(g.b) for g in gates]))
+        if 4 * sum(w.size for w in w_h) > _STACK_BYTES:
+            return self.w_max[l], bias, w_h, w_h
+        stack = self._array(("stack", l), lambda: np.concatenate(w_h, dtype=np.float32))
+        return self.w_max[l], bias, [stack], np.split(stack, len(gates))
+
+    def input_products(self, l, t0, x_block, w_x, w_max):
+        """Layer l's fault-free input-path accumulators [gate * neuron, step]
+        of the time block at t0, whose inputs are `x_block`; kept for
+        layer 0 only."""
+        return self._array(("x", l, t0), lambda: _exact_matmul(w_x, x_block.T, w_max),
+                           shareable=not l)
+
+
+def _layer_values(lp, geo, shared, xs, acts, plan, corrections):
     """Evaluate one layer over the whole input stream; returns its outputs.
 
     The input path of all gates is one kernel call per block of TIME_BLOCK
     timesteps, the recurrent path one call per step over the stacked gates:
-    one float32 stack, cast here, when it takes at most _STACK_BYTES.  The
-    chain corrections take each path's weights per gate: the int16
-    matrices, or the stack's rows of each gate when there is one.
+    one float32 stack when it takes at most _STACK_BYTES.  `shared` gives
+    both, the stack and the layer's w_max and biases.  The chain
+    corrections take each path's weights per gate: the int16 matrices, or
+    the stack's rows of each gate when there is one.
     """
     m = lp.neurons
+    params = shared.params[lp.index]
     gates = params.gates
     w_x = [g.w_x for g in gates]
-    w_h = [g.w_h for g in gates]
-    w_max = max(map(_magnitude, w_x + w_h))
-    path_weights = [w_x, w_h]
-    if 4 * sum(w.size for w in w_h) <= _STACK_BYTES:
-        stack = np.concatenate(w_h, dtype=np.float32)
-        w_h, path_weights[1] = [stack], np.split(stack, len(gates))
-    bias = np.stack([fp.widen(g.b) for g in gates])
+    w_max, bias, w_h, gate_h = shared.layer(lp.index)
+    path_weights = [w_x, gate_h]
     out = np.empty((len(xs), m), dtype=np.int16)
     faults = None
     if plan is not None:
@@ -655,7 +720,7 @@ def _layer_values(lp, geo, params, xs, acts, plan, corrections):
     h = c = np.zeros(m, dtype=np.int64)
     for t0 in range(0, len(xs), TIME_BLOCK):
         x_block = xs[t0:t0 + TIME_BLOCK]
-        x_accs = _exact_matmul(w_x, x_block.T, w_max)
+        x_accs = shared.input_products(lp.index, t0, x_block, w_x, w_max)
         if plan is not None:
             *chains, weight, mac, act = (stream_rows(s, t0, t0 + len(x_block)) for s in streams)
             faults = chains, _decode_faults(geo, params, weight, mac, edc, corrections), act
@@ -1061,7 +1126,7 @@ def _mac_sample(lp, hw, period, body, timesteps):
 
 
 def simulate(placement: Placement, params, inputs,
-             error_cfg: ErrorConfig | None = None) -> RunResult:
+             error_cfg: ErrorConfig | None = None, *, shared: _Shared | None = None) -> RunResult:
     """Run the placed network over a timestep-major input stream.
 
     The ledger is every layer's fault-free step events, T times, less the
@@ -1069,7 +1134,19 @@ def simulate(placement: Placement, params, inputs,
     ``corrections["suppressed_shifts"]`` counts the weight tracks' holds
     only: ``track_shift`` also lacks the input chains' holds, which no
     correction counter reports.
+
+    `shared` is a ``_Shared`` made from these very placement, params and
+    inputs objects, which every run of a sweep passes; its arrays are
+    read-only, and the result holds no reference to it.  Without it, the
+    run makes its own, which keeps nothing past the layer using it.  A
+    `shared` made from any other objects raises ValueError, even when
+    they are equal, and every call validates its params and inputs.
     """
+    if shared is None:
+        shared = _Shared(placement, params, inputs, keep=False)
+    if any(a is not b for a, b in zip((shared.placement, shared.params, shared.inputs),
+                                      (placement, params, inputs))):
+        raise ValueError("shared was made for another placement, params or inputs")
     spec = placement.spec
     hw = placement.hw
     impl = spec.activation_impl
@@ -1116,9 +1193,9 @@ def simulate(placement: Placement, params, inputs,
 
     # Values, layer-major: each layer consumes the previous one's stream.
     outputs = []
-    for lp, geo, p in zip(placement.layers, geos, params):
+    for lp, geo in zip(placement.layers, geos):
         xs = outputs[-1] if outputs else inputs
-        outputs.append(_layer_values(lp, geo, p, xs, acts, plan, corrections))
+        outputs.append(_layer_values(lp, geo, shared, xs, acts, plan, corrections))
 
     events = {op: T * sum(geo.step_events[op] for geo in geos) for op in geos[0].step_events}
     events["track_shift"] -= chain_held + corrections["suppressed_shifts"]

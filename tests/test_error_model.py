@@ -8,7 +8,8 @@ their timestep, steps ascending and event order kept within a step, path
 coded by its index in ``PATHS``), empty streams for the sites a config
 leaves out, and independent of the EDC flags; seeds that are not
 non-negative integers rejected; and ``run_fidelity_experiment``, whose rows
-are each seed's own run measured against the fault-free one."""
+are each seed's own run measured against the fault-free one, and whose
+fault-free cells take their rows from the reference with no run."""
 
 import json
 from dataclasses import replace
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnnfast import error_model
+from rnnfast import error_model, simulator
 from rnnfast.error_model import (
     PATHS,
     REGION_PLANES,
@@ -498,6 +499,33 @@ def test_fidelity_experiment_pairs_each_seeds_run_with_the_fault_free_one():
         faulty += metrics.nrmse > 0
     # The faults change some runs, so the rows are not all trivially equal.
     assert faulty > 0
+
+
+def test_fault_free_cells_reuse_the_reference_run(monkeypatch):
+    """A sweep simulates the reference once and each seed of each faulty
+    cell once; a fault-free cell's rows come from the reference alone."""
+    spec = NetworkSpec((LayerSpec("LSTM", 12, 8),), 4)
+    params, inputs = generate_network_params(spec, 1), generate_inputs(spec, 2)
+    grid = [
+        ErrorConfig(p_overshift=0.0),
+        ErrorConfig(p_overshift=3e-2, seed=0),
+        ErrorConfig(p_overshift=0.0, edc_inputs=True, edc_weights=True),
+        ErrorConfig(p_overshift=3e-2, edc_inputs=True, seed=0),
+    ]
+    seeds = (0, 3, 7)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("error_cfg"))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "simulate", spy)
+    rows = run_fidelity_experiment(spec, HardwareConfig(), grid, params, inputs, seeds)
+    assert len(calls) == 1 + 2 * len(seeds)
+    assert calls == [None] + [replace(cfg, seed=s) for cfg in grid[1::2] for s in seeds]
+    assert [(row["seed"], row["argmax_agreement"], row["nrmse"]) for row in rows[:3]] == \
+        [(-1, 1.0, 0.0)] * 3
+    assert [row["edc_inputs"] for row in rows[6:9]] == [True] * 3
 
 
 def test_fidelity_metrics_compares_2d_integer_streams():

@@ -20,15 +20,24 @@ depend on how many steps a time block holds, and an EDC-on run must call
 ``weight_zeros`` once per (layer, time block) with weight faults.  Faulty
 runs with every site active are pinned in ``simulator_golden.json``
 (output SHA-256, cycles, ledger counters, per-layer counts, corrections),
-so any change to the fault path shows up.  After a deliberate change of
+so any change to the fault path shows up.  So are the to_json() SHA-256 of
+34 preset runs (``PRESET_RUNS``), and the rows and run digests of two
+im2txt fault sweeps, one per EDC setting.  After a deliberate change of
 fault semantics, rewrite the pins with ``PYTHONPATH=src python
 tests/test_simulator.py``, which prints the keys whose pins changed.
+Every run of a sweep, which shares one ``_Shared`` with the others, must
+give the to_json() of the same call without it, where the sweep keeps
+some of its arrays and makes others again; the shared arrays are
+read-only, the result of no run refers to them, and a ``_Shared`` made
+for other objects is rejected.
 """
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +51,7 @@ from rnnfast.error_model import (
     PATHS,
     ErrorConfig,
     FaultPlan,
+    fidelity_metrics,
     run_fidelity_experiment,
     stream_rows,
 )
@@ -57,6 +67,7 @@ from rnnfast.presets import PRESETS, generate_inputs, generate_network_params, g
 from rnnfast.racetrack import WORD_PLANES, InputTrackChain, weight_zeros
 from rnnfast.simulator import (
     TIME_BLOCK,
+    _Shared,
     _edc_chain_holds,
     _LayerGeometry,
     _layer_timing,
@@ -849,6 +860,96 @@ def test_fault_sweep_matches_golden(edc):
     pin = sweep_pin(edc)
     assert len(pin["runs"]) == 1 + len(SWEEP_SEEDS)
     assert pin == json.loads(GOLDEN.read_text())[sweep_key(edc)]
+
+
+# The long LSTM layout's arrays, in the order a run makes them, as bytes:
+# layer 0's biases (256) and recurrent stack (1,024), its input-path
+# blocks of 16 steps (4,096 each; the last, of 3 steps, 768), then layer
+# 1's biases (160) and stack (400).  A sweep's _Shared keeps each that
+# fits what is left of SWEEP_BUDGET.
+SWEEP_BLOCK = 16
+SWEEP_BUDGET = 256 + 1024 + 2 * 4096 + 500
+SWEEP_KEPT = {("bias", 0), ("stack", 0), ("x", 0, 0), ("x", 0, 16), ("bias", 1)}
+
+
+@pytest.mark.parametrize("edc", [False, True], ids=["edc-off", "edc-on"])
+def test_every_run_of_a_sweep_is_its_plain_run(edc, monkeypatch):
+    """A sweep's runs share one _Shared, which keeps layer 0's stack and
+    first two input-path blocks and rebuilds its last three blocks and
+    layer 1's stack.  Every run, the fault-free reference included, gives
+    the to_json() of the same call without it, and the rows match."""
+    monkeypatch.setattr(simulator, "TIME_BLOCK", SWEEP_BLOCK)
+    monkeypatch.setattr(simulator, "_STACK_BYTES", SWEEP_BUDGET)
+    placement, params, inputs = net("LSTM", "approx", "long")
+    cfg = faulty_config(edc)
+    seeds = (0, 1, 2)
+    with recorded_runs() as calls:
+        rows = run_fidelity_experiment(placement.spec, placement.hw, [cfg], params, inputs, seeds)
+    shared = calls[0][1]["shared"]
+    assert [kwargs.get("error_cfg") for _args, kwargs, _r in calls] == [None] + [
+        dataclasses.replace(cfg, seed=seed) for seed in seeds]
+    assert all(kwargs["shared"] is shared for _args, kwargs, _r in calls)
+    assert set(shared.kept) == SWEEP_KEPT
+    assert sum(a.nbytes for a in shared.kept.values()) <= SWEEP_BUDGET
+    reference = simulate(placement, params, inputs)
+    for args, kwargs, result in calls:
+        plain = simulate(*args, error_cfg=kwargs.get("error_cfg"))
+        assert result.to_json() == plain.to_json()
+        if kwargs.get("error_cfg"):
+            assert result.corrections["fault_events"] > 0
+            assert not same_outputs(result.outputs, reference.outputs)
+    for row, (*_, result) in zip(rows, calls[1:], strict=True):
+        metrics = fidelity_metrics(reference.outputs[-1], result.outputs[-1])
+        assert (row["argmax_agreement"], row["nrmse"]) == (metrics.argmax_agreement, metrics.nrmse)
+
+
+def test_nothing_outlives_the_sweep():
+    """The sweep's _Shared is garbage once it returns, though its runs'
+    results are still held: no RunResult refers to it."""
+    placement, params, inputs = net("LSTM", "approx", "long")
+    refs, results = [], []
+    inner = simulator.simulate
+
+    def recording(*args, shared, **kwargs):
+        refs.append(weakref.ref(shared))
+        results.append(inner(*args, shared=shared, **kwargs))
+        return results[-1]
+
+    simulator.simulate = recording
+    try:
+        run_fidelity_experiment(placement.spec, placement.hw, [faulty_config(False)], params,
+                                inputs, (0, 1))
+    finally:
+        simulator.simulate = inner
+    gc.collect()
+    assert len(results) == 3 and [ref() for ref in refs] == [None] * 3
+
+
+def test_shared_arrays_are_read_only():
+    placement, params, inputs = net("LSTM", "approx", "long")
+    shared = _Shared(placement, params, inputs)
+    simulate(placement, params, inputs, faulty_config(False), shared=shared)
+    _, _, _, gate_h = shared.layer(0)
+    arrays = [*shared.kept.values(), *gate_h]
+    assert {key[0] for key in shared.kept} == {"bias", "stack", "x"}
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1
+    # simulate's own object, which keeps nothing, hands out read-only arrays too.
+    assert not _Shared(placement, params, inputs, keep=False).layer(1)[1].flags.writeable
+
+
+def test_a_shared_made_for_other_objects_is_rejected():
+    """The check is by identity: equal but distinct objects fail too."""
+    placement, params, inputs = net("LSTM", "approx", "long")
+    other = net("GRU", "approx", "long")
+    shared = _Shared(placement, params, inputs)
+    for args in ((other[0], params, inputs), (placement, list(params), inputs),
+                 (placement, params, inputs.copy()), (placement, other[1], inputs)):
+        with pytest.raises(ValueError, match="shared"):
+            simulate(*args, shared=shared)
+    assert not shared.kept
+    simulate(placement, params, inputs, shared=shared)
 
 
 def write_golden():

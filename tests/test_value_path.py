@@ -12,10 +12,13 @@ enough to split.  Every preset product takes float32, one block up to 512
 wide, and so does a float32 stack of the same weights, which BLAS
 multiplies one column per call.  ``simulate`` must hold no float copy of
 weights larger than _STACK_BYTES, one such stack at a time, and no
-per-word table of chain groups.  The ``tracemalloc`` peaks show it: a run
-on the widest preset stays below 1/32 of its int16 weights, and runs on
-two 512-wide or six 1024-wide layers below one of their stacks and a few
-kernel buffers.  EDC-off chain faults on the widest preset must stay
+per-word table of chain groups.  The ``tracemalloc`` peaks show it, with
+two bounds.  A plain run on the widest preset stays below 1/32 of its
+int16 weights, and plain runs on two 512-wide or six 1024-wide layers
+below one of their stacks and a few kernel buffers.  A fault sweep keeps
+what its runs share within _STACK_BYTES more: on the six 1024-wide
+layers, three of the six stacks, so its peak stays below the plain bound
+plus _STACK_BYTES.  EDC-off chain faults on the widest preset must stay
 within 32 MiB.  A ``FaultPlan`` on the widest preset must hold its events
 as int32 rows, not Python tuples (a quarter of their retained size).
 """
@@ -30,7 +33,12 @@ from hypothesis import strategies as st
 from test_simulator import replay
 
 from rnnfast import simulator
-from rnnfast.error_model import DEFAULT_P_OVERSHIFT, ErrorConfig, FaultPlan
+from rnnfast.error_model import (
+    DEFAULT_P_OVERSHIFT,
+    ErrorConfig,
+    FaultPlan,
+    run_fidelity_experiment,
+)
 from rnnfast.mapping import map_network
 from rnnfast.presets import PRESETS, generate_inputs, generate_network_params, get_preset
 from rnnfast.simulator import _column_blocks, _exact_matmul, _magnitude, simulate
@@ -322,6 +330,29 @@ def test_simulate_holds_one_1024_wide_stack_at_a_time():
     stack = 16 << 20
     peak = stack_peak("seq2seq", 2, stack)
     assert peak < stack + 2 * simulator._BLOCK_BYTES, peak
+
+
+def test_a_sweep_keeps_at_most_stack_bytes_more_than_a_plain_run():
+    """A two-seed EDC-off sweep on the same seq2seq slice keeps the stacks
+    its runs share while they fit _STACK_BYTES (64 MiB): three of the six
+    16 MiB stacks, with the layers' biases and layer 0's input-path block.
+    Each run casts the other three again, one at a time, so the sweep
+    peaks below the plain run's bound plus _STACK_BYTES; keeping all six
+    would take 96 MiB."""
+    stack = 16 << 20
+    preset = get_preset("seq2seq")
+    spec = replace(preset.spec, timesteps=2)
+    params = generate_network_params(spec, 1)
+    inputs = generate_inputs(spec, 2)
+    cfg = ErrorConfig(p_overshift=DEFAULT_P_OVERSHIFT, seed=0)
+    tracemalloc.start()
+    try:
+        rows = run_fidelity_experiment(spec, preset.hardware(), [cfg], params, inputs, (0, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2
+    assert 3 * stack < peak < stack + 2 * simulator._BLOCK_BYTES + simulator._STACK_BYTES, peak
 
 
 @pytest.mark.parametrize("name,stacked", [
