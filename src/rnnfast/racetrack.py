@@ -25,11 +25,11 @@ simulator uses:
   exactly the fault-free stream, at zero added cycles.  ``rotate_step``
   returns plain lists: the word each group delivered and the planes each
   group corrected.  With EDC on the simulator needs only the counts of
-  corrections and held shifts, which do not depend on the words, so it
-  replays this model with nothing staged, once per run, over each maximal
-  run of a pass's faulted steps and the step after it; with EDC off it
-  follows each displaced plane's deliveries back through the queues in
-  closed form, checked against this model.
+  corrections and held shifts, which do not depend on the words, so for
+  each faulted pass it replays this model with nothing staged, over each
+  maximal run of the pass's faulted steps and the step after it; with
+  EDC off it follows each displaced plane's deliveries back through the
+  queues in closed form, checked against this model.
 
 * ``WeightTrackGroup`` -- the weight-stationary storage of one PE, kept as
   the reference that the vectorized form is tested against.  Advancing

@@ -34,8 +34,9 @@ Values and timing are deliberately decoupled:
   range.  The step's fault effects from the run's FaultPlan then correct
   the accumulators in int64, and each costs array work in proportion to
   the planes and words it changes, not to whole tracks or passes.  Each
-  time block reads the layer's four fault streams once, sliced by
-  timestep with ``error_model.stream_rows``, and hands step j its rows.
+  time block reads the layer's five fault streams once, sliced by
+  timestep with ``error_model.stream_rows``, and step j applies all of
+  its rows in one place, chains first, in both EDC settings.
   With EDC off, a chain pass with faults is computed in closed form,
   one displaced plane at a time: a delivery (g, s) of plane k can differ
   from the fault-free pass only from step L_g = min(F_g, L_{g+1} + cap_g)
@@ -52,10 +53,9 @@ Values and timing are deliberately decoupled:
   float32 stack when it has one.  With EDC on every delivery is the
   fault-free word, so chain faults stay out of the value path: they
   change only the corrections and the shifts those hold back, which the
-  plan's rows alone determine.  ``simulate`` cuts each chain's
-  stream into its passes with ``stream_rows``, and ``_edc_chain_holds``
-  counts both once per run, replaying each faulted pass through the
-  word-level track model (``InputTrackChain``): each maximal run of
+  plan's rows alone determine.  The step hands each faulted pass to
+  ``_edc_chain_holds``, which counts both by replaying the pass through
+  the word-level track model (``InputTrackChain``): each maximal run of
   faulted steps and the step after it, which leaves the chain as
   fault-free as it started.  ``simulate`` books the ledger once per
   run: T fault-free steps of every layer, less the shifts that EDC
@@ -271,7 +271,7 @@ class RunResult:
             "counters": dict(sorted(self.counters.items())),
             "per_layer": self.per_layer,
             "corrections": dict(sorted(self.corrections.items())),
-            "mac_sample": self.mac_sample[:8],
+            "mac_sample": self.mac_sample,
             "error_config": self.error_config,
             "outputs": [layer.tolist() for layer in self.outputs],
         }
@@ -692,14 +692,22 @@ class _Shared:
 
 
 def _layer_values(lp, geo, shared, xs, acts, plan, corrections):
-    """Evaluate one layer over the whole input stream; returns its outputs.
+    """Evaluate one layer over the whole input stream; returns (its outputs,
+    the shifts its input chains' EDC corrections held back).
 
     The input path of all gates is one kernel call per block of TIME_BLOCK
     timesteps, the recurrent path one call per step over the stacked gates:
     one float32 stack when it takes at most _STACK_BYTES.  `shared` gives
-    both, the stack and the layer's w_max and biases.  The chain
-    corrections take each path's weights per gate: the int16 matrices, or
-    the stack's rows of each gate when there is one.
+    both, the stack and the layer's w_max and biases.  With a `plan`, each
+    block slices the layer's five fault streams and decodes its weight and
+    MAC rows, and step j corrects its accumulators in int64.  A chain pass
+    with faults goes, with EDC off, to ``_run_faulted_chain`` and
+    ``_correct_deliveries``, which take the path's weights per gate (the
+    int16 matrices, or the stack's rows of each gate); with EDC on, to
+    ``_edc_chain_holds``, whose corrections go into `corrections`, and
+    every group delivers the fault-free vector.  ``_apply_faults`` then
+    takes the words the groups delivered, and the activation rows make
+    ``cell_output``'s hook.
     """
     m = lp.neurons
     params = shared.params[lp.index]
@@ -707,14 +715,13 @@ def _layer_values(lp, geo, shared, xs, acts, plan, corrections):
     w_x = [g.w_x for g in gates]
     w_max, bias, w_h, gate_h = shared.layer(lp.index)
     path_weights = [w_x, gate_h]
+    layouts = (lp.chain, lp.recurrent_chain)
     out = np.empty((len(xs), m), dtype=np.int16)
-    faults = None
+    held = 0
     if plan is not None:
-        l, edc = lp.index, plan.cfg.edc_weights
-        # EDC on delivers every chain word fault-free: no chain row enters the value path.
-        upto = 0 if plan.cfg.edc_inputs else None
-        chains = [plan.input_faults[l, name][:upto] for name in PATHS]
-        streams = [*chains, plan.weight_faults[l], plan.mac_faults[l], plan.act_faults[l]]
+        l, edc_in = lp.index, plan.cfg.edc_inputs
+        streams = [*(plan.input_faults[l, name] for name in PATHS),
+                   plan.weight_faults[l], plan.mac_faults[l], plan.act_faults[l]]
     # cell_output returns int64 arrays, and c None for GRU/Vanilla, which
     # ignore it.
     h = c = np.zeros(m, dtype=np.int64)
@@ -722,51 +729,38 @@ def _layer_values(lp, geo, shared, xs, acts, plan, corrections):
         x_block = xs[t0:t0 + TIME_BLOCK]
         x_accs = shared.input_products(lp.index, t0, x_block, w_x, w_max)
         if plan is not None:
-            *chains, weight, mac, act = (stream_rows(s, t0, t0 + len(x_block)) for s in streams)
-            faults = chains, _decode_faults(geo, params, weight, mac, edc, corrections), act
+            *chains, weight, mac, (act_ptr, act_rows) = (
+                stream_rows(s, t0, t0 + len(x_block)) for s in streams)
+            decoded = _decode_faults(geo, params, weight, mac, plan.cfg.edc_weights, corrections)
         for j, x in enumerate(x_block):
             accs = np.stack((
                 x_accs[:, j].reshape(len(gates), m),
                 _exact_matmul(w_h, h, w_max).reshape(len(gates), m),
             ))
-            h, c = _layer_step_values(lp, geo, path_weights, w_max, x, h, c, accs, bias, acts,
-                                      faults, j)
+            hook = None
+            if plan is not None:
+                vecs = (np.asarray(x, dtype=np.int64), h)
+                # seen[path][group, word]: what each chain group delivered this pass.
+                seen = []
+                for path, ((ptr, rows), layout) in enumerate(zip(chains, layouts)):
+                    rows = rows[ptr[j]:ptr[j + 1]]
+                    groups = len(layout.group_capacities)
+                    delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
+                    if len(rows) and edc_in:
+                        corrected, pass_held = _edc_chain_holds(layout, rows)
+                        corrections["input_corrected"] += corrected
+                        held += pass_held
+                    elif len(rows):
+                        delivered = _run_faulted_chain(layout, vecs[path], rows)
+                        _correct_deliveries(geo, path, path_weights[path], delivered - vecs[path],
+                                            w_max, accs)
+                    seen.append(delivered)
+                _apply_faults(decoded, j, seen, accs)
+                rows = act_rows[act_ptr[j]:act_ptr[j + 1]]
+                hook = _act_fault_hook(rows) if len(rows) else None
+            h, c = cell_output(lp.cell_type, accs[0], accs[1], bias, h, c, acts, hook)
             out[t0 + j] = h
-    return out
-
-
-def _layer_step_values(lp, geo, path_weights, w_max, x, h_prev, c_prev, accs, bias, acts, faults,
-                       j):
-    """Finish step j of a time block of one layer; returns (h, c).
-
-    `path_weights[path]` holds the layer's weights of each gate for the
-    chain corrections, and `w_max` its largest |weight|, for
-    ``_exact_matmul``.  `accs[path, gate, neuron]` holds the fault-free
-    accumulators.  `faults` is None on a fault-free run, else the block's
-    ``stream_rows`` of each chain, its ``_decode_faults`` and its
-    activation rows; the step's faults correct `accs` in place, in int64
-    on the touched chunks.
-    """
-    hook = None
-    if faults is not None:
-        chains, decoded, (act_ptr, act_rows) = faults
-        vecs = (np.asarray(x, dtype=np.int64), h_prev)
-        # seen[path][group, word]: what each chain group delivered this pass.
-        seen = []
-        for path, ((ptr, rows), layout) in enumerate(zip(chains, (lp.chain, lp.recurrent_chain))):
-            rows = rows[ptr[j]:ptr[j + 1]]
-            if len(rows):
-                delivered = _run_faulted_chain(layout, vecs[path], rows)
-                _correct_deliveries(geo, path, path_weights[path], delivered - vecs[path], w_max,
-                                    accs)
-            else:
-                groups = len(layout.group_capacities)
-                delivered = np.broadcast_to(vecs[path], (groups, len(vecs[path])))
-            seen.append(delivered)
-        _apply_faults(decoded, j, seen, accs)
-        rows = act_rows[act_ptr[j]:act_ptr[j + 1]]
-        hook = _act_fault_hook(rows) if len(rows) else None
-    return cell_output(lp.cell_type, accs[0], accs[1], bias, h_prev, c_prev, acts, hook)
+    return out, held
 
 
 def _correct_deliveries(geo, path, weights, delta, w_max, accs):
@@ -1129,11 +1123,12 @@ def simulate(placement: Placement, params, inputs,
              error_cfg: ErrorConfig | None = None, *, shared: _Shared | None = None) -> RunResult:
     """Run the placed network over a timestep-major input stream.
 
-    The ledger is every layer's fault-free step events, T times, less the
-    shifts that EDC corrections held back.  Of those, the result's
+    Each layer's ``_layer_values`` applies all of its faults.  The ledger
+    is every layer's fault-free step events, T times, less the shifts that
+    EDC corrections held back.  Of those, the result's
     ``corrections["suppressed_shifts"]`` counts the weight tracks' holds
-    only: ``track_shift`` also lacks the input chains' holds, which no
-    correction counter reports.
+    only: ``track_shift`` also lacks the input chains' holds, which
+    ``_layer_values`` returns and no correction counter reports.
 
     `shared` is a ``_Shared`` made from these very placement, params and
     inputs objects, which every run of a sweep passes; its arrays are
@@ -1181,21 +1176,14 @@ def simulate(placement: Placement, params, inputs,
         "logic_faults": sum(map(len, [*plan.mac_faults, *plan.act_faults])) if plan else 0,
         "fault_events": plan.total_events() if plan else 0,
     }
-    chain_held = 0
-    if plan and plan.cfg.edc_inputs:
-        for lp in placement.layers:
-            for name, layout in zip(PATHS, (lp.chain, lp.recurrent_chain)):
-                ptr, rows = stream_rows(plan.input_faults[lp.index, name], 0, T)
-                for t in np.flatnonzero(np.diff(ptr)):
-                    corrected, held = _edc_chain_holds(layout, rows[ptr[t]:ptr[t + 1]])
-                    corrections["input_corrected"] += corrected
-                    chain_held += held
 
     # Values, layer-major: each layer consumes the previous one's stream.
-    outputs = []
+    outputs, chain_held = [], 0
     for lp, geo in zip(placement.layers, geos):
         xs = outputs[-1] if outputs else inputs
-        outputs.append(_layer_values(lp, geo, shared, xs, acts, plan, corrections))
+        layer_out, held = _layer_values(lp, geo, shared, xs, acts, plan, corrections)
+        outputs.append(layer_out)
+        chain_held += held
 
     events = {op: T * sum(geo.step_events[op] for geo in geos) for op in geos[0].step_events}
     events["track_shift"] -= chain_held + corrections["suppressed_shifts"]

@@ -16,7 +16,7 @@ track's pairs, which may lie in two units.  ``_apply_faults`` then applies
 one step with the words it delivered, a (path, chunk) run of pairs at a
 time: one exact product of the flip rows with the one vector that a
 fault-free pass delivered to every group (``np.broadcast_to`` rows, as
-``_layer_step_values`` passes them), or, after a pass with chain faults, a
+``_layer_values`` passes them), or, after a pass with chain faults, a
 row-wise product with each pair's group's words; and all logic faults as
 array operations.  The oracle below is the per-track loop they replaced:
 one single-track protocol pass per faulted track of a step (kept here in
@@ -136,7 +136,7 @@ def oracle(lp, geo, params, weight_faults, mac_faults, edc, accs, seen, correcti
 def random_state(rng, lp, params, shared=(False, False)):
     """Random accumulators and per-group deliveries.  On a path that
     `shared` marks, every group delivered one vector, which
-    ``np.broadcast_to`` gives, as ``_layer_step_values`` passes a fault-free
+    ``np.broadcast_to`` gives, as ``_layer_values`` passes a fault-free
     pass; on the others the words differ in every group, as after a chain
     fault, so a wrong group or word lookup shows."""
     accs = rng.integers(-(1 << 40), 1 << 40, (2, len(params.gates), lp.neurons))

@@ -1,16 +1,24 @@
-"""Input chain circulation, weight-track passes, and both EDC protocols."""
+"""Input chain circulation, weight-track passes, and both EDC protocols.
+
+An EDC-on chain pass's corrections and held shifts follow the hold rule
+that ``weight_zeros`` applies to weight tracks; the simulator still counts
+them by replaying the chain model (``simulator._edc_chain_holds``).
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rnnfast.mapping import ChainLayout
 from rnnfast.racetrack import (
     WORD_PLANES,
     InputTrackChain,
     PadOverrun,
     WeightTrackGroup,
+    weight_zeros,
 )
+from rnnfast.simulator import _edc_chain_holds
 
 
 class Counter:
@@ -280,6 +288,58 @@ def test_input_chain_matches_the_recurrence(case):
         "edc_write": 3 * plane_steps if edc else 0,
     }
     assert led.counts == {op: n for op, n in expected.items() if n}
+
+
+@st.composite
+def edc_faulted_passes(draw):
+    """A chain of 1-8 groups of 1-6 words and one pass's fault rows (step,
+    group, plane): scattered rows, runs of consecutive steps on one (group,
+    plane), some ending at the pass's last step, and repeated rows."""
+    caps = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    n = sum(caps)
+    groups, planes = st.integers(0, len(caps) - 1), st.integers(0, WORD_PLANES - 1)
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), groups, planes), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        g, k, length = draw(groups), draw(planes), draw(st.integers(1, n))
+        first = n - length if draw(st.booleans()) else draw(st.integers(0, n - length))
+        rows += [(s, g, k) for s in range(first, first + length)]
+    if not rows:
+        rows.append((n - 1, draw(groups), draw(planes)))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return caps, draw(st.permutations(rows))
+
+
+@settings(max_examples=250, deadline=None)
+@given(edc_faulted_passes())
+def test_edc_chain_corrections_follow_the_hold_rule(case):
+    """One EDC-on pass's (corrected, held) three ways: a full device replay,
+    ``simulator._edc_chain_holds``, and the hold rule.  A detected overshift
+    is corrected and holds its plane's next shift, so in each run of
+    consecutive faulted steps on one (group, plane) every second fault is a
+    no-op, and a correction at the pass's last step holds none: the rule
+    ``weight_zeros`` applies to (track, plane, slot) rows, one track per
+    group."""
+    caps, rows = case
+    n = sum(caps)
+    chain = InputTrackChain(caps, edc_enabled=True)
+    by_step = {}
+    for s, g, k in rows:
+        by_step.setdefault(s, {}).setdefault(g, []).append(k)
+    led = Counter()
+    corrected = sum(sum(map(len, chain.rotate_step(by_step.get(s), led)[1])) for s in range(n))
+    replay = corrected, WORD_PLANES * len(caps) * n - led.get("track_shift")
+    live = []
+    for g, k in {(g, k) for _, g, k in rows}:
+        steps = sorted({s for s, g2, k2 in rows if (g2, k2) == (g, k)})
+        run = 0
+        for i, s in enumerate(steps):
+            run = run + 1 if i and steps[i - 1] == s - 1 else 0
+            if run % 2 == 0:
+                live.append(s)
+    rule = len(live), sum(s < n - 1 for s in live)
+    layout = ChainLayout(n, tuple(caps), len(caps), len(caps) - 1, 0)
+    assert replay == _edc_chain_holds(layout, np.array(rows)) == rule
+    assert rule[1] == weight_zeros([n] * len(caps), [(g, k, s) for s, g, k in rows])[1]
 
 
 class TestWeightTrackGroup:
